@@ -78,9 +78,6 @@ class Network:
     def n_nodes(self):
         return len(self.coords)
 
-    def mainline_x(self, node):
-        return self.coords[node][0]
-
     def is_mainline(self, node):
         return self.coords[node][1] == 0.0
 

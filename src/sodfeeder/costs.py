@@ -50,12 +50,11 @@ class FeasibilityLimits:
     max_wait: float = 900.0       # s, pickup - request time
     detour_factor: float = 2.5    # ride time <= factor * direct + detour_slack
     detour_slack: float = 300.0   # s
-    capacity: int = 20            # persons per vehicle
     flex_window: float = 1200.0   # s reserved for the flexible-route portion
 
     def validate(self):
         if min(self.max_wait, self.detour_factor, self.detour_slack,
-               self.capacity, self.flex_window) <= 0:
+               self.flex_window) <= 0:
             raise ValueError("all feasibility limits must be positive")
 
     def max_ride(self, direct_time):

@@ -58,13 +58,6 @@ class Request:
                              % (self.state, new_state))
         self.state = new_state
 
-    def from_terminus(self, terminus):
-        """True for trips departing the terminus."""
-        return self.origin == terminus
-
-    def nonterminus_node(self, terminus):
-        return self.destination if self.origin == terminus else self.origin
-
     def nonterminus_segment(self, terminus):
         return (self.destination_segment if self.origin == terminus
                 else self.origin_segment)

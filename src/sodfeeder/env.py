@@ -65,10 +65,14 @@ class ZonalDispatchEnv:
         self.t = 0
         self.done = True
         n = scenario.norm
+        fleet = scenario.n_vehicles
+        # an all-reserved fleet still needs a non-empty range
+        controllable = max(1, fleet - scenario.n_reserved)
+        commit_cap = fleet * scenario.limits.flex_window
         self.ranges = (
-            [(0.0, float(n.fleet_size)), (0.0, float(n.controllable)),
+            [(0.0, float(fleet)), (0.0, float(controllable)),
              (0.0, n.forecast_cap)]
-            + [(0.0, n.request_cap), (0.0, n.flex_commit_cap),
+            + [(0.0, n.request_cap), (0.0, commit_cap),
                (0.0, n.request_cap)] * 3
             + [(0.0, n.time_cap)] * 3
             + [(0.0, n.forecast_cap)] * 3
@@ -161,17 +165,8 @@ class ZonalDispatchEnv:
     # ---- checkpoint/restore (Markov bookkeeping) ---------------------------
 
     def snapshot(self):
-        return copy.deepcopy((self.world, self.controller.__dict__.copy(),
-                              self.t, self.done))
+        # one deepcopy keeps the controller pointing at the copied world
+        return copy.deepcopy((self.world, self.controller, self.t, self.done))
 
     def restore(self, snap):
-        world, cstate, t, done = copy.deepcopy(snap)
-        self.world = world
-        self.controller = DispatchController(self.world, PolicyKind.RL_ZONAL,
-                                             self.scenario.dispatch)
-        for k, v in cstate.items():
-            if k not in ("world",):
-                setattr(self.controller, k, v)
-        self.controller.world = self.world
-        self.t = t
-        self.done = done
+        self.world, self.controller, self.t, self.done = copy.deepcopy(snap)

@@ -8,17 +8,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .demand import RequestState
 from .dispatch import DispatchController, PolicyKind
 from .econ import aggregate, generalized_cost
-from .env import ZonalDispatchEnv
+from .env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
 from .matching import match_step
 from .ppo import PPOTrainer, greedy_action, load_checkpoint, save_checkpoint
 from .scenario import build_world
 
 
-def run_simulation(scenario, policy_kind, seed, actor=None, net=None,
-                   event_log=None):
+def run_simulation(scenario, policy_kind, seed, actor=None, net=None):
     """One full deterministic episode; returns (RunMetrics, world)."""
     scenario.validate()
     if policy_kind is PolicyKind.RL_ZONAL:
@@ -34,8 +32,7 @@ def run_simulation(scenario, policy_kind, seed, actor=None, net=None,
         world = env.world
         world.rl_actions = actions
     else:
-        world = build_world(scenario, policy_kind, seed, net=net,
-                            event_log=event_log)
+        world = build_world(scenario, policy_kind, seed, net=net)
         controller = DispatchController(world, policy_kind, scenario.dispatch)
         for _ in range(scenario.n_steps):
             controller.baseline_dispatch()
@@ -52,8 +49,8 @@ def train_rl(scenario, n_instances, out_checkpoint=None, stats_path=None,
     net = scenario.network()
     trainer = PPOTrainer(
         env_factory=lambda i: ZonalDispatchEnv(scenario, net=net),
-        obs_dim=18, n_actions=4, config=scenario.ppo, seed=seed,
-        n_envs=n_envs)
+        obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=scenario.ppo,
+        seed=seed, n_envs=n_envs)
     n_updates = max(1, n_instances // trainer.n_envs)
     seeds = scenario.seeds.train_seeds(n_instances)
     trainer.train(seeds, n_updates)
@@ -83,7 +80,8 @@ def compare(scenario, policies, seeds, actor=None, out_dir=None):
             metrics.append(m)
             if kind is PolicyKind.RL_ZONAL:
                 if action_counts is None:
-                    action_counts = np.zeros((len(world.rl_actions), 4))
+                    action_counts = np.zeros((len(world.rl_actions),
+                                              N_ACTIONS))
                 for t, a in enumerate(world.rl_actions):
                     action_counts[t, a] += 1
         results[kind] = metrics
@@ -119,7 +117,7 @@ def _write_compare_outputs(results, seeds, info, out):
     if "action_density" in info:
         with open(out / "action_density.csv", "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["step", "a0", "a1", "a2", "a3"])
+            w.writerow(["step"] + ["a%d" % a for a in range(N_ACTIONS)])
             for t, row in enumerate(info["action_density"]):
                 w.writerow([t] + list(row))
 
@@ -136,14 +134,3 @@ def paired_bootstrap_ge_zero(diffs, n_boot=10_000, seed=0):
     idx = rng.integers(0, len(diffs), size=(n_boot, len(diffs)))
     means = diffs[idx].mean(axis=1)
     return float(np.mean(means >= 0.0))
-
-
-def conservation_ok(world):
-    """Every generated request ends in exactly one terminal bucket."""
-    states = [r.state for r in world.requests]
-    n = len(states)
-    terminal = sum(s in (RequestState.SERVED, RequestState.REJECTED)
-                   for s in states)
-    open_ = sum(s in (RequestState.PENDING, RequestState.ASSIGNED,
-                      RequestState.RIDING) for s in states)
-    return terminal + open_ == n

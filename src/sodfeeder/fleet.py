@@ -67,10 +67,6 @@ class Vehicle:
     deployed_metric: float = 0.0
     cycles_completed: int = 0
 
-    @property
-    def active(self):
-        return self.status != VehicleStatus.AT_TERMINUS
-
     def free_insert_min(self):
         """Smallest schedule index a newly inserted stop may take."""
         if self.status == VehicleStatus.BOARDING:
@@ -84,11 +80,14 @@ class Vehicle:
         return self.next_idx
 
 
+# looked up once: enum member access is slow, and stop_dwell runs for every
+# stop of every candidate schedule
+_FULL_DWELL_KINDS = (StopKind.FIXED, StopKind.FLEX)
+
+
 def stop_dwell(stop, dwell_base, dwell_per_pax):
     npax = len(stop.board) + len(stop.alight)
-    if stop.kind == StopKind.FIXED:
-        return dwell_base + dwell_per_pax * npax
-    if stop.kind == StopKind.FLEX:
+    if stop.kind in _FULL_DWELL_KINDS:
         return dwell_base + dwell_per_pax * npax
     if stop.kind == StopKind.TURNAROUND:
         return dwell_per_pax * npax

@@ -11,7 +11,7 @@ rejected once their wait deadline lapses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corridor import Segment
 from .demand import RequestState
@@ -43,14 +43,9 @@ class InsertionCandidate:
 
 @dataclass
 class MatchReport:
-    assigned: list = None
-    rejected: list = None
-    pending: list = None
-
-    def __post_init__(self):
-        self.assigned = self.assigned or []
-        self.rejected = self.rejected or []
-        self.pending = self.pending or []
+    assigned: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
+    pending: list = field(default_factory=list)
 
 
 def nearest_fixed_stop(world, node, walk_speed):
@@ -266,7 +261,7 @@ def enumerate_candidates(world, request, plan):
                     stop = Stop(plan.dropoff_node, StopKind.FLEX,
                                 alight=[request.id])
                     sched = _with_board(v.schedule, pk, request.id)
-                    sched = _insert_stop_inplace_list(sched, dr, stop)
+                    sched.insert(dr, stop)
                     close = _shift(v.window_close_idx, dr)
                     finish(sched, close, pk, dr)
     out.sort(key=lambda c: (c.delta_rho, c.vehicle_id, c.pickup_idx,
@@ -278,12 +273,6 @@ def _shift(close_idx, insert_pos):
     if close_idx is None:
         return None
     return close_idx + 1 if insert_pos <= close_idx else close_idx
-
-
-def _insert_stop_inplace_list(sched, pos, stop):
-    sched = list(sched)
-    sched.insert(pos, stop)
-    return sched
 
 
 def _flex_positions(world, vehicle, node, after=None):

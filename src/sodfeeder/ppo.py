@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .env import STATE_LAYOUT_VERSION as CHECKPOINT_VERSION
 from .nets import MLP, Adam, log_softmax, softmax
-
-CHECKPOINT_VERSION = "sod-state-v1"
 
 
 # ---- advantage estimation --------------------------------------------------
@@ -280,10 +279,9 @@ class PPOTrainer:
     """Owns the nets, optimizers and parallel environments."""
 
     def __init__(self, env_factory, obs_dim, n_actions, config, seed=0,
-                 n_envs=None, episode_len=None):
+                 n_envs=None):
         self.config = config
         self.n_envs = n_envs if n_envs is not None else config.n_envs
-        self.episode_len = episode_len
         rng = np.random.default_rng(seed)
         hidden = config.hidden_units
         self.actor = MLP([obs_dim, hidden, hidden, n_actions], rng,
@@ -306,8 +304,8 @@ class PPOTrainer:
         self.total_steps = 0
 
     def run_update(self, instance_seeds):
-        T = self.episode_len or self.envs[0].episode_len
-        batch = collect_rollouts(self.envs, self.actor, self.critic, T,
+        batch = collect_rollouts(self.envs, self.actor, self.critic,
+                                 self.envs[0].episode_len,
                                  instance_seeds, self.action_rngs, self.config)
         stats = update(self.actor, self.critic, self.actor_opt,
                        self.critic_opt, batch, self.config, self.update_rng)
@@ -319,7 +317,7 @@ class PPOTrainer:
         """Run updates, consuming n_envs instance seeds per update."""
         base_lr = self.config.learning_rate
         for u in range(n_updates):
-            if getattr(self.config, "anneal_lr", False):
+            if self.config.anneal_lr:
                 frac = 1.0 - u / n_updates
                 self.actor_opt.lr = base_lr * frac
                 self.critic_opt.lr = base_lr * frac

@@ -3,12 +3,15 @@
 A scenario bundles corridor geometry, demand profile, fleet and cost
 parameters, dispatch headways, horizon bookkeeping, observation normalization
 ranges and the PPO hyperparameters.  Defaults reproduce the reference
-setting; any field can be overridden from a YAML file.
+setting; any field can be overridden from a YAML file.  A scenario is frozen,
+and the simulation world reads its parameters from it directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -17,7 +20,7 @@ from .corridor import CorridorSpec, build_corridor
 from .costs import CostCoefficients, FeasibilityLimits
 from .demand import DemandProfile
 from .dispatch import DispatchConfig
-from .sim import SimParams, World
+from .sim import World
 
 
 @dataclass
@@ -67,16 +70,22 @@ class PPOConfig:
 
 @dataclass
 class NormalizationRanges:
-    """Per-feature (min, max) used to squash raw observations into [0, 1]."""
-    fleet_size: int = 8
-    controllable: int = 4
+    """Upper ends of the observation features that no other field fixes.
+
+    The fleet-count and flexible-commitment ranges follow from the fleet and
+    the flexible window; ``ZonalDispatchEnv`` derives them.
+    """
     request_cap: float = 20.0
     time_cap: float = 1800.0
-    flex_commit_cap: float = 8 * 1200.0
     forecast_cap: float = 15.0
 
 
-@dataclass
+@functools.lru_cache(maxsize=8)
+def _network(spec):
+    return build_corridor(spec)
+
+
+@dataclass(frozen=True)
 class Scenario:
     corridor: CorridorSpec = field(default_factory=CorridorSpec)
     demand: DemandProfile = field(default_factory=DemandProfile)
@@ -110,6 +119,14 @@ class Scenario:
             raise ValueError("horizon and t_step must be positive")
         if not 0 <= self.warmup < self.horizon:
             raise ValueError("warmup must lie inside the horizon")
+        if not math.isclose(self.n_steps * self.t_step, self.horizon):
+            raise ValueError("horizon %g is not a multiple of t_step %g"
+                             % (self.horizon, self.t_step))
+        if self.rl_period < 1 or self.n_steps % self.rl_period:
+            raise ValueError("the %d simulation steps do not split into RL "
+                             "periods of %d" % (self.n_steps, self.rl_period))
+        if self.n_vehicles < 1:
+            raise ValueError("n_vehicles must be at least 1")
         if self.n_reserved > self.n_vehicles:
             raise ValueError("reserved fleet exceeds total fleet")
 
@@ -117,22 +134,9 @@ class Scenario:
     def n_steps(self):
         return int(round(self.horizon / self.t_step))
 
-    def sim_params(self):
-        return SimParams(
-            t_step=self.t_step, horizon=self.horizon, warmup=self.warmup,
-            boarding_duration=self.boarding_duration,
-            dwell_base=self.dwell_base, dwell_per_pax=self.dwell_per_pax,
-            fixed_stop_spacing=self.fixed_stop_spacing,
-            n_vehicles=self.n_vehicles, n_reserved=self.n_reserved,
-            capacity=self.capacity, limits=self.limits, coeffs=self.coeffs)
-
-    _net_cache = None
-
     def network(self):
-        """Build (and cache) the corridor network for this scenario."""
-        if self._net_cache is None or self._net_cache.spec != self.corridor:
-            object.__setattr__(self, "_net_cache", build_corridor(self.corridor))
-        return self._net_cache
+        """The corridor network, shared by every scenario with this spec."""
+        return _network(self.corridor)
 
     # ---- serialization -----------------------------------------------------
 
@@ -147,8 +151,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data):
-        def build(tp, sub):
+        def build(section, tp, sub):
             kwargs = dict(sub or {})
+            for key in kwargs:
+                if key not in tp.__dataclass_fields__:
+                    raise ValueError("unknown field %r in scenario section %r"
+                                     % (key, section))
             if tp is CorridorSpec and "segment_lengths" in kwargs:
                 kwargs["segment_lengths"] = tuple(kwargs["segment_lengths"])
             return tp(**kwargs)
@@ -162,7 +170,7 @@ class Scenario:
         kwargs = {}
         for key, value in (data or {}).items():
             if key in nested:
-                kwargs[key] = build(nested[key], value)
+                kwargs[key] = build(key, nested[key], value)
             elif key in cls.__dataclass_fields__:
                 kwargs[key] = value
             else:
@@ -178,13 +186,12 @@ class Scenario:
         return cls.from_dict(data)
 
 
-def build_world(scenario, policy_kind, seed, net=None, event_log=None):
+def build_world(scenario, policy_kind, seed, net=None):
     """Fresh world with a newly generated demand instance for one episode."""
     from .demand import generate_instance
     if net is None:
         net = scenario.network()
     requests = generate_instance(net, scenario.demand, scenario.horizon, seed)
-    return World(net, scenario.sim_params(), requests,
+    return World(net, scenario, requests,
                  fixed_only=policy_kind.fixed_only,
-                 split_fleet=policy_kind.split_fleet,
-                 event_log=event_log)
+                 split_fleet=policy_kind.split_fleet)

@@ -9,27 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .costs import CostCoefficients, FeasibilityLimits
 from .corridor import Segment
 from .demand import RequestState
 from .fleet import (FleetClass, Stop, StopKind, Vehicle, VehicleStatus,
                     retime, stop_dwell)
-
-
-@dataclass
-class SimParams:
-    t_step: float = 60.0
-    horizon: float = 10800.0
-    warmup: float = 3600.0
-    boarding_duration: float = 300.0
-    dwell_base: float = 20.0
-    dwell_per_pax: float = 2.0
-    fixed_stop_spacing: float = 400.0
-    n_vehicles: int = 8
-    n_reserved: int = 4
-    capacity: int = 20
-    limits: FeasibilityLimits = field(default_factory=FeasibilityLimits)
-    coeffs: CostCoefficients = field(default_factory=CostCoefficients)
 
 
 @dataclass
@@ -43,24 +26,26 @@ class StepReport:
 
 
 class World:
-    """Simulation world: network, fleet, requests and the clock."""
+    """Simulation world: network, fleet, requests and the clock.
 
-    def __init__(self, net, params, requests, fixed_only=False,
-                 split_fleet=False, event_log=None):
+    ``params`` holds the ``Scenario`` the world runs under.
+    """
+
+    def __init__(self, net, scenario, requests, fixed_only=False,
+                 split_fleet=False):
         self.net = net
-        self.params = params
+        self.params = scenario
         self.requests = list(requests)
         self.fixed_only = fixed_only
         self.now = 0.0
         self.step_k = 0
-        self.event_log = event_log  # list to collect (step, vehicle, kind, node, rid)
 
         fixed_end = net.spec.segment_lengths[0]
         self.fixed_stop_nodes = []
-        x = params.fixed_stop_spacing
+        x = scenario.fixed_stop_spacing
         while x <= fixed_end + 1e-9:
             self.fixed_stop_nodes.append(net.nearest_mainline_node(x))
-            x += params.fixed_stop_spacing
+            x += scenario.fixed_stop_spacing
         zone1_end = fixed_end + net.spec.segment_lengths[1]
         self.turn_nodes = {
             0: net.nearest_mainline_node(net.spec.mainline_length),
@@ -69,10 +54,10 @@ class World:
         }
 
         self.vehicles = []
-        for i in range(params.n_vehicles):
-            cls = (FleetClass.RESERVED if split_fleet and i < params.n_reserved
-                   else FleetClass.CONTROLLABLE)
-            self.vehicles.append(Vehicle(id=i, capacity=params.capacity,
+        for i in range(scenario.n_vehicles):
+            reserved = split_fleet and i < scenario.n_reserved
+            cls = FleetClass.RESERVED if reserved else FleetClass.CONTROLLABLE
+            self.vehicles.append(Vehicle(id=i, capacity=scenario.capacity,
                                          fleet_class=cls, node=net.terminus))
 
         self.rejected_total = 0
@@ -166,10 +151,6 @@ class World:
         cut = self.params.warmup
         return max(0.0, t1 - max(t0, cut)) / (t1 - t0)
 
-    def _log(self, vehicle, kind, node, rid=None):
-        if self.event_log is not None:
-            self.event_log.append((self.step_k, vehicle, kind, node, rid))
-
     # ---- the step loop -----------------------------------------------------
 
     def _next_event(self, v):
@@ -201,14 +182,12 @@ class World:
         return rep
 
     def _process_event(self, v, t, rep):
-        p = self.params
         if v.status == VehicleStatus.BOARDING:
             stop = v.schedule[0]
             for rid in stop.board:
                 self._board(v, rid, t, rep)
             v.status = VehicleStatus.EN_ROUTE
             v.next_idx = 1
-            self._log(v.id, "depart", stop.node)
             return
 
         stop = v.schedule[v.next_idx]
@@ -218,7 +197,6 @@ class World:
         v.dist_metric += leg_dist * self._metric_share(prev.departure, stop.arrival)
         v.node = stop.node
         rep.arrivals += 1
-        self._log(v.id, "arrive", stop.node)
 
         for rid in stop.alight:
             self._alight(v, rid, stop.arrival, rep)
@@ -254,8 +232,6 @@ class World:
         req.pickup_time = t
         v.onboard.append(rid)
         rep.boardings += 1
-        self._log(v.id, "board", v.node if v.status != VehicleStatus.BOARDING
-                  else self.net.terminus, rid)
         if t - req.t_r > self.params.limits.max_wait + 1e-6:
             rep.infeasibilities.append(("wait_violation", rid, t - req.t_r))
 
@@ -265,7 +241,6 @@ class World:
         req.dropoff_time = t
         v.onboard.remove(rid)
         rep.alightings += 1
-        self._log(v.id, "alight", v.node, rid)
         ride = t - req.pickup_time
         if (req.direct_time is not None
                 and ride > self.params.limits.max_ride(req.direct_time) + 1e-6):

@@ -47,10 +47,13 @@ def test_simulate_rejects_unknown_policy(tmp_path):
 
 def test_bad_config_is_reported(tmp_path):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("no_such_field: 1\n")
-    rc = main(["simulate", "--policy", "sod", "--config", str(bad),
-               "--out", str(tmp_path / "x")])
-    assert rc == 1
+    for text in ["no_such_field: 1\n", "demand:\n  foo: 1\n",
+                 "limits:\n  capacity: 20\n", "horizon: 10830\n",
+                 "rl_period: 7\n", "n_vehicles: 0\nn_reserved: 0\n"]:
+        bad.write_text(text)
+        rc = main(["simulate", "--policy", "sod", "--config", str(bad),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1, text
 
 
 def test_dump_network(tmp_path):

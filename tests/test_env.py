@@ -5,6 +5,7 @@ from sodfeeder.corridor import Segment
 from sodfeeder.demand import forecast_demand
 from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
                            ZonalDispatchEnv, denormalize, normalize)
+from sodfeeder.fleet import FleetClass, VehicleStatus
 from sodfeeder.scenario import Scenario
 
 
@@ -131,6 +132,46 @@ def test_scenario_yaml_round_trip(tmp_path, scenario):
     assert np.allclose(a, b)
 
 
+def test_fleet_ranges_follow_the_fleet():
+    sc = Scenario(n_vehicles=12, n_reserved=4)
+    env = ZonalDispatchEnv(sc)
+    obs = env.reset(0)
+    while True:
+        w = env.world
+        running = sum(v.status != VehicleStatus.AT_TERMINUS
+                      for v in w.vehicles)
+        available = sum(v.fleet_class == FleetClass.CONTROLLABLE
+                        for v in w.available_vehicles())
+        raw = denormalize(obs, env.ranges)
+        assert raw[0:2] == pytest.approx([running, available])
+        if running > 8:
+            break
+        obs, _, _, _ = env.step(0)
+    assert env.ranges[4] == (0.0, 12 * sc.limits.flex_window)
+
+
+def test_all_reserved_fleet_observes():
+    env = ZonalDispatchEnv(Scenario(n_vehicles=4, n_reserved=4))
+    env.reset(0)
+    for _ in range(5):
+        obs, _, _, _ = env.step(1)     # no controllable vehicle: a no-op
+        assert np.all((obs >= 0.0) & (obs <= 1.0))
+    raw = denormalize(obs, env.ranges)
+    assert raw[0] == pytest.approx(1.0)   # the t=0 reserved override
+    assert raw[1] == 0.0
+
+
 def test_unknown_scenario_field_rejected():
     with pytest.raises(ValueError):
         Scenario.from_dict({"no_such_field": 1})
+    with pytest.raises(ValueError, match="'foo'.*'demand'"):
+        Scenario.from_dict({"demand": {"foo": 1}})
+    # a field that older configs carried
+    with pytest.raises(ValueError, match="'capacity'.*'limits'"):
+        Scenario.from_dict({"limits": {"capacity": 20}})
+    with pytest.raises(ValueError, match="multiple of t_step"):
+        Scenario.from_dict({"horizon": 10830.0})
+    with pytest.raises(ValueError, match="RL periods"):
+        Scenario.from_dict({"rl_period": 7})
+    with pytest.raises(ValueError, match="n_vehicles"):
+        Scenario.from_dict({"n_vehicles": 0, "n_reserved": 0})

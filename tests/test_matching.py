@@ -18,7 +18,7 @@ from worldgen import random_mini_world, run_production_match
 def make_world(policy=PolicyKind.SOD, requests=None, n_vehicles=2):
     sc = Scenario(n_vehicles=n_vehicles, n_reserved=0)
     net = sc.network()
-    return World(net, sc.sim_params(), requests or [],
+    return World(net, sc, requests or [],
                  fixed_only=policy.fixed_only), net
 
 
@@ -193,7 +193,7 @@ def test_capacity_limits_assignments():
     net = sc.network()
     reqs = [feeder_request(net, i, 0.0, net.nearest_mainline_node(2000))
             for i in range(4)]
-    w = World(net, sc.sim_params(), reqs)
+    w = World(net, sc, reqs)
     w.dispatch_vehicle(0, 0)
     rep = match_step(w)
     assert len(rep.assigned) == 2

@@ -6,13 +6,13 @@ from sodfeeder.fleet import StopKind, VehicleStatus, peak_load, retime, Stop
 from sodfeeder.scenario import Scenario, build_world
 
 
-def make_world(policy=PolicyKind.SOD, seed=0, requests=None):
-    sc = Scenario()
+def make_world(policy=PolicyKind.SOD, seed=0, requests=None, sc=None):
+    sc = sc or Scenario()
     net = sc.network()
     if requests is None:
         requests = generate_instance(net, sc.demand, sc.horizon, seed)
     from sodfeeder.sim import World
-    return World(net, sc.sim_params(), requests,
+    return World(net, sc, requests,
                  fixed_only=policy.fixed_only,
                  split_fleet=policy.split_fleet), sc
 
@@ -115,8 +115,7 @@ def test_last_departure_bookkeeping():
 
 def test_warmup_proration_of_distance():
     # a cycle straddling the cutoff accrues only the post-cutoff share
-    w, sc = make_world(requests=[])
-    w.params.warmup = 500.0
+    w, sc = make_world(requests=[], sc=Scenario(warmup=500.0))
     v = w.dispatch_vehicle(0, 0)
     end = v.schedule[-1].arrival
     for _ in range(int(end // sc.t_step) + 2):

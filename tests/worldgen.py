@@ -15,7 +15,7 @@ def random_mini_world(seed, net, max_vehicles=2, max_requests=5):
     rng = np.random.default_rng(seed)
     sc = Scenario(n_vehicles=max_vehicles, n_reserved=0)
     policy = PolicyKind.FIXED_ROUTE if rng.random() < 0.2 else PolicyKind.SOD
-    world = World(net, sc.sim_params(), [], fixed_only=policy.fixed_only)
+    world = World(net, sc, [], fixed_only=policy.fixed_only)
 
     n_dispatched = int(rng.integers(1, max_vehicles + 1))
     for vid in range(n_dispatched):
