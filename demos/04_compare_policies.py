@@ -12,10 +12,9 @@ import numpy as np
 from sodfeeder import PolicyKind, Scenario, compare
 from sodfeeder.experiments import load_actor, paired_bootstrap_ge_zero
 
-checkpoint = sys.argv[1] if len(sys.argv) > 1 else "demo_policy.npz"
-actor = load_actor(checkpoint)
-
 sc = Scenario()
+checkpoint = sys.argv[1] if len(sys.argv) > 1 else "demo_policy.npz"
+actor = load_actor(checkpoint, sc)
 seeds = sc.seeds.eval_seeds(20)
 policies = [PolicyKind.FIXED_ROUTE, PolicyKind.SOD,
             PolicyKind.NOMINAL_ZONAL, PolicyKind.RL_ZONAL]

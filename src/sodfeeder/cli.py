@@ -39,7 +39,7 @@ def cmd_simulate(args):
         if not args.checkpoint:
             LOG.error("policy rl_zonal requires --checkpoint")
             return 2
-        actor = load_actor(args.checkpoint)
+        actor = load_actor(args.checkpoint, sc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics, world = run_simulation(sc, kind, args.seed, actor=actor)
@@ -76,7 +76,7 @@ def cmd_compare(args):
         if not args.checkpoint:
             LOG.error("comparing rl_zonal requires --checkpoint")
             return 2
-        actor = load_actor(args.checkpoint)
+        actor = load_actor(args.checkpoint, sc)
     if args.seeds:
         seeds = [int(s) for s in Path(args.seeds).read_text().split()]
     else:

@@ -9,6 +9,7 @@ are constant per edge, so shortest-path queries are deterministic and cached.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -64,7 +65,14 @@ class PathResult:
 
 @dataclass
 class Network:
-    """Immutable street network with cached shortest-path queries."""
+    """Immutable street network with cached shortest-path queries.
+
+    ``times[a][b]`` and ``distances[a][b]`` are the same cached values as
+    ``travel_time(a, b)`` and ``travel_distance(a, b)``, without the node-id
+    checks, for the inner loops that only index node ids taken from this
+    network.  Each table is assembled on first use from every source's
+    cached row.
+    """
 
     coords: list            # node id -> (x, y) meters
     adj: list               # node id -> list of (neighbor, time s, length m)
@@ -73,6 +81,14 @@ class Network:
     mainline_nodes: list    # mainline node ids ordered by x
     spec: CorridorSpec
     _sp_cache: dict = field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def times(self):
+        return [self._sp(src)[0] for src in range(self.n_nodes)]
+
+    @functools.cached_property
+    def distances(self):
+        return [self._sp(src)[2] for src in range(self.n_nodes)]
 
     @property
     def n_nodes(self):

@@ -188,10 +188,21 @@ def dump_requests_csv(requests, path):
 
 
 def load_requests_csv(net, path):
+    """Read requests written by ``dump_requests_csv``, sorted by request time.
+
+    Every row must be a feeder trip (exactly one endpoint is the terminus),
+    and after sorting the ids must run 0..n-1, because the simulator looks a
+    request up by its id.
+    """
     out = []
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
+        for line, row in enumerate(csv.DictReader(f), start=2):
             o, d = int(row["origin"]), int(row["destination"])
+            if (o == net.terminus) == (d == net.terminus):
+                raise ValueError(
+                    "%s line %d (id %s): exactly one of origin %d and "
+                    "destination %d must be the terminus %d"
+                    % (path, line, row["id"], o, d, net.terminus))
             out.append(Request(
                 id=int(row["id"]), t_r=float(row["t_r"]),
                 origin=o, destination=d,
@@ -199,4 +210,10 @@ def load_requests_csv(net, path):
                 destination_segment=net.labels[d],
             ))
     out.sort(key=lambda r: r.t_r)
+    for i, r in enumerate(out):
+        if r.id != i:
+            raise ValueError(
+                "%s: the request at position %d in request-time order has "
+                "id %d; ids must run 0..n-1 in request-time order"
+                % (path, i, r.id))
     return out

@@ -19,6 +19,7 @@ Observation layout (version ``sod-state-v1``)::
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 
@@ -34,6 +35,20 @@ STATE_DIM = 18
 N_ACTIONS = 4
 
 _SEGMENT_OF_CATEGORY = {0: Segment.FIXED, 1: Segment.ZONE1, 2: Segment.ZONE2}
+
+
+def scenario_fingerprint(scenario):
+    """What a trained policy's observations depend on, as JSON-ready data:
+    the state layout, the corridor, the fleet split and the normalization
+    ranges (the flexible window scales the commitment features)."""
+    return {
+        "state_layout": STATE_LAYOUT_VERSION,
+        "corridor": dataclasses.asdict(scenario.corridor),
+        "n_vehicles": scenario.n_vehicles,
+        "n_reserved": scenario.n_reserved,
+        "flex_window": scenario.limits.flex_window,
+        "norm": dataclasses.asdict(scenario.norm),
+    }
 
 
 def normalize(raw, ranges):

@@ -56,7 +56,7 @@ def train_rl(scenario, n_instances, out_checkpoint=None, stats_path=None,
     trainer.train(seeds, n_updates)
     if out_checkpoint:
         save_checkpoint(out_checkpoint, trainer.actor, trainer.critic,
-                        scenario.ppo)
+                        scenario.ppo, scenario=scenario)
     if stats_path:
         trainer.stats.to_csv(stats_path)
     return trainer, trainer.stats
@@ -122,8 +122,9 @@ def _write_compare_outputs(results, seeds, info, out):
                 w.writerow([t] + list(row))
 
 
-def load_actor(checkpoint_path):
-    actor, _, _ = load_checkpoint(checkpoint_path)
+def load_actor(checkpoint_path, scenario):
+    """The actor of a checkpoint trained for ``scenario``."""
+    actor, _, _ = load_checkpoint(checkpoint_path, scenario=scenario)
     return actor
 
 

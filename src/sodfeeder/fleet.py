@@ -115,10 +115,11 @@ def retime(schedule, status, next_idx, net, dwell_base, dwell_per_pax):
         else:
             s.departure = s.arrival + stop_dwell(s, dwell_base, dwell_per_pax)
         start = j + 1
+    times = net.times
     for j in range(start, len(schedule)):
         prev = schedule[j - 1]
         s = schedule[j]
-        s.arrival = prev.departure + net.travel_time(prev.node, s.node)
+        s.arrival = prev.departure + times[prev.node][s.node]
         if j == len(schedule) - 1:
             s.departure = s.arrival
         else:
@@ -143,9 +144,10 @@ def planned_times(schedule):
 
 def schedule_distance(schedule, net):
     """Planned driving distance over the whole stop sequence."""
+    distances = net.distances
     d = 0.0
     for a, b in zip(schedule, schedule[1:]):
-        d += net.travel_distance(a.node, b.node)
+        d += distances[a.node][b.node]
     return d
 
 

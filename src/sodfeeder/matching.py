@@ -19,6 +19,9 @@ from .fleet import (Stop, StopKind, VehicleStatus, planned_times, retime,
                     schedule_distance, peak_load)
 
 EPS = 1e-6
+# s; the window screen's allowance for float round-off in its bound, which
+# stays near 1e-11 s over a 3-hour horizon
+SCREEN_MARGIN = 1e-6
 
 
 @dataclass
@@ -182,110 +185,109 @@ def _feasible(world, vehicle, schedule, window_close_idx, request, plan,
     return True
 
 
-def _with_board(schedule, idx, rid):
-    sched = [s.clone() for s in schedule]
-    sched[idx].board.append(rid)
-    return sched
+def _window_positions(world, vehicle, node):
+    """Positions ``pos`` inside the vehicle's flexible window where a new
+    flexible stop at ``node`` (becoming ``schedule[pos]``) may still fit.
 
-def _insert_stop(schedule, pos, stop):
-    sched = [s.clone() for s in schedule]
-    sched.insert(pos, stop)
-    return sched
-
-
-def enumerate_candidates(world, request, plan):
-    """All feasible insertions of the request across zone-compatible vehicles."""
+    Screen, not verdict: inserting x between stops a and b leaves every stop
+    before it on its exact times and, by the triangle inequality and
+    non-negative dwell, delays every later stop by at least
+    tt(a,x) + dwell(x) + tt(x,b) - tt(a,b).  A position whose window span
+    would then exceed the window by more than float round-off cannot pass
+    ``_feasible`` and is skipped without building its schedule.
+    """
+    if vehicle.window_open_idx is None:
+        return []
     p = world.params
-    net = world.net
-    direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
+    times = world.net.times
+    sched = vehicle.schedule
+    close = vehicle.window_close_idx
+    span0 = sched[close].arrival - sched[vehicle.window_open_idx].departure
+    dwell = p.dwell_base + p.dwell_per_pax
+    limit = p.limits.flex_window + EPS + SCREEN_MARGIN
+    from_x = times[node]
     out = []
-    snap_set = {net.terminus} | set(world.fixed_stop_nodes)
-
-    for v in world.vehicles:
-        if not v.schedule or not zone_compatible(world, plan, v):
-            continue
-        c = p.coeffs
-        base_cost, base_nr, base_ns = schedule_cost_terms(world, v.schedule)
-        last = len(v.schedule) - 1
-
-        def finish(sched, close_idx, pk_idx, dr_idx):
-            retime(sched, v.status, v.next_idx, net, p.dwell_base, p.dwell_per_pax)
-            if not _feasible(world, v, sched, close_idx, request, plan, direct):
-                return
-            cost, n_r, n_s = schedule_cost_terms(
-                world, sched, extra_request=request,
-                extra_served_at_fixed=plan.served_at_fixed)
-            delta = (cost - base_cost - c.gamma_r * (n_r - base_nr)
-                     - c.gamma_s * (n_s - base_ns))
-            out.append(InsertionCandidate(v.id, pk_idx, dr_idx, sched,
-                                          close_idx, delta))
-
-        # --- pickup options -------------------------------------------------
-        if plan.pickup_node == net.terminus:
-            if v.status != VehicleStatus.BOARDING:
-                continue
-            pickup_opts = [("stop", 0)]
-        elif plan.pickup_node in snap_set:
-            pickup_opts = [("stop", i) for i in range(v.free_stop_min(), last)
-                           if v.schedule[i].node == plan.pickup_node
-                           and v.schedule[i].kind == StopKind.FIXED]
-        else:
-            pickup_opts = _flex_positions(world, v, plan.pickup_node)
-
-        for pk_kind, pk in pickup_opts:
-            # --- dropoff options -------------------------------------------
-            if plan.dropoff_node == net.terminus:
-                if pk_kind == "stop":
-                    sched = _with_board(v.schedule, pk, request.id)
-                    sched[last].alight.append(request.id)
-                    finish(sched, v.window_close_idx, pk, last)
-                else:
-                    stop = Stop(plan.pickup_node, StopKind.FLEX,
-                                board=[request.id])
-                    sched = _insert_stop(v.schedule, pk, stop)
-                    close = _shift(v.window_close_idx, pk)
-                    sched[-1].alight.append(request.id)
-                    finish(sched, close, pk, len(sched) - 1)
-            elif plan.dropoff_node in snap_set:
-                # pickup is the terminus departure (feeder structure)
-                for dr in range(max(pk + 1, v.free_stop_min()), last):
-                    s = v.schedule[dr]
-                    if s.node != plan.dropoff_node or s.kind != StopKind.FIXED:
-                        continue
-                    sched = _with_board(v.schedule, pk, request.id)
-                    sched[dr].alight.append(request.id)
-                    finish(sched, v.window_close_idx, pk, dr)
-            else:
-                for dr_kind, dr in _flex_positions(world, v, plan.dropoff_node,
-                                                   after=pk):
-                    stop = Stop(plan.dropoff_node, StopKind.FLEX,
-                                alight=[request.id])
-                    sched = _with_board(v.schedule, pk, request.id)
-                    sched.insert(dr, stop)
-                    close = _shift(v.window_close_idx, dr)
-                    finish(sched, close, pk, dr)
-    out.sort(key=lambda c: (c.delta_rho, c.vehicle_id, c.pickup_idx,
-                            c.dropoff_idx))
+    for pos in range(max(vehicle.window_open_idx + 1, vehicle.free_insert_min()),
+                     close + 1):
+        a, b = sched[pos - 1].node, sched[pos].node
+        from_a = times[a]
+        if span0 + from_a[node] + dwell + from_x[b] - from_a[b] <= limit:
+            out.append(pos)
     return out
 
 
-def _shift(close_idx, insert_pos):
-    if close_idx is None:
-        return None
-    return close_idx + 1 if insert_pos <= close_idx else close_idx
+def _places(world, vehicle, node):
+    """Where the rider's other end ``node`` (the one not at the terminus
+    departure or arrival) can go: ``(idx, False)`` for an existing stop,
+    ``(idx, True)`` for a new flexible stop inserted at ``idx`` that passes
+    the window screen."""
+    sched = vehicle.schedule
+    last = len(sched) - 1
+    if node == world.net.terminus:      # both ends snapped to the terminus
+        return [(last, False)]
+    if node in world.fixed_stop_nodes:
+        return [(i, False)
+                for i in range(max(1, vehicle.free_stop_min()), last)
+                if sched[i].node == node and sched[i].kind == StopKind.FIXED]
+    return [(pos, True) for pos in _window_positions(world, vehicle, node)]
 
 
-def _flex_positions(world, vehicle, node, after=None):
-    """Insertion positions for a new flexible stop inside the vehicle's
-    flexible window.  Returns ("insert", pos) pairs: the new stop becomes
-    schedule[pos]."""
-    if vehicle.window_open_idx is None:
-        return []
-    lo = max(vehicle.window_open_idx + 1, vehicle.free_insert_min())
-    hi = vehicle.window_close_idx
-    if after is not None:
-        lo = max(lo, after + 1)
-    return [("insert", pos) for pos in range(lo, hi + 1)]
+def enumerate_candidates(world, request, plan, base_terms=None):
+    """All feasible insertions of the request across zone-compatible vehicles.
+
+    Requests are feeder trips: the plan's pickup or dropoff must be the
+    terminus.  An outbound rider boards at the terminus departure of a
+    vehicle still boarding, an inbound rider alights at the terminus
+    arrival.  Each placement of the other end that survives the window
+    screen is built, retimed and checked exactly by ``_feasible``.
+    ``base_terms`` caches each vehicle's ``schedule_cost_terms`` over one
+    matching round; it is filled on a vehicle's first feasible candidate.
+    """
+    term = world.net.terminus
+    if plan.pickup_node != term and plan.dropoff_node != term:
+        raise ValueError("request %d: neither service endpoint (%d, %d) is "
+                         "the terminus" % (request.id, plan.pickup_node,
+                                           plan.dropoff_node))
+    outbound = plan.pickup_node == term
+    node = plan.dropoff_node if outbound else plan.pickup_node
+    if base_terms is None:
+        base_terms = {}
+    p = world.params
+    c = p.coeffs
+    net = world.net
+    direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
+    out = []
+    for v in world.vehicles:
+        if not v.schedule or not zone_compatible(world, plan, v):
+            continue
+        if outbound and v.status != VehicleStatus.BOARDING:
+            continue
+        for idx, new in _places(world, v, node):
+            sched = [s.clone() for s in v.schedule]
+            close = v.window_close_idx
+            if new:
+                sched.insert(idx, Stop(node, StopKind.FLEX))
+                if idx <= close:
+                    close += 1
+            pk, dr = (0, idx) if outbound else (idx, len(sched) - 1)
+            sched[pk].board.append(request.id)
+            sched[dr].alight.append(request.id)
+            retime(sched, v.status, v.next_idx, net, p.dwell_base,
+                   p.dwell_per_pax)
+            if not _feasible(world, v, sched, close, request, plan, direct):
+                continue
+            base = base_terms.get(v.id)
+            if base is None:
+                base = base_terms[v.id] = schedule_cost_terms(world, v.schedule)
+            cost, n_r, n_s = schedule_cost_terms(
+                world, sched, extra_request=request,
+                extra_served_at_fixed=plan.served_at_fixed)
+            delta = (cost - base[0] - c.gamma_r * (n_r - base[1])
+                     - c.gamma_s * (n_s - base[2]))
+            out.append(InsertionCandidate(v.id, pk, dr, sched, close, delta))
+    out.sort(key=lambda c: (c.delta_rho, c.vehicle_id, c.pickup_idx,
+                            c.dropoff_idx))
+    return out
 
 
 def match_step(world, walk_speed=1.25, walk_cap=600.0):
@@ -293,6 +295,7 @@ def match_step(world, walk_speed=1.25, walk_cap=600.0):
     rest in request-time order."""
     rep = MatchReport()
     lim = world.params.limits
+    base_terms = {}   # vehicle id -> schedule_cost_terms of its schedule
     for req in world.pending_requests():
         if world.now - req.t_r > lim.max_wait + EPS:
             req.transition(RequestState.REJECTED)
@@ -307,19 +310,20 @@ def match_step(world, walk_speed=1.25, walk_cap=600.0):
             world.rejected_total += 1
             rep.rejected.append(req.id)
             continue
-        cands = enumerate_candidates(world, req, plan)
+        cands = enumerate_candidates(world, req, plan, base_terms)
         if not cands:
             rep.pending.append(req.id)
             continue
         best = cands[0]
-        _apply(world, req, plan, best)
+        _apply(world, req, plan, best, base_terms)
         rep.assigned.append((req.id, best.vehicle_id))
     return rep
 
 
-def _apply(world, request, plan, cand):
+def _apply(world, request, plan, cand, base_terms):
     v = world.vehicles[cand.vehicle_id]
     v.schedule = cand.schedule
+    base_terms.pop(v.id, None)
     if cand.window_close_idx is not None:
         v.window_close_idx = cand.window_close_idx
     v.assigned.add(request.id)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import STATE_LAYOUT_VERSION as CHECKPOINT_VERSION
+from .env import scenario_fingerprint
 from .nets import MLP, Adam, log_softmax, softmax
 
 
@@ -211,12 +212,17 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
 
 # ---- checkpoints -----------------------------------------------------------
 
-def save_checkpoint(path, actor, critic, config, layout_version=CHECKPOINT_VERSION):
+def save_checkpoint(path, actor, critic, config, layout_version=CHECKPOINT_VERSION,
+                    scenario=None):
+    """Write the nets; ``scenario`` embeds its fingerprint, which
+    ``load_checkpoint`` can then check."""
     meta = {
         "layout_version": layout_version,
         "actor_sizes": actor.sizes,
         "critic_sizes": critic.sizes,
         "config": {k: v for k, v in vars(config).items()},
+        "scenario": (None if scenario is None
+                     else scenario_fingerprint(scenario)),
     }
     arrays = {}
     for i, p in enumerate(actor.params):
@@ -226,13 +232,23 @@ def save_checkpoint(path, actor, critic, config, layout_version=CHECKPOINT_VERSI
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
-def load_checkpoint(path, expected_layout=CHECKPOINT_VERSION):
+def load_checkpoint(path, expected_layout=CHECKPOINT_VERSION, scenario=None):
+    """Read the nets back.  With ``scenario`` given, a checkpoint whose
+    embedded fingerprint differs from that scenario's (or that has none) is
+    refused."""
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
     if expected_layout is not None and meta["layout_version"] != expected_layout:
         raise ValueError(
             "checkpoint layout %r does not match expected %r"
             % (meta["layout_version"], expected_layout))
+    if scenario is not None:
+        want = json.loads(json.dumps(scenario_fingerprint(scenario)))
+        got = meta.get("scenario") or {}
+        differ = [k for k in want if got.get(k) != want[k]]
+        if differ:
+            raise ValueError("checkpoint %s does not match the scenario's %s"
+                             % (path, ", ".join(differ)))
     rng = np.random.default_rng(0)
     actor = MLP(meta["actor_sizes"], rng)
     critic = MLP(meta["critic_sizes"], rng)

@@ -28,6 +28,8 @@ from oracles import gae_direct, oracle_match
 from toyenvs import BanditEnv
 from worldgen import random_mini_world, run_production_match
 
+pytestmark = pytest.mark.slow
+
 N_TRAIN_INSTANCES = 1200
 N_EVAL_SEEDS = 100
 CONFIDENCE = 0.95

@@ -93,6 +93,15 @@ def test_train_and_compare_round_trip(tmp_path, fast_config):
     runs = (cmp_out / "runs.csv").read_text().strip().splitlines()
     assert len(runs) == 1 + 3 * 2     # header + 3 policies x 2 seeds
 
+    # the checkpoint refuses a scenario with another fleet split
+    other = tmp_path / "other.yaml"
+    Scenario(horizon=1800.0, warmup=600.0, n_vehicles=6,
+             n_reserved=3).to_yaml(other)
+    rc = main(["compare", "--policies", "rl_zonal", "--n-seeds", "1",
+               "--checkpoint", str(ckpt), "--config", str(other),
+               "--out", str(tmp_path / "cmp2")])
+    assert rc == 1
+
 
 def test_compare_rl_requires_checkpoint(tmp_path, fast_config):
     rc = main(["compare", "--policies", "rl_zonal", "--n-seeds", "1",

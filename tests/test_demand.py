@@ -125,6 +125,30 @@ def test_csv_round_trip(tmp_path, net):
         assert a.origin_segment == b.origin_segment
 
 
+def _write_csv(path, rows):
+    path.write_text("id,t_r,origin,destination\n"
+                    + "".join("%d,%r,%d,%d\n" % r for r in rows))
+
+
+@pytest.mark.parametrize("origin,destination", [(0, 0), (5, 7)])
+def test_csv_non_feeder_row_rejected(tmp_path, net, origin, destination):
+    path = tmp_path / "demand.csv"
+    _write_csv(path, [(0, 10.0, 0, 5), (1, 20.0, origin, destination)])
+    with pytest.raises(ValueError, match="line 3 \\(id 1\\)"):
+        load_requests_csv(net, path)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 10.0, 0, 5), (0, 20.0, 5, 0)],     # ids out of request-time order
+    [(0, 10.0, 0, 5), (2, 20.0, 5, 0)],     # a gap in the ids
+])
+def test_csv_ids_must_follow_request_time_order(tmp_path, net, rows):
+    path = tmp_path / "demand.csv"
+    _write_csv(path, rows)
+    with pytest.raises(ValueError, match="ids must run 0..n-1"):
+        load_requests_csv(net, path)
+
+
 def test_invalid_profile_rejected():
     with pytest.raises(ValueError):
         DemandProfile(base_rate=-1).validate()

@@ -2,10 +2,13 @@ import copy
 
 import pytest
 
+import oracles
+from sodfeeder import fleet, matching
 from sodfeeder.corridor import Segment
+from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request, RequestState
 from sodfeeder.dispatch import PolicyKind
-from sodfeeder.matching import (enumerate_candidates, match_step,
+from sodfeeder.matching import (ServicePlan, enumerate_candidates, match_step,
                                 nearest_fixed_stop, resolve_service_plan,
                                 rho, vehicle_rho, zone_compatible)
 from sodfeeder.scenario import Scenario
@@ -232,3 +235,134 @@ def test_matches_brute_force_on_random_mini_worlds(net):
                 [s.node for s in vb.schedule], seed
             assert [sorted(s.board) for s in va.schedule] == \
                 [sorted(s.board) for s in vb.schedule], seed
+
+
+def _assert_same_round(world, twin, seed):
+    """One production round on ``world`` equals one oracle round on its
+    deep copy ``twin``."""
+    got = run_production_match(world)
+    want = oracle_match(twin)
+    assert sorted(got["rejected"]) == sorted(want["rejected"]), seed
+    assert sorted(got["pending"]) == sorted(want["pending"]), seed
+    assert got["assigned"] == [(rid, vid) for rid, vid, *_ in
+                               want["assigned"]], seed
+    for va, vb in zip(world.vehicles, twin.vehicles):
+        assert [(s.node, s.kind, sorted(s.board), sorted(s.alight),
+                 s.arrival, s.departure) for s in va.schedule] == \
+            [(s.node, s.kind, sorted(s.board), sorted(s.alight),
+              s.arrival, s.departure) for s in vb.schedule], seed
+        assert va.window_close_idx == vb.window_close_idx, seed
+
+
+def _count_calls(monkeypatch, module, name, counts, key):
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[key] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_matches_brute_force_on_loaded_mini_worlds(net, monkeypatch):
+    # 20-40 requests in one round fill the flexible windows, so the window
+    # screen skips insertions; the unscreened oracle must still agree
+    built = {"production": 0, "oracle": 0}
+    _count_calls(monkeypatch, matching, "retime", built, "production")
+    _count_calls(monkeypatch, oracles, "_oracle_retime", built, "oracle")
+    for seed in range(20):
+        world = random_mini_world(seed, net, max_vehicles=3, min_requests=20,
+                                  max_requests=40)
+        _assert_same_round(world, copy.deepcopy(world), seed)
+    assert built["production"] < built["oracle"], built
+
+
+def test_full_window_builds_no_flexible_schedule(monkeypatch):
+    # a window already spanning exactly flex_window: every flexible insertion
+    # is screened out unbuilt, and the round still equals the oracle's
+    probe, net = make_world(n_vehicles=1)
+    v = probe.dispatch_vehicle(0, 0)
+    span = (v.schedule[v.window_close_idx].arrival
+            - v.schedule[v.window_open_idx].departure)
+    sc = Scenario(n_vehicles=1, n_reserved=0,
+                  limits=FeasibilityLimits(flex_window=span))
+    flex = net.nearest_mainline_node(4000)
+    reqs = [feeder_request(net, 0, 0.0, flex),
+            feeder_request(net, 1, 0.0, flex, to_corridor=False),
+            feeder_request(net, 2, 0.0, net.nearest_mainline_node(800))]
+    w = World(net, sc, reqs)
+    w.dispatch_vehicle(0, 0)
+    built = {"flex": 0}
+    _count_calls(monkeypatch, matching, "retime", built, "flex")
+    for req in reqs[:2]:
+        plan = resolve_service_plan(w, req, 1.25, 600.0)
+        assert not plan.served_at_fixed
+        assert enumerate_candidates(w, req, plan) == []
+    assert built["flex"] == 0
+    _assert_same_round(w, copy.deepcopy(w), "full window")
+    assert [r.state for r in w.requests] == [
+        RequestState.PENDING, RequestState.PENDING, RequestState.ASSIGNED]
+
+
+@pytest.mark.parametrize("to_corridor", [True, False])
+def test_window_filled_exactly_still_accepts_the_insertion(to_corridor):
+    # flex_window set to the exact window span after the best flexible
+    # insertion: the screen's bound meets the limit and must let it through
+    probe, net = make_world(n_vehicles=1)
+    v = probe.dispatch_vehicle(0, 0)
+    if not to_corridor:
+        for _ in range(5):      # past boarding: inbound riders only
+            probe.advance_step()
+    node = [n for n in range(net.n_nodes)
+            if net.coords[n] == (4000.0, 300.0)][0]
+    req = feeder_request(net, 0, 0.0, node, to_corridor=to_corridor)
+    probe.requests = [req]
+    plan = resolve_service_plan(probe, req, 1.25, 600.0)
+    best = enumerate_candidates(probe, req, plan)[0]
+    span = (best.schedule[best.window_close_idx].arrival
+            - best.schedule[v.window_open_idx].departure)
+    sc = Scenario(n_vehicles=1, n_reserved=0,
+                  limits=FeasibilityLimits(flex_window=span))
+    w = World(net, sc, [req])
+    w.vehicles = copy.deepcopy(probe.vehicles)
+    w.now = probe.now
+    cands = enumerate_candidates(w, req, plan)
+    assert cands
+    assert (cands[0].pickup_idx, cands[0].dropoff_idx) == \
+        (best.pickup_idx, best.dropoff_idx)
+    _assert_same_round(w, copy.deepcopy(w), "exact window")
+
+
+@pytest.mark.parametrize("pickup_x,dropoff_x", [(2000, 4000), (800, 2000),
+                                                (2000, 800), (400, 800)])
+def test_plan_without_terminus_endpoint_rejected(pickup_x, dropoff_x):
+    w, net = make_world()
+    w.dispatch_vehicle(0, 0)
+    a = net.nearest_mainline_node(pickup_x)
+    b = net.nearest_mainline_node(dropoff_x)
+    req = Request(id=0, t_r=0.0, origin=a, destination=b,
+                  origin_segment=net.labels[a],
+                  destination_segment=net.labels[b])
+    w.requests = [req]
+    with pytest.raises(ValueError, match="terminus"):
+        enumerate_candidates(w, req, ServicePlan(a, b, 0.0, False))
+
+
+def test_terminus_to_terminus_plan_is_served():
+    # a fixed-segment endpoint as close to the terminus as to the first stop
+    # snaps to the terminus, so both service points are the terminus; the
+    # rider stays aboard the whole cycle, which the default 300 s ride bound
+    # for a zero direct time forbids, so the slack is widened here
+    sc = Scenario(n_vehicles=1, n_reserved=0,
+                  limits=FeasibilityLimits(detour_slack=3600.0))
+    net = sc.network()
+    w = World(net, sc, [])
+    v = w.dispatch_vehicle(0, 0)
+    req = feeder_request(net, 0, 0.0, net.nearest_mainline_node(200))
+    w.requests = [req]
+    plan = resolve_service_plan(w, req, 1.25, 600.0)
+    assert plan.pickup_node == plan.dropoff_node == net.terminus
+    cands = enumerate_candidates(w, req, plan)
+    last = len(v.schedule) - 1
+    assert [(c.pickup_idx, c.dropoff_idx) for c in cands] == [(0, last)]
+    assert match_step(w).assigned == [(0, 0)]

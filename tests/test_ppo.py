@@ -8,7 +8,10 @@ from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
                            clip_g, collect_rollouts, compute_gae,
                            critic_loss_and_grad, gae_from_deltas, greedy_action,
                            load_checkpoint, save_checkpoint, td_error)
-from sodfeeder.scenario import PPOConfig
+from sodfeeder.corridor import CorridorSpec
+from sodfeeder.costs import FeasibilityLimits
+from sodfeeder.experiments import load_actor
+from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
 
 from oracles import gae_direct
 from toyenvs import BanditEnv
@@ -297,6 +300,31 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
     # explicit opt-out still loads
     actor, _, meta = load_checkpoint(path, expected_layout=None)
     assert meta["layout_version"] == "sod-state-v0"
+
+    # scenario fingerprint: only the scenario it was trained for loads it
+    sc = Scenario()
+    path = tmp_path / "fingerprinted.npz"
+    save_checkpoint(path, tr.actor, tr.critic, tr.config, scenario=sc)
+    _, _, meta = load_checkpoint(path, scenario=Scenario())
+    assert meta["scenario"]["n_vehicles"] == sc.n_vehicles
+    assert load_actor(path, Scenario()).sizes == tr.actor.sizes
+    mismatched = [
+        Scenario(n_vehicles=10, n_reserved=5),
+        Scenario(n_reserved=2),
+        Scenario(corridor=CorridorSpec(side_depth=0.0)),
+        Scenario(limits=FeasibilityLimits(flex_window=900.0)),
+        Scenario(norm=NormalizationRanges(request_cap=40.0)),
+    ]
+    for other in mismatched:
+        with pytest.raises(ValueError, match="does not match the scenario"):
+            load_checkpoint(path, scenario=other)
+        with pytest.raises(ValueError, match="does not match the scenario"):
+            load_actor(path, other)
+    # a checkpoint without a fingerprint is refused when one is asked for
+    bare = tmp_path / "bare.npz"
+    save_checkpoint(bare, tr.actor, tr.critic, tr.config)
+    with pytest.raises(ValueError, match="state_layout, corridor"):
+        load_checkpoint(bare, scenario=sc)
 
 
 def test_lr_annealing_schedule():

@@ -9,9 +9,11 @@ from sodfeeder.scenario import Scenario
 from sodfeeder.sim import World
 
 
-def random_mini_world(seed, net, max_vehicles=2, max_requests=5):
+def random_mini_world(seed, net, max_vehicles=2, max_requests=5,
+                      min_requests=1):
     """A small in-flight world with pending requests, ready for one
-    matching round."""
+    matching round.  A large ``min_requests`` loads the round so that
+    flexible windows fill up."""
     rng = np.random.default_rng(seed)
     sc = Scenario(n_vehicles=max_vehicles, n_reserved=0)
     policy = PolicyKind.FIXED_ROUTE if rng.random() < 0.2 else PolicyKind.SOD
@@ -25,7 +27,7 @@ def random_mini_world(seed, net, max_vehicles=2, max_requests=5):
     for _ in range(int(rng.integers(0, 11))):
         world.advance_step()
 
-    n_req = int(rng.integers(1, max_requests + 1))
+    n_req = int(rng.integers(min_requests, max_requests + 1))
     nodes = [n for n in range(net.n_nodes) if n != net.terminus]
     requests = []
     for rid in range(n_req):
