@@ -7,6 +7,22 @@ vehicle's flexible window.  Among all feasible candidates the one with the
 smallest schedule-cost increase is applied; ties break on (vehicle id,
 pickup position).  Requests with no feasible candidate stay pending and are
 rejected once their wait deadline lapses.
+
+Two shortcuts skip work without changing any result.  The window screen
+(``_window_positions``) drops a new flexible stop whose lower-bounded window
+span already exceeds the limit.  The retry memo (``NoFit``, kept per request
+in ``world.no_fit``) remembers, for a pending request left without a
+candidate, the schedule list of every vehicle; the next round skips each
+vehicle whose ``schedule`` is still that same object.  This is sound because
+a schedule list is replaced, never mutated, whenever it changes (``_apply``,
+dispatch, arrival at the terminus; only cloned candidates are edited), and
+with an unchanged schedule, advancing the vehicle only raises
+``free_insert_min``/``free_stop_min``, so the placements left are a subset
+of those already tried.  Each of them rebuilds to the same times, load and
+window span, since riders that boarded meanwhile sit before the insertion
+point and boarded at their planned times; so none can have become feasible.
+The memo also keeps the request's service plan and direct time, and its
+entry is dropped when the request is assigned or rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +48,16 @@ class ServicePlan:
     access_time: float
     served_at_fixed: bool
     feasible: bool = True
+
+
+@dataclass
+class NoFit:
+    """Retry memo of a pending request whose last round found no candidate:
+    its service plan, its direct time and, per vehicle id, the schedule list
+    that had no feasible insertion for it."""
+    plan: ServicePlan
+    direct_time: float
+    schedules: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -96,9 +122,9 @@ def zone_compatible(world, plan, vehicle):
     zone served by the vehicle's current assignment."""
     if vehicle.zone is None:
         return False
-    snap_set = {world.net.terminus} | set(world.fixed_stop_nodes)
+    term = world.net.terminus
     for node in (plan.pickup_node, plan.dropoff_node):
-        if node in snap_set:
+        if node == term or node in world.fixed_stop_set:
             continue
         if vehicle.fixed_only:
             return False
@@ -225,14 +251,14 @@ def _places(world, vehicle, node):
     last = len(sched) - 1
     if node == world.net.terminus:      # both ends snapped to the terminus
         return [(last, False)]
-    if node in world.fixed_stop_nodes:
+    if node in world.fixed_stop_set:
         return [(i, False)
                 for i in range(max(1, vehicle.free_stop_min()), last)
                 if sched[i].node == node and sched[i].kind == StopKind.FIXED]
     return [(pos, True) for pos in _window_positions(world, vehicle, node)]
 
 
-def enumerate_candidates(world, request, plan, base_terms=None):
+def enumerate_candidates(world, request, plan, base_terms=None, no_fit=None):
     """All feasible insertions of the request across zone-compatible vehicles.
 
     Requests are feeder trips: the plan's pickup or dropoff must be the
@@ -242,6 +268,8 @@ def enumerate_candidates(world, request, plan, base_terms=None):
     screen is built, retimed and checked exactly by ``_feasible``.
     ``base_terms`` caches each vehicle's ``schedule_cost_terms`` over one
     matching round; it is filled on a vehicle's first feasible candidate.
+    ``no_fit``, the request's ``NoFit`` memo, supplies the direct time and
+    skips every vehicle whose schedule is still the one that had no fit.
     """
     term = world.net.terminus
     if plan.pickup_node != term and plan.dropoff_node != term:
@@ -255,10 +283,16 @@ def enumerate_candidates(world, request, plan, base_terms=None):
     p = world.params
     c = p.coeffs
     net = world.net
-    direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
+    if no_fit is None:
+        direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
+        seen = {}
+    else:
+        direct = no_fit.direct_time
+        seen = no_fit.schedules
     out = []
     for v in world.vehicles:
-        if not v.schedule or not zone_compatible(world, plan, v):
+        if (not v.schedule or seen.get(v.id) is v.schedule
+                or not zone_compatible(world, plan, v)):
             continue
         if outbound and v.status != VehicleStatus.BOARDING:
             continue
@@ -292,35 +326,45 @@ def enumerate_candidates(world, request, plan, base_terms=None):
 
 def match_step(world, walk_speed=1.25, walk_cap=600.0):
     """One matching round: expire overdue requests, then greedily insert the
-    rest in request-time order."""
+    rest in request-time order.  A request left without a candidate keeps a
+    ``NoFit`` memo in ``world.no_fit`` until it is assigned or rejected."""
     rep = MatchReport()
     lim = world.params.limits
+    memo = world.no_fit
     base_terms = {}   # vehicle id -> schedule_cost_terms of its schedule
     for req in world.pending_requests():
         if world.now - req.t_r > lim.max_wait + EPS:
             req.transition(RequestState.REJECTED)
             world.rejected_total += 1
             rep.rejected.append(req.id)
+            memo.pop(req.id, None)
 
     for req in world.pending_requests():
-        plan = resolve_service_plan(world, req, walk_speed, walk_cap)
-        if not plan.feasible:
-            # fixed-route mode: endpoint beyond the walking cap of any stop
-            req.transition(RequestState.REJECTED)
-            world.rejected_total += 1
-            rep.rejected.append(req.id)
-            continue
-        cands = enumerate_candidates(world, req, plan, base_terms)
+        no_fit = memo.pop(req.id, None)
+        if no_fit is None:
+            plan = resolve_service_plan(world, req, walk_speed, walk_cap)
+            if not plan.feasible:
+                # fixed-route mode: endpoint beyond the walking cap of any stop
+                req.transition(RequestState.REJECTED)
+                world.rejected_total += 1
+                rep.rejected.append(req.id)
+                continue
+            no_fit = NoFit(plan, world.net.travel_time(plan.pickup_node,
+                                                       plan.dropoff_node))
+        cands = enumerate_candidates(world, req, no_fit.plan, base_terms,
+                                     no_fit)
         if not cands:
+            no_fit.schedules = {v.id: v.schedule for v in world.vehicles}
+            memo[req.id] = no_fit
             rep.pending.append(req.id)
             continue
         best = cands[0]
-        _apply(world, req, plan, best, base_terms)
+        _apply(world, req, no_fit, best, base_terms)
         rep.assigned.append((req.id, best.vehicle_id))
     return rep
 
 
-def _apply(world, request, plan, cand, base_terms):
+def _apply(world, request, no_fit, cand, base_terms):
     v = world.vehicles[cand.vehicle_id]
     v.schedule = cand.schedule
     base_terms.pop(v.id, None)
@@ -330,9 +374,9 @@ def _apply(world, request, plan, cand, base_terms):
     request.transition(RequestState.ASSIGNED)
     request.vehicle = v.id
     request.assign_time = world.now
+    plan = no_fit.plan
     request.pickup_node = plan.pickup_node
     request.dropoff_node = plan.dropoff_node
     request.access_time = plan.access_time
     request.served_at_fixed_stop = plan.served_at_fixed
-    request.direct_time = world.net.travel_time(plan.pickup_node,
-                                                plan.dropoff_node)
+    request.direct_time = no_fit.direct_time

@@ -28,14 +28,18 @@ class StepReport:
 class World:
     """Simulation world: network, fleet, requests and the clock.
 
-    ``params`` holds the ``Scenario`` the world runs under.
+    ``params`` holds the ``Scenario`` the world runs under.  ``requests``
+    must be sorted by request time with ids 0..n-1 in list order; the clock
+    ``now`` only moves forward.  ``no_fit`` is matching's retry memo
+    (request id -> ``matching.NoFit``); it lives here so that a deep copy of
+    the world copies it together with the vehicle schedules it refers to.
     """
 
     def __init__(self, net, scenario, requests, fixed_only=False,
                  split_fleet=False):
         self.net = net
         self.params = scenario
-        self.requests = list(requests)
+        self.requests = requests
         self.fixed_only = fixed_only
         self.now = 0.0
         self.step_k = 0
@@ -46,6 +50,7 @@ class World:
         while x <= fixed_end + 1e-9:
             self.fixed_stop_nodes.append(net.nearest_mainline_node(x))
             x += scenario.fixed_stop_spacing
+        self.fixed_stop_set = frozenset(self.fixed_stop_nodes)
         zone1_end = fixed_end + net.spec.segment_lengths[1]
         self.turn_nodes = {
             0: net.nearest_mainline_node(net.spec.mainline_length),
@@ -69,10 +74,37 @@ class World:
 
     # ---- request visibility ------------------------------------------------
 
+    @property
+    def requests(self):
+        return self._requests
+
+    @requests.setter
+    def requests(self, requests):
+        requests = list(requests)
+        for i, r in enumerate(requests):
+            if r.id != i:
+                raise ValueError("request at position %d has id %d; ids must "
+                                 "be 0..n-1 in list order" % (i, r.id))
+            if i and r.t_r < requests[i - 1].t_r:
+                raise ValueError("request %d (t_r=%r) comes before request %d "
+                                 "(t_r=%r); requests must be sorted by t_r"
+                                 % (i - 1, requests[i - 1].t_r, i, r.t_r))
+        self._requests = requests
+        self._seen = 0        # requests[:_seen] have become visible
+        self._pending = []    # visible requests, pruned to PENDING per call
+        self.no_fit = {}
+
     def pending_requests(self):
         """Visible, unassigned requests in request-time order."""
-        return [r for r in self.requests
-                if r.state == RequestState.PENDING and r.t_r <= self.now]
+        reqs = self._requests
+        i = self._seen
+        while i < len(reqs) and reqs[i].t_r <= self.now:
+            i += 1
+        pending = self._pending + reqs[self._seen:i]
+        self._seen = i
+        self._pending = [r for r in pending
+                         if r.state is RequestState.PENDING]
+        return list(self._pending)
 
     def category_of(self, request):
         """Request service category from the non-terminus endpoint segment."""

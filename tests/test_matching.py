@@ -1,17 +1,18 @@
 import copy
+import dataclasses
 
 import pytest
 
 import oracles
 from sodfeeder import fleet, matching
-from sodfeeder.corridor import Segment
+from sodfeeder.corridor import CorridorSpec, Segment
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request, RequestState
-from sodfeeder.dispatch import PolicyKind
+from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.matching import (ServicePlan, enumerate_candidates, match_step,
                                 nearest_fixed_stop, resolve_service_plan,
                                 rho, vehicle_rho, zone_compatible)
-from sodfeeder.scenario import Scenario
+from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
 from oracles import oracle_match
@@ -366,3 +367,47 @@ def test_terminus_to_terminus_plan_is_served():
     last = len(v.schedule) - 1
     assert [(c.pickup_idx, c.dropoff_idx) for c in cands] == [(0, last)]
     assert match_step(w).assigned == [(0, 0)]
+
+
+def _scaled_demand(factor):
+    sc = Scenario()
+    d = sc.demand
+    return dataclasses.replace(sc, demand=dataclasses.replace(
+        d, base_rate=d.base_rate * factor, end_rate=d.end_rate * factor))
+
+
+MEMO_SCENARIOS = {
+    "default_3x": lambda: _scaled_demand(3.0),
+    "small_fleet": lambda: Scenario(n_vehicles=4, n_reserved=2, capacity=6),
+    "no_side_streets": lambda: Scenario(corridor=CorridorSpec(side_depth=0)),
+}
+
+
+def _schedules(world):
+    return [[(s.node, s.kind, s.board, s.alight, s.arrival, s.departure)
+             for s in v.schedule] for v in world.vehicles]
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.SOD, PolicyKind.NOMINAL_ZONAL])
+@pytest.mark.parametrize("case", list(MEMO_SCENARIOS))
+def test_retry_memo_never_changes_a_round(case, kind):
+    # every round of a full episode equals the round a deep-copied twin
+    # runs with the retry memo emptied, so every insertion is rebuilt
+    sc = MEMO_SCENARIOS[case]()
+    net = sc.network()
+    world = build_world(sc, kind, 0, net=net)
+    ctrl = DispatchController(world, kind, sc.dispatch)
+    walk = dict(walk_speed=sc.demand.walk_speed, walk_cap=sc.demand.walk_cap)
+    skipped = 0
+    for step in range(sc.n_steps):
+        ctrl.baseline_dispatch()
+        skipped += sum(1 for nf in world.no_fit.values()
+                       for v in world.vehicles
+                       if v.schedule and nf.schedules.get(v.id) is v.schedule)
+        twin = copy.deepcopy(world, {id(net): net})
+        twin.no_fit = {}
+        assert match_step(world, **walk) == match_step(twin, **walk), step
+        assert _schedules(world) == _schedules(twin), step
+        assert set(world.no_fit) == {r.id for r in world.pending_requests()}
+        world.advance_step()
+    assert skipped > 0

@@ -1,8 +1,12 @@
 import pytest
 
-from sodfeeder.demand import DemandProfile, generate_instance
-from sodfeeder.dispatch import PolicyKind
+from sodfeeder.corridor import Segment
+from sodfeeder.demand import (DemandProfile, Request, RequestState,
+                              generate_instance)
+from sodfeeder.dispatch import DispatchController, PolicyKind
+from sodfeeder.env import ZonalDispatchEnv
 from sodfeeder.fleet import StopKind, VehicleStatus, peak_load, retime, Stop
+from sodfeeder.matching import match_step
 from sodfeeder.scenario import Scenario, build_world
 
 
@@ -142,6 +146,95 @@ def test_pending_requests_visibility():
     assert [r.id for r in w.pending_requests()] == [0]
     w.advance_step()            # now = 120
     assert [r.id for r in w.pending_requests()] == [0, 1]
+
+
+
+def _brute_pending(w):
+    return [r for r in w.requests
+            if r.state is RequestState.PENDING and r.t_r <= w.now]
+
+
+def _same_requests(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def test_pending_requests_match_brute_force_over_an_episode():
+    w, sc = make_world(seed=3)
+    ctrl = DispatchController(w, PolicyKind.SOD, sc.dispatch)
+    for _ in range(sc.n_steps):
+        ctrl.baseline_dispatch()
+        assert _same_requests(w.pending_requests(), _brute_pending(w))
+        match_step(w)
+        assert _same_requests(w.pending_requests(), _brute_pending(w))
+        w.advance_step()
+    assert _same_requests(w.pending_requests(), _brute_pending(w))
+    assert any(r.state is RequestState.SERVED for r in w.requests)
+
+
+def test_pending_requests_is_a_fresh_list():
+    w, _ = make_world(seed=3)
+    for _ in range(20):
+        w.advance_step()
+    got = w.pending_requests()
+    assert got
+    got.clear()
+    assert _same_requests(w.pending_requests(), _brute_pending(w))
+
+
+def test_pending_requests_after_requests_reassigned():
+    w, sc = make_world(seed=3)
+    for _ in range(40):
+        match_step(w)
+        w.advance_step()
+    assert w.pending_requests()
+    w.requests = generate_instance(w.net, sc.demand, sc.horizon, 8)
+    assert w.no_fit == {}
+    assert _same_requests(w.pending_requests(), _brute_pending(w))
+    w.requests = w.requests[:3]
+    assert _same_requests(w.pending_requests(), _brute_pending(w))
+    w.requests = []
+    assert w.pending_requests() == []
+
+
+def test_pending_requests_continue_identically_after_restore(scenario):
+    env = ZonalDispatchEnv(scenario)
+    env.reset(4)
+    for _ in range(12):
+        env.step(3)
+    snap = env.snapshot()
+    plan = [1, 2, 3, 0, 3, 3, 1, 3]
+
+    def rollout():
+        out = []
+        for a in plan:
+            env.step(a)
+            got = env.world.pending_requests()
+            assert _same_requests(got, _brute_pending(env.world))
+            out.append([r.id for r in got])
+        return out
+
+    first = rollout()
+    env.restore(snap)
+    assert _same_requests(env.world.pending_requests(),
+                          _brute_pending(env.world))
+    assert rollout() == first
+
+
+@pytest.mark.parametrize("t_rs,ids,match", [
+    ((30.0, 10.0), (0, 1), "sorted by t_r"),
+    ((10.0, 30.0), (1, 0), "ids must be 0..n-1"),
+    ((10.0, 30.0), (0, 2), "ids must be 0..n-1"),
+])
+def test_world_rejects_misordered_requests(t_rs, ids, match):
+    def reqs():
+        return [Request(i, t, 0, 40, Segment.FIXED, Segment.ZONE1)
+                for i, t in zip(ids, t_rs)]
+    with pytest.raises(ValueError, match=match):
+        make_world(requests=reqs())
+    w, _ = make_world(requests=[])
+    with pytest.raises(ValueError, match=match):
+        w.requests = reqs()
+    assert w.requests == []
 
 
 def test_category_of():
