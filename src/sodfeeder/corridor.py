@@ -3,13 +3,13 @@
 Builds a ladder-shaped network: a mainline polyline with short perpendicular
 side streets at fixed spacing.  The mainline is partitioned into a fixed-route
 segment (scheduled stops) followed by two flexible zones.  All travel times
-are constant per edge, so shortest-path queries are deterministic and cached.
+are constant per edge, so the network computes its all-pairs travel-time and
+distance tables once, when it is built.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -57,21 +57,14 @@ class CorridorSpec:
 
 
 @dataclass
-class PathResult:
-    nodes: list
-    time: float
-    distance: float
-
-
-@dataclass
 class Network:
-    """Immutable street network with cached shortest-path queries.
+    """Immutable street network with all-pairs travel tables.
 
-    ``times[a][b]`` and ``distances[a][b]`` are the same cached values as
-    ``travel_time(a, b)`` and ``travel_distance(a, b)``, without the node-id
-    checks, for the inner loops that only index node ids taken from this
-    network.  Each table is assembled on first use from every source's
-    cached row.
+    ``times[a][b]`` (s) and ``distances[a][b]`` (m) hold the shortest-path
+    travel time and length between every pair of nodes, computed on
+    construction by one Dijkstra per source.  ``travel_time`` and
+    ``travel_distance`` read them with node-id checks; the inner loops that
+    only index node ids taken from this network read the tables directly.
     """
 
     coords: list            # node id -> (x, y) meters
@@ -80,15 +73,13 @@ class Network:
     terminus: int
     mainline_nodes: list    # mainline node ids ordered by x
     spec: CorridorSpec
-    _sp_cache: dict = field(default_factory=dict, repr=False)
+    times: list = field(init=False, repr=False, compare=False)
+    distances: list = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def times(self):
-        return [self._sp(src)[0] for src in range(self.n_nodes)]
-
-    @functools.cached_property
-    def distances(self):
-        return [self._sp(src)[2] for src in range(self.n_nodes)]
+    def __post_init__(self):
+        rows = [self._dijkstra(src) for src in range(self.n_nodes)]
+        self.times = [t for t, _ in rows]
+        self.distances = [d for _, d in rows]
 
     @property
     def n_nodes(self):
@@ -105,75 +96,32 @@ class Network:
             raise KeyError("unknown node id %r" % (node,))
 
     def _dijkstra(self, src):
-        """Single-source shortest paths minimizing (time, hops), deterministic.
-
-        Ties on (time, hops) are broken by the lower predecessor node id so
-        reconstructed paths are unique.
-        """
-        n = self.n_nodes
-        inf = math.inf
-        time = [inf] * n
-        hops = [n + 1] * n
-        dist = [inf] * n
-        pred = [-1] * n
+        """Shortest times from ``src`` and the lengths of those paths."""
+        time = [math.inf] * self.n_nodes
+        dist = [math.inf] * self.n_nodes
         time[src] = 0.0
-        hops[src] = 0
         dist[src] = 0.0
-        heap = [(0.0, 0, src)]
-        done = [False] * n
+        heap = [(0.0, src)]
         while heap:
-            t, h, u = heapq.heappop(heap)
-            if done[u]:
+            t, u = heapq.heappop(heap)
+            if t > time[u]:
                 continue
-            done[u] = True
             for v, et, el in self.adj[u]:
-                nt, nh = t + et, h + 1
-                better = False
-                if nt < time[v] - 1e-12:
-                    better = True
-                elif abs(nt - time[v]) <= 1e-12:
-                    if nh < hops[v]:
-                        better = True
-                    elif nh == hops[v] and pred[v] != -1 and u < pred[v]:
-                        better = True
-                if better:
-                    time[v] = nt
-                    hops[v] = nh
+                if t + et < time[v]:
+                    time[v] = t + et
                     dist[v] = dist[u] + el
-                    pred[v] = u
-                    heapq.heappush(heap, (nt, nh, v))
-        return time, hops, dist, pred
-
-    def _sp(self, src):
-        if src not in self._sp_cache:
-            self._sp_cache[src] = self._dijkstra(src)
-        return self._sp_cache[src]
+                    heapq.heappush(heap, (time[v], v))
+        return time, dist
 
     def travel_time(self, a, b):
         self._check_node(a)
         self._check_node(b)
-        return self._sp(a)[0][b]
+        return self.times[a][b]
 
     def travel_distance(self, a, b):
         self._check_node(a)
         self._check_node(b)
-        return self._sp(a)[2][b]
-
-    def shortest_path(self, a, b):
-        self._check_node(a)
-        self._check_node(b)
-        time, _, dist, pred = self._sp(a)
-        if a == b:
-            return PathResult([a], 0.0, 0.0)
-        seq = [b]
-        u = b
-        while u != a:
-            u = pred[u]
-            if u == -1:
-                raise RuntimeError("network not connected: %r -> %r" % (a, b))
-            seq.append(u)
-        seq.reverse()
-        return PathResult(seq, time[b], dist[b])
+        return self.distances[a][b]
 
     def euclidean(self, a, b):
         self._check_node(a)

@@ -23,7 +23,6 @@ import dataclasses
 
 import numpy as np
 
-from .corridor import Segment
 from .demand import RequestState, forecast_demand, segment_shares
 from .dispatch import DispatchController, PolicyKind
 from .fleet import FleetClass, VehicleStatus
@@ -33,8 +32,6 @@ from .scenario import build_world
 STATE_LAYOUT_VERSION = "sod-state-v1"
 STATE_DIM = 18
 N_ACTIONS = 4
-
-_SEGMENT_OF_CATEGORY = {0: Segment.FIXED, 1: Segment.ZONE1, 2: Segment.ZONE2}
 
 
 def scenario_fingerprint(scenario):
@@ -126,7 +123,7 @@ class ZonalDispatchEnv:
     # ---- observation -------------------------------------------------------
 
     def _category_forecast(self, cat):
-        share = self._seg_shares[_SEGMENT_OF_CATEGORY[cat]]
+        share = self._seg_shares[cat]
         return self._total_forecast * share
 
     def observe(self):
@@ -156,10 +153,9 @@ class ZonalDispatchEnv:
 
         processes = [0.0, 0.0, 0.0]
         for r in w.requests:
-            cat = None
             if r.state == RequestState.ASSIGNED:
-                cat = w.category_of(r)
-                processes[cat] += 2    # boarding and alighting both pending
+                # boarding and alighting both pending
+                processes[w.category_of(r)] += 2
             elif r.state == RequestState.RIDING:
                 processes[w.category_of(r)] += 1
 
@@ -180,8 +176,11 @@ class ZonalDispatchEnv:
     # ---- checkpoint/restore (Markov bookkeeping) ---------------------------
 
     def snapshot(self):
-        # one deepcopy keeps the controller pointing at the copied world
-        return copy.deepcopy((self.world, self.controller, self.t, self.done))
+        # one deepcopy keeps the controller pointing at the copied world; the
+        # memo shares the immutable network instead of copying it
+        return copy.deepcopy((self.world, self.controller, self.t, self.done),
+                             {id(self.net): self.net})
 
     def restore(self, snap):
-        self.world, self.controller, self.t, self.done = copy.deepcopy(snap)
+        self.world, self.controller, self.t, self.done = copy.deepcopy(
+            snap, {id(self.net): self.net})

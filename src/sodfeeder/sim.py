@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corridor import Segment
 from .demand import RequestState
 from .fleet import (FleetClass, Stop, StopKind, Vehicle, VehicleStatus,
                     retime, stop_dwell)
@@ -21,7 +20,6 @@ class StepReport:
     alightings: int = 0
     arrivals: int = 0
     completed_cycles: int = 0
-    new_rejections: int = 0
     infeasibilities: list = field(default_factory=list)
 
 
@@ -107,9 +105,9 @@ class World:
         return list(self._pending)
 
     def category_of(self, request):
-        """Request service category from the non-terminus endpoint segment."""
-        seg = request.nonterminus_segment(self.net.terminus)
-        return {Segment.FIXED: 0, Segment.ZONE1: 1, Segment.ZONE2: 2}[seg]
+        """Request service category (0 regular, 1 zone 1, 2 zone 2): the
+        ``Segment`` of its non-terminus endpoint, an int of that value."""
+        return request.nonterminus_segment(self.net.terminus)
 
     # ---- dispatching -------------------------------------------------------
 
@@ -119,20 +117,18 @@ class World:
             out = [v for v in out if v.fleet_class == fleet_class]
         return out
 
-    def dispatch_vehicle(self, vehicle_id, z, fixed_only=None):
+    def dispatch_vehicle(self, vehicle_id, z):
         """Send a terminus vehicle on a new cycle with zone assignment z."""
         v = self.vehicles[vehicle_id]
         if v.status != VehicleStatus.AT_TERMINUS:
             raise ValueError("vehicle %d is not at the terminus" % vehicle_id)
-        if fixed_only is None:
-            fixed_only = self.fixed_only
         p = self.params
         net = self.net
         stops = [Stop(net.terminus, StopKind.TERMINUS_DEPART,
                       arrival=self.now, departure=self.now + p.boarding_duration)]
         for fx in self.fixed_stop_nodes:
             stops.append(Stop(fx, StopKind.FIXED))
-        if fixed_only:
+        if self.fixed_only:
             # turn at the last fixed stop; it is visited once
             for fx in reversed(self.fixed_stop_nodes[:-1]):
                 stops.append(Stop(fx, StopKind.FIXED))
@@ -149,7 +145,7 @@ class World:
         v.schedule = stops
         v.status = VehicleStatus.BOARDING
         v.zone = z
-        v.fixed_only = fixed_only
+        v.fixed_only = self.fixed_only
         v.next_idx = 0
         v.dispatch_time = self.now
         v.assigned = set()
@@ -224,7 +220,7 @@ class World:
 
         stop = v.schedule[v.next_idx]
         prev = v.schedule[v.next_idx - 1]
-        leg_dist = self.net.travel_distance(prev.node, stop.node)
+        leg_dist = self.net.distances[prev.node][stop.node]
         v.dist_total += leg_dist
         v.dist_metric += leg_dist * self._metric_share(prev.departure, stop.arrival)
         v.node = stop.node

@@ -61,17 +61,34 @@ def test_travel_time_symmetric(net):
         assert net.travel_time(a, b) == pytest.approx(net.travel_time(b, a))
 
 
-def test_shortest_path_endpoints_and_consistency(net):
-    res = net.shortest_path(0, 50)
-    assert res.nodes[0] == 0 and res.nodes[-1] == 50
-    # recompute time/distance along the returned node sequence
-    t = d = 0.0
-    for u, v in zip(res.nodes, res.nodes[1:]):
-        edge = {w: (et, el) for w, et, el in net.adj[u]}[v]
-        t += edge[0]
-        d += edge[1]
-    assert t == pytest.approx(res.time)
-    assert d == pytest.approx(res.distance)
+@pytest.mark.parametrize("spec", [
+    CorridorSpec(),
+    CorridorSpec(side_depth=0.0),
+    # spacings that do not divide the mainline or the side-street depth
+    CorridorSpec(mainline_length=5000.0,
+                 segment_lengths=(1100.0, 1900.0, 2000.0), side_spacing=300.0,
+                 side_depth=250.0, side_node_spacing=110.0, side_speed=4.0),
+], ids=["default", "linear", "uneven"])
+def test_tables_match_the_ladder_closed_form(spec):
+    # every side street hangs off one mainline node with no rungs between
+    # them, so the corridor is a tree and each pair of nodes has one path
+    net = build_corridor(spec)
+    n = net.n_nodes
+    assert sum(len(nbrs) for nbrs in net.adj) == 2 * (n - 1)
+    for a in range(n):
+        xa, ya = net.coords[a]
+        for b in range(n):
+            xb, yb = net.coords[b]
+            if xa == xb:
+                t, d = abs(ya - yb) / spec.side_speed, abs(ya - yb)
+            else:
+                t = abs(xa - xb) / spec.mainline_speed \
+                    + (ya + yb) / spec.side_speed
+                d = abs(xa - xb) + ya + yb
+            assert net.times[a][b] == pytest.approx(t, rel=1e-12, abs=1e-9)
+            assert net.distances[a][b] == pytest.approx(d, rel=1e-12, abs=1e-9)
+            assert net.travel_time(a, b) == net.times[a][b]
+            assert net.travel_distance(a, b) == net.distances[a][b]
 
 
 def test_deterministic_rebuild(net):

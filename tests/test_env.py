@@ -121,6 +121,19 @@ def test_snapshot_restore_markov(scenario):
         assert ra == rb and da == db
 
 
+def test_snapshot_restore_share_the_network(scenario):
+    env = ZonalDispatchEnv(scenario)
+    env.reset(4)
+    for _ in range(5):
+        env.step(0)
+    snap = env.snapshot()
+    env.step(3)
+    env.restore(snap)
+    # a snapshot that copied the network would restore a copy of it
+    assert env.world.net is env.net
+    assert env.controller.world is env.world
+
+
 def test_scenario_yaml_round_trip(tmp_path, scenario):
     path = tmp_path / "scenario.yaml"
     scenario.to_yaml(path)
