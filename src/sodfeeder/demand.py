@@ -116,7 +116,9 @@ def generate_instance(net, profile, horizon, seed):
     total_w = weights.sum()
     if total_w <= 0:
         return []
-    probs = weights / total_w
+    # the cumulative search numpy's Generator.choice(p=...) runs, built once
+    cdf = (weights / total_w).cumsum()
+    cdf /= cdf[-1]
 
     rate_max = max(profile.base_rate, profile.end_rate) / 3600.0
     requests = []
@@ -130,7 +132,7 @@ def generate_instance(net, profile, horizon, seed):
             break
         if rng.random() > profile.rate_at(t, horizon) / rate_max:
             continue
-        node = int(rng.choice(net.n_nodes, p=probs))
+        node = int(cdf.searchsorted(rng.random(), side="right"))
         from_terminus = rng.random() < profile.direction_split
         if from_terminus:
             origin, destination = net.terminus, node

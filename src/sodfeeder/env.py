@@ -23,7 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from .demand import RequestState, forecast_demand, segment_shares
+from .demand import forecast_demand, segment_shares
 from .dispatch import DispatchController, PolicyKind
 from .fleet import FleetClass, VehicleStatus
 from .matching import match_step
@@ -151,14 +151,6 @@ class ZonalDispatchEnv:
             for c in cats:
                 commit[c] += remaining
 
-        processes = [0.0, 0.0, 0.0]
-        for r in w.requests:
-            if r.state == RequestState.ASSIGNED:
-                # boarding and alighting both pending
-                processes[w.category_of(r)] += 2
-            elif r.state == RequestState.RIDING:
-                processes[w.category_of(r)] += 1
-
         since = []
         for c in (0, 1, 2):
             last = w.last_departure[c]
@@ -169,7 +161,7 @@ class ZonalDispatchEnv:
 
         raw = [float(running), float(available), self._total_forecast]
         for c in (0, 1, 2):
-            raw += [unassigned[c], commit[c], processes[c]]
+            raw += [unassigned[c], commit[c], float(w.open_processes[c])]
         raw += since + forecasts
         return normalize(raw, self.ranges)
 

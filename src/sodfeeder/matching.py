@@ -8,21 +8,27 @@ smallest schedule-cost increase is applied; ties break on (vehicle id,
 pickup position).  Requests with no feasible candidate stay pending and are
 rejected once their wait deadline lapses.
 
-Two shortcuts skip work without changing any result.  The window screen
-(``_window_positions``) drops a new flexible stop whose lower-bounded window
-span already exceeds the limit.  The retry memo (``NoFit``, kept per request
-in ``world.no_fit``) remembers, for a pending request left without a
-candidate, the schedule list of every vehicle; the next round skips each
-vehicle whose ``schedule`` is still that same object.  This is sound because
-a schedule list is replaced, never mutated, whenever it changes (``_apply``,
-dispatch, arrival at the terminus; only cloned candidates are edited), and
-with an unchanged schedule, advancing the vehicle only raises
-``free_insert_min``/``free_stop_min``, so the placements left are a subset
-of those already tried.  Each of them rebuilds to the same times, load and
-window span, since riders that boarded meanwhile sit before the insertion
-point and boarded at their planned times; so none can have become feasible.
-The memo also keeps the request's service plan and direct time, and its
-entry is dropped when the request is assigned or rejected.
+Three shortcuts skip work without changing any result.  The window screen
+(``_window_positions``) drops a new flexible stop whose window span would
+exceed the limit.  The rider screen in ``enumerate_candidates`` drops a
+placement that breaks the new rider's own wait or ride bound, read off the
+unmodified schedule: stops before the rider's stop keep their times, so its
+arrival and the terminus departure are exactly what ``retime`` gives, and
+since no stop after boarding idles, the terminus arrival is the old one plus
+the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The retry
+memo (``NoFit``, kept per request in ``world.no_fit``) remembers, for a
+pending request left without a candidate, the schedule list of every
+vehicle; the next round skips each vehicle whose ``schedule`` is still that
+same object.  This is sound because a schedule list is replaced, never
+mutated, whenever it changes (``_apply``, dispatch, arrival at the terminus;
+only cloned candidates are edited), and with an unchanged schedule,
+advancing the vehicle only raises ``free_insert_min``/``free_stop_min``, so
+the placements left are a subset of those already tried.  Each of them
+rebuilds to the same times, load and window span, since riders that boarded
+meanwhile sit before the insertion point and boarded at their planned times;
+so none can have become feasible.  The memo also keeps the request's service
+plan and direct time, and its entry is dropped when the request is assigned
+or rejected.
 """
 
 from __future__ import annotations
@@ -212,15 +218,15 @@ def _feasible(world, vehicle, schedule, window_close_idx, request, plan,
 
 
 def _window_positions(world, vehicle, node):
-    """Positions ``pos`` inside the vehicle's flexible window where a new
-    flexible stop at ``node`` (becoming ``schedule[pos]``) may still fit.
+    """``(pos, delay)`` for each position inside the vehicle's flexible
+    window where a new flexible stop at ``node`` (becoming ``schedule[pos]``)
+    may still fit.
 
     Screen, not verdict: inserting x between stops a and b leaves every stop
-    before it on its exact times and, by the triangle inequality and
-    non-negative dwell, delays every later stop by at least
-    tt(a,x) + dwell(x) + tt(x,b) - tt(a,b).  A position whose window span
-    would then exceed the window by more than float round-off cannot pass
-    ``_feasible`` and is skipped without building its schedule.
+    before it on its exact times and delays every later stop by
+    ``delay`` = tt(a,x) + dwell(x) + tt(x,b) - tt(a,b).  A position whose
+    window span would then exceed the window by more than float round-off
+    cannot pass ``_feasible`` and is skipped without building its schedule.
     """
     if vehicle.window_open_idx is None:
         return []
@@ -237,25 +243,28 @@ def _window_positions(world, vehicle, node):
                      close + 1):
         a, b = sched[pos - 1].node, sched[pos].node
         from_a = times[a]
-        if span0 + from_a[node] + dwell + from_x[b] - from_a[b] <= limit:
-            out.append(pos)
+        delay = from_a[node] + dwell + from_x[b] - from_a[b]
+        if span0 + delay <= limit:
+            out.append((pos, delay))
     return out
 
 
 def _places(world, vehicle, node):
     """Where the rider's other end ``node`` (the one not at the terminus
-    departure or arrival) can go: ``(idx, False)`` for an existing stop,
-    ``(idx, True)`` for a new flexible stop inserted at ``idx`` that passes
-    the window screen."""
+    departure or arrival) can go, as ``(idx, new, delay)``: ``new`` is False
+    for an existing stop and True for a new flexible stop inserted at ``idx``
+    that passes the window screen; ``delay`` is what the rider's stop adds to
+    the times of every stop after it."""
     sched = vehicle.schedule
     last = len(sched) - 1
     if node == world.net.terminus:      # both ends snapped to the terminus
-        return [(last, False)]
+        return [(last, False, 0.0)]
     if node in world.fixed_stop_set:
-        return [(i, False)
+        return [(i, False, world.params.dwell_per_pax)
                 for i in range(max(1, vehicle.free_stop_min()), last)
                 if sched[i].node == node and sched[i].kind == StopKind.FIXED]
-    return [(pos, True) for pos in _window_positions(world, vehicle, node)]
+    return [(pos, True, delay)
+            for pos, delay in _window_positions(world, vehicle, node)]
 
 
 def enumerate_candidates(world, request, plan, base_terms=None, no_fit=None):
@@ -264,8 +273,8 @@ def enumerate_candidates(world, request, plan, base_terms=None, no_fit=None):
     Requests are feeder trips: the plan's pickup or dropoff must be the
     terminus.  An outbound rider boards at the terminus departure of a
     vehicle still boarding, an inbound rider alights at the terminus
-    arrival.  Each placement of the other end that survives the window
-    screen is built, retimed and checked exactly by ``_feasible``.
+    arrival.  Each placement of the other end that survives the window and
+    rider screens is built, retimed and checked exactly by ``_feasible``.
     ``base_terms`` caches each vehicle's ``schedule_cost_terms`` over one
     matching round; it is filled on a vehicle's first feasible candidate.
     ``no_fit``, the request's ``NoFit`` memo, supplies the direct time and
@@ -283,21 +292,35 @@ def enumerate_candidates(world, request, plan, base_terms=None, no_fit=None):
     p = world.params
     c = p.coeffs
     net = world.net
+    times = net.times
     if no_fit is None:
         direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
         seen = {}
     else:
         direct = no_fit.direct_time
         seen = no_fit.schedules
+    wait_limit = p.limits.max_wait + EPS + SCREEN_MARGIN
+    ride_limit = p.limits.max_ride(direct) + EPS + SCREEN_MARGIN
     out = []
     for v in world.vehicles:
         if (not v.schedule or seen.get(v.id) is v.schedule
                 or not zone_compatible(world, plan, v)):
             continue
-        if outbound and v.status != VehicleStatus.BOARDING:
+        base_sched = v.schedule
+        if outbound and (v.status != VehicleStatus.BOARDING
+                         or base_sched[0].departure - request.t_r > wait_limit):
             continue
-        for idx, new in _places(world, v, node):
-            sched = [s.clone() for s in v.schedule]
+        for idx, new, delay in _places(world, v, node):
+            # the rider screen (module docstring); ``at`` is exact
+            prev = base_sched[idx - 1]
+            at = (prev.departure + times[prev.node][node] if new
+                  else base_sched[idx].arrival)
+            pickup, dropoff = ((base_sched[0].departure, at) if outbound
+                               else (at, base_sched[-1].arrival + delay))
+            if (pickup - request.t_r > wait_limit
+                    or dropoff - pickup > ride_limit):
+                continue
+            sched = [s.clone() for s in base_sched]
             close = v.window_close_idx
             if new:
                 sched.insert(idx, Stop(node, StopKind.FLEX))
@@ -372,6 +395,7 @@ def _apply(world, request, no_fit, cand, base_terms):
         v.window_close_idx = cand.window_close_idx
     v.assigned.add(request.id)
     request.transition(RequestState.ASSIGNED)
+    world.open_processes[world.category_of(request)] += 2
     request.vehicle = v.id
     request.assign_time = world.now
     plan = no_fit.plan

@@ -136,7 +136,11 @@ class RolloutBatch:
 
 
 def sample_action(probs, rng):
-    return int(rng.choice(len(probs), p=probs))
+    """Draw an action index: the same draw as ``rng.choice(len(probs),
+    p=probs)``, without its argument checks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,

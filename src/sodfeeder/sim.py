@@ -31,6 +31,9 @@ class World:
     ``now`` only moves forward.  ``no_fit`` is matching's retry memo
     (request id -> ``matching.NoFit``); it lives here so that a deep copy of
     the world copies it together with the vehicle schedules it refers to.
+    ``open_processes[c]`` counts the unexecuted boardings and alightings of
+    assigned requests in category c (two per ASSIGNED request, one per
+    RIDING one); assignment, boarding and alighting keep it current.
     """
 
     def __init__(self, net, scenario, requests, fixed_only=False,
@@ -79,6 +82,7 @@ class World:
     @requests.setter
     def requests(self, requests):
         requests = list(requests)
+        open_processes = [0, 0, 0]
         for i, r in enumerate(requests):
             if r.id != i:
                 raise ValueError("request at position %d has id %d; ids must "
@@ -87,7 +91,12 @@ class World:
                 raise ValueError("request %d (t_r=%r) comes before request %d "
                                  "(t_r=%r); requests must be sorted by t_r"
                                  % (i - 1, requests[i - 1].t_r, i, r.t_r))
+            if r.state is RequestState.ASSIGNED:
+                open_processes[self.category_of(r)] += 2
+            elif r.state is RequestState.RIDING:
+                open_processes[self.category_of(r)] += 1
         self._requests = requests
+        self.open_processes = open_processes
         self._seen = 0        # requests[:_seen] have become visible
         self._pending = []    # visible requests, pruned to PENDING per call
         self.no_fit = {}
@@ -257,6 +266,7 @@ class World:
     def _board(self, v, rid, t, rep):
         req = self.requests[rid]
         req.transition(RequestState.RIDING)
+        self.open_processes[self.category_of(req)] -= 1
         req.pickup_time = t
         v.onboard.append(rid)
         rep.boardings += 1
@@ -266,6 +276,7 @@ class World:
     def _alight(self, v, rid, t, rep):
         req = self.requests[rid]
         req.transition(RequestState.SERVED)
+        self.open_processes[self.category_of(req)] -= 1
         req.dropoff_time = t
         v.onboard.remove(rid)
         rep.alightings += 1

@@ -18,6 +18,36 @@ def test_same_seed_same_instance(net):
             (rb.t_r, rb.origin, rb.destination)
 
 
+def _draws_via_rng_choice(net, profile, horizon, seed):
+    """(t_r, non-terminus node, from terminus) as ``generate_instance`` drew
+    them with ``rng.choice(n_nodes, p=...)``."""
+    rng = np.random.default_rng(seed)
+    w = endpoint_weights(net, profile)
+    probs = w / w.sum()
+    rate_max = max(profile.base_rate, profile.end_rate) / 3600.0
+    out, t = [], 0.0
+    while True:
+        t += rng.exponential(1.0 / rate_max)
+        if t >= horizon:
+            return out
+        if rng.random() > profile.rate_at(t, horizon) / rate_max:
+            continue
+        node = int(rng.choice(net.n_nodes, p=probs))
+        out.append((t, node, rng.random() < profile.direction_split))
+
+
+def test_endpoint_draws_equal_rng_choice(net):
+    # generate_instance searches a cumulative table instead of calling
+    # rng.choice(p=...); a numpy whose choice draws differently fails here
+    p = DemandProfile(base_rate=2000.0, end_rate=500.0)
+    for seed in range(3):
+        reqs = generate_instance(net, p, 10800, seed)
+        got = [(r.t_r, r.destination if r.origin == net.terminus
+                else r.origin, r.origin == net.terminus) for r in reqs]
+        assert got == _draws_via_rng_choice(net, p, 10800, seed)
+        assert len(got) > 3000
+
+
 def test_different_seeds_differ(net):
     p = DemandProfile()
     a = generate_instance(net, p, 10800, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sodfeeder.corridor import Segment
-from sodfeeder.demand import forecast_demand
+from sodfeeder.demand import RequestState, forecast_demand
 from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
                            ZonalDispatchEnv, denormalize, normalize)
 from sodfeeder.fleet import FleetClass, VehicleStatus
@@ -132,6 +132,44 @@ def test_snapshot_restore_share_the_network(scenario):
     # a snapshot that copied the network would restore a copy of it
     assert env.world.net is env.net
     assert env.controller.world is env.world
+
+
+def _scanned_processes(world):
+    """Open board/alight processes per category, counted over every request
+    as ``observe`` once did."""
+    counts = [0, 0, 0]
+    for r in world.requests:
+        if r.state is RequestState.ASSIGNED:
+            counts[world.category_of(r)] += 2
+        elif r.state is RequestState.RIDING:
+            counts[world.category_of(r)] += 1
+    return counts
+
+
+def test_open_process_counts_match_a_scan_over_an_episode(scenario):
+    env = ZonalDispatchEnv(scenario)
+    env.reset(2)
+    rng = np.random.default_rng(0)
+    seen = set()
+    done = False
+    while not done:
+        _, _, done, _ = env.step(int(rng.integers(N_ACTIONS)))
+        assert env.world.open_processes == _scanned_processes(env.world)
+        seen.update(r.state for r in env.world.requests)
+        if env.t == 40:
+            snap = env.snapshot()
+            want = list(env.world.open_processes)
+    assert {RequestState.ASSIGNED, RequestState.RIDING,
+            RequestState.SERVED} <= seen
+    env.restore(snap)
+    assert env.world.open_processes == want == _scanned_processes(env.world)
+    env.step(0)
+    assert env.world.open_processes == _scanned_processes(env.world)
+    # reassigning the requests recounts them from their states
+    w = env.world
+    w.open_processes = None
+    w.requests = w.requests
+    assert w.open_processes == _scanned_processes(w)
 
 
 def test_scenario_yaml_round_trip(tmp_path, scenario):

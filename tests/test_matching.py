@@ -2,6 +2,8 @@ import copy
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sodfeeder import fleet, matching
@@ -332,6 +334,91 @@ def test_window_filled_exactly_still_accepts_the_insertion(to_corridor):
     assert (cands[0].pickup_idx, cands[0].dropoff_idx) == \
         (best.pickup_idx, best.dropoff_idx)
     _assert_same_round(w, copy.deepcopy(w), "exact window")
+
+
+@pytest.mark.parametrize("stop", ["flexible", "fixed"])
+@pytest.mark.parametrize("bound", ["wait", "ride"])
+@pytest.mark.parametrize("to_corridor", [True, False])
+def test_rider_bound_met_exactly_still_accepts_the_insertion(to_corridor,
+                                                             bound, stop):
+    # the new rider's wait or ride bound set to exactly what its best
+    # insertion gives: the rider screen's bound meets the limit and must let
+    # that insertion through; a loose wait bound lets the probe find an
+    # inbound fixed-stop rider's boarding on the way back
+    sc = Scenario(n_vehicles=1, n_reserved=0,
+                  limits=FeasibilityLimits(max_wait=3600.0))
+    net = sc.network()
+    probe = World(net, sc, [])
+    probe.dispatch_vehicle(0, 0)
+    if not to_corridor:
+        for _ in range(5):      # past boarding: inbound riders only
+            probe.advance_step()
+    node = ([n for n in range(net.n_nodes)
+             if net.coords[n] == (4000.0, 300.0)][0] if stop == "flexible"
+            else net.nearest_mainline_node(800))
+    req = feeder_request(net, 0, 0.0, node, to_corridor=to_corridor)
+    probe.requests = [req]
+    plan = resolve_service_plan(probe, req, 1.25, 600.0)
+    assert plan.served_at_fixed == (stop == "fixed")
+    best = enumerate_candidates(probe, req, plan)[0]
+    pickup, dropoff = fleet.planned_times(best.schedule)[req.id]
+    lim = probe.params.limits
+    if bound == "wait":
+        lim = dataclasses.replace(lim, max_wait=pickup - req.t_r)
+    else:
+        direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
+        lim = dataclasses.replace(
+            lim, detour_slack=dropoff - pickup - lim.detour_factor * direct)
+        assert lim.max_ride(direct) == pytest.approx(dropoff - pickup,
+                                                     rel=0, abs=1e-9)
+    w = World(net, Scenario(n_vehicles=1, n_reserved=0, limits=lim), [req])
+    w.vehicles = copy.deepcopy(probe.vehicles)
+    w.now = probe.now
+    cands = enumerate_candidates(w, req, plan)
+    assert cands
+    assert (cands[0].pickup_idx, cands[0].dropoff_idx) == \
+        (best.pickup_idx, best.dropoff_idx)
+    _assert_same_round(w, copy.deepcopy(w), "exact " + bound)
+    assert req.state is RequestState.ASSIGNED
+
+
+@pytest.mark.parametrize("bound", ["wait", "ride"])
+def test_unmeetable_rider_bound_builds_no_schedule(bound, monkeypatch):
+    # no placement meets the new rider's own bound, at a fixed stop or a
+    # flexible one, outbound or inbound: every placement is screened out
+    # unbuilt, and the round still equals the oracle's
+    limits = (FeasibilityLimits(max_wait=100.0) if bound == "wait" else
+              FeasibilityLimits(detour_factor=1.0, detour_slack=10.0))
+    sc = Scenario(n_vehicles=2, n_reserved=0, limits=limits)
+    net = sc.network()
+    flex = net.nearest_mainline_node(4000)
+    fixed = net.nearest_mainline_node(800)
+    reqs = [feeder_request(net, 0, 0.0, flex),
+            feeder_request(net, 1, 0.0, flex, to_corridor=False),
+            feeder_request(net, 2, 0.0, fixed),
+            feeder_request(net, 3, 0.0, fixed, to_corridor=False)]
+    w = World(net, sc, reqs)
+    w.dispatch_vehicle(0, 0)
+    w.dispatch_vehicle(1, 2)
+    built = {"n": 0}
+    _count_calls(monkeypatch, matching, "retime", built, "n")
+    for req in reqs:
+        plan = resolve_service_plan(w, req, 1.25, 600.0)
+        assert enumerate_candidates(w, req, plan) == []
+    assert built["n"] == 0
+    _assert_same_round(w, copy.deepcopy(w), "unmeetable " + bound)
+    assert all(r.state is RequestState.PENDING for r in w.requests)
+
+
+@given(seed=st.integers(0, 10**6), n_vehicles=st.integers(1, 4),
+       requests=st.tuples(st.integers(1, 30), st.integers(0, 15)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_one_round_equals_the_oracle_on_random_worlds(net, seed, n_vehicles,
+                                                      requests):
+    low, extra = requests
+    world = random_mini_world(seed, net, max_vehicles=n_vehicles,
+                              min_requests=low, max_requests=low + extra)
+    _assert_same_round(world, copy.deepcopy(world), seed)
 
 
 @pytest.mark.parametrize("pickup_x,dropoff_x", [(2000, 4000), (800, 2000),

@@ -7,9 +7,11 @@ from sodfeeder.nets import MLP, Adam, log_softmax, orthogonal, softmax
 from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
                            clip_g, collect_rollouts, compute_gae,
                            critic_loss_and_grad, gae_from_deltas, greedy_action,
-                           load_checkpoint, save_checkpoint, td_error)
+                           load_checkpoint, sample_action, save_checkpoint,
+                           td_error)
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
+from sodfeeder.env import N_ACTIONS
 from sodfeeder.experiments import load_actor
 from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
 
@@ -18,6 +20,19 @@ from toyenvs import BanditEnv
 
 
 # ---- nets -------------------------------------------------------------------
+
+def test_sample_action_equals_rng_choice():
+    # sample_action searches a cumulative table instead of calling
+    # rng.choice(p=...); a numpy whose choice draws differently fails here
+    logits = np.random.default_rng(5).normal(scale=3.0, size=(500, N_ACTIONS))
+    probs = softmax(logits)
+    ours, numpys = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(40):
+        for row in probs:
+            assert sample_action(row, ours) == \
+                int(numpys.choice(len(row), p=row))
+    assert ours.random() == numpys.random()
+
 
 def test_orthogonal_init_is_orthogonal():
     rng = np.random.default_rng(0)
