@@ -48,20 +48,28 @@ def scenario_fingerprint(scenario):
     }
 
 
-def normalize(raw, ranges):
-    """Elementwise (x - min) / (max - min), clamped to [0, 1]."""
-    raw = np.asarray(raw, dtype=float)
+def bounds(ranges):
+    """Arrays ``lo`` and ``hi - lo`` of a list of (min, max) ranges."""
     lo = np.array([r[0] for r in ranges], dtype=float)
     hi = np.array([r[1] for r in ranges], dtype=float)
     if np.any(hi <= lo):
         raise ValueError("every range needs min < max")
-    return np.clip((raw - lo) / (hi - lo), 0.0, 1.0)
+    return lo, hi - lo
+
+
+def scale(raw, lo, span):
+    """Elementwise (x - lo) / span, clamped to [0, 1]."""
+    return np.clip((np.asarray(raw, dtype=float) - lo) / span, 0.0, 1.0)
+
+
+def normalize(raw, ranges):
+    """Elementwise (x - min) / (max - min), clamped to [0, 1]."""
+    return scale(raw, *bounds(ranges))
 
 
 def denormalize(x, ranges):
-    lo = np.array([r[0] for r in ranges], dtype=float)
-    hi = np.array([r[1] for r in ranges], dtype=float)
-    return lo + np.asarray(x, dtype=float) * (hi - lo)
+    lo, span = bounds(ranges)
+    return lo + np.asarray(x, dtype=float) * span
 
 
 class ZonalDispatchEnv:
@@ -89,6 +97,7 @@ class ZonalDispatchEnv:
             + [(0.0, n.time_cap)] * 3
             + [(0.0, n.forecast_cap)] * 3
         )
+        self._bounds = bounds(self.ranges)
         self._seg_shares = None
 
     def reset(self, seed):
@@ -163,7 +172,7 @@ class ZonalDispatchEnv:
         for c in (0, 1, 2):
             raw += [unassigned[c], commit[c], float(w.open_processes[c])]
         raw += since + forecasts
-        return normalize(raw, self.ranges)
+        return scale(raw, *self._bounds)
 
     # ---- checkpoint/restore (Markov bookkeeping) ---------------------------
 

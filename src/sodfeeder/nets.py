@@ -1,7 +1,8 @@
 """Minimal dense networks with manual backprop, and Adam.
 
 Everything is float64 numpy so that analytic gradients can be checked tightly
-against central finite differences.
+against central finite differences.  A net's parameters are one flat vector
+with per-layer views into it, which Adam updates in place as a whole.
 """
 
 from __future__ import annotations
@@ -18,32 +19,41 @@ def orthogonal(rng, shape, gain):
     return gain * q[:shape[0], :shape[1]]
 
 
+def _views(flat, sizes):
+    """(W, b): tuples of the per-layer reshape views into ``flat``."""
+    W, b, k = [], [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        W.append(flat[k:k + n_in * n_out].reshape(n_in, n_out))
+        b.append(flat[k + n_in * n_out:k + (n_in + 1) * n_out])
+        k += (n_in + 1) * n_out
+    return tuple(W), tuple(b)
+
+
 class MLP:
-    """Fully connected net: tanh hidden layers, linear output."""
+    """Fully connected net: tanh hidden layers, linear output.
+
+    ``flat`` holds every parameter in the order W[0], b[0], W[1], ...; the
+    tuples ``W`` and ``b`` hold views into it, written in place, never
+    rebound.  A copied or unpickled net rebuilds them over its own ``flat``.
+    """
 
     def __init__(self, sizes, rng, out_gain=1.0):
         self.sizes = list(sizes)
-        self.W = []
-        self.b = []
-        for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            last = i == len(sizes) - 2
-            gain = out_gain if last else np.sqrt(2.0)
-            self.W.append(orthogonal(rng, (n_in, n_out), gain))
-            self.b.append(np.zeros(n_out))
+        self.flat = np.zeros(sum((n_in + 1) * n_out for n_in, n_out
+                                 in zip(sizes, sizes[1:])))
+        self.W, self.b = _views(self.flat, self.sizes)
+        for i, w in enumerate(self.W):
+            gain = out_gain if i == len(self.W) - 1 else np.sqrt(2.0)
+            w[...] = orthogonal(rng, w.shape, gain)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.W, self.b = _views(self.flat, self.sizes)
 
     @property
     def params(self):
-        out = []
-        for w, b in zip(self.W, self.b):
-            out.extend([w, b])
-        return out
-
-    def set_params(self, arrays):
-        k = 0
-        for i in range(len(self.W)):
-            self.W[i] = np.array(arrays[k], dtype=float)
-            self.b[i] = np.array(arrays[k + 1], dtype=float)
-            k += 2
+        """The views W[0], b[0], W[1], b[1], ... in ``flat`` order."""
+        return [p for wb in zip(self.W, self.b) for p in wb]
 
     def forward(self, x):
         """Returns (output, cache).  x has shape (batch, n_in)."""
@@ -59,64 +69,54 @@ class MLP:
         return out, acts
 
     def backward(self, acts, dout):
-        """Gradients of a scalar loss given d(loss)/d(output).
-
-        Returns a flat list matching ``params`` order.
-        """
-        grads_W = [None] * len(self.W)
-        grads_b = [None] * len(self.b)
+        """Gradient of a scalar loss given d(loss)/d(output), as one vector
+        laid out like ``flat``."""
+        grad = np.empty_like(self.flat)
+        grad_W, grad_b = _views(grad, self.sizes)
         dh = dout
         for i in range(len(self.W) - 1, -1, -1):
-            grads_W[i] = acts[i].T @ dh
-            grads_b[i] = dh.sum(axis=0)
+            np.matmul(acts[i].T, dh, out=grad_W[i])
+            dh.sum(axis=0, out=grad_b[i])
             if i > 0:
                 dh = (dh @ self.W[i].T) * (1.0 - acts[i] ** 2)
-        out = []
-        for gw, gb in zip(grads_W, grads_b):
-            out.extend([gw, gb])
-        return out
+        return grad
 
     def flat_params(self):
-        return np.concatenate([p.ravel() for p in self.params])
+        return self.flat.copy()
 
     def set_flat_params(self, flat):
-        arrays = []
-        k = 0
-        for p in self.params:
-            arrays.append(np.asarray(flat[k:k + p.size]).reshape(p.shape))
-            k += p.size
-        self.set_params(arrays)
+        self.flat[...] = flat
 
 
 class Adam:
+    """Adam over one parameter vector, updated in place by ``step``.  Each
+    elementwise operation keeps the operand order of per-array Adam, so the
+    results are equal bit for bit."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params, grads):
-        """Returns updated parameter arrays (inputs are not mutated)."""
+    def step(self, grad):
         self.t += 1
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / (1 - self.beta1 ** self.t)
-            vhat = self.v[i] / (1 - self.beta2 ** self.t)
-            out.append(p - self.lr * mhat / (np.sqrt(vhat) + self.eps))
-        return out
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
+        mhat = self.m / (1 - self.beta1 ** self.t)
+        vhat = self.v / (1 - self.beta2 ** self.t)
+        self.params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def softmax(logits):
+def softmax_and_log(logits):
+    """Row-wise probabilities and log-probabilities, from one shared pass."""
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, z - np.log(total)

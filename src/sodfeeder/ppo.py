@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .env import STATE_LAYOUT_VERSION as CHECKPOINT_VERSION
 from .env import scenario_fingerprint
-from .nets import MLP, Adam, log_softmax, softmax
+from .nets import MLP, Adam, softmax_and_log
 
 
 # ---- advantage estimation --------------------------------------------------
@@ -70,8 +71,7 @@ def actor_loss_and_grad(actor, states, actions, old_logp, advantages,
     actions = np.asarray(actions, dtype=int)
     n = len(actions)
     logits, cache = actor.forward(states)
-    logp_all = log_softmax(logits)
-    probs = softmax(logits)
+    probs, logp_all = softmax_and_log(logits)
     logp = logp_all[np.arange(n), actions]
     ratio = np.exp(logp - old_logp)
 
@@ -161,8 +161,7 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
 
     for t in range(n_steps):
         logits, _ = actor.forward(obs)
-        probs = softmax(logits)
-        logp_all = log_softmax(logits)
+        probs, logp_all = softmax_and_log(logits)
         vals, _ = critic.forward(obs)
         states[t] = obs
         values[t] = vals[:, 0]
@@ -193,7 +192,7 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
     if config.normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     n = len(actions)
-    stats_acc = {"policy_loss": [], "value_loss": [], "entropy": [],
+    stats_acc = {"value_loss": [], "policy_loss": [], "entropy": [],
                  "approx_kl": [], "clip_frac": []}
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -202,15 +201,13 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
             ploss, pgrads, pstats = actor_loss_and_grad(
                 actor, states[idx], actions[idx], old_logp[idx], adv[idx],
                 config.clip_eps, config.entropy_coef)
-            actor.set_params(actor_opt.step(actor.params, pgrads))
+            actor_opt.step(pgrads)
             vloss, vgrads = critic_loss_and_grad(critic, states[idx],
                                                  returns[idx])
-            critic.set_params(critic_opt.step(critic.params, vgrads))
-            stats_acc["policy_loss"].append(ploss)
-            stats_acc["value_loss"].append(vloss)
-            stats_acc["entropy"].append(pstats["entropy"])
-            stats_acc["approx_kl"].append(pstats["approx_kl"])
-            stats_acc["clip_frac"].append(pstats["clip_frac"])
+            critic_opt.step(vgrads)
+            pstats.update(policy_loss=ploss, value_loss=vloss)
+            for k, acc in stats_acc.items():
+                acc.append(pstats[k])
     return {k: float(np.mean(v)) for k, v in stats_acc.items()}
 
 
@@ -228,11 +225,9 @@ def save_checkpoint(path, actor, critic, config, layout_version=CHECKPOINT_VERSI
         "scenario": (None if scenario is None
                      else scenario_fingerprint(scenario)),
     }
-    arrays = {}
-    for i, p in enumerate(actor.params):
-        arrays["actor_%d" % i] = p
-    for i, p in enumerate(critic.params):
-        arrays["critic_%d" % i] = p
+    arrays = {"%s_%d" % (name, i): p
+              for name, net in (("actor", actor), ("critic", critic))
+              for i, p in enumerate(net.params)}
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
@@ -256,10 +251,9 @@ def load_checkpoint(path, expected_layout=CHECKPOINT_VERSION, scenario=None):
     rng = np.random.default_rng(0)
     actor = MLP(meta["actor_sizes"], rng)
     critic = MLP(meta["critic_sizes"], rng)
-    actor.set_params([data["actor_%d" % i]
-                      for i in range(2 * (len(meta["actor_sizes"]) - 1))])
-    critic.set_params([data["critic_%d" % i]
-                       for i in range(2 * (len(meta["critic_sizes"]) - 1))])
+    for name, net in (("actor", actor), ("critic", critic)):
+        for i, p in enumerate(net.params):
+            p[...] = data["%s_%d" % (name, i)]
     return actor, critic, meta
 
 
@@ -275,16 +269,10 @@ class TrainStats:
     rows: list = field(default_factory=list)
 
     def add(self, update_idx, steps, mean_episode_reward, stats):
-        self.rows.append({
-            "update": update_idx,
-            "env_steps": steps,
-            "mean_episode_reward": mean_episode_reward,
-            "value_loss": stats["value_loss"],
-            "policy_loss": stats["policy_loss"],
-            "entropy": stats["entropy"],
-            "approx_kl": stats["approx_kl"],
-            "clip_frac": stats["clip_frac"],
-        })
+        """One row: the update's counters, then ``stats`` in its own order."""
+        self.rows.append({"update": update_idx, "env_steps": steps,
+                          "mean_episode_reward": mean_episode_reward,
+                          **stats})
 
     def to_csv(self, path):
         if not self.rows:
@@ -307,10 +295,10 @@ class PPOTrainer:
         self.actor = MLP([obs_dim, hidden, hidden, n_actions], rng,
                          out_gain=0.01)
         self.critic = MLP([obs_dim, hidden, hidden, 1], rng, out_gain=1.0)
-        self.actor_opt = Adam(self.actor.params, config.learning_rate,
+        self.actor_opt = Adam(self.actor.flat, config.learning_rate,
                               config.adam_beta1, config.adam_beta2,
                               config.adam_eps)
-        self.critic_opt = Adam(self.critic.params, config.learning_rate,
+        self.critic_opt = Adam(self.critic.flat, config.learning_rate,
                                config.adam_beta1, config.adam_beta2,
                                config.adam_eps)
         self.envs = [env_factory(i) for i in range(self.n_envs)]
@@ -324,11 +312,17 @@ class PPOTrainer:
         self.total_steps = 0
 
     def run_update(self, instance_seeds):
+        """One rollout and update; the stats carry their wall times
+        ``rollout_s`` and ``update_s``."""
+        t0 = time.perf_counter()
         batch = collect_rollouts(self.envs, self.actor, self.critic,
                                  self.envs[0].episode_len,
                                  instance_seeds, self.action_rngs, self.config)
+        t1 = time.perf_counter()
         stats = update(self.actor, self.critic, self.actor_opt,
                        self.critic_opt, batch, self.config, self.update_rng)
+        stats["rollout_s"] = t1 - t0
+        stats["update_s"] = time.perf_counter() - t1
         self.total_steps += batch.actions.size
         mean_ep_reward = float(batch.rewards.sum() / self.n_envs)
         return mean_ep_reward, stats

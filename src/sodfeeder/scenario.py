@@ -79,6 +79,11 @@ class NormalizationRanges:
     time_cap: float = 1800.0
     forecast_cap: float = 15.0
 
+    def validate(self):
+        for name in ("request_cap", "time_cap", "forecast_cap"):
+            if not getattr(self, name) > 0:
+                raise ValueError("norm.%s must be positive" % name)
+
 
 @functools.lru_cache(maxsize=8)
 def _network(spec):
@@ -115,6 +120,7 @@ class Scenario:
         self.dispatch.validate()
         self.ppo.validate()
         self.seeds.validate()
+        self.norm.validate()
         if self.horizon <= 0 or self.t_step <= 0:
             raise ValueError("horizon and t_step must be positive")
         if not 0 <= self.warmup < self.horizon:

@@ -7,6 +7,8 @@ alighting and arrival event that falls inside the step window.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 from .demand import RequestState
@@ -27,8 +29,9 @@ class World:
     """Simulation world: network, fleet, requests and the clock.
 
     ``params`` holds the ``Scenario`` the world runs under.  ``requests``
-    must be sorted by request time with ids 0..n-1 in list order; the clock
-    ``now`` only moves forward.  ``no_fit`` is matching's retry memo
+    must be sorted by request time with ids 0..n-1 in list order, and each
+    vehicle's id is its index in ``vehicles``; the clock ``now`` only moves
+    forward.  ``no_fit`` is matching's retry memo
     (request id -> ``matching.NoFit``); it lives here so that a deep copy of
     the world copies it together with the vehicle schedules it refers to.
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
@@ -191,29 +194,28 @@ class World:
     # ---- the step loop -----------------------------------------------------
 
     def _next_event(self, v):
-        """(time, description) of the vehicle's next event, or None."""
+        """Time of the vehicle's next event; infinite when it has none."""
         if v.status == VehicleStatus.BOARDING:
             return v.schedule[0].departure
         if v.status == VehicleStatus.EN_ROUTE:
             return v.schedule[v.next_idx].arrival
-        return None
+        return math.inf
 
     def advance_step(self, report=None):
-        """Advance the world by one time step, executing all due events."""
+        """Advance the world by one time step, executing all due events in
+        (time, vehicle id) order.  An event changes only its own vehicle, so
+        a heap holding each vehicle's next event yields that order."""
         if self.now >= self.params.horizon:
             raise ValueError("clock is past the horizon")
         rep = report if report is not None else StepReport()
         step_end = self.now + self.params.t_step
-        while True:
-            best = None
-            for v in self.vehicles:
-                t = self._next_event(v)
-                if t is not None and t <= step_end + 1e-9:
-                    if best is None or (t, v.id) < best[:2]:
-                        best = (t, v.id, v)
-            if best is None:
-                break
-            self._process_event(best[2], best[0], rep)
+        events = [(self._next_event(v), v.id) for v in self.vehicles]
+        heapq.heapify(events)
+        while events and events[0][0] <= step_end + 1e-9:
+            t, vid = events[0]
+            v = self.vehicles[vid]
+            self._process_event(v, t, rep)
+            heapq.heapreplace(events, (self._next_event(v), vid))
         self.now = step_end
         self.step_k += 1
         return rep

@@ -6,9 +6,12 @@ shares no decision logic with the package.
 
 import math
 
+import numpy as np
+
 from sodfeeder.corridor import Segment
 from sodfeeder.demand import RequestState
 from sodfeeder.fleet import Stop, StopKind, VehicleStatus
+from sodfeeder.sim import StepReport
 
 
 def bellman_ford_time(net, src):
@@ -339,3 +342,59 @@ def oracle_match(world, walk_speed=1.25, walk_cap=600.0):
                                                 plan.dropoff_node)
         out["assigned"].append((req.id, vid, pk_idx, dr_idx, best[0][0]))
     return out
+
+
+# ---- per-array Adam ----------------------------------------------------------
+
+class PerArrayAdam:
+    """Adam over a list of arrays, returning new arrays from each step: the
+    reference for the in-place flat-vector ``nets.Adam``."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
+            mhat = self.m[i] / (1 - self.beta1 ** self.t)
+            vhat = self.v[i] / (1 - self.beta2 ** self.t)
+            out.append(p - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        return out
+
+
+# ---- rescanning step loop ----------------------------------------------------
+
+def rescan_advance_step(world, report=None):
+    """``World.advance_step`` as a rescan of every vehicle after each event,
+    executing the lexicographically least due (time, vehicle id) each time:
+    the reference for the event heap."""
+    if world.now >= world.params.horizon:
+        raise ValueError("clock is past the horizon")
+    rep = report if report is not None else StepReport()
+    step_end = world.now + world.params.t_step
+    while True:
+        best = None
+        for v in world.vehicles:
+            if v.status == VehicleStatus.BOARDING:
+                t = v.schedule[0].departure
+            elif v.status == VehicleStatus.EN_ROUTE:
+                t = v.schedule[v.next_idx].arrival
+            else:
+                continue
+            if t <= step_end + 1e-9 and (best is None or (t, v.id) < best[:2]):
+                best = (t, v.id, v)
+        if best is None:
+            break
+        world._process_event(best[2], best[0], rep)
+    world.now = step_end
+    world.step_k += 1
+    return rep

@@ -18,7 +18,7 @@ from sodfeeder.env import ZonalDispatchEnv
 from sodfeeder.experiments import compare, paired_bootstrap_ge_zero
 from sodfeeder.fleet import StopKind, peak_load
 from sodfeeder.matching import match_step
-from sodfeeder.nets import MLP, log_softmax, softmax
+from sodfeeder.nets import MLP, softmax_and_log
 from sodfeeder.ppo import (PPOTrainer, actor_loss_and_grad,
                            critic_loss_and_grad, gae_from_deltas,
                            greedy_action)
@@ -127,7 +127,7 @@ def test_criterion_3_gradient_checks():
             states = rng.standard_normal((8, 4))
             actions = rng.integers(0, 2, size=8)
             logits, _ = net.forward(states)
-            old_logp = (log_softmax(logits)[np.arange(8), actions]
+            old_logp = (softmax_and_log(logits)[1][np.arange(8), actions]
                         + rng.uniform(-0.3, 0.3, size=8))
             adv = rng.standard_normal(8)
 
@@ -254,7 +254,7 @@ def test_criterion_5_bandit_learning():
         reached = None
         for u in range(50):
             tr.run_update(list(range(8)))
-            p_opt = softmax(tr.actor.forward(obs)[0])[0][2]
+            p_opt = softmax_and_log(tr.actor.forward(obs)[0])[0][0][2]
             if p_opt >= 0.9:
                 reached = u + 1
                 break

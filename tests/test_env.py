@@ -6,7 +6,7 @@ from sodfeeder.demand import RequestState, forecast_demand
 from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
                            ZonalDispatchEnv, denormalize, normalize)
 from sodfeeder.fleet import FleetClass, VehicleStatus
-from sodfeeder.scenario import Scenario
+from sodfeeder.scenario import NormalizationRanges, Scenario
 
 
 def test_layout_constants():
@@ -226,3 +226,13 @@ def test_unknown_scenario_field_rejected():
         Scenario.from_dict({"rl_period": 7})
     with pytest.raises(ValueError, match="n_vehicles"):
         Scenario.from_dict({"n_vehicles": 0, "n_reserved": 0})
+
+
+@pytest.mark.parametrize("cap", ["request_cap", "time_cap", "forecast_cap"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_nonpositive_normalization_cap_fails_at_validate(cap, value):
+    sc = Scenario(norm=NormalizationRanges(**{cap: value}))
+    with pytest.raises(ValueError, match="norm.%s must be positive" % cap):
+        sc.validate()
+    with pytest.raises(ValueError, match="norm.%s" % cap):
+        Scenario.from_dict({"norm": {cap: value}})

@@ -1,9 +1,12 @@
+import copy
+import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from sodfeeder.nets import MLP, Adam, log_softmax, orthogonal, softmax
+from sodfeeder.nets import MLP, Adam, orthogonal, softmax_and_log
 from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
                            clip_g, collect_rollouts, compute_gae,
                            critic_loss_and_grad, gae_from_deltas, greedy_action,
@@ -11,11 +14,11 @@ from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
                            td_error)
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
-from sodfeeder.env import N_ACTIONS
+from sodfeeder.env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
 from sodfeeder.experiments import load_actor
 from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
 
-from oracles import gae_direct
+from oracles import PerArrayAdam, gae_direct
 from toyenvs import BanditEnv
 
 
@@ -25,7 +28,7 @@ def test_sample_action_equals_rng_choice():
     # sample_action searches a cumulative table instead of calling
     # rng.choice(p=...); a numpy whose choice draws differently fails here
     logits = np.random.default_rng(5).normal(scale=3.0, size=(500, N_ACTIONS))
-    probs = softmax(logits)
+    probs, _ = softmax_and_log(logits)
     ours, numpys = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(40):
         for row in probs:
@@ -44,10 +47,10 @@ def test_orthogonal_init_is_orthogonal():
 
 def test_softmax_log_softmax_consistent():
     logits = np.array([[1000.0, 1001.0, 999.0], [0.0, 0.0, 0.0]])
-    p = softmax(logits)
+    p, logp = softmax_and_log(logits)
     assert np.allclose(p.sum(axis=1), 1.0)
-    assert np.all(np.isfinite(log_softmax(logits)))
-    assert np.allclose(np.exp(log_softmax(logits)), p)
+    assert np.all(np.isfinite(logp))
+    assert np.allclose(np.exp(logp), p)
 
 
 def test_mlp_forward_backward_finite_difference():
@@ -75,22 +78,74 @@ def test_mlp_forward_backward_finite_difference():
 
 
 def test_adam_moves_towards_minimum():
-    rng = np.random.default_rng(2)
-    p = [np.array([5.0])]
-    opt = Adam(p, lr=0.1)
-    x = p
+    x = np.array([5.0])
+    opt = Adam(x, lr=0.1)
     for _ in range(500):
-        g = [2.0 * x[0]]
-        x = opt.step(x, g)
-    assert abs(x[0][0]) < 1e-3
+        opt.step(2.0 * x)
+    assert abs(x[0]) < 1e-3
+
+
+def test_flat_adam_equals_the_per_array_oracle():
+    rng = np.random.default_rng(21)
+    net = MLP([5, 7, 7, 3], rng)
+    arrays = [p.copy() for p in net.params]
+    opt = Adam(net.flat, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    oracle = PerArrayAdam(arrays, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    for k in range(60):
+        if k == 25:
+            opt.lr = oracle.lr = 0.0037
+        grad = rng.standard_normal(net.flat.size) * 10.0 ** rng.integers(-4, 3)
+        grad_views = [g.copy() for g in _per_layer(net, grad)]
+        opt.step(grad)
+        arrays = oracle.step(arrays, grad_views)
+        assert np.array_equal(net.flat,
+                              np.concatenate([a.ravel() for a in arrays]))
+    for p, a in zip(net.params, arrays):
+        assert np.array_equal(p, a)
+
+
+def _per_layer(net, flat):
+    """``flat`` cut into arrays shaped like ``net.params``."""
+    out, k = [], 0
+    for p in net.params:
+        out.append(flat[k:k + p.size].reshape(p.shape))
+        k += p.size
+    return out
 
 
 def test_mlp_raises_on_nonfinite():
     rng = np.random.default_rng(3)
     net = MLP([2, 3, 1], rng)
-    net.W[-1] = net.W[-1] * np.inf
+    net.W[-1][...] *= np.inf
     with pytest.raises(FloatingPointError):
         net.forward(np.ones((1, 2)))
+
+
+def test_mlp_views_cannot_be_rebound():
+    net = MLP([3, 4, 2], np.random.default_rng(4))
+    with pytest.raises(TypeError):
+        net.W[0] = np.zeros((3, 4))
+    with pytest.raises(TypeError):
+        net.b[1] = np.zeros(2)
+    for p, part in zip(net.params, _per_layer(net, net.flat)):
+        assert np.shares_memory(p, net.flat)
+        assert np.array_equal(p, part)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda n: pickle.loads(pickle.dumps(n))])
+def test_mlp_copy_rebuilds_its_views(clone):
+    net = MLP([3, 4, 2], np.random.default_rng(5))
+    x = np.random.default_rng(6).standard_normal((5, 3))
+    c = clone(net)
+    assert not np.shares_memory(c.flat, net.flat)
+    assert np.array_equal(c.flat, net.flat)
+    assert isinstance(c.W, tuple) and isinstance(c.b, tuple)
+    for p in c.params:
+        assert np.shares_memory(p, c.flat)
+    c.flat *= 2.0
+    assert np.array_equal(c.W[0], 2.0 * net.W[0])
+    assert not np.array_equal(c.forward(x)[0], net.forward(x)[0])
 
 
 # ---- advantage estimation ---------------------------------------------------
@@ -148,7 +203,7 @@ def _rand_actor_batch(rng, n=12, obs=4, acts=2):
     states = rng.standard_normal((n, obs))
     actions = rng.integers(0, acts, size=n)
     logits, _ = net.forward(states)
-    logp = log_softmax(logits)[np.arange(n), actions]
+    logp = softmax_and_log(logits)[1][np.arange(n), actions]
     old_logp = logp + rng.uniform(-0.3, 0.3, size=n)
     adv = rng.standard_normal(n)
     return net, states, actions, old_logp, adv
@@ -209,7 +264,7 @@ def test_ratio_one_identity():
     states = rng.standard_normal((20, 4))
     actions = rng.integers(0, 3, size=20)
     logits, _ = net.forward(states)
-    old_logp = log_softmax(logits)[np.arange(20), actions]
+    old_logp = softmax_and_log(logits)[1][np.arange(20), actions]
     adv = rng.standard_normal(20)
     loss, _, stats = actor_loss_and_grad(net, states, actions, old_logp,
                                          adv, 0.2)
@@ -225,7 +280,7 @@ def test_clipped_samples_have_zero_gradient():
     states = np.array([[1.0, 0.0]])
     actions = np.array([0])
     logits, _ = net.forward(states)
-    logp = log_softmax(logits)[0, 0]
+    logp = softmax_and_log(logits)[1][0, 0]
     old_logp = np.array([logp - 2.0])      # ratio e^2 >> 1.2, adv > 0
     _, grads, stats = actor_loss_and_grad(net, states, actions, old_logp,
                                           np.array([1.0]), 0.2)
@@ -259,7 +314,7 @@ def test_bandit_learning_quickly():
                     n_actions=4, config=cfg, seed=1, n_envs=8)
     for u in range(40):
         tr.run_update(list(range(8)))
-    probs = softmax(tr.actor.forward(np.array([[1.0, 0.0]]))[0])[0]
+    probs = softmax_and_log(tr.actor.forward(np.array([[1.0, 0.0]]))[0])[0][0]
     assert probs[2] > 0.9
     assert greedy_action(tr.actor, np.array([1.0, 0.0])) == 2
 
@@ -287,8 +342,34 @@ def test_training_stats_csv(tmp_path):
     tr.stats.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("update,env_steps,mean_episode_reward,value_loss,"
-                        "policy_loss,entropy,approx_kl,clip_frac")
+                        "policy_loss,entropy,approx_kl,clip_frac,"
+                        "rollout_s,update_s")
     assert len(lines) == 4
+    for row in tr.stats.rows:
+        assert row["rollout_s"] > 0.0 and row["update_s"] > 0.0
+
+
+# sha256 of the flat parameters and the stats rows after 3 updates, recorded
+# with per-array Adam, two softmax passes and the rescanning step loop, under
+# numpy 2.4.6 with scipy-openblas; another BLAS build may round the matmuls
+# differently
+PINNED_TRAINER_SHA256 = \
+    "6ec2542b220394e60044422c6fb595691974fe4002a3205c5cd29c8708409393"
+
+
+def test_trainer_state_after_three_updates_is_pinned():
+    sc = Scenario()
+    net = sc.network()
+    tr = PPOTrainer(env_factory=lambda i: ZonalDispatchEnv(sc, net=net),
+                    obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=sc.ppo,
+                    seed=0, n_envs=2)
+    tr.train(sc.seeds.train_seeds(6), 3)
+    keys = ("update", "env_steps", "mean_episode_reward", "value_loss",
+            "policy_loss", "entropy", "approx_kl", "clip_frac")
+    h = hashlib.sha256(np.concatenate([tr.actor.flat_params(),
+                                       tr.critic.flat_params()]).tobytes())
+    h.update(repr([[row[k] for k in keys] for row in tr.stats.rows]).encode())
+    assert h.hexdigest() == PINNED_TRAINER_SHA256
 
 
 def test_checkpoint_round_trip(tmp_path):

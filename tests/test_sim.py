@@ -1,13 +1,19 @@
+import copy
+
+import numpy as np
 import pytest
 
 from sodfeeder.corridor import Segment
 from sodfeeder.demand import (DemandProfile, Request, RequestState,
                               generate_instance)
 from sodfeeder.dispatch import DispatchController, PolicyKind
-from sodfeeder.env import ZonalDispatchEnv
+from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
 from sodfeeder.fleet import StopKind, VehicleStatus, peak_load, retime, Stop
 from sodfeeder.matching import match_step
 from sodfeeder.scenario import Scenario, build_world
+from sodfeeder.sim import World
+
+from oracles import rescan_advance_step
 
 
 def make_world(policy=PolicyKind.SOD, seed=0, requests=None, sc=None):
@@ -295,3 +301,61 @@ def test_retime_en_route_anchor(net):
     assert s[1].arrival == pytest.approx(344.4)       # anchor untouched
     assert s[1].departure == pytest.approx(364.4)
     assert s[2].arrival == pytest.approx(364.4 + net.travel_time(2, 4))
+
+
+def _logging_events(world):
+    """Record each event's (time, vehicle id) as the world executes it."""
+    log = []
+    process = world._process_event
+
+    def logged(v, t, rep):
+        log.append((t, v.id))
+        process(v, t, rep)
+
+    world._process_event = logged
+    return log
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.SOD, PolicyKind.RL_ZONAL])
+def test_event_heap_equals_the_rescan_oracle(kind):
+    sc = Scenario()
+    world = build_world(sc, kind, 3)
+    ctrl = DispatchController(world, kind, sc.dispatch)
+    twin, twin_ctrl = copy.deepcopy((world, ctrl), {id(world.net): world.net})
+    logs = _logging_events(world), _logging_events(twin)
+    actions = np.random.default_rng(4).integers(0, N_ACTIONS, sc.n_steps)
+    for k in range(sc.n_steps):
+        reports = []
+        for w, c, advance in ((world, ctrl, World.advance_step),
+                              (twin, twin_ctrl, rescan_advance_step)):
+            c.baseline_dispatch()
+            if kind is PolicyKind.RL_ZONAL:
+                c.apply_action(int(actions[k]))
+            match_step(w, walk_speed=sc.demand.walk_speed,
+                       walk_cap=sc.demand.walk_cap)
+            reports.append(advance(w))
+        assert reports[0] == reports[1], "step %d" % k
+        assert logs[0] == logs[1], "step %d" % k
+    assert len(logs[0]) > 300
+    assert [(r.state, r.pickup_time, r.dropoff_time) for r in world.requests] \
+        == [(r.state, r.pickup_time, r.dropoff_time) for r in twin.requests]
+    assert [(v.dist_total, v.deployed_total) for v in world.vehicles] \
+        == [(v.dist_total, v.deployed_total) for v in twin.vehicles]
+
+
+def test_event_time_tie_goes_to_the_lower_vehicle_id():
+    # vehicle 1 boards first, then arrives at its first stop at the very
+    # time vehicle 0 leaves the terminus: vehicle 0 must go first
+    w, sc = make_world(requests=[])
+    v0, v1 = w.dispatch_vehicle(0, 0), w.dispatch_vehicle(1, 0)
+    while w.now + sc.t_step < v0.schedule[0].departure:
+        w.advance_step()
+    tie = v0.schedule[0].departure
+    v1.schedule[0].departure = tie - 10.0
+    v1.schedule[1].arrival = tie
+    twin = copy.deepcopy(w)
+    logs = _logging_events(w), _logging_events(twin)
+    w.advance_step()
+    rescan_advance_step(twin)
+    assert logs[0] == [(tie - 10.0, 1), (tie, 0), (tie, 1)]
+    assert logs[1] == logs[0]
