@@ -27,7 +27,7 @@ profile = DemandProfile()
 horizon = 10800.0
 print("\ndemand: %.0f -> %.0f req/h over %.1f h, expected total %.1f"
       % (profile.base_rate, profile.end_rate, horizon / 3600,
-         forecast_demand(net, profile, horizon, 0.0, horizon)))
+         forecast_demand(profile, horizon, 0.0, horizon)))
 shares = segment_shares(net, profile)
 print("stationary endpoint shares:",
       {s.name: round(v, 3) for s, v in shares.items()})
@@ -37,7 +37,8 @@ print("\nseed 0 instance: %d requests" % len(requests))
 outbound = sum(1 for r in requests if r.origin == net.terminus)
 print("  %d depart the terminus, %d return to it"
       % (outbound, len(requests) - outbound))
-by_seg = Counter(r.nonterminus_segment(net.terminus).name for r in requests)
+by_seg = Counter(net.labels[r.destination if r.origin == net.terminus
+                            else r.origin].name for r in requests)
 print("  non-terminus endpoints:", dict(by_seg))
 print("  first three:", [(r.id, round(r.t_r), r.origin, r.destination)
                          for r in requests[:3]])

@@ -33,18 +33,16 @@ class Request:
     t_r: float
     origin: int
     destination: int
-    origin_segment: Segment
-    destination_segment: Segment
     state: RequestState = RequestState.PENDING
-    # filled by matching / simulation
+    # filled by matching (the service plan, by resolve_service_plan) and by
+    # the simulation
     vehicle: int | None = None
     pickup_node: int | None = None
     dropoff_node: int | None = None
-    assign_time: float | None = None
     pickup_time: float | None = None
     dropoff_time: float | None = None
     access_time: float = 0.0        # t^A, walking to/from snapped stops
-    direct_time: float | None = None  # t^D between service nodes, set on assignment
+    direct_time: float | None = None  # t^D between the service nodes
     served_at_fixed_stop: bool = False
 
     def transition(self, new_state):
@@ -57,10 +55,6 @@ class Request:
             raise ValueError("illegal lifecycle transition %s -> %s"
                              % (self.state, new_state))
         self.state = new_state
-
-    def nonterminus_segment(self, terminus):
-        return (self.destination_segment if self.origin == terminus
-                else self.origin_segment)
 
 
 @dataclass
@@ -140,10 +134,7 @@ def generate_instance(net, profile, horizon, seed):
             origin, destination = node, net.terminus
         requests.append(Request(
             id=rid, t_r=t,
-            origin=origin, destination=destination,
-            origin_segment=net.labels[origin],
-            destination_segment=net.labels[destination],
-        ))
+            origin=origin, destination=destination))
         rid += 1
     return requests
 
@@ -161,12 +152,11 @@ def segment_shares(net, profile):
     return shares
 
 
-def forecast_demand(net, profile, horizon, now, window, segment=None):
+def forecast_demand(profile, horizon, now, window):
     """Analytic expected request count in [now, now+window].
 
     This is a perfect-information forecast of the generator mean (not of the
-    realized sample).  ``segment=None`` forecasts all demand; otherwise the
-    total is apportioned by the stationary endpoint segment shares.
+    realized sample); ``segment_shares`` apportions it by category.
     """
     if window <= 0:
         raise ValueError("window must be positive")
@@ -175,10 +165,7 @@ def forecast_demand(net, profile, horizon, now, window, segment=None):
     if b <= a:
         return 0.0
     # linear rate: integrate trapezoidally (exact)
-    total = 0.5 * (profile.rate_at(a, horizon) + profile.rate_at(b, horizon)) * (b - a)
-    if segment is None:
-        return total
-    return total * segment_shares(net, profile)[segment]
+    return 0.5 * (profile.rate_at(a, horizon) + profile.rate_at(b, horizon)) * (b - a)
 
 
 def dump_requests_csv(requests, path):
@@ -207,10 +194,7 @@ def load_requests_csv(net, path):
                     % (path, line, row["id"], o, d, net.terminus))
             out.append(Request(
                 id=int(row["id"]), t_r=float(row["t_r"]),
-                origin=o, destination=d,
-                origin_segment=net.labels[o],
-                destination_segment=net.labels[d],
-            ))
+                origin=o, destination=d))
     out.sort(key=lambda r: r.t_r)
     for i, r in enumerate(out):
         if r.id != i:

@@ -42,15 +42,14 @@ class RunMetrics:
                 self.distance_cost, self.vehicle_time_cost)
 
 
-def generalized_cost(world, cutoff=None):
+def generalized_cost(world):
     """Compute run metrics for one finished simulation.
 
-    Requests count when their request time is at or after the cutoff;
-    vehicle distance and deployed time are the post-cutoff accruals kept by
-    the simulation.
+    Requests count when their request time is at or after the warm-up
+    cutoff; vehicle distance and deployed time are the post-cutoff accruals
+    kept by the simulation.
     """
-    if cutoff is None:
-        cutoff = world.params.warmup
+    cutoff = world.params.warmup
     c = world.params.coeffs
     m = RunMetrics()
     for r in world.requests:
@@ -69,12 +68,8 @@ def generalized_cost(world, cutoff=None):
         else:
             m.pending += 1
 
-    if cutoff == 0.0:
-        km = sum(v.dist_total for v in world.vehicles) / 1000.0
-        hours = sum(v.deployed_total for v in world.vehicles) / 3600.0
-    else:
-        km = sum(v.dist_metric for v in world.vehicles) / 1000.0
-        hours = sum(v.deployed_metric for v in world.vehicles) / 3600.0
+    km = sum(v.dist_metric for v in world.vehicles) / 1000.0
+    hours = sum(v.deployed_metric for v in world.vehicles) / 3600.0
     m.vehicle_km = km
     m.vehicle_hours = hours
 

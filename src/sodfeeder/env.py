@@ -98,14 +98,13 @@ class ZonalDispatchEnv:
             + [(0.0, n.forecast_cap)] * 3
         )
         self._bounds = bounds(self.ranges)
-        self._seg_shares = None
+        self._seg_shares = segment_shares(self.net, scenario.demand)
 
     def reset(self, seed):
         self.world = build_world(self.scenario, PolicyKind.RL_ZONAL, seed,
                                  net=self.net)
         self.controller = DispatchController(self.world, PolicyKind.RL_ZONAL,
                                              self.scenario.dispatch)
-        self._seg_shares = segment_shares(self.net, self.scenario.demand)
         self.t = 0
         self.done = False
         return self.observe()
@@ -131,10 +130,6 @@ class ZonalDispatchEnv:
 
     # ---- observation -------------------------------------------------------
 
-    def _category_forecast(self, cat):
-        share = self._seg_shares[cat]
-        return self._total_forecast * share
-
     def observe(self):
         w = self.world
         now = w.now
@@ -142,8 +137,8 @@ class ZonalDispatchEnv:
                       if v.status != VehicleStatus.AT_TERMINUS)
         available = sum(1 for v in w.available_vehicles()
                         if v.fleet_class == FleetClass.CONTROLLABLE)
-        self._total_forecast = forecast_demand(
-            self.net, self.scenario.demand, self.scenario.horizon, now, 900.0)
+        forecast = forecast_demand(self.scenario.demand, self.scenario.horizon,
+                                   now, 900.0)
 
         unassigned = [0.0, 0.0, 0.0]
         for r in w.pending_requests():
@@ -166,12 +161,10 @@ class ZonalDispatchEnv:
             since.append(self.scenario.norm.time_cap if last is None
                          else now - last)
 
-        forecasts = [self._category_forecast(c) for c in (0, 1, 2)]
-
-        raw = [float(running), float(available), self._total_forecast]
+        raw = [float(running), float(available), forecast]
         for c in (0, 1, 2):
             raw += [unassigned[c], commit[c], float(w.open_processes[c])]
-        raw += since + forecasts
+        raw += since + [forecast * self._seg_shares[c] for c in (0, 1, 2)]
         return scale(raw, *self._bounds)
 
     # ---- checkpoint/restore (Markov bookkeeping) ---------------------------

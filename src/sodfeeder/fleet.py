@@ -52,19 +52,15 @@ class Vehicle:
     fleet_class: FleetClass = FleetClass.CONTROLLABLE
     node: int = 0
     zone: int | None = None          # z_v for the current cycle; None when idle
-    fixed_only: bool = False         # FixedRoute cycles: no flexible window
     status: VehicleStatus = VehicleStatus.AT_TERMINUS
     schedule: list = field(default_factory=list)
     next_idx: int = 0                # next stop with a pending arrival event
     onboard: list = field(default_factory=list)
-    assigned: set = field(default_factory=set)   # request ids on this cycle
     window_open_idx: int | None = None   # last outbound fixed stop
     window_close_idx: int | None = None  # first inbound fixed stop
     dispatch_time: float | None = None
-    dist_total: float = 0.0
-    dist_metric: float = 0.0
-    deployed_total: float = 0.0
-    deployed_metric: float = 0.0
+    dist_metric: float = 0.0         # m driven after the warm-up cutoff
+    deployed_metric: float = 0.0     # s deployed after the warm-up cutoff
     cycles_completed: int = 0
 
     def free_insert_min(self):

@@ -1,11 +1,12 @@
 """Request-to-vehicle assignment.
 
-Each pending request is processed in request-time order.  Fixed-portion
-endpoints are snapped to the closest fixed stop by walking time; flexible
-endpoints are served door-to-door by inserting a stop into a zone-compatible
-vehicle's flexible window.  Among all feasible candidates the one with the
-smallest schedule-cost increase is applied; ties break on (vehicle id,
-pickup position).  Requests with no feasible candidate stay pending and are
+Each pending request is processed in request-time order.  Its service plan
+is resolved onto the request once: a fixed-portion endpoint is snapped to
+the closest fixed stop by walking time, a flexible endpoint is served
+door-to-door by inserting a stop into a zone-compatible vehicle's flexible
+window.  Among all feasible candidates the one with the smallest
+schedule-cost increase is applied; ties break on (vehicle id, pickup
+position).  Requests with no feasible candidate stay pending and are
 rejected once their wait deadline lapses.
 
 Three shortcuts skip work without changing any result.  The window screen
@@ -16,8 +17,8 @@ unmodified schedule: stops before the rider's stop keep their times, so its
 arrival and the terminus departure are exactly what ``retime`` gives, and
 since no stop after boarding idles, the terminus arrival is the old one plus
 the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The retry
-memo (``NoFit``, kept per request in ``world.no_fit``) remembers, for a
-pending request left without a candidate, the schedule list of every
+memo (``world.no_fit``, request id -> {vehicle id: schedule list}) remembers,
+for a pending request left without a candidate, the schedule list of every
 vehicle; the next round skips each vehicle whose ``schedule`` is still that
 same object.  This is sound because a schedule list is replaced, never
 mutated, whenever it changes (``_apply``, dispatch, arrival at the terminus;
@@ -26,9 +27,9 @@ advancing the vehicle only raises ``free_insert_min``/``free_stop_min``, so
 the placements left are a subset of those already tried.  Each of them
 rebuilds to the same times, load and window span, since riders that boarded
 meanwhile sit before the insertion point and boarded at their planned times;
-so none can have become feasible.  The memo also keeps the request's service
-plan and direct time, and its entry is dropped when the request is assigned
-or rejected.
+so none can have become feasible.  A memo entry also marks the request's
+plan as resolved, and it is dropped when the request is assigned or
+rejected.
 """
 
 from __future__ import annotations
@@ -44,26 +45,6 @@ EPS = 1e-6
 # s; the window screen's allowance for float round-off in its bound, which
 # stays near 1e-11 s over a 3-hour horizon
 SCREEN_MARGIN = 1e-6
-
-
-@dataclass
-class ServicePlan:
-    """Resolved service endpoints of a request."""
-    pickup_node: int
-    dropoff_node: int
-    access_time: float
-    served_at_fixed: bool
-    feasible: bool = True
-
-
-@dataclass
-class NoFit:
-    """Retry memo of a pending request whose last round found no candidate:
-    its service plan, its direct time and, per vehicle id, the schedule list
-    that had no feasible insertion for it."""
-    plan: ServicePlan
-    direct_time: float
-    schedules: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -95,45 +76,44 @@ def nearest_fixed_stop(world, node, walk_speed):
 
 
 def resolve_service_plan(world, request, walk_speed, walk_cap):
-    """Snap the request's endpoints to its service points."""
-    term = world.net.terminus
+    """Write the request's service plan onto it: ``pickup_node``,
+    ``dropoff_node``, ``access_time``, ``served_at_fixed_stop`` and
+    ``direct_time``.  Returns False, writing nothing, for a fixed-route
+    rider who would walk more than ``walk_cap`` to the nearest stop.
+
+    The terminus end is served at the terminus, so only the other end is
+    resolved: a fixed-segment end, or any end in a fixed-route world, snaps
+    to the closest fixed stop; a flexible end is served door to door.
+    """
+    net = world.net
+    term = net.terminus
+    outbound = request.origin == term
+    node = request.destination if outbound else request.origin
+    fixed_segment = net.labels[node] == Segment.FIXED
+    snapped = node != term and (fixed_segment or world.fixed_only)
     access = 0.0
-    feasible = True
-
-    def resolve(node, segment):
-        nonlocal access, feasible
-        if node == term:
-            return term, False
-        if segment == Segment.FIXED:
-            snap, wt = nearest_fixed_stop(world, node, walk_speed)
-            access += wt
-            return snap, True
-        if world.fixed_only:
-            snap, wt = nearest_fixed_stop(world, node, walk_speed)
-            if wt > walk_cap + EPS:
-                feasible = False
-                return node, False
-            access += wt
-            return snap, True
-        return node, False
-
-    p_node, p_fixed = resolve(request.origin, request.origin_segment)
-    d_node, d_fixed = resolve(request.destination, request.destination_segment)
-    served_at_fixed = p_fixed or d_fixed
-    return ServicePlan(p_node, d_node, access, served_at_fixed, feasible)
+    if snapped:
+        node, access = nearest_fixed_stop(world, node, walk_speed)
+        if not fixed_segment and access > walk_cap + EPS:
+            return False
+    pickup, dropoff = (term, node) if outbound else (node, term)
+    request.pickup_node = pickup
+    request.dropoff_node = dropoff
+    request.access_time = access
+    request.served_at_fixed_stop = snapped
+    request.direct_time = net.travel_time(pickup, dropoff)
+    return True
 
 
-def zone_compatible(world, plan, vehicle):
-    """True iff every non-terminus, non-fixed-stop service point lies in a
-    zone served by the vehicle's current assignment."""
+def zone_compatible(world, request, vehicle):
+    """True iff every non-terminus, non-fixed-stop service point of the
+    request lies in a zone served by the vehicle's current assignment."""
     if vehicle.zone is None:
         return False
     term = world.net.terminus
-    for node in (plan.pickup_node, plan.dropoff_node):
+    for node in (request.pickup_node, request.dropoff_node):
         if node == term or node in world.fixed_stop_set:
             continue
-        if vehicle.fixed_only:
-            return False
         seg = world.net.labels[node]
         zone = 1 if seg == Segment.ZONE1 else 2
         if vehicle.zone not in (0, zone):
@@ -141,8 +121,7 @@ def zone_compatible(world, plan, vehicle):
     return True
 
 
-def schedule_cost_terms(world, schedule, extra_request=None,
-                        extra_served_at_fixed=False):
+def schedule_cost_terms(world, schedule):
     """(small-magnitude cost, n_requests, n_fixed_served) for one schedule.
 
     The cost part is gamma_o * planned distance + gamma_t * sum of
@@ -160,35 +139,29 @@ def schedule_cost_terms(world, schedule, extra_request=None,
         req = world.requests[rid]
         cost += c.t_per_s * (dr - req.t_r)
         n_r += 1
-        if extra_request is not None and rid == extra_request.id:
-            if extra_served_at_fixed:
-                n_s += 1
-        elif req.served_at_fixed_stop:
+        if req.served_at_fixed_stop:
             n_s += 1
     return cost, n_r, n_s
 
 
-def vehicle_rho(world, vehicle, schedule, extra_request=None,
-                extra_served_at_fixed=False):
+def vehicle_rho(world, schedule):
     """Single-vehicle share of the fleet schedule cost.
 
     gamma_o * planned distance + gamma_t * sum of (dropoff - request time)
     over assigned requests, minus the satisfaction rewards.
     """
     c = world.params.coeffs
-    cost, n_r, n_s = schedule_cost_terms(world, schedule, extra_request,
-                                         extra_served_at_fixed)
+    cost, n_r, n_s = schedule_cost_terms(world, schedule)
     return cost - c.gamma_r * n_r - c.gamma_s * n_s
 
 
 def rho(world):
     """Fleet-wide schedule cost over all active vehicle schedules."""
-    return sum(vehicle_rho(world, v, v.schedule)
+    return sum(vehicle_rho(world, v.schedule)
                for v in world.vehicles if v.schedule)
 
 
-def _feasible(world, vehicle, schedule, window_close_idx, request, plan,
-              direct_time):
+def _feasible(world, vehicle, schedule, window_close_idx):
     lim = world.params.limits
     # flexible window
     if vehicle.window_open_idx is not None and window_close_idx is not None:
@@ -203,16 +176,13 @@ def _feasible(world, vehicle, schedule, window_close_idx, request, plan,
     # service constraints for every request touched by this schedule
     pt = planned_times(schedule)
     for rid, (pk, dr) in pt.items():
-        if rid == request.id:
-            req, dt = request, direct_time
-        else:
-            req, dt = world.requests[rid], world.requests[rid].direct_time
+        req = world.requests[rid]
         pickup = req.pickup_time if req.state == RequestState.RIDING else pk
         if pickup is None or dr is None:
             continue
         if req.state != RequestState.RIDING and pickup - req.t_r > lim.max_wait + EPS:
             return False
-        if dt is not None and dr - pickup > lim.max_ride(dt) + EPS:
+        if dr - pickup > lim.max_ride(req.direct_time) + EPS:
             return False
     return True
 
@@ -267,44 +237,35 @@ def _places(world, vehicle, node):
             for pos, delay in _window_positions(world, vehicle, node)]
 
 
-def enumerate_candidates(world, request, plan, base_terms=None, no_fit=None):
+def enumerate_candidates(world, request, base_terms=None, seen=None):
     """All feasible insertions of the request across zone-compatible vehicles.
 
-    Requests are feeder trips: the plan's pickup or dropoff must be the
-    terminus.  An outbound rider boards at the terminus departure of a
-    vehicle still boarding, an inbound rider alights at the terminus
-    arrival.  Each placement of the other end that survives the window and
-    rider screens is built, retimed and checked exactly by ``_feasible``.
-    ``base_terms`` caches each vehicle's ``schedule_cost_terms`` over one
-    matching round; it is filled on a vehicle's first feasible candidate.
-    ``no_fit``, the request's ``NoFit`` memo, supplies the direct time and
+    The request is one of ``world.requests`` with its service plan resolved
+    (``resolve_service_plan``).  An outbound rider boards at the terminus
+    departure of a vehicle still boarding, an inbound rider alights at the
+    terminus arrival.  Each placement of the other end that survives the
+    window and rider screens is built, retimed and checked exactly by
+    ``_feasible``.  ``base_terms`` caches each vehicle's
+    ``schedule_cost_terms`` over one matching round; it is filled on a
+    vehicle's first feasible candidate.  ``seen``, the request's retry memo,
     skips every vehicle whose schedule is still the one that had no fit.
     """
-    term = world.net.terminus
-    if plan.pickup_node != term and plan.dropoff_node != term:
-        raise ValueError("request %d: neither service endpoint (%d, %d) is "
-                         "the terminus" % (request.id, plan.pickup_node,
-                                           plan.dropoff_node))
-    outbound = plan.pickup_node == term
-    node = plan.dropoff_node if outbound else plan.pickup_node
+    outbound = request.pickup_node == world.net.terminus
+    node = request.dropoff_node if outbound else request.pickup_node
     if base_terms is None:
         base_terms = {}
+    if seen is None:
+        seen = {}
     p = world.params
     c = p.coeffs
     net = world.net
     times = net.times
-    if no_fit is None:
-        direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
-        seen = {}
-    else:
-        direct = no_fit.direct_time
-        seen = no_fit.schedules
     wait_limit = p.limits.max_wait + EPS + SCREEN_MARGIN
-    ride_limit = p.limits.max_ride(direct) + EPS + SCREEN_MARGIN
+    ride_limit = p.limits.max_ride(request.direct_time) + EPS + SCREEN_MARGIN
     out = []
     for v in world.vehicles:
         if (not v.schedule or seen.get(v.id) is v.schedule
-                or not zone_compatible(world, plan, v)):
+                or not zone_compatible(world, request, v)):
             continue
         base_sched = v.schedule
         if outbound and (v.status != VehicleStatus.BOARDING
@@ -331,14 +292,12 @@ def enumerate_candidates(world, request, plan, base_terms=None, no_fit=None):
             sched[dr].alight.append(request.id)
             retime(sched, v.status, v.next_idx, net, p.dwell_base,
                    p.dwell_per_pax)
-            if not _feasible(world, v, sched, close, request, plan, direct):
+            if not _feasible(world, v, sched, close):
                 continue
             base = base_terms.get(v.id)
             if base is None:
                 base = base_terms[v.id] = schedule_cost_terms(world, v.schedule)
-            cost, n_r, n_s = schedule_cost_terms(
-                world, sched, extra_request=request,
-                extra_served_at_fixed=plan.served_at_fixed)
+            cost, n_r, n_s = schedule_cost_terms(world, sched)
             delta = (cost - base[0] - c.gamma_r * (n_r - base[1])
                      - c.gamma_s * (n_s - base[2]))
             out.append(InsertionCandidate(v.id, pk, dr, sched, close, delta))
@@ -350,7 +309,7 @@ def enumerate_candidates(world, request, plan, base_terms=None, no_fit=None):
 def match_step(world, walk_speed=1.25, walk_cap=600.0):
     """One matching round: expire overdue requests, then greedily insert the
     rest in request-time order.  A request left without a candidate keeps a
-    ``NoFit`` memo in ``world.no_fit`` until it is assigned or rejected."""
+    retry memo in ``world.no_fit`` until it is assigned or rejected."""
     rep = MatchReport()
     lim = world.params.limits
     memo = world.no_fit
@@ -363,44 +322,31 @@ def match_step(world, walk_speed=1.25, walk_cap=600.0):
             memo.pop(req.id, None)
 
     for req in world.pending_requests():
-        no_fit = memo.pop(req.id, None)
-        if no_fit is None:
-            plan = resolve_service_plan(world, req, walk_speed, walk_cap)
-            if not plan.feasible:
-                # fixed-route mode: endpoint beyond the walking cap of any stop
-                req.transition(RequestState.REJECTED)
-                world.rejected_total += 1
-                rep.rejected.append(req.id)
-                continue
-            no_fit = NoFit(plan, world.net.travel_time(plan.pickup_node,
-                                                       plan.dropoff_node))
-        cands = enumerate_candidates(world, req, no_fit.plan, base_terms,
-                                     no_fit)
+        seen = memo.pop(req.id, None)
+        if seen is None and not resolve_service_plan(world, req, walk_speed,
+                                                     walk_cap):
+            # fixed-route mode: endpoint beyond the walking cap of any stop
+            req.transition(RequestState.REJECTED)
+            world.rejected_total += 1
+            rep.rejected.append(req.id)
+            continue
+        cands = enumerate_candidates(world, req, base_terms, seen)
         if not cands:
-            no_fit.schedules = {v.id: v.schedule for v in world.vehicles}
-            memo[req.id] = no_fit
+            memo[req.id] = {v.id: v.schedule for v in world.vehicles}
             rep.pending.append(req.id)
             continue
         best = cands[0]
-        _apply(world, req, no_fit, best, base_terms)
+        _apply(world, req, best, base_terms)
         rep.assigned.append((req.id, best.vehicle_id))
     return rep
 
 
-def _apply(world, request, no_fit, cand, base_terms):
+def _apply(world, request, cand, base_terms):
     v = world.vehicles[cand.vehicle_id]
     v.schedule = cand.schedule
     base_terms.pop(v.id, None)
     if cand.window_close_idx is not None:
         v.window_close_idx = cand.window_close_idx
-    v.assigned.add(request.id)
     request.transition(RequestState.ASSIGNED)
     world.open_processes[world.category_of(request)] += 2
     request.vehicle = v.id
-    request.assign_time = world.now
-    plan = no_fit.plan
-    request.pickup_node = plan.pickup_node
-    request.dropoff_node = plan.dropoff_node
-    request.access_time = plan.access_time
-    request.served_at_fixed_stop = plan.served_at_fixed
-    request.direct_time = no_fit.direct_time

@@ -213,12 +213,11 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
 
 # ---- checkpoints -----------------------------------------------------------
 
-def save_checkpoint(path, actor, critic, config, layout_version=CHECKPOINT_VERSION,
-                    scenario=None):
-    """Write the nets; ``scenario`` embeds its fingerprint, which
-    ``load_checkpoint`` can then check."""
+def save_checkpoint(path, actor, critic, config, scenario=None):
+    """Write the nets and the state layout version; ``scenario`` embeds its
+    fingerprint, which ``load_checkpoint`` can then check."""
     meta = {
-        "layout_version": layout_version,
+        "layout_version": CHECKPOINT_VERSION,
         "actor_sizes": actor.sizes,
         "critic_sizes": critic.sizes,
         "config": {k: v for k, v in vars(config).items()},
@@ -231,16 +230,16 @@ def save_checkpoint(path, actor, critic, config, layout_version=CHECKPOINT_VERSI
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
-def load_checkpoint(path, expected_layout=CHECKPOINT_VERSION, scenario=None):
-    """Read the nets back.  With ``scenario`` given, a checkpoint whose
-    embedded fingerprint differs from that scenario's (or that has none) is
-    refused."""
+def load_checkpoint(path, scenario=None):
+    """Read the nets back.  A checkpoint written for another state layout is
+    refused; with ``scenario`` given, so is one whose embedded fingerprint
+    differs from that scenario's (or that has none)."""
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
-    if expected_layout is not None and meta["layout_version"] != expected_layout:
+    if meta["layout_version"] != CHECKPOINT_VERSION:
         raise ValueError(
             "checkpoint layout %r does not match expected %r"
-            % (meta["layout_version"], expected_layout))
+            % (meta["layout_version"], CHECKPOINT_VERSION))
     if scenario is not None:
         want = json.loads(json.dumps(scenario_fingerprint(scenario)))
         got = meta.get("scenario") or {}

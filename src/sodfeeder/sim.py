@@ -21,7 +21,6 @@ class StepReport:
     boardings: int = 0
     alightings: int = 0
     arrivals: int = 0
-    completed_cycles: int = 0
     infeasibilities: list = field(default_factory=list)
 
 
@@ -29,11 +28,12 @@ class World:
     """Simulation world: network, fleet, requests and the clock.
 
     ``params`` holds the ``Scenario`` the world runs under.  ``requests``
-    must be sorted by request time with ids 0..n-1 in list order, and each
-    vehicle's id is its index in ``vehicles``; the clock ``now`` only moves
-    forward.  ``no_fit`` is matching's retry memo
-    (request id -> ``matching.NoFit``); it lives here so that a deep copy of
-    the world copies it together with the vehicle schedules it refers to.
+    must be feeder trips (one end at the terminus) sorted by request time
+    with ids 0..n-1 in list order, and each vehicle's id is its index in
+    ``vehicles``; the clock ``now`` only moves forward.  ``no_fit`` is
+    matching's retry memo (request id -> {vehicle id: schedule list}); it
+    lives here so that a deep copy of the world copies it together with the
+    vehicle schedules it refers to.
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
     assigned requests in category c (two per ASSIGNED request, one per
     RIDING one); assignment, boarding and alighting keep it current.
@@ -85,6 +85,7 @@ class World:
     @requests.setter
     def requests(self, requests):
         requests = list(requests)
+        term = self.net.terminus
         open_processes = [0, 0, 0]
         for i, r in enumerate(requests):
             if r.id != i:
@@ -94,6 +95,9 @@ class World:
                 raise ValueError("request %d (t_r=%r) comes before request %d "
                                  "(t_r=%r); requests must be sorted by t_r"
                                  % (i - 1, requests[i - 1].t_r, i, r.t_r))
+            if term not in (r.origin, r.destination):
+                raise ValueError("request %d: neither endpoint (%d, %d) is "
+                                 "the terminus" % (i, r.origin, r.destination))
             if r.state is RequestState.ASSIGNED:
                 open_processes[self.category_of(r)] += 2
             elif r.state is RequestState.RIDING:
@@ -119,7 +123,9 @@ class World:
     def category_of(self, request):
         """Request service category (0 regular, 1 zone 1, 2 zone 2): the
         ``Segment`` of its non-terminus endpoint, an int of that value."""
-        return request.nonterminus_segment(self.net.terminus)
+        node = (request.destination if request.origin == self.net.terminus
+                else request.origin)
+        return self.net.labels[node]
 
     # ---- dispatching -------------------------------------------------------
 
@@ -157,10 +163,8 @@ class World:
         v.schedule = stops
         v.status = VehicleStatus.BOARDING
         v.zone = z
-        v.fixed_only = self.fixed_only
         v.next_idx = 0
         v.dispatch_time = self.now
-        v.assigned = set()
         retime(v.schedule, v.status, v.next_idx, net, p.dwell_base, p.dwell_per_pax)
 
         if z == 0:
@@ -231,9 +235,8 @@ class World:
 
         stop = v.schedule[v.next_idx]
         prev = v.schedule[v.next_idx - 1]
-        leg_dist = self.net.distances[prev.node][stop.node]
-        v.dist_total += leg_dist
-        v.dist_metric += leg_dist * self._metric_share(prev.departure, stop.arrival)
+        v.dist_metric += (self.net.distances[prev.node][stop.node]
+                          * self._metric_share(prev.departure, stop.arrival))
         v.node = stop.node
         rep.arrivals += 1
 
@@ -249,11 +252,9 @@ class World:
             if v.onboard:
                 rep.infeasibilities.append(
                     ("onboard_at_terminus", v.id, list(v.onboard)))
-            dep = v.deployed_total
-            span = stop.arrival - v.dispatch_time
-            v.deployed_total = dep + span
-            v.deployed_metric += span * self._metric_share(v.dispatch_time,
-                                                          stop.arrival)
+            v.deployed_metric += ((stop.arrival - v.dispatch_time)
+                                  * self._metric_share(v.dispatch_time,
+                                                       stop.arrival))
             v.status = VehicleStatus.AT_TERMINUS
             v.zone = None
             v.schedule = []
@@ -261,7 +262,6 @@ class World:
             v.window_open_idx = None
             v.window_close_idx = None
             v.cycles_completed += 1
-            rep.completed_cycles += 1
         else:
             v.next_idx += 1
 

@@ -164,7 +164,7 @@ def oracle_best_insertion(world, request, plan):
         for node in (plan.pickup_node, plan.dropoff_node):
             if node in snap:
                 continue
-            if v.fixed_only:
+            if world.fixed_only:
                 ok = False
                 break
             zone = 1 if net.labels[node] == Segment.ZONE1 else 2
@@ -271,8 +271,8 @@ def oracle_resolve(world, request, walk_speed, walk_cap):
     feasible = True
     nodes = []
     fixed_flags = []
-    for node, seg in ((request.origin, request.origin_segment),
-                      (request.destination, request.destination_segment)):
+    for node in (request.origin, request.destination):
+        seg = world.net.labels[node]
         if node == term:
             nodes.append(term)
             fixed_flags.append(False)
@@ -330,10 +330,8 @@ def oracle_match(world, walk_speed=1.25, walk_cap=600.0):
         v.schedule = stops
         if close is not None:
             v.window_close_idx = close
-        v.assigned.add(req.id)
         req.transition(RequestState.ASSIGNED)
         req.vehicle = vid
-        req.assign_time = world.now
         req.pickup_node = plan.pickup_node
         req.dropoff_node = plan.dropoff_node
         req.access_time = plan.access_time

@@ -209,7 +209,7 @@ def _audited_run(sc, kind, seed, actor=None):
                 if s.kind is not StopKind.FLEX:
                     continue
                 zone = 1 if net.labels[s.node] == Segment.ZONE1 else 2
-                if v.fixed_only or v.zone not in (0, zone):
+                if world.fixed_only or v.zone not in (0, zone):
                     violations.append((kind.value, seed, "zone", v.id, s.node))
 
     # served-request constraints and conservation
@@ -345,8 +345,7 @@ def test_criterion_11_flexible_area_access_time(trained):
                 world.advance_step()
         vals = [r.access_time for r in world.requests
                 if r.state is RequestState.SERVED
-                and r.nonterminus_segment(world.net.terminus)
-                in (Segment.ZONE1, Segment.ZONE2)]
+                and world.category_of(r) in (Segment.ZONE1, Segment.ZONE2)]
         return vals
 
     seeds = range(5)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sodfeeder.corridor import Segment
 from sodfeeder.demand import (DemandProfile, Request, RequestState,
                               dump_requests_csv, endpoint_weights,
                               forecast_demand, generate_instance,
@@ -69,7 +68,7 @@ def test_sorted_and_feeder_shaped(net):
 def test_mean_count_matches_rate_integral(net):
     p = DemandProfile(base_rate=60, end_rate=20)
     horizon = 10800.0
-    expected = forecast_demand(net, p, horizon, 0.0, horizon)
+    expected = forecast_demand(p, horizon, 0.0, horizon)
     # trapezoid of a linear rate: (60+20)/2 per hour * 3 hours = 120
     assert expected == pytest.approx(120.0)
     counts = [len(generate_instance(net, p, horizon, s)) for s in range(300)]
@@ -100,20 +99,12 @@ def test_rate_interpolates_linearly():
     assert p.rate_at(-1, 10800) == 0.0
 
 
-def test_forecast_additive_over_segments(net):
+def test_forecast_clipped_at_horizon():
     p = DemandProfile()
-    total = forecast_demand(net, p, 10800, 3600, 900)
-    parts = sum(forecast_demand(net, p, 10800, 3600, 900, seg)
-                for seg in Segment)
-    assert parts == pytest.approx(total)
-
-
-def test_forecast_clipped_at_horizon(net):
-    p = DemandProfile()
-    tail = forecast_demand(net, p, 10800, 10500, 900)
-    full = forecast_demand(net, p, 10800, 9900, 900)
+    tail = forecast_demand(p, 10800, 10500, 900)
+    full = forecast_demand(p, 10800, 9900, 900)
     assert 0 < tail < full
-    assert forecast_demand(net, p, 10800, 10800, 900) == 0.0
+    assert forecast_demand(p, 10800, 10800, 900) == 0.0
 
 
 def test_segment_shares_sum_to_one(net):
@@ -132,13 +123,13 @@ def test_direction_split(net):
 
 
 def test_lifecycle_transitions():
-    r = Request(0, 0.0, 0, 5, Segment.FIXED, Segment.ZONE1)
+    r = Request(0, 0.0, 0, 5)
     r.transition(RequestState.ASSIGNED)
     r.transition(RequestState.RIDING)
     r.transition(RequestState.SERVED)
     with pytest.raises(ValueError):
         r.transition(RequestState.REJECTED)
-    r2 = Request(1, 0.0, 5, 0, Segment.ZONE1, Segment.FIXED)
+    r2 = Request(1, 0.0, 5, 0)
     with pytest.raises(ValueError):
         r2.transition(RequestState.RIDING)
 
@@ -152,7 +143,6 @@ def test_csv_round_trip(tmp_path, net):
     for a, b in zip(reqs, back):
         assert (a.id, a.origin, a.destination) == (b.id, b.origin, b.destination)
         assert a.t_r == pytest.approx(b.t_r)
-        assert a.origin_segment == b.origin_segment
 
 
 def _write_csv(path, rows):

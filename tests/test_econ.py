@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from sodfeeder.corridor import Segment
 from sodfeeder.demand import Request, RequestState
 from sodfeeder.dispatch import PolicyKind
 from sodfeeder.econ import (METRIC_FIELDS, RunMetrics, aggregate,
@@ -20,8 +19,7 @@ def test_hand_computed_cost():
     sc = Scenario()
     net = sc.network()
     w = build_world(sc, PolicyKind.SOD, 0)
-    r = Request(0, 4000.0, 0, 40, Segment.FIXED, Segment.ZONE1,
-                state=RequestState.SERVED, access_time=120.0,
+    r = Request(0, 4000.0, 0, 40, state=RequestState.SERVED, access_time=120.0,
                 pickup_time=4300.0, dropoff_time=4900.0)
     w.requests = [r]
     w.vehicles[0].dist_metric = 10_000.0
@@ -38,18 +36,17 @@ def test_hand_computed_cost():
 
 
 def test_warmup_excludes_early_requests():
-    sc = Scenario()
-    w = build_world(sc, PolicyKind.SOD, 0)
-    early = Request(0, 100.0, 0, 40, Segment.FIXED, Segment.ZONE1,
-                    state=RequestState.SERVED, pickup_time=400.0,
-                    dropoff_time=700.0)
-    late = Request(1, 4000.0, 0, 40, Segment.FIXED, Segment.ZONE1,
-                   state=RequestState.SERVED, pickup_time=4300.0,
-                   dropoff_time=4600.0)
+    early = Request(0, 100.0, 0, 40, state=RequestState.SERVED,
+                    pickup_time=400.0, dropoff_time=700.0)
+    late = Request(1, 4000.0, 0, 40, state=RequestState.SERVED,
+                   pickup_time=4300.0, dropoff_time=4600.0)
+    w = build_world(Scenario(), PolicyKind.SOD, 0)
     w.requests = [early, late]
     m = generalized_cost(w)
     assert m.generated == 1 and m.served == 1
-    m0 = generalized_cost(w, cutoff=0.0)
+    w0 = build_world(Scenario(warmup=0.0), PolicyKind.SOD, 0)
+    w0.requests = [early, late]
+    m0 = generalized_cost(w0)
     assert m0.generated == 2 and m0.served == 2
 
 
@@ -59,8 +56,7 @@ def test_cost_linearity_in_time_totals():
     w = build_world(sc, PolicyKind.SOD, 0)
 
     def req(rid, scale):
-        return Request(rid, 4000.0, 0, 40, Segment.FIXED, Segment.ZONE1,
-                       state=RequestState.SERVED, access_time=60.0 * scale,
+        return Request(rid, 4000.0, 0, 40, state=RequestState.SERVED, access_time=60.0 * scale,
                        pickup_time=4000.0 + 100.0 * scale,
                        dropoff_time=4000.0 + 100.0 * scale + 300.0 * scale)
 
@@ -82,9 +78,7 @@ def test_nan_cost_per_passenger_when_unserved():
 
 
 def test_request_conservation_on_full_run():
-    sc = Scenario()
-    m, world = run_simulation(sc, PolicyKind.SOD, seed=3)
-    m0 = generalized_cost(world, cutoff=0.0)
+    m0, world = run_simulation(Scenario(warmup=0.0), PolicyKind.SOD, seed=3)
     assert m0.generated == len(world.requests)
     assert m0.served + m0.rejected + m0.pending == m0.generated
     assert m0.served > 0

@@ -77,8 +77,7 @@ def test_initial_observation_values(scenario):
     raw = denormalize(obs, env.ranges)
     assert raw[0] == 0.0          # nothing running yet
     assert raw[1] == 4.0          # all controllable vehicles available
-    expect = forecast_demand(env.net, scenario.demand, scenario.horizon,
-                             0.0, 900.0)
+    expect = forecast_demand(scenario.demand, scenario.horizon, 0.0, 900.0)
     assert raw[2] == pytest.approx(expect)
     # no unassigned requests, commitments or processes at t=0
     assert np.allclose(raw[3:12], 0.0)

@@ -11,7 +11,7 @@ from sodfeeder.corridor import CorridorSpec, Segment
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request, RequestState
 from sodfeeder.dispatch import DispatchController, PolicyKind
-from sodfeeder.matching import (ServicePlan, enumerate_candidates, match_step,
+from sodfeeder.matching import (enumerate_candidates, match_step,
                                 nearest_fixed_stop, resolve_service_plan,
                                 rho, vehicle_rho, zone_compatible)
 from sodfeeder.scenario import Scenario, build_world
@@ -33,9 +33,7 @@ def feeder_request(net, rid, t_r, node, to_corridor=True):
         o, d = net.terminus, node
     else:
         o, d = node, net.terminus
-    return Request(id=rid, t_r=t_r, origin=o, destination=d,
-                   origin_segment=net.labels[o],
-                   destination_segment=net.labels[d])
+    return Request(id=rid, t_r=t_r, origin=o, destination=d)
 
 
 def test_nearest_fixed_stop_snaps_by_walk_time():
@@ -53,35 +51,60 @@ def test_resolve_fixed_segment_endpoint_snaps():
     node = [n for n in range(net.n_nodes)
             if net.coords[n] == (400.0, 150.0)][0]
     req = feeder_request(net, 0, 0.0, node)
-    plan = resolve_service_plan(w, req, 1.25, 600.0)
-    assert plan.pickup_node == net.terminus
-    assert plan.dropoff_node == net.nearest_mainline_node(400)
-    assert plan.access_time == pytest.approx(150 / 1.25)
-    assert plan.served_at_fixed
-    assert plan.feasible
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    assert req.pickup_node == net.terminus
+    assert req.dropoff_node == net.nearest_mainline_node(400)
+    assert req.access_time == pytest.approx(150 / 1.25)
+    assert req.served_at_fixed_stop
+    assert req.direct_time == net.travel_time(net.terminus, req.dropoff_node)
 
 
 def test_resolve_flexible_endpoint_door_to_door():
     w, net = make_world()
     node = net.nearest_mainline_node(2000)
     req = feeder_request(net, 0, 0.0, node)
-    plan = resolve_service_plan(w, req, 1.25, 600.0)
-    assert plan.dropoff_node == node
-    assert plan.access_time == 0.0
-    assert not plan.served_at_fixed
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    assert req.dropoff_node == node
+    assert req.access_time == 0.0
+    assert not req.served_at_fixed_stop
 
 
 def test_resolve_fixed_route_snaps_or_rejects():
     w, net = make_world(policy=PolicyKind.FIXED_ROUTE)
     near = net.nearest_mainline_node(1400)   # 200 m from the 1200 m stop
-    plan = resolve_service_plan(w, feeder_request(net, 0, 0.0, near),
-                                1.25, 600.0)
-    assert plan.feasible
-    assert plan.dropoff_node == net.nearest_mainline_node(1200)
+    req = feeder_request(net, 0, 0.0, near)
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    assert req.dropoff_node == net.nearest_mainline_node(1200)
     far = net.nearest_mainline_node(4000)    # kilometers from any stop
-    plan = resolve_service_plan(w, feeder_request(net, 1, 0.0, far),
-                                1.25, 600.0)
-    assert not plan.feasible
+    assert not resolve_service_plan(w, feeder_request(net, 1, 0.0, far),
+                                    1.25, 600.0)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.SOD, PolicyKind.FIXED_ROUTE])
+@pytest.mark.parametrize("corridor", [CorridorSpec(), CorridorSpec(side_depth=0)],
+                         ids=["default", "no_side_streets"])
+def test_resolve_equals_the_oracle_for_every_node(corridor, policy):
+    sc = Scenario(corridor=corridor)
+    net = sc.network()
+    w = World(net, sc, [], fixed_only=policy.fixed_only)
+    walk = (sc.demand.walk_speed, sc.demand.walk_cap)
+    rejected = 0
+    for node in range(net.n_nodes):
+        for to_corridor in (True, False):
+            req = feeder_request(net, 0, 0.0, node, to_corridor)
+            want = oracles.oracle_resolve(w, req, *walk)
+            assert resolve_service_plan(w, req, *walk) == want.feasible, node
+            got = (req.pickup_node, req.dropoff_node, req.access_time,
+                   req.served_at_fixed_stop, req.direct_time)
+            if not want.feasible:
+                rejected += 1
+                assert got == (None, None, 0.0, False, None), node
+                continue
+            assert got == (want.pickup_node, want.dropoff_node,
+                           want.access_time, want.served_at_fixed,
+                           net.travel_time(want.pickup_node,
+                                           want.dropoff_node)), node
+    assert (rejected > 0) == policy.fixed_only
 
 
 def test_zone_compatibility():
@@ -92,22 +115,24 @@ def test_zone_compatibility():
     w.dispatch_vehicle(1, 0)
     v1, v_all = w.vehicles[0], w.vehicles[1]
 
-    plan1 = resolve_service_plan(w, feeder_request(net, 0, 0.0, z1), 1.25, 600)
-    plan2 = resolve_service_plan(w, feeder_request(net, 1, 0.0, z2), 1.25, 600)
-    assert zone_compatible(w, plan1, v1)
-    assert not zone_compatible(w, plan2, v1)
-    assert zone_compatible(w, plan1, v_all)
-    assert zone_compatible(w, plan2, v_all)
+    req1 = feeder_request(net, 0, 0.0, z1)
+    req2 = feeder_request(net, 1, 0.0, z2)
+    for req in (req1, req2):
+        assert resolve_service_plan(w, req, 1.25, 600)
+    assert zone_compatible(w, req1, v1)
+    assert not zone_compatible(w, req2, v1)
+    assert zone_compatible(w, req1, v_all)
+    assert zone_compatible(w, req2, v_all)
     # idle vehicles are never compatible
     w2, _ = make_world()
-    assert not zone_compatible(w2, plan1, w2.vehicles[0])
+    assert not zone_compatible(w2, req1, w2.vehicles[0])
 
 
 def test_rho_empty_cycle_hand_computed():
     # z=0 cycle drives 2 * 5600 m; 0.694 $/km * 11.2 km = 7.7728
     w, _ = make_world()
     v = w.dispatch_vehicle(0, 0)
-    assert vehicle_rho(w, v, v.schedule) == pytest.approx(7.7728)
+    assert vehicle_rho(w, v.schedule) == pytest.approx(7.7728)
     assert rho(w) == pytest.approx(7.7728)
 
 
@@ -119,8 +144,8 @@ def test_delta_rho_hand_computed_fixed_stop_rider():
     stop800 = net.nearest_mainline_node(800)
     req = feeder_request(net, 0, 0.0, stop800)
     w.requests = [req]
-    plan = resolve_service_plan(w, req, 1.25, 600.0)
-    cands = enumerate_candidates(w, req, plan)
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    cands = enumerate_candidates(w, req)
     assert cands
     best = cands[0]
     dropoff = 300 + 800 / 9.0 + 20
@@ -138,15 +163,15 @@ def test_delta_rho_hand_computed_flexible_rider():
     node = net.nearest_mainline_node(2000)
     req = feeder_request(net, 0, 0.0, node)
     w.requests = [req]
-    plan = resolve_service_plan(w, req, 1.25, 600.0)
-    cands = enumerate_candidates(w, req, plan)
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    cands = enumerate_candidates(w, req)
     assert cands
     best = cands[0]
     # the cheapest insertion is on the way out: no extra distance at all
     dropoff = 300 + 2000 / 9.0 + 3 * 20
     expected = 16.5 / 3600.0 * dropoff - 1_000_000.0
     assert best.delta_rho == pytest.approx(expected)
-    assert not plan.served_at_fixed
+    assert not req.served_at_fixed_stop
 
 
 def test_match_assigns_and_updates_request():
@@ -161,7 +186,7 @@ def test_match_assigns_and_updates_request():
     assert r.state is RequestState.ASSIGNED
     assert r.vehicle == 0
     assert r.direct_time == pytest.approx(net.travel_time(net.terminus, node))
-    assert 0 in w.vehicles[0].assigned
+    assert [s.node for s in w.vehicles[0].schedule if 0 in s.alight] == [node]
 
 
 def test_match_prefers_cheaper_vehicle():
@@ -298,9 +323,9 @@ def test_full_window_builds_no_flexible_schedule(monkeypatch):
     built = {"flex": 0}
     _count_calls(monkeypatch, matching, "retime", built, "flex")
     for req in reqs[:2]:
-        plan = resolve_service_plan(w, req, 1.25, 600.0)
-        assert not plan.served_at_fixed
-        assert enumerate_candidates(w, req, plan) == []
+        assert resolve_service_plan(w, req, 1.25, 600.0)
+        assert not req.served_at_fixed_stop
+        assert enumerate_candidates(w, req) == []
     assert built["flex"] == 0
     _assert_same_round(w, copy.deepcopy(w), "full window")
     assert [r.state for r in w.requests] == [
@@ -320,8 +345,8 @@ def test_window_filled_exactly_still_accepts_the_insertion(to_corridor):
             if net.coords[n] == (4000.0, 300.0)][0]
     req = feeder_request(net, 0, 0.0, node, to_corridor=to_corridor)
     probe.requests = [req]
-    plan = resolve_service_plan(probe, req, 1.25, 600.0)
-    best = enumerate_candidates(probe, req, plan)[0]
+    assert resolve_service_plan(probe, req, 1.25, 600.0)
+    best = enumerate_candidates(probe, req)[0]
     span = (best.schedule[best.window_close_idx].arrival
             - best.schedule[v.window_open_idx].departure)
     sc = Scenario(n_vehicles=1, n_reserved=0,
@@ -329,7 +354,7 @@ def test_window_filled_exactly_still_accepts_the_insertion(to_corridor):
     w = World(net, sc, [req])
     w.vehicles = copy.deepcopy(probe.vehicles)
     w.now = probe.now
-    cands = enumerate_candidates(w, req, plan)
+    cands = enumerate_candidates(w, req)
     assert cands
     assert (cands[0].pickup_idx, cands[0].dropoff_idx) == \
         (best.pickup_idx, best.dropoff_idx)
@@ -358,15 +383,15 @@ def test_rider_bound_met_exactly_still_accepts_the_insertion(to_corridor,
             else net.nearest_mainline_node(800))
     req = feeder_request(net, 0, 0.0, node, to_corridor=to_corridor)
     probe.requests = [req]
-    plan = resolve_service_plan(probe, req, 1.25, 600.0)
-    assert plan.served_at_fixed == (stop == "fixed")
-    best = enumerate_candidates(probe, req, plan)[0]
+    assert resolve_service_plan(probe, req, 1.25, 600.0)
+    assert req.served_at_fixed_stop == (stop == "fixed")
+    best = enumerate_candidates(probe, req)[0]
     pickup, dropoff = fleet.planned_times(best.schedule)[req.id]
     lim = probe.params.limits
     if bound == "wait":
         lim = dataclasses.replace(lim, max_wait=pickup - req.t_r)
     else:
-        direct = net.travel_time(plan.pickup_node, plan.dropoff_node)
+        direct = net.travel_time(req.pickup_node, req.dropoff_node)
         lim = dataclasses.replace(
             lim, detour_slack=dropoff - pickup - lim.detour_factor * direct)
         assert lim.max_ride(direct) == pytest.approx(dropoff - pickup,
@@ -374,7 +399,7 @@ def test_rider_bound_met_exactly_still_accepts_the_insertion(to_corridor,
     w = World(net, Scenario(n_vehicles=1, n_reserved=0, limits=lim), [req])
     w.vehicles = copy.deepcopy(probe.vehicles)
     w.now = probe.now
-    cands = enumerate_candidates(w, req, plan)
+    cands = enumerate_candidates(w, req)
     assert cands
     assert (cands[0].pickup_idx, cands[0].dropoff_idx) == \
         (best.pickup_idx, best.dropoff_idx)
@@ -403,8 +428,8 @@ def test_unmeetable_rider_bound_builds_no_schedule(bound, monkeypatch):
     built = {"n": 0}
     _count_calls(monkeypatch, matching, "retime", built, "n")
     for req in reqs:
-        plan = resolve_service_plan(w, req, 1.25, 600.0)
-        assert enumerate_candidates(w, req, plan) == []
+        assert resolve_service_plan(w, req, 1.25, 600.0)
+        assert enumerate_candidates(w, req) == []
     assert built["n"] == 0
     _assert_same_round(w, copy.deepcopy(w), "unmeetable " + bound)
     assert all(r.state is RequestState.PENDING for r in w.requests)
@@ -425,15 +450,12 @@ def test_one_round_equals_the_oracle_on_random_worlds(net, seed, n_vehicles,
                                                 (2000, 800), (400, 800)])
 def test_plan_without_terminus_endpoint_rejected(pickup_x, dropoff_x):
     w, net = make_world()
-    w.dispatch_vehicle(0, 0)
     a = net.nearest_mainline_node(pickup_x)
     b = net.nearest_mainline_node(dropoff_x)
-    req = Request(id=0, t_r=0.0, origin=a, destination=b,
-                  origin_segment=net.labels[a],
-                  destination_segment=net.labels[b])
-    w.requests = [req]
+    req = Request(id=0, t_r=0.0, origin=a, destination=b)
     with pytest.raises(ValueError, match="terminus"):
-        enumerate_candidates(w, req, ServicePlan(a, b, 0.0, False))
+        w.requests = [req]
+    assert w.requests == []
 
 
 def test_terminus_to_terminus_plan_is_served():
@@ -448,9 +470,9 @@ def test_terminus_to_terminus_plan_is_served():
     v = w.dispatch_vehicle(0, 0)
     req = feeder_request(net, 0, 0.0, net.nearest_mainline_node(200))
     w.requests = [req]
-    plan = resolve_service_plan(w, req, 1.25, 600.0)
-    assert plan.pickup_node == plan.dropoff_node == net.terminus
-    cands = enumerate_candidates(w, req, plan)
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    assert req.pickup_node == req.dropoff_node == net.terminus
+    cands = enumerate_candidates(w, req)
     last = len(v.schedule) - 1
     assert [(c.pickup_idx, c.dropoff_idx) for c in cands] == [(0, last)]
     assert match_step(w).assigned == [(0, 0)]
@@ -488,9 +510,9 @@ def test_retry_memo_never_changes_a_round(case, kind):
     skipped = 0
     for step in range(sc.n_steps):
         ctrl.baseline_dispatch()
-        skipped += sum(1 for nf in world.no_fit.values()
+        skipped += sum(1 for seen in world.no_fit.values()
                        for v in world.vehicles
-                       if v.schedule and nf.schedules.get(v.id) is v.schedule)
+                       if v.schedule and seen.get(v.id) is v.schedule)
         twin = copy.deepcopy(world, {id(net): net})
         twin.no_fit = {}
         assert match_step(world, **walk) == match_step(twin, **walk), step

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from sodfeeder import ppo
 from sodfeeder.nets import MLP, Adam, orthogonal, softmax_and_log
 from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
                            clip_g, collect_rollouts, compute_gae,
@@ -386,16 +387,14 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.allclose(critic.forward(x)[0], tr.critic.forward(x)[0])
 
 
-def test_checkpoint_version_mismatch_rejected(tmp_path):
+def test_checkpoint_version_mismatch_rejected(tmp_path, monkeypatch):
     tr = make_trainer()
     path = tmp_path / "policy.npz"
-    save_checkpoint(path, tr.actor, tr.critic, tr.config,
-                    layout_version="sod-state-v0")
-    with pytest.raises(ValueError):
+    with monkeypatch.context() as m:
+        m.setattr(ppo, "CHECKPOINT_VERSION", "sod-state-v0")
+        save_checkpoint(path, tr.actor, tr.critic, tr.config)
+    with pytest.raises(ValueError, match="sod-state-v0"):
         load_checkpoint(path)
-    # explicit opt-out still loads
-    actor, _, meta = load_checkpoint(path, expected_layout=None)
-    assert meta["layout_version"] == "sod-state-v0"
 
     # scenario fingerprint: only the scenario it was trained for loads it
     sc = Scenario()

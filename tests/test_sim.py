@@ -99,7 +99,7 @@ def test_dispatch_requires_vehicle_at_terminus():
 
 
 def test_empty_cycle_completes_and_accrues_distance():
-    w, sc = make_world(requests=[])
+    w, sc = make_world(requests=[], sc=Scenario(warmup=0.0))
     v = w.dispatch_vehicle(0, 0)
     end = v.schedule[-1].arrival
     steps = int(end // sc.t_step) + 2
@@ -109,8 +109,8 @@ def test_empty_cycle_completes_and_accrues_distance():
     assert v.cycles_completed == 1
     assert v.schedule == []
     assert v.zone is None
-    assert v.dist_total == pytest.approx(2 * 5600.0)
-    assert v.deployed_total == pytest.approx(end)
+    assert v.dist_metric == pytest.approx(2 * 5600.0)
+    assert v.deployed_metric == pytest.approx(end)
 
 
 def test_last_departure_bookkeeping():
@@ -130,7 +130,6 @@ def test_warmup_proration_of_distance():
     end = v.schedule[-1].arrival
     for _ in range(int(end // sc.t_step) + 2):
         w.advance_step()
-    assert v.dist_total == pytest.approx(11200.0)
     # hand computation: the 1200 m outbound fixed portion finishes at
     # 300 + 1200/9 + 3*20 = 493.3 s, entirely before the 500 s cutoff;
     # the 4400 m leg to the turnaround spans 493.3..982.2 s, so only the
@@ -142,10 +141,7 @@ def test_warmup_proration_of_distance():
 
 
 def test_pending_requests_visibility():
-    from sodfeeder.corridor import Segment
-    from sodfeeder.demand import Request
-    reqs = [Request(0, 30.0, 0, 40, Segment.FIXED, Segment.ZONE1),
-            Request(1, 90.0, 40, 0, Segment.ZONE1, Segment.FIXED)]
+    reqs = [Request(0, 30.0, 0, 40), Request(1, 90.0, 40, 0)]
     w, _ = make_world(requests=reqs)
     assert w.pending_requests() == []
     w.advance_step()            # now = 60
@@ -233,8 +229,7 @@ def test_pending_requests_continue_identically_after_restore(scenario):
 ])
 def test_world_rejects_misordered_requests(t_rs, ids, match):
     def reqs():
-        return [Request(i, t, 0, 40, Segment.FIXED, Segment.ZONE1)
-                for i, t in zip(ids, t_rs)]
+        return [Request(i, t, 0, 40) for i, t in zip(ids, t_rs)]
     with pytest.raises(ValueError, match=match):
         make_world(requests=reqs())
     w, _ = make_world(requests=[])
@@ -244,17 +239,14 @@ def test_world_rejects_misordered_requests(t_rs, ids, match):
 
 
 def test_category_of():
-    from sodfeeder.corridor import Segment
-    from sodfeeder.demand import Request
     w, _ = make_world(requests=[])
     fixed_node = w.fixed_stop_nodes[0]
     z1 = w.net.nearest_mainline_node(2000)
     z2 = w.net.nearest_mainline_node(4000)
-    mk = lambda i, dest, seg: __import__("sodfeeder.demand", fromlist=["Request"]).Request(
-        i, 0.0, 0, dest, Segment.FIXED, seg)
-    assert w.category_of(mk(0, fixed_node, Segment.FIXED)) == 0
-    assert w.category_of(mk(1, z1, Segment.ZONE1)) == 1
-    assert w.category_of(mk(2, z2, Segment.ZONE2)) == 2
+    for i, node, cat in ((0, fixed_node, Segment.FIXED), (1, z1, Segment.ZONE1),
+                         (2, z2, Segment.ZONE2)):
+        assert w.category_of(Request(i, 0.0, 0, node)) == cat
+        assert w.category_of(Request(i, 0.0, node, 0)) == cat
 
 
 def test_advance_past_horizon_raises():
@@ -266,8 +258,8 @@ def test_advance_past_horizon_raises():
 
 
 def test_identical_runs_are_identical():
-    wa, sc = make_world(seed=5)
-    wb, _ = make_world(seed=5)
+    wa, sc = make_world(seed=5, sc=Scenario(warmup=0.0))
+    wb, _ = make_world(seed=5, sc=Scenario(warmup=0.0))
     for w in (wa, wb):
         w.dispatch_vehicle(0, 0)
         w.dispatch_vehicle(1, 2)
@@ -278,7 +270,7 @@ def test_identical_runs_are_identical():
         wa.advance_step()
         wb.advance_step()
     for va, vb in zip(wa.vehicles, wb.vehicles):
-        assert va.dist_total == vb.dist_total
+        assert va.dist_metric == vb.dist_metric
         assert [s.node for s in va.schedule] == [s.node for s in vb.schedule]
     assert [r.state for r in wa.requests] == [r.state for r in wb.requests]
 
@@ -318,7 +310,7 @@ def _logging_events(world):
 
 @pytest.mark.parametrize("kind", [PolicyKind.SOD, PolicyKind.RL_ZONAL])
 def test_event_heap_equals_the_rescan_oracle(kind):
-    sc = Scenario()
+    sc = Scenario(warmup=0.0)
     world = build_world(sc, kind, 3)
     ctrl = DispatchController(world, kind, sc.dispatch)
     twin, twin_ctrl = copy.deepcopy((world, ctrl), {id(world.net): world.net})
@@ -339,8 +331,8 @@ def test_event_heap_equals_the_rescan_oracle(kind):
     assert len(logs[0]) > 300
     assert [(r.state, r.pickup_time, r.dropoff_time) for r in world.requests] \
         == [(r.state, r.pickup_time, r.dropoff_time) for r in twin.requests]
-    assert [(v.dist_total, v.deployed_total) for v in world.vehicles] \
-        == [(v.dist_total, v.deployed_total) for v in twin.vehicles]
+    assert [(v.dist_metric, v.deployed_metric) for v in world.vehicles] \
+        == [(v.dist_metric, v.deployed_metric) for v in twin.vehicles]
 
 
 def test_event_time_tie_goes_to_the_lower_vehicle_id():

@@ -37,10 +37,7 @@ def random_mini_world(seed, net, max_vehicles=2, max_requests=5,
             o, d = net.terminus, node
         else:
             o, d = node, net.terminus
-        requests.append(Request(
-            id=rid, t_r=t_r, origin=o, destination=d,
-            origin_segment=net.labels[o],
-            destination_segment=net.labels[d]))
+        requests.append(Request(id=rid, t_r=t_r, origin=o, destination=d))
     requests.sort(key=lambda r: r.t_r)
     for i, r in enumerate(requests):
         r.id = i
