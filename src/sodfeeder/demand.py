@@ -27,6 +27,16 @@ class RequestState(Enum):
     REJECTED = "rejected"
 
 
+# the legal lifecycle moves; SERVED and REJECTED are final
+_NEXT_STATES = {
+    RequestState.PENDING: (RequestState.ASSIGNED, RequestState.REJECTED),
+    RequestState.ASSIGNED: (RequestState.RIDING,),
+    RequestState.RIDING: (RequestState.SERVED,),
+    RequestState.SERVED: (),
+    RequestState.REJECTED: (),
+}
+
+
 @dataclass
 class Request:
     id: int
@@ -46,12 +56,7 @@ class Request:
     served_at_fixed_stop: bool = False
 
     def transition(self, new_state):
-        allowed = {
-            RequestState.PENDING: {RequestState.ASSIGNED, RequestState.REJECTED},
-            RequestState.ASSIGNED: {RequestState.RIDING},
-            RequestState.RIDING: {RequestState.SERVED},
-        }
-        if new_state not in allowed.get(self.state, set()):
+        if new_state not in _NEXT_STATES[self.state]:
             raise ValueError("illegal lifecycle transition %s -> %s"
                              % (self.state, new_state))
         self.state = new_state

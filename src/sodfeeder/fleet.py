@@ -50,10 +50,10 @@ class Vehicle:
     id: int
     capacity: int = 20
     fleet_class: FleetClass = FleetClass.CONTROLLABLE
-    node: int = 0
     zone: int | None = None          # z_v for the current cycle; None when idle
     status: VehicleStatus = VehicleStatus.AT_TERMINUS
     schedule: list = field(default_factory=list)
+    epoch: int = 0                   # world epoch of the last schedule change
     next_idx: int = 0                # next stop with a pending arrival event
     onboard: list = field(default_factory=list)
     window_open_idx: int | None = None   # last outbound fixed stop
@@ -61,7 +61,6 @@ class Vehicle:
     dispatch_time: float | None = None
     dist_metric: float = 0.0         # m driven after the warm-up cutoff
     deployed_metric: float = 0.0     # s deployed after the warm-up cutoff
-    cycles_completed: int = 0
 
     def free_insert_min(self):
         """Smallest schedule index a newly inserted stop may take."""

@@ -9,27 +9,30 @@ schedule-cost increase is applied; ties break on (vehicle id, pickup
 position).  Requests with no feasible candidate stay pending and are
 rejected once their wait deadline lapses.
 
-Three shortcuts skip work without changing any result.  The window screen
+Four shortcuts skip work without changing any result.  The window screen
 (``_window_positions``) drops a new flexible stop whose window span would
-exceed the limit.  The rider screen in ``enumerate_candidates`` drops a
+exceed the limit, and the whole window, unlooked at, when its slack is below
+one dwell: inserting x between a and b delays it by tt(a,x) + dwell +
+tt(x,b) - tt(a,b), and shortest-path times keep tt(a,x) + tt(x,b) >=
+tt(a,b) to within round-off (1.1e-13 s on the default corridor, far inside
+``SCREEN_MARGIN``).  The rider screen in ``enumerate_candidates`` drops a
 placement that breaks the new rider's own wait or ride bound, read off the
 unmodified schedule: stops before the rider's stop keep their times, so its
 arrival and the terminus departure are exactly what ``retime`` gives, and
 since no stop after boarding idles, the terminus arrival is the old one plus
 the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The retry
-memo (``world.no_fit``, request id -> {vehicle id: schedule list}) remembers,
-for a pending request left without a candidate, the schedule list of every
-vehicle; the next round skips each vehicle whose ``schedule`` is still that
-same object.  This is sound because a schedule list is replaced, never
-mutated, whenever it changes (``_apply``, dispatch, arrival at the terminus;
-only cloned candidates are edited), and with an unchanged schedule,
-advancing the vehicle only raises ``free_insert_min``/``free_stop_min``, so
-the placements left are a subset of those already tried.  Each of them
-rebuilds to the same times, load and window span, since riders that boarded
-meanwhile sit before the insertion point and boarded at their planned times;
-so none can have become feasible.  A memo entry also marks the request's
-plan as resolved, and it is dropped when the request is assigned or
-rejected.
+memo (``world.no_fit``, request id -> schedule epoch) keeps the epoch at
+which a pending request last found no candidate; ``World.set_schedule``,
+the one writer of schedules, moves it on and stamps the vehicle.  If it has
+not moved, the request stays pending unexamined; if it has, only vehicles
+stamped after the memo are examined.  Sound because with an unchanged
+schedule (so unchanged zone and window), advancing a vehicle only raises
+``free_insert_min``/``free_stop_min`` and ends its boarding, so the
+placements left are a subset of those already tried, and each rebuilds to
+the same times, load and window span: riders that boarded meanwhile sit
+before the insertion point and boarded at their planned times.  A memo entry
+also marks the request's plan as resolved; it is dropped when the request is
+assigned or rejected.
 """
 
 from __future__ import annotations
@@ -121,18 +124,18 @@ def zone_compatible(world, request, vehicle):
     return True
 
 
-def schedule_cost_terms(world, schedule):
+def schedule_cost_terms(world, schedule, pt=None):
     """(small-magnitude cost, n_requests, n_fixed_served) for one schedule.
 
     The cost part is gamma_o * planned distance + gamma_t * sum of
     (dropoff - request time); the counts carry the satisfaction rewards
-    separately so that cost differences stay numerically exact.
+    separately so that cost differences stay numerically exact.  ``pt`` is
+    the schedule's ``planned_times``, when the caller already has it.
     """
     c = world.params.coeffs
     cost = c.o_per_m * schedule_distance(schedule, world.net)
-    pt = planned_times(schedule)
-    n_r = 0
-    n_s = 0
+    pt = planned_times(schedule) if pt is None else pt
+    n_r = n_s = 0
     for rid, (pk, dr) in pt.items():
         if dr is None:
             continue
@@ -145,11 +148,8 @@ def schedule_cost_terms(world, schedule):
 
 
 def vehicle_rho(world, schedule):
-    """Single-vehicle share of the fleet schedule cost.
-
-    gamma_o * planned distance + gamma_t * sum of (dropoff - request time)
-    over assigned requests, minus the satisfaction rewards.
-    """
+    """Single-vehicle share of the fleet schedule cost: its cost terms
+    minus the satisfaction rewards."""
     c = world.params.coeffs
     cost, n_r, n_s = schedule_cost_terms(world, schedule)
     return cost - c.gamma_r * n_r - c.gamma_s * n_s
@@ -162,17 +162,18 @@ def rho(world):
 
 
 def _feasible(world, vehicle, schedule, window_close_idx):
+    """``planned_times`` of a schedule meeting every constraint, else None."""
     lim = world.params.limits
     # flexible window
     if vehicle.window_open_idx is not None and window_close_idx is not None:
         span = (schedule[window_close_idx].arrival
                 - schedule[vehicle.window_open_idx].departure)
         if span > lim.flex_window + EPS:
-            return False
+            return None
     # capacity
     if peak_load(schedule, len(vehicle.onboard),
                  vehicle.free_stop_min()) > vehicle.capacity:
-        return False
+        return None
     # service constraints for every request touched by this schedule
     pt = planned_times(schedule)
     for rid, (pk, dr) in pt.items():
@@ -181,10 +182,10 @@ def _feasible(world, vehicle, schedule, window_close_idx):
         if pickup is None or dr is None:
             continue
         if req.state != RequestState.RIDING and pickup - req.t_r > lim.max_wait + EPS:
-            return False
+            return None
         if dr - pickup > lim.max_ride(req.direct_time) + EPS:
-            return False
-    return True
+            return None
+    return pt
 
 
 def _window_positions(world, vehicle, node):
@@ -197,16 +198,19 @@ def _window_positions(world, vehicle, node):
     ``delay`` = tt(a,x) + dwell(x) + tt(x,b) - tt(a,b).  A position whose
     window span would then exceed the window by more than float round-off
     cannot pass ``_feasible`` and is skipped without building its schedule.
+    A window without room for one dwell is not looked into at all.
     """
     if vehicle.window_open_idx is None:
         return []
     p = world.params
-    times = world.net.times
     sched = vehicle.schedule
     close = vehicle.window_close_idx
     span0 = sched[close].arrival - sched[vehicle.window_open_idx].departure
     dwell = p.dwell_base + p.dwell_per_pax
     limit = p.limits.flex_window + EPS + SCREEN_MARGIN
+    if span0 + dwell > limit:
+        return []
+    times = world.net.times
     from_x = times[node]
     out = []
     for pos in range(max(vehicle.window_open_idx + 1, vehicle.free_insert_min()),
@@ -237,7 +241,7 @@ def _places(world, vehicle, node):
             for pos, delay in _window_positions(world, vehicle, node)]
 
 
-def enumerate_candidates(world, request, base_terms=None, seen=None):
+def enumerate_candidates(world, request, base_terms=None, since=-1):
     """All feasible insertions of the request across zone-compatible vehicles.
 
     The request is one of ``world.requests`` with its service plan resolved
@@ -247,15 +251,14 @@ def enumerate_candidates(world, request, base_terms=None, seen=None):
     window and rider screens is built, retimed and checked exactly by
     ``_feasible``.  ``base_terms`` caches each vehicle's
     ``schedule_cost_terms`` over one matching round; it is filled on a
-    vehicle's first feasible candidate.  ``seen``, the request's retry memo,
-    skips every vehicle whose schedule is still the one that had no fit.
+    vehicle's first feasible candidate.  ``since``, the request's retry memo
+    (the schedule epoch of its last attempt without a fit), skips every
+    vehicle whose schedule has not changed after that attempt.
     """
     outbound = request.pickup_node == world.net.terminus
     node = request.dropoff_node if outbound else request.pickup_node
     if base_terms is None:
         base_terms = {}
-    if seen is None:
-        seen = {}
     p = world.params
     c = p.coeffs
     net = world.net
@@ -264,7 +267,7 @@ def enumerate_candidates(world, request, base_terms=None, seen=None):
     ride_limit = p.limits.max_ride(request.direct_time) + EPS + SCREEN_MARGIN
     out = []
     for v in world.vehicles:
-        if (not v.schedule or seen.get(v.id) is v.schedule
+        if (not v.schedule or v.epoch <= since
                 or not zone_compatible(world, request, v)):
             continue
         base_sched = v.schedule
@@ -292,12 +295,13 @@ def enumerate_candidates(world, request, base_terms=None, seen=None):
             sched[dr].alight.append(request.id)
             retime(sched, v.status, v.next_idx, net, p.dwell_base,
                    p.dwell_per_pax)
-            if not _feasible(world, v, sched, close):
+            pt = _feasible(world, v, sched, close)
+            if pt is None:
                 continue
             base = base_terms.get(v.id)
             if base is None:
                 base = base_terms[v.id] = schedule_cost_terms(world, v.schedule)
-            cost, n_r, n_s = schedule_cost_terms(world, sched)
+            cost, n_r, n_s = schedule_cost_terms(world, sched, pt)
             delta = (cost - base[0] - c.gamma_r * (n_r - base[1])
                      - c.gamma_s * (n_s - base[2]))
             out.append(InsertionCandidate(v.id, pk, dr, sched, close, delta))
@@ -311,30 +315,34 @@ def match_step(world, walk_speed=1.25, walk_cap=600.0):
     rest in request-time order.  A request left without a candidate keeps a
     retry memo in ``world.no_fit`` until it is assigned or rejected."""
     rep = MatchReport()
-    lim = world.params.limits
     memo = world.no_fit
     base_terms = {}   # vehicle id -> schedule_cost_terms of its schedule
     for req in world.pending_requests():
-        if world.now - req.t_r > lim.max_wait + EPS:
+        if world.now - req.t_r > world.params.limits.max_wait + EPS:
             req.transition(RequestState.REJECTED)
             world.rejected_total += 1
             rep.rejected.append(req.id)
             memo.pop(req.id, None)
 
     for req in world.pending_requests():
-        seen = memo.pop(req.id, None)
-        if seen is None and not resolve_service_plan(world, req, walk_speed,
-                                                     walk_cap):
+        since = memo.get(req.id, -1)
+        if since == world.epoch:
+            # no schedule has changed since its last try (module docstring)
+            rep.pending.append(req.id)
+            continue
+        if since < 0 and not resolve_service_plan(world, req, walk_speed,
+                                                  walk_cap):
             # fixed-route mode: endpoint beyond the walking cap of any stop
             req.transition(RequestState.REJECTED)
             world.rejected_total += 1
             rep.rejected.append(req.id)
             continue
-        cands = enumerate_candidates(world, req, base_terms, seen)
+        cands = enumerate_candidates(world, req, base_terms, since)
         if not cands:
-            memo[req.id] = {v.id: v.schedule for v in world.vehicles}
+            memo[req.id] = world.epoch
             rep.pending.append(req.id)
             continue
+        memo.pop(req.id, None)
         best = cands[0]
         _apply(world, req, best, base_terms)
         rep.assigned.append((req.id, best.vehicle_id))
@@ -343,7 +351,7 @@ def match_step(world, walk_speed=1.25, walk_cap=600.0):
 
 def _apply(world, request, cand, base_terms):
     v = world.vehicles[cand.vehicle_id]
-    v.schedule = cand.schedule
+    world.set_schedule(v, cand.schedule)
     base_terms.pop(v.id, None)
     if cand.window_close_idx is not None:
         v.window_close_idx = cand.window_close_idx

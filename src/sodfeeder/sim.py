@@ -30,10 +30,10 @@ class World:
     ``params`` holds the ``Scenario`` the world runs under.  ``requests``
     must be feeder trips (one end at the terminus) sorted by request time
     with ids 0..n-1 in list order, and each vehicle's id is its index in
-    ``vehicles``; the clock ``now`` only moves forward.  ``no_fit`` is
-    matching's retry memo (request id -> {vehicle id: schedule list}); it
-    lives here so that a deep copy of the world copies it together with the
-    vehicle schedules it refers to.
+    ``vehicles``; the clock ``now`` only moves forward.  Every schedule
+    change goes through ``set_schedule``, which bumps the schedule ``epoch``
+    and stamps the vehicle with it.  ``no_fit`` is matching's retry memo
+    (request id -> the epoch of its last attempt without a fit).
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
     assigned requests in category c (two per ASSIGNED request, one per
     RIDING one); assignment, boarding and alighting keep it current.
@@ -62,12 +62,13 @@ class World:
             2: net.nearest_mainline_node(net.spec.mainline_length),
         }
 
+        self.epoch = 0
         self.vehicles = []
         for i in range(scenario.n_vehicles):
             reserved = split_fleet and i < scenario.n_reserved
             cls = FleetClass.RESERVED if reserved else FleetClass.CONTROLLABLE
             self.vehicles.append(Vehicle(id=i, capacity=scenario.capacity,
-                                         fleet_class=cls, node=net.terminus))
+                                         fleet_class=cls))
 
         self.rejected_total = 0
         self.lateness_skips = 0
@@ -127,6 +128,16 @@ class World:
                 else request.origin)
         return self.net.labels[node]
 
+    # ---- schedules ---------------------------------------------------------
+
+    def set_schedule(self, vehicle, schedule):
+        """The one writer of ``Vehicle.schedule``: a schedule list is
+        replaced whole, never edited once set.  Moves the schedule epoch on
+        and stamps the vehicle with it."""
+        self.epoch += 1
+        vehicle.epoch = self.epoch
+        vehicle.schedule = schedule
+
     # ---- dispatching -------------------------------------------------------
 
     def available_vehicles(self, fleet_class=None):
@@ -160,12 +171,13 @@ class World:
             v.window_close_idx = len(self.fixed_stop_nodes) + 2  # first inbound fixed
         stops.append(Stop(net.terminus, StopKind.TERMINUS_ARRIVE))
 
-        v.schedule = stops
+        retime(stops, VehicleStatus.BOARDING, 0, net, p.dwell_base,
+               p.dwell_per_pax)
+        self.set_schedule(v, stops)
         v.status = VehicleStatus.BOARDING
         v.zone = z
         v.next_idx = 0
         v.dispatch_time = self.now
-        retime(v.schedule, v.status, v.next_idx, net, p.dwell_base, p.dwell_per_pax)
 
         if z == 0:
             for cat in (0, 1, 2):
@@ -237,7 +249,6 @@ class World:
         prev = v.schedule[v.next_idx - 1]
         v.dist_metric += (self.net.distances[prev.node][stop.node]
                           * self._metric_share(prev.departure, stop.arrival))
-        v.node = stop.node
         rep.arrivals += 1
 
         for rid in stop.alight:
@@ -257,11 +268,10 @@ class World:
                                                        stop.arrival))
             v.status = VehicleStatus.AT_TERMINUS
             v.zone = None
-            v.schedule = []
+            self.set_schedule(v, [])
             v.next_idx = 0
             v.window_open_idx = None
             v.window_close_idx = None
-            v.cycles_completed += 1
         else:
             v.next_idx += 1
 

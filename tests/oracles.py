@@ -327,7 +327,7 @@ def oracle_match(world, walk_speed=1.25, walk_cap=600.0):
             continue
         _, vid, pk_idx, dr_idx, stops, close = best
         v = world.vehicles[vid]
-        v.schedule = stops
+        world.set_schedule(v, stops)
         if close is not None:
             v.window_close_idx = close
         req.transition(RequestState.ASSIGNED)

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodfeeder.corridor import CorridorSpec, Segment, build_corridor
 
@@ -89,6 +92,37 @@ def test_tables_match_the_ladder_closed_form(spec):
             assert net.distances[a][b] == pytest.approx(d, rel=1e-12, abs=1e-9)
             assert net.travel_time(a, b) == net.times[a][b]
             assert net.travel_distance(a, b) == net.distances[a][b]
+
+
+def _obeys_the_triangle_inequality(net):
+    """times[a][b] <= times[a][x] + times[x][b] + 1e-9 for every triple:
+    the premise of matching's window-slack screen."""
+    t = np.array(net.times)
+    return bool((t[:, None, :] <= t[:, :, None] + t[None, :, :] + 1e-9).all())
+
+
+@pytest.mark.parametrize("spec", [CorridorSpec(), CorridorSpec(side_depth=0)],
+                         ids=["default", "no_side_streets"])
+def test_travel_times_obey_the_triangle_inequality(spec):
+    assert _obeys_the_triangle_inequality(build_corridor(spec))
+
+
+@st.composite
+def corridor_specs(draw):
+    lengths = tuple(draw(st.floats(300.0, 2500.0)) for _ in range(3))
+    return CorridorSpec(
+        mainline_length=sum(lengths), segment_lengths=lengths,
+        side_spacing=draw(st.floats(250.0, 900.0)),
+        side_depth=draw(st.sampled_from([0.0, 150.0, 320.0, 450.0])),
+        side_node_spacing=draw(st.floats(120.0, 400.0)),
+        mainline_speed=draw(st.floats(4.0, 15.0)),
+        side_speed=draw(st.floats(2.0, 8.0)))
+
+
+@given(spec=corridor_specs())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_random_corridors_obey_the_triangle_inequality(spec):
+    assert _obeys_the_triangle_inequality(build_corridor(spec))
 
 
 def test_deterministic_rebuild(net):

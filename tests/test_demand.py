@@ -134,6 +134,22 @@ def test_lifecycle_transitions():
         r2.transition(RequestState.RIDING)
 
 
+def test_every_state_pair_against_the_legal_moves():
+    legal = {("pending", "assigned"), ("pending", "rejected"),
+             ("assigned", "riding"), ("riding", "served")}
+    pairs = [(a, b) for a in RequestState for b in RequestState]
+    assert len(pairs) == 25
+    for old, new in pairs:
+        r = Request(0, 0.0, 0, 5, state=old)
+        if (old.value, new.value) in legal:
+            r.transition(new)
+            assert r.state is new
+        else:
+            with pytest.raises(ValueError, match="illegal lifecycle"):
+                r.transition(new)
+            assert r.state is old
+
+
 def test_csv_round_trip(tmp_path, net):
     reqs = generate_instance(net, DemandProfile(), 10800, 11)
     path = tmp_path / "demand.csv"

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +362,93 @@ def test_window_filled_exactly_still_accepts_the_insertion(to_corridor):
     _assert_same_round(w, copy.deepcopy(w), "exact window")
 
 
+def _window_span_and_dwell():
+    """The window span of a zone-0 vehicle just dispatched, and one full
+    dwell, under the default scenario."""
+    probe, net = make_world(n_vehicles=1)
+    v = probe.dispatch_vehicle(0, 0)
+    p = probe.params
+    return (v.schedule[v.window_close_idx].arrival
+            - v.schedule[v.window_open_idx].departure,
+            p.dwell_base + p.dwell_per_pax)
+
+
+def _window_world(flex_window):
+    """That vehicle under ``flex_window``, with an outbound and an inbound
+    rider at a mainline node between the window's fixed stop and its
+    turnaround, so that a new stop there delays the window by one dwell."""
+    sc = Scenario(n_vehicles=1, n_reserved=0,
+                  limits=FeasibilityLimits(flex_window=flex_window))
+    net = sc.network()
+    flex = net.nearest_mainline_node(4000)
+    w = World(net, sc, [feeder_request(net, 0, 0.0, flex),
+                        feeder_request(net, 1, 0.0, flex, to_corridor=False)])
+    w.dispatch_vehicle(0, 0)
+    for req in w.requests:
+        assert resolve_service_plan(w, req, 1.25, 600.0)
+    return w
+
+
+@pytest.mark.parametrize("ulps_under", [0, 1])
+def test_window_slack_of_one_dwell_still_accepts_the_insertion(ulps_under):
+    # slack of exactly one dwell, and one float step under it (the screen's
+    # margin absorbs it, as _feasible's EPS does): the placement delaying the
+    # window by one dwell fills it and is accepted
+    span0, dwell = _window_span_and_dwell()
+    flex_window = span0 + dwell
+    for _ in range(ulps_under):
+        flex_window = math.nextafter(flex_window, -math.inf)
+    w = _window_world(flex_window)
+    v = w.vehicles[0]
+    best = enumerate_candidates(w, w.requests[0])[0]
+    assert (best.schedule[best.window_close_idx].arrival
+            - best.schedule[v.window_open_idx].departure) == \
+        pytest.approx(span0 + dwell, rel=0, abs=1e-9)
+    _assert_same_round(w, copy.deepcopy(w), "slack of one dwell")
+    assert [r.state for r in w.requests] == [RequestState.ASSIGNED,
+                                             RequestState.PENDING]
+
+
+def _count_window_looks(monkeypatch, counts):
+    # each look into a window's positions asks for free_insert_min once
+    _count_calls(monkeypatch, fleet.Vehicle, "free_insert_min", counts,
+                 "looks")
+
+
+def test_window_short_of_one_dwell_builds_no_flexible_schedule(monkeypatch):
+    # slack one dwell minus 1 ms: no new stop fits, so the window is not
+    # even looked into, nothing is built, and the round equals the oracle's
+    span0, dwell = _window_span_and_dwell()
+    w = _window_world(span0 + dwell - 1e-3)
+    counts = {"built": 0, "looks": 0}
+    _count_calls(monkeypatch, matching, "retime", counts, "built")
+    _count_window_looks(monkeypatch, counts)
+    for req in w.requests:
+        assert enumerate_candidates(w, req) == []
+    assert counts == {"built": 0, "looks": 0}
+    _assert_same_round(w, copy.deepcopy(w), "slack short of one dwell")
+    assert all(r.state is RequestState.PENDING for r in w.requests)
+
+
+def test_window_slack_screen_is_strict_at_its_limit(monkeypatch):
+    # a window whose span plus one dwell lands exactly on the screen's limit
+    # is still looked into position by position
+    span0, dwell = _window_span_and_dwell()
+    flex_window = span0 + dwell - matching.EPS - matching.SCREEN_MARGIN
+    for _ in range(200):
+        limit = flex_window + matching.EPS + matching.SCREEN_MARGIN
+        if limit == span0 + dwell:
+            break
+        flex_window = math.nextafter(
+            flex_window, math.inf if limit < span0 + dwell else -math.inf)
+    assert limit == span0 + dwell
+    w = _window_world(flex_window)
+    counts = {"looks": 0}
+    _count_window_looks(monkeypatch, counts)
+    matching._window_positions(w, w.vehicles[0], w.requests[0].dropoff_node)
+    assert counts["looks"] == 1
+
+
 @pytest.mark.parametrize("stop", ["flexible", "fixed"])
 @pytest.mark.parametrize("bound", ["wait", "ride"])
 @pytest.mark.parametrize("to_corridor", [True, False])
@@ -499,24 +587,36 @@ def _schedules(world):
 
 @pytest.mark.parametrize("kind", [PolicyKind.SOD, PolicyKind.NOMINAL_ZONAL])
 @pytest.mark.parametrize("case", list(MEMO_SCENARIOS))
-def test_retry_memo_never_changes_a_round(case, kind):
+def test_retry_memo_never_changes_a_round(case, kind, monkeypatch):
     # every round of a full episode equals the round a deep-copied twin
-    # runs with the retry memo emptied, so every insertion is rebuilt
+    # runs with the retry memo emptied, so every insertion is rebuilt; the
+    # memo skips a retry whole when the schedule epoch has not moved since
+    # it, and otherwise each vehicle whose schedule is no newer than it
     sc = MEMO_SCENARIOS[case]()
     net = sc.network()
     world = build_world(sc, kind, 0, net=net)
     ctrl = DispatchController(world, kind, sc.dispatch)
     walk = dict(walk_speed=sc.demand.walk_speed, walk_cap=sc.demand.walk_cap)
-    skipped = 0
+    skipped = {"request": 0, "vehicle": 0}
+    enumerate_all = matching.enumerate_candidates
+
+    def counted(world, request, base_terms=None, since=-1):
+        skipped["vehicle"] += sum(1 for v in world.vehicles
+                                  if v.schedule and v.epoch <= since)
+        return enumerate_all(world, request, base_terms, since)
+
+    monkeypatch.setattr(matching, "enumerate_candidates", counted)
     for step in range(sc.n_steps):
         ctrl.baseline_dispatch()
-        skipped += sum(1 for seen in world.no_fit.values()
-                       for v in world.vehicles
-                       if v.schedule and seen.get(v.id) is v.schedule)
         twin = copy.deepcopy(world, {id(net): net})
         twin.no_fit = {}
+        memo = dict(world.no_fit)
         assert match_step(world, **walk) == match_step(twin, **walk), step
         assert _schedules(world) == _schedules(twin), step
         assert set(world.no_fit) == {r.id for r in world.pending_requests()}
+        # a retry that enumerated records a newer epoch; one skipped whole
+        # keeps its memo
+        skipped["request"] += sum(1 for rid, since in world.no_fit.items()
+                                  if memo.get(rid) == since)
         world.advance_step()
-    assert skipped > 0
+    assert skipped["request"] > 0 and skipped["vehicle"] > 0, skipped

@@ -1,8 +1,11 @@
 import copy
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sodfeeder
 from sodfeeder.corridor import Segment
 from sodfeeder.demand import (DemandProfile, Request, RequestState,
                               generate_instance)
@@ -105,12 +108,56 @@ def test_empty_cycle_completes_and_accrues_distance():
     steps = int(end // sc.t_step) + 2
     for _ in range(steps):
         w.advance_step()
+    # the cycle completed: back at the terminus with nothing planned, and
+    # its whole duration counted as deployed
     assert v.status is VehicleStatus.AT_TERMINUS
-    assert v.cycles_completed == 1
     assert v.schedule == []
     assert v.zone is None
     assert v.dist_metric == pytest.approx(2 * 5600.0)
     assert v.deployed_metric == pytest.approx(end)
+
+
+def _epochs(w):
+    return w.epoch, [v.epoch for v in w.vehicles]
+
+
+def test_each_schedule_writer_bumps_the_epoch_and_stamps_its_vehicle():
+    sc = Scenario(n_vehicles=3, n_reserved=0)
+    net = sc.network()
+    req = Request(0, 0.0, net.terminus, net.nearest_mainline_node(2000))
+    w = World(net, sc, [req])
+    assert _epochs(w) == (0, [0, 0, 0])
+    v = w.dispatch_vehicle(1, 0)
+    assert _epochs(w) == (1, [0, 1, 0])
+    assert match_step(w).assigned == [(0, 1)]
+    assert _epochs(w) == (2, [0, 2, 0])
+    while v.schedule:           # until the terminus arrival clears it
+        w.advance_step()
+    assert v.status is VehicleStatus.AT_TERMINUS
+    assert _epochs(w) == (3, [0, 3, 0])
+
+
+def test_snapshot_restore_keeps_the_epochs_and_the_memo(scenario):
+    env = ZonalDispatchEnv(scenario)
+    env.reset(4)
+    for _ in range(20):
+        env.step(0 if env.t % 4 == 0 else 3)
+    snap = env.snapshot()
+    want = _epochs(env.world), dict(env.world.no_fit)
+    for _ in range(8):
+        env.step(1)
+    assert _epochs(env.world) != want[0]
+    env.restore(snap)
+    assert (_epochs(env.world), env.world.no_fit) == want
+
+
+def test_set_schedule_is_the_one_schedule_writer():
+    src = Path(sodfeeder.__file__).parent
+    writes = [(path.name, line.strip())
+              for path in sorted(src.glob("*.py"))
+              for line in path.read_text().splitlines()
+              if re.search(r"\.schedule\s*=(?!=)", line)]
+    assert writes == [("sim.py", "vehicle.schedule = schedule")]
 
 
 def test_last_departure_bookkeeping():
