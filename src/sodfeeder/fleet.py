@@ -4,6 +4,8 @@ A schedule is an ordered stop list: terminus departure, outbound fixed stops,
 a flexible window (door-to-door stops around a mandatory turnaround), inbound
 fixed stops, terminus arrival.  Planned times are kept exact on every stop and
 recomputed from the vehicle's committed position whenever the schedule changes.
+A schedule a vehicle holds is replaced, never edited, so its stops may be
+shared with a candidate schedule built from it.
 """
 
 from __future__ import annotations
@@ -89,69 +91,70 @@ def stop_dwell(stop, dwell_base, dwell_per_pax):
     return 0.0
 
 
-def retime(schedule, status, next_idx, net, dwell_base, dwell_per_pax):
+def retime(schedule, status, next_idx, net, dwell_base, dwell_per_pax,
+           first=0):
     """Recompute planned times after the committed anchor, in place.
 
     BOARDING: stop 0's departure is fixed (the 5-min boarding window).
     EN_ROUTE: the arrival at ``next_idx`` is committed; its dwell and all
-    later stops are recomputed.
+    later stops are recomputed.  Only stops from ``first`` on are touched:
+    the caller vouches that the stops before it already hold the times a
+    full retime gives them (they are unchanged since their last retime).
     """
-    if not schedule:
-        return
+    n = len(schedule)
     if status == VehicleStatus.BOARDING:
-        start = 1
-    else:
-        j = next_idx
-        if j >= len(schedule):
-            return
-        s = schedule[j]
-        if j == len(schedule) - 1:
+        start = max(1, first)
+    elif first <= next_idx < n:
+        s = schedule[next_idx]
+        if next_idx == n - 1:
             s.departure = s.arrival
         else:
             s.departure = s.arrival + stop_dwell(s, dwell_base, dwell_per_pax)
-        start = j + 1
+        start = next_idx + 1
+    else:
+        start = max(first, next_idx + 1)
     times = net.times
-    for j in range(start, len(schedule)):
+    for j in range(start, n):
         prev = schedule[j - 1]
         s = schedule[j]
         s.arrival = prev.departure + times[prev.node][s.node]
-        if j == len(schedule) - 1:
+        if j == n - 1:
             s.departure = s.arrival
         else:
             s.departure = s.arrival + stop_dwell(s, dwell_base, dwell_per_pax)
 
 
-def planned_times(schedule):
-    """Map request id -> (planned pickup time, planned dropoff time).
+def walk(schedule, net, start_load, from_idx):
+    """``(planned, peak, distance)`` of a schedule in one pass over its stops.
 
-    Pickups at the terminus departure stop use the departure time; everything
-    else uses the stop arrival.
+    ``planned`` maps request id -> [planned pickup, planned dropoff] in
+    order of first appearance, a stop's board list before its alight list;
+    a pickup at the terminus departure stop is its departure, every other
+    time a stop arrival.  ``peak`` is the most riders on board from stop
+    ``from_idx`` on, starting from ``start_load``.  ``distance`` is the
+    planned driving distance, summed leg by leg from 0.0.
     """
-    out = {}
-    for s in schedule:
-        for rid in s.board:
-            t = s.departure if s.kind == StopKind.TERMINUS_DEPART else s.arrival
-            out.setdefault(rid, [None, None])[0] = t
-        for rid in s.alight:
-            out.setdefault(rid, [None, None])[1] = s.arrival
-    return out
-
-
-def schedule_distance(schedule, net):
-    """Planned driving distance over the whole stop sequence."""
-    distances = net.distances
+    planned = {}
+    load = peak = start_load
     d = 0.0
-    for a, b in zip(schedule, schedule[1:]):
-        d += distances[a.node][b.node]
-    return d
-
-
-def peak_load(schedule, start_load, from_idx):
-    """Maximum onboard count reached from ``from_idx`` onward."""
-    load = start_load
-    peak = start_load
-    for s in schedule[from_idx:]:
-        load -= len(s.alight)
-        load += len(s.board)
-        peak = max(peak, load)
-    return peak
+    distances = net.distances
+    depart = StopKind.TERMINUS_DEPART
+    prev = None
+    for j, s in enumerate(schedule):
+        if j:
+            d += distances[prev][s.node]
+        prev = s.node
+        board, alight = s.board, s.alight
+        if board:
+            t = s.departure if s.kind is depart else s.arrival
+            for rid in board:
+                planned.setdefault(rid, [None, None])[0] = t
+        if alight:
+            t = s.arrival
+            for rid in alight:
+                planned.setdefault(rid, [None, None])[1] = t
+        if j >= from_idx:
+            load += len(board) - len(alight)
+            if load > peak:
+                peak = load
+    return planned, peak, d

@@ -23,16 +23,26 @@ since no stop after boarding idles, the terminus arrival is the old one plus
 the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The retry
 memo (``world.no_fit``, request id -> schedule epoch) keeps the epoch at
 which a pending request last found no candidate; ``World.set_schedule``,
-the one writer of schedules, moves it on and stamps the vehicle.  If it has
-not moved, the request stays pending unexamined; if it has, only vehicles
-stamped after the memo are examined.  Sound because with an unchanged
-schedule (so unchanged zone and window), advancing a vehicle only raises
-``free_insert_min``/``free_stop_min`` and ends its boarding, so the
+the one writer of schedules, moves it on and stamps the vehicle, but not
+for an empty schedule: that takes no rider, so it adds no placement.  If it
+has not moved, the request stays pending unexamined; if it has, only
+vehicles stamped after the memo are examined.  Sound because with an
+unchanged schedule (so unchanged zone and window), advancing a vehicle only
+raises ``free_insert_min``/``free_stop_min`` and ends its boarding, so the
 placements left are a subset of those already tried, and each rebuilds to
 the same times, load and window span: riders that boarded meanwhile sit
 before the insertion point and boarded at their planned times.  A memo entry
 also marks the request's plan as resolved; it is dropped when the request is
 assigned or rejected.
+
+A candidate shares its vehicle's stops before the insertion point: they
+keep their times, and a stop that ``set_schedule`` stored is never mutated
+again.  It copies stop 0 for an outbound rider and the stops from the
+insertion point on, which alone ``retime`` recomputes.  One ``fleet.walk``
+gives its times, load and distance; one pass over its riders, in the walk's
+order, checks their bounds and adds their ride costs to the distance cost,
+the very sum of ``schedule_cost_terms``.  So the winner's terms stand as its
+vehicle's base terms (``world.base_terms``) until its epoch moves.
 """
 
 from __future__ import annotations
@@ -41,8 +51,7 @@ from dataclasses import dataclass, field
 
 from .corridor import Segment
 from .demand import RequestState
-from .fleet import (Stop, StopKind, VehicleStatus, planned_times, retime,
-                    schedule_distance, peak_load)
+from .fleet import Stop, StopKind, VehicleStatus, retime, walk
 
 EPS = 1e-6
 # s; the window screen's allowance for float round-off in its bound, which
@@ -58,6 +67,7 @@ class InsertionCandidate:
     schedule: list
     window_close_idx: int | None
     delta_rho: float
+    terms: tuple          # schedule_cost_terms of ``schedule``
 
 
 @dataclass
@@ -108,43 +118,62 @@ def resolve_service_plan(world, request, walk_speed, walk_cap):
     return True
 
 
+def _serving_zones(world, request):
+    """The vehicle zone assignments that may serve the request: all three,
+    unless its non-terminus end is served door to door in zone k, which
+    leaves 0 (all zones) and k."""
+    term = world.net.terminus
+    node = (request.dropoff_node if request.pickup_node == term
+            else request.pickup_node)
+    if node == term or node in world.fixed_stop_set:
+        return (0, 1, 2)
+    return (0, 1) if world.net.labels[node] == Segment.ZONE1 else (0, 2)
+
+
 def zone_compatible(world, request, vehicle):
     """True iff every non-terminus, non-fixed-stop service point of the
     request lies in a zone served by the vehicle's current assignment."""
-    if vehicle.zone is None:
-        return False
-    term = world.net.terminus
-    for node in (request.pickup_node, request.dropoff_node):
-        if node == term or node in world.fixed_stop_set:
-            continue
-        seg = world.net.labels[node]
-        zone = 1 if seg == Segment.ZONE1 else 2
-        if vehicle.zone not in (0, zone):
-            return False
-    return True
+    return vehicle.zone in _serving_zones(world, request)
 
 
-def schedule_cost_terms(world, schedule, pt=None):
-    """(small-magnitude cost, n_requests, n_fixed_served) for one schedule.
-
-    The cost part is gamma_o * planned distance + gamma_t * sum of
-    (dropoff - request time); the counts carry the satisfaction rewards
-    separately so that cost differences stay numerically exact.  ``pt`` is
-    the schedule's ``planned_times``, when the caller already has it.
-    """
-    c = world.params.coeffs
-    cost = c.o_per_m * schedule_distance(schedule, world.net)
-    pt = planned_times(schedule) if pt is None else pt
+def _cost_terms(world, planned, distance, check):
+    """``schedule_cost_terms`` from a schedule's ``fleet.walk``: one pass
+    over its riders in ``planned`` order.  With ``check``, None as soon as
+    a rider breaks its wait or ride bound."""
+    p = world.params
+    c = p.coeffs
+    lim = p.limits
+    requests = world.requests
+    t_per_s = c.t_per_s
+    cost = c.o_per_m * distance
     n_r = n_s = 0
-    for rid, (pk, dr) in pt.items():
+    for rid, (pk, dr) in planned.items():
+        req = requests[rid]
+        if check:
+            riding = req.state is RequestState.RIDING
+            pickup = req.pickup_time if riding else pk
+            if pickup is not None and dr is not None and (
+                    (not riding and pickup - req.t_r > lim.max_wait + EPS)
+                    or dr - pickup > lim.max_ride(req.direct_time) + EPS):
+                return None
         if dr is None:
             continue
-        req = world.requests[rid]
-        cost += c.t_per_s * (dr - req.t_r)
+        cost += t_per_s * (dr - req.t_r)
         n_r += 1
         if req.served_at_fixed_stop:
             n_s += 1
     return cost, n_r, n_s
+
+
+def schedule_cost_terms(world, schedule):
+    """(small-magnitude cost, n_requests, n_fixed_served) for one schedule.
+
+    The cost part is gamma_o * planned distance + gamma_t * sum of
+    (dropoff - request time); the counts carry the satisfaction rewards
+    separately so that cost differences stay numerically exact.
+    """
+    planned, _, distance = walk(schedule, world.net, 0, 0)
+    return _cost_terms(world, planned, distance, False)
 
 
 def vehicle_rho(world, schedule):
@@ -161,45 +190,10 @@ def rho(world):
                for v in world.vehicles if v.schedule)
 
 
-def _feasible(world, vehicle, schedule, window_close_idx):
-    """``planned_times`` of a schedule meeting every constraint, else None."""
-    lim = world.params.limits
-    # flexible window
-    if vehicle.window_open_idx is not None and window_close_idx is not None:
-        span = (schedule[window_close_idx].arrival
-                - schedule[vehicle.window_open_idx].departure)
-        if span > lim.flex_window + EPS:
-            return None
-    # capacity
-    if peak_load(schedule, len(vehicle.onboard),
-                 vehicle.free_stop_min()) > vehicle.capacity:
-        return None
-    # service constraints for every request touched by this schedule
-    pt = planned_times(schedule)
-    for rid, (pk, dr) in pt.items():
-        req = world.requests[rid]
-        pickup = req.pickup_time if req.state == RequestState.RIDING else pk
-        if pickup is None or dr is None:
-            continue
-        if req.state != RequestState.RIDING and pickup - req.t_r > lim.max_wait + EPS:
-            return None
-        if dr - pickup > lim.max_ride(req.direct_time) + EPS:
-            return None
-    return pt
-
-
 def _window_positions(world, vehicle, node):
     """``(pos, delay)`` for each position inside the vehicle's flexible
     window where a new flexible stop at ``node`` (becoming ``schedule[pos]``)
-    may still fit.
-
-    Screen, not verdict: inserting x between stops a and b leaves every stop
-    before it on its exact times and delays every later stop by
-    ``delay`` = tt(a,x) + dwell(x) + tt(x,b) - tt(a,b).  A position whose
-    window span would then exceed the window by more than float round-off
-    cannot pass ``_feasible`` and is skipped without building its schedule.
-    A window without room for one dwell is not looked into at all.
-    """
+    passes the window screen (module docstring), as ``_places`` gives it."""
     if vehicle.window_open_idx is None:
         return []
     p = world.params
@@ -219,7 +213,7 @@ def _window_positions(world, vehicle, node):
         from_a = times[a]
         delay = from_a[node] + dwell + from_x[b] - from_a[b]
         if span0 + delay <= limit:
-            out.append((pos, delay))
+            out.append((pos, True, delay))
     return out
 
 
@@ -237,8 +231,7 @@ def _places(world, vehicle, node):
         return [(i, False, world.params.dwell_per_pax)
                 for i in range(max(1, vehicle.free_stop_min()), last)
                 if sched[i].node == node and sched[i].kind == StopKind.FIXED]
-    return [(pos, True, delay)
-            for pos, delay in _window_positions(world, vehicle, node)]
+    return _window_positions(world, vehicle, node)
 
 
 def enumerate_candidates(world, request, base_terms=None, since=-1):
@@ -248,27 +241,28 @@ def enumerate_candidates(world, request, base_terms=None, since=-1):
     (``resolve_service_plan``).  An outbound rider boards at the terminus
     departure of a vehicle still boarding, an inbound rider alights at the
     terminus arrival.  Each placement of the other end that survives the
-    window and rider screens is built, retimed and checked exactly by
-    ``_feasible``.  ``base_terms`` caches each vehicle's
-    ``schedule_cost_terms`` over one matching round; it is filled on a
-    vehicle's first feasible candidate.  ``since``, the request's retry memo
-    (the schedule epoch of its last attempt without a fit), skips every
-    vehicle whose schedule has not changed after that attempt.
+    window and rider screens is built and checked exactly.  ``base_terms``
+    caches each vehicle's ``schedule_cost_terms`` as vehicle id -> (epoch,
+    terms); a stale entry is replaced on the first feasible candidate.
+    ``since``, the request's retry memo (the schedule epoch of its last
+    attempt without a fit), skips every vehicle whose schedule has not
+    changed after that attempt.
     """
     outbound = request.pickup_node == world.net.terminus
     node = request.dropoff_node if outbound else request.pickup_node
     if base_terms is None:
         base_terms = {}
+    zones = _serving_zones(world, request)
     p = world.params
     c = p.coeffs
     net = world.net
     times = net.times
+    flex_limit = p.limits.flex_window + EPS
     wait_limit = p.limits.max_wait + EPS + SCREEN_MARGIN
     ride_limit = p.limits.max_ride(request.direct_time) + EPS + SCREEN_MARGIN
     out = []
     for v in world.vehicles:
-        if (not v.schedule or v.epoch <= since
-                or not zone_compatible(world, request, v)):
+        if not v.schedule or v.epoch <= since or v.zone not in zones:
             continue
         base_sched = v.schedule
         if outbound and (v.status != VehicleStatus.BOARDING
@@ -284,27 +278,42 @@ def enumerate_candidates(world, request, base_terms=None, since=-1):
             if (pickup - request.t_r > wait_limit
                     or dropoff - pickup > ride_limit):
                 continue
-            sched = [s.clone() for s in base_sched]
-            close = v.window_close_idx
+            # the stops before ``idx`` are shared, the rest are copies
+            sched = base_sched[:idx]
             if new:
-                sched.insert(idx, Stop(node, StopKind.FLEX))
-                if idx <= close:
-                    close += 1
+                sched.append(Stop(node, StopKind.FLEX))
+            sched += [s.clone() for s in base_sched[idx:]]
+            close = v.window_close_idx
+            if new and idx <= close:
+                close += 1
+            if outbound:
+                sched[0] = sched[0].clone()
             pk, dr = (0, idx) if outbound else (idx, len(sched) - 1)
             sched[pk].board.append(request.id)
             sched[dr].alight.append(request.id)
             retime(sched, v.status, v.next_idx, net, p.dwell_base,
-                   p.dwell_per_pax)
-            pt = _feasible(world, v, sched, close)
-            if pt is None:
+                   p.dwell_per_pax, idx)
+            if v.window_open_idx is not None and (
+                    sched[close].arrival - sched[v.window_open_idx].departure
+                    > flex_limit):
+                continue
+            planned, peak, distance = walk(sched, net, len(v.onboard),
+                                           v.free_stop_min())
+            if peak > v.capacity:
+                continue
+            terms = _cost_terms(world, planned, distance, True)
+            if terms is None:
                 continue
             base = base_terms.get(v.id)
-            if base is None:
-                base = base_terms[v.id] = schedule_cost_terms(world, v.schedule)
-            cost, n_r, n_s = schedule_cost_terms(world, sched, pt)
-            delta = (cost - base[0] - c.gamma_r * (n_r - base[1])
-                     - c.gamma_s * (n_s - base[2]))
-            out.append(InsertionCandidate(v.id, pk, dr, sched, close, delta))
+            if base is None or base[0] != v.epoch:
+                base = base_terms[v.id] = (
+                    v.epoch, schedule_cost_terms(world, base_sched))
+            cost, n_r, n_s = terms
+            _, (b_cost, b_r, b_s) = base
+            delta = (cost - b_cost - c.gamma_r * (n_r - b_r)
+                     - c.gamma_s * (n_s - b_s))
+            out.append(InsertionCandidate(v.id, pk, dr, sched, close, delta,
+                                          terms))
     out.sort(key=lambda c: (c.delta_rho, c.vehicle_id, c.pickup_idx,
                             c.dropoff_idx))
     return out
@@ -316,45 +325,36 @@ def match_step(world, walk_speed=1.25, walk_cap=600.0):
     retry memo in ``world.no_fit`` until it is assigned or rejected."""
     rep = MatchReport()
     memo = world.no_fit
-    base_terms = {}   # vehicle id -> schedule_cost_terms of its schedule
+    late = world.params.limits.max_wait + EPS
     for req in world.pending_requests():
-        if world.now - req.t_r > world.params.limits.max_wait + EPS:
+        since = memo.get(req.id, -1)
+        if world.now - req.t_r > late or (
+                since < 0 and not resolve_service_plan(world, req, walk_speed,
+                                                       walk_cap)):
+            # overdue (these lead the request-time order, so they go before
+            # any insertion), or beyond the walking cap in fixed-route mode
             req.transition(RequestState.REJECTED)
             world.rejected_total += 1
             rep.rejected.append(req.id)
             memo.pop(req.id, None)
-
-    for req in world.pending_requests():
-        since = memo.get(req.id, -1)
+            continue
         if since == world.epoch:
             # no schedule has changed since its last try (module docstring)
             rep.pending.append(req.id)
             continue
-        if since < 0 and not resolve_service_plan(world, req, walk_speed,
-                                                  walk_cap):
-            # fixed-route mode: endpoint beyond the walking cap of any stop
-            req.transition(RequestState.REJECTED)
-            world.rejected_total += 1
-            rep.rejected.append(req.id)
-            continue
-        cands = enumerate_candidates(world, req, base_terms, since)
+        cands = enumerate_candidates(world, req, world.base_terms, since)
         if not cands:
             memo[req.id] = world.epoch
             rep.pending.append(req.id)
             continue
         memo.pop(req.id, None)
         best = cands[0]
-        _apply(world, req, best, base_terms)
-        rep.assigned.append((req.id, best.vehicle_id))
+        v = world.vehicles[best.vehicle_id]
+        world.set_schedule(v, best.schedule)
+        world.base_terms[v.id] = (v.epoch, best.terms)
+        v.window_close_idx = best.window_close_idx
+        req.transition(RequestState.ASSIGNED)
+        world.open_processes[world.category_of(req)] += 2
+        req.vehicle = v.id
+        rep.assigned.append((req.id, v.id))
     return rep
-
-
-def _apply(world, request, cand, base_terms):
-    v = world.vehicles[cand.vehicle_id]
-    world.set_schedule(v, cand.schedule)
-    base_terms.pop(v.id, None)
-    if cand.window_close_idx is not None:
-        v.window_close_idx = cand.window_close_idx
-    request.transition(RequestState.ASSIGNED)
-    world.open_processes[world.category_of(request)] += 2
-    request.vehicle = v.id

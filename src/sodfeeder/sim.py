@@ -32,8 +32,10 @@ class World:
     with ids 0..n-1 in list order, and each vehicle's id is its index in
     ``vehicles``; the clock ``now`` only moves forward.  Every schedule
     change goes through ``set_schedule``, which bumps the schedule ``epoch``
-    and stamps the vehicle with it.  ``no_fit`` is matching's retry memo
-    (request id -> the epoch of its last attempt without a fit).
+    and stamps the vehicle with it (unless the schedule is empty).
+    ``no_fit`` is matching's retry memo (request id -> the epoch of its
+    last attempt without a fit), and ``base_terms`` its cache of each
+    vehicle's schedule cost terms (vehicle id -> (epoch, terms)).
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
     assigned requests in category c (two per ASSIGNED request, one per
     RIDING one); assignment, boarding and alighting keep it current.
@@ -108,6 +110,7 @@ class World:
         self._seen = 0        # requests[:_seen] have become visible
         self._pending = []    # visible requests, pruned to PENDING per call
         self.no_fit = {}
+        self.base_terms = {}
 
     def pending_requests(self):
         """Visible, unassigned requests in request-time order."""
@@ -132,10 +135,13 @@ class World:
 
     def set_schedule(self, vehicle, schedule):
         """The one writer of ``Vehicle.schedule``: a schedule list is
-        replaced whole, never edited once set.  Moves the schedule epoch on
-        and stamps the vehicle with it."""
-        self.epoch += 1
-        vehicle.epoch = self.epoch
+        replaced whole, and neither it nor its stops are edited once set.
+        Moves the schedule epoch on and stamps the vehicle with it, unless
+        the schedule is empty: that takes no rider, so no insertion that
+        failed before can fit now."""
+        if schedule:
+            self.epoch += 1
+            vehicle.epoch = self.epoch
         vehicle.schedule = schedule
 
     # ---- dispatching -------------------------------------------------------
@@ -185,18 +191,6 @@ class World:
         else:
             self.last_departure[z] = self.now
         return v
-
-    def cycle_time_bound(self, z):
-        """Maximum cycle duration: boarding + fixed legs + the full flexible
-        window (fixed-route cycles have no window)."""
-        p = self.params
-        net = self.net
-        nodes = [net.terminus] + self.fixed_stop_nodes
-        leg = sum(net.travel_time(a, b) for a, b in zip(nodes, nodes[1:]))
-        dwell = p.dwell_base * len(self.fixed_stop_nodes)
-        if self.fixed_only:
-            return p.boarding_duration + 2 * leg + 2 * dwell
-        return p.boarding_duration + 2 * (leg + dwell) + p.limits.flex_window
 
     # ---- accounting --------------------------------------------------------
 

@@ -16,7 +16,7 @@ from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.econ import generalized_cost
 from sodfeeder.env import ZonalDispatchEnv
 from sodfeeder.experiments import compare, paired_bootstrap_ge_zero
-from sodfeeder.fleet import StopKind, peak_load
+from sodfeeder.fleet import StopKind, walk
 from sodfeeder.matching import match_step
 from sodfeeder.nets import MLP, softmax_and_log
 from sodfeeder.ppo import (PPOTrainer, actor_loss_and_grad,
@@ -197,8 +197,8 @@ def _audited_run(sc, kind, seed, actor=None):
         for v in world.vehicles:
             if not v.schedule:
                 continue
-            if peak_load(v.schedule, len(v.onboard),
-                         v.free_stop_min()) > v.capacity:
+            if walk(v.schedule, net, len(v.onboard),
+                    v.free_stop_min())[1] > v.capacity:
                 violations.append((kind.value, seed, "capacity", v.id))
             if v.window_open_idx is not None:
                 span = (v.schedule[v.window_close_idx].arrival

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sodfeeder import env as env_module
 from sodfeeder import fleet, matching
 from sodfeeder.corridor import CorridorSpec, Segment
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request, RequestState
 from sodfeeder.dispatch import DispatchController, PolicyKind
+from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
+from sodfeeder.experiments import run_simulation
 from sodfeeder.matching import (enumerate_candidates, match_step,
                                 nearest_fixed_stop, resolve_service_plan,
                                 rho, vehicle_rho, zone_compatible)
@@ -474,7 +477,7 @@ def test_rider_bound_met_exactly_still_accepts_the_insertion(to_corridor,
     assert resolve_service_plan(probe, req, 1.25, 600.0)
     assert req.served_at_fixed_stop == (stop == "fixed")
     best = enumerate_candidates(probe, req)[0]
-    pickup, dropoff = fleet.planned_times(best.schedule)[req.id]
+    pickup, dropoff = fleet.walk(best.schedule, net, 0, 0)[0][req.id]
     lim = probe.params.limits
     if bound == "wait":
         lim = dataclasses.replace(lim, max_wait=pickup - req.t_r)
@@ -620,3 +623,112 @@ def test_retry_memo_never_changes_a_round(case, kind, monkeypatch):
                                   if memo.get(rid) == since)
         world.advance_step()
     assert skipped["request"] > 0 and skipped["vehicle"] > 0, skipped
+
+
+def _run_episode(sc, kind, seed=0):
+    """One whole episode of ``kind`` under ``sc``; the RL policy takes a
+    fixed cycle of actions.  Returns the world."""
+    if kind is not PolicyKind.RL_ZONAL:
+        return run_simulation(sc, kind, seed)[1]
+    env = ZonalDispatchEnv(sc)
+    env.reset(seed)
+    while not env.done:
+        env.step(env.t % N_ACTIONS)
+    return env.world
+
+
+def _stop_record(schedule):
+    return [(s.node, s.kind, list(s.board), list(s.alight), s.arrival,
+             s.departure) for s in schedule]
+
+
+@pytest.mark.parametrize("kind,case", [(k, "default") for k in PolicyKind]
+                         + [(PolicyKind.SOD, c) for c in MEMO_SCENARIOS])
+def test_committed_stops_are_never_mutated(kind, case, monkeypatch):
+    # every stop of a stored schedule keeps the values it was stored with,
+    # until the schedule is replaced and to the episode's end; a candidate
+    # holds its vehicle's very stops before the insertion point and copies
+    # of the rest (and of stop 0, for an outbound rider)
+    sc = Scenario() if case == "default" else MEMO_SCENARIOS[case]()
+    stored = {}
+    store = World.set_schedule
+
+    def recording(world, vehicle, schedule):
+        if vehicle.id in stored:
+            old, record = stored[vehicle.id]
+            assert _stop_record(old) == record
+        stored[vehicle.id] = (schedule, _stop_record(schedule))
+        store(world, vehicle, schedule)
+
+    shared = {"stops": 0}
+    enumerate_all = matching.enumerate_candidates
+
+    def checked(world, request, base_terms=None, since=-1):
+        cands = enumerate_all(world, request, base_terms, since)
+        for cand in cands:
+            base = world.vehicles[cand.vehicle_id].schedule
+            outbound = cand.pickup_idx == 0
+            idx = cand.dropoff_idx if outbound else cand.pickup_idx
+            first = 1 if outbound else 0
+            assert all(a is b for a, b in zip(cand.schedule[first:idx],
+                                              base[first:idx]))
+            copies = cand.schedule[idx:] + cand.schedule[:first]
+            assert not {id(s) for s in copies} & {id(s) for s in base}
+            shared["stops"] += idx - first
+        return cands
+
+    monkeypatch.setattr(World, "set_schedule", recording)
+    monkeypatch.setattr(matching, "enumerate_candidates", checked)
+    _run_episode(sc, kind)
+    for schedule, record in stored.values():
+        assert _stop_record(schedule) == record
+    assert shared["stops"] > 0
+
+
+def _fresh_base_terms(world):
+    """Asserts that every cached base term of a vehicle's current schedule
+    equals a fresh ``schedule_cost_terms``; returns how many there are."""
+    fresh = 0
+    for vid, (epoch, terms) in world.base_terms.items():
+        v = world.vehicles[vid]
+        if v.schedule and v.epoch == epoch:
+            assert terms == matching.schedule_cost_terms(world, v.schedule)
+            fresh += 1
+    return fresh
+
+
+@pytest.mark.parametrize("case", ["default", "default_3x"])
+def test_cached_base_terms_equal_a_fresh_sum(case, monkeypatch):
+    # at every step, and across a snapshot and restore, the base terms kept
+    # from a winning candidate equal the schedule's own cost terms exactly,
+    # and every vehicle that won a rider keeps them
+    sc = Scenario() if case == "default" else MEMO_SCENARIOS[case]()
+    assigned = []
+    run_match = env_module.match_step
+
+    def recorded(*args, **kwargs):
+        rep = run_match(*args, **kwargs)
+        assigned.extend(vid for _, vid in rep.assigned)
+        return rep
+
+    monkeypatch.setattr(env_module, "match_step", recorded)
+    env = ZonalDispatchEnv(sc)
+    env.reset(1)
+    fresh = 0
+    while not env.done:
+        assigned.clear()
+        env.step(env.t % N_ACTIONS)
+        fresh += _fresh_base_terms(env.world)
+        world = env.world
+        for vid in assigned:
+            assert world.base_terms[vid][0] == world.vehicles[vid].epoch
+        if env.t == 40:
+            snap = env.snapshot()
+            want = dict(env.world.base_terms)
+            for _ in range(8):
+                env.step(1)
+            assert env.world.base_terms != want
+            env.restore(snap)
+            assert env.world.base_terms == want
+            fresh += _fresh_base_terms(env.world)
+    assert fresh > 0

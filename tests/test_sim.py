@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sodfeeder
 from sodfeeder.corridor import Segment
@@ -11,7 +13,7 @@ from sodfeeder.demand import (DemandProfile, Request, RequestState,
                               generate_instance)
 from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
-from sodfeeder.fleet import StopKind, VehicleStatus, peak_load, retime, Stop
+from sodfeeder.fleet import StopKind, VehicleStatus, Stop, retime, walk
 from sodfeeder.matching import match_step
 from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
@@ -88,8 +90,14 @@ def test_fixed_only_cycle_has_no_window():
 
 
 def test_cycle_time_bound_near_half_hour():
-    w, _ = make_world()
-    bound_min = w.cycle_time_bound(0) / 60.0
+    # the longest flexible-route cycle: boarding, the fixed legs out and
+    # back with a dwell at each fixed stop, and the whole flexible window
+    w, sc = make_world()
+    nodes = [w.net.terminus] + w.fixed_stop_nodes
+    leg = sum(w.net.travel_time(a, b) for a, b in zip(nodes, nodes[1:]))
+    dwell = sc.dwell_base * len(w.fixed_stop_nodes)
+    bound_min = (sc.boarding_duration + 2 * (leg + dwell)
+                 + sc.limits.flex_window) / 60.0
     # the design target is a ~33 min round trip; accept +-10%
     assert 33.0 * 0.9 <= bound_min <= 33.0 * 1.1
 
@@ -134,7 +142,8 @@ def test_each_schedule_writer_bumps_the_epoch_and_stamps_its_vehicle():
     while v.schedule:           # until the terminus arrival clears it
         w.advance_step()
     assert v.status is VehicleStatus.AT_TERMINUS
-    assert _epochs(w) == (3, [0, 3, 0])
+    # an empty schedule takes no rider, so it leaves the epoch alone
+    assert _epochs(w) == (2, [0, 2, 0])
 
 
 def test_snapshot_restore_keeps_the_epochs_and_the_memo(scenario):
@@ -322,12 +331,51 @@ def test_identical_runs_are_identical():
     assert [r.state for r in wa.requests] == [r.state for r in wb.requests]
 
 
-def test_peak_load():
+def test_peak_load(net):
     s = [Stop(0, StopKind.TERMINUS_DEPART, board=[1, 2]),
          Stop(1, StopKind.FIXED, board=[3], alight=[1]),
          Stop(2, StopKind.FIXED, alight=[2, 3])]
-    assert peak_load(s, 0, 0) == 2
-    assert peak_load(s, 5, 1) == 5
+    assert walk(s, net, 0, 0)[1] == 2
+    assert walk(s, net, 5, 1)[1] == 5
+
+
+@given(seed=st.integers(0, 10**6), steps=st.integers(0, 150),
+       status=st.sampled_from([VehicleStatus.BOARDING,
+                               VehicleStatus.EN_ROUTE]),
+       node=st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_retime_from_a_stop_equals_a_full_retime(net, seed, steps, status,
+                                                 node):
+    # a schedule a vehicle holds, with stop k onward changed (one more rider
+    # at k, and a new flexible stop after it): retiming from k gives every
+    # stop, bit for bit, the times a full retime gives it, for each k from
+    # the committed anchor on
+    sc = Scenario()
+    w = build_world(sc, PolicyKind.SOD, seed, net=net)
+    ctrl = DispatchController(w, PolicyKind.SOD, sc.dispatch)
+    for step in range(sc.n_steps):
+        ctrl.baseline_dispatch()
+        match_step(w)
+        held = [v for v in w.vehicles if v.status is status]
+        if step >= steps and held:
+            break
+        w.advance_step()
+    assert held
+    dwell = (sc.dwell_base, sc.dwell_per_pax)
+    for v in held:
+        for k in range(v.next_idx, len(v.schedule)):
+            for insert in (False, True):
+                sched = [s.clone() for s in v.schedule]
+                sched[k].board.append(-1)
+                if insert and k < len(sched) - 1:
+                    sched.insert(k + 1, Stop(node % net.n_nodes,
+                                             StopKind.FLEX))
+                part = [s.clone() for s in sched]
+                full = [s.clone() for s in sched]
+                retime(part, v.status, v.next_idx, net, *dwell, k)
+                retime(full, v.status, v.next_idx, net, *dwell)
+                assert ([(s.arrival, s.departure) for s in part]
+                        == [(s.arrival, s.departure) for s in full]), k
 
 
 def test_retime_en_route_anchor(net):
