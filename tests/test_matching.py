@@ -395,8 +395,8 @@ def _window_world(flex_window):
 @pytest.mark.parametrize("ulps_under", [0, 1])
 def test_window_slack_of_one_dwell_still_accepts_the_insertion(ulps_under):
     # slack of exactly one dwell, and one float step under it (the screen's
-    # margin absorbs it, as _feasible's EPS does): the placement delaying the
-    # window by one dwell fills it and is accepted
+    # margin absorbs it, as the exact check's EPS does): the placement
+    # delaying the window by one dwell fills it and is accepted
     span0, dwell = _window_span_and_dwell()
     flex_window = span0 + dwell
     for _ in range(ulps_under):
