@@ -40,10 +40,6 @@ class CostCoefficients:
     def w_per_s(self):
         return self.gamma_w / 3600.0
 
-    @property
-    def v_per_s(self):
-        return self.gamma_v / 3600.0
-
 
 @dataclass
 class FeasibilityLimits:

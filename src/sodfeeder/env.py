@@ -33,6 +33,10 @@ STATE_LAYOUT_VERSION = "sod-state-v1"
 STATE_DIM = 18
 N_ACTIONS = 4
 
+# looked up once: enum member access is slow, and observe runs every step
+_AT_TERMINUS = VehicleStatus.AT_TERMINUS
+_CONTROLLABLE = FleetClass.CONTROLLABLE
+
 
 def scenario_fingerprint(scenario):
     """What a trained policy's observations depend on, as JSON-ready data:
@@ -57,14 +61,10 @@ def bounds(ranges):
     return lo, hi - lo
 
 
-def scale(raw, lo, span):
-    """Elementwise (x - lo) / span, clamped to [0, 1]."""
-    return np.clip((np.asarray(raw, dtype=float) - lo) / span, 0.0, 1.0)
-
-
 def normalize(raw, ranges):
     """Elementwise (x - min) / (max - min), clamped to [0, 1]."""
-    return scale(raw, *bounds(ranges))
+    lo, span = bounds(ranges)
+    return np.clip((np.asarray(raw, dtype=float) - lo) / span, 0.0, 1.0)
 
 
 def denormalize(x, ranges):
@@ -131,41 +131,58 @@ class ZonalDispatchEnv:
     # ---- observation -------------------------------------------------------
 
     def observe(self):
+        """The normalized state vector (layout above).  One pass over the
+        vehicles counts them and sums the committed window seconds in vehicle
+        order; the result equals ``tests/oracles.oracle_observe`` bit for
+        bit."""
         w = self.world
         now = w.now
-        running = sum(1 for v in w.vehicles
-                      if v.status != VehicleStatus.AT_TERMINUS)
-        available = sum(1 for v in w.available_vehicles()
-                        if v.fleet_class == FleetClass.CONTROLLABLE)
-        forecast = forecast_demand(self.scenario.demand, self.scenario.horizon,
-                                   now, 900.0)
-
-        unassigned = [0.0, 0.0, 0.0]
-        for r in w.pending_requests():
-            unassigned[w.category_of(r)] += 1
-
+        running = available = 0
         commit = [0.0, 0.0, 0.0]
         for v in w.vehicles:
+            if v.status is not _AT_TERMINUS:
+                running += 1
+            elif v.fleet_class is _CONTROLLABLE:
+                available += 1
             if v.window_open_idx is None or not v.schedule:
                 continue
             open_dep = v.schedule[v.window_open_idx].departure
             close_arr = v.schedule[v.window_close_idx].arrival
             remaining = max(0.0, close_arr - max(now, open_dep))
-            cats = (0, 1, 2) if v.zone == 0 else (v.zone,)
-            for c in cats:
-                commit[c] += remaining
+            if v.zone == 0:
+                commit[0] += remaining
+                commit[1] += remaining
+                commit[2] += remaining
+            else:
+                commit[v.zone] += remaining
 
-        since = []
-        for c in (0, 1, 2):
-            last = w.last_departure[c]
-            since.append(self.scenario.norm.time_cap if last is None
-                         else now - last)
+        unassigned = [0, 0, 0]
+        for r in w.pending_requests():
+            unassigned[w.category_of(r)] += 1
 
-        raw = [float(running), float(available), forecast]
-        for c in (0, 1, 2):
-            raw += [unassigned[c], commit[c], float(w.open_processes[c])]
-        raw += since + [forecast * self._seg_shares[c] for c in (0, 1, 2)]
-        return scale(raw, *self._bounds)
+        forecast = forecast_demand(self.scenario.demand, self.scenario.horizon,
+                                   now, 900.0)
+        time_cap = self.scenario.norm.time_cap
+        last = w.last_departure
+        shares = self._seg_shares
+        opens = w.open_processes
+        x = np.array([
+            running, available, forecast,
+            unassigned[0], commit[0], opens[0],
+            unassigned[1], commit[1], opens[1],
+            unassigned[2], commit[2], opens[2],
+            time_cap if last[0] is None else now - last[0],
+            time_cap if last[1] is None else now - last[1],
+            time_cap if last[2] is None else now - last[2],
+            forecast * shares[0], forecast * shares[1], forecast * shares[2],
+        ], dtype=float)
+        lo, span = self._bounds
+        x -= lo
+        x /= span
+        # equal to np.clip(x, 0, 1) on finite input, without its wrapper
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, 1.0, out=x)
+        return x
 
     # ---- checkpoint/restore (Markov bookkeeping) ---------------------------
 

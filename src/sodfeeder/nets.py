@@ -56,15 +56,23 @@ class MLP:
         return [p for wb in zip(self.W, self.b) for p in wb]
 
     def forward(self, x):
-        """Returns (output, cache).  x has shape (batch, n_in)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """Returns (output, cache).  ``x`` is a batch of shape (batch, n_in)
+        or one input of shape (n_in,), which becomes a batch of one; lists
+        and integer arrays are converted to float.  The output has shape
+        (batch, n_out)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:
+            x = x.reshape(1, -1)
         acts = [x]
         h = x
         for i in range(len(self.W) - 1):
-            h = np.tanh(h @ self.W[i] + self.b[i])
+            h = h @ self.W[i]
+            h += self.b[i]
+            np.tanh(h, out=h)
             acts.append(h)
-        out = h @ self.W[-1] + self.b[-1]
-        if not np.all(np.isfinite(out)):
+        out = h @ self.W[-1]
+        out += self.b[-1]
+        if not np.isfinite(out).all():
             raise FloatingPointError("non-finite values in forward pass")
         return out, acts
 
@@ -83,9 +91,6 @@ class MLP:
 
     def flat_params(self):
         return self.flat.copy()
-
-    def set_flat_params(self, flat):
-        self.flat[...] = flat
 
 
 class Adam:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,56 +62,62 @@ def clip_g(eps, adv):
 # ---- losses with analytic gradients ----------------------------------------
 
 def actor_loss_and_grad(actor, states, actions, old_logp, advantages,
-                        clip_eps, entropy_coef=0.0):
+                        clip_eps, entropy_coef=0.0, surr_clipped=None):
     """Negated clipped surrogate (minimized) plus optional entropy bonus.
 
     Returns (loss, grads, stats).  Per-sample terms on the clipped side
-    contribute zero gradient.
+    contribute zero gradient.  ``surr_clipped`` is
+    ``clip_g(clip_eps, advantages)`` when the caller has it already.
+    Means are written ``x.sum() / n``: the reduction ``mean`` runs, without
+    its wrapper.
     """
-    states = np.atleast_2d(states)
     actions = np.asarray(actions, dtype=int)
     n = len(actions)
+    rows = np.arange(n)
     logits, cache = actor.forward(states)
     probs, logp_all = softmax_and_log(logits)
-    logp = logp_all[np.arange(n), actions]
+    logp = logp_all[rows, actions]
     ratio = np.exp(logp - old_logp)
 
     surr_unclipped = ratio * advantages
-    surr_clipped = clip_g(clip_eps, advantages)
+    if surr_clipped is None:
+        surr_clipped = clip_g(clip_eps, advantages)
     surr = np.minimum(surr_unclipped, surr_clipped)
 
     entropy = -(probs * logp_all).sum(axis=1)
-    loss = -surr.mean() - entropy_coef * entropy.mean()
+    entropy_mean = entropy.sum() / n
+    loss = -(surr.sum() / n) - entropy_coef * entropy_mean
 
-    # gradient wrt logits
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), actions] = 1.0
-    clipped_out = ((advantages >= 0) & (ratio > 1 + clip_eps)) | \
-                  ((advantages < 0) & (ratio < 1 - clip_eps))
-    w = np.where(clipped_out, 0.0, ratio * advantages) / n
-    dlogits = -w[:, None] * (onehot - probs)
+    # gradient wrt logits: w * (probs - onehot), which is
+    # -w * (onehot - probs) up to the sign of a zero
+    clipped_out = np.where(advantages >= 0, ratio > 1 + clip_eps,
+                           ratio < 1 - clip_eps)
+    w = np.where(clipped_out, 0.0, surr_unclipped) / n
+    dlogits = probs.copy()
+    dlogits[rows, actions] -= 1.0
+    dlogits *= w[:, None]
     if entropy_coef != 0.0:
         dH = -probs * (logp_all + entropy[:, None])
         dlogits -= entropy_coef * dH / n
     grads = actor.backward(cache, dlogits)
 
     stats = {
-        "entropy": float(entropy.mean()),
-        "approx_kl": float(np.mean(old_logp - logp)),
-        "clip_frac": float(np.mean(clipped_out)),
+        "entropy": float(entropy_mean),
+        "approx_kl": float((old_logp - logp).sum() / n),
+        "clip_frac": np.count_nonzero(clipped_out) / n,
     }
     return float(loss), grads, stats
 
 
 def critic_loss_and_grad(critic, states, targets):
     """Mean squared error between value predictions and return targets."""
-    states = np.atleast_2d(states)
     targets = np.asarray(targets, dtype=float)
     out, cache = critic.forward(states)
     v = out[:, 0]
     err = v - targets
-    loss = float(np.mean(err ** 2))
-    dout = (2.0 * err / len(err))[:, None]
+    n = len(err)
+    loss = float((err * err).sum() / n)
+    dout = (2.0 * err / n)[:, None]
     grads = critic.backward(cache, dout)
     return loss, grads
 
@@ -135,12 +142,16 @@ class RolloutBatch:
                 self.returns.ravel())
 
 
-def sample_action(probs, rng):
-    """Draw an action index: the same draw as ``rng.choice(len(probs),
-    p=probs)``, without its argument checks."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def sample_action(probs, rngs):
+    """One action index per row of the (n_envs, n_actions) table ``probs``,
+    row i drawn with ``rngs[i]``: the same draw as
+    ``rngs[i].choice(n_actions, p=probs[i])``, without its argument checks.
+    ``bisect_right`` on a row of the cumulative table finds the index that
+    ``searchsorted(side="right")`` would."""
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return [bisect_right(row, rng.random())
+            for row, rng in zip(cdf.tolist(), rngs)]
 
 
 def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
@@ -149,7 +160,7 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
     the current policy.  Environments are independent; results concatenate
     deterministically by environment index."""
     n_envs = len(envs)
-    obs = np.stack([env.reset(instance_seeds[i])
+    obs = np.array([env.reset(instance_seeds[i])
                     for i, env in enumerate(envs)])
     obs_dim = obs.shape[1]
     states = np.zeros((n_steps, n_envs, obs_dim))
@@ -159,22 +170,20 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
     log_probs = np.zeros((n_steps, n_envs))
     values = np.zeros((n_steps, n_envs))
 
+    rows = np.arange(n_envs)
     for t in range(n_steps):
         logits, _ = actor.forward(obs)
         probs, logp_all = softmax_and_log(logits)
         vals, _ = critic.forward(obs)
         states[t] = obs
         values[t] = vals[:, 0]
-        next_obs = []
-        for i, env in enumerate(envs):
-            a = sample_action(probs[i], action_rngs[i])
-            o, r, done, _ = env.step(a)
-            actions[t, i] = a
-            rewards[t, i] = r
-            dones[t, i] = float(done)
-            log_probs[t, i] = logp_all[i, a]
-            next_obs.append(o)
-        obs = np.stack(next_obs)
+        acts = sample_action(probs, action_rngs)
+        steps = [env.step(a) for env, a in zip(envs, acts)]
+        actions[t] = acts
+        rewards[t] = [s[1] for s in steps]
+        dones[t] = [s[2] for s in steps]
+        log_probs[t] = logp_all[rows, acts]
+        obs = np.array([s[0] for s in steps])
 
     last_vals, _ = critic.forward(obs)
     batch = RolloutBatch(states, actions, rewards, dones, log_probs, values)
@@ -191,6 +200,7 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
     states, actions, old_logp, adv, returns = batch.flatten()
     if config.normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    surr_clipped = clip_g(config.clip_eps, adv)
     n = len(actions)
     stats_acc = {"value_loss": [], "policy_loss": [], "entropy": [],
                  "approx_kl": [], "clip_frac": []}
@@ -198,11 +208,12 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
         order = rng.permutation(n)
         for start in range(0, n, config.minibatch_size):
             idx = order[start:start + config.minibatch_size]
+            mb_states = states[idx]
             ploss, pgrads, pstats = actor_loss_and_grad(
-                actor, states[idx], actions[idx], old_logp[idx], adv[idx],
-                config.clip_eps, config.entropy_coef)
+                actor, mb_states, actions[idx], old_logp[idx], adv[idx],
+                config.clip_eps, config.entropy_coef, surr_clipped[idx])
             actor_opt.step(pgrads)
-            vloss, vgrads = critic_loss_and_grad(critic, states[idx],
+            vloss, vgrads = critic_loss_and_grad(critic, mb_states,
                                                  returns[idx])
             critic_opt.step(vgrads)
             pstats.update(policy_loss=ploss, value_loss=vloss)
@@ -257,8 +268,8 @@ def load_checkpoint(path, scenario=None):
 
 
 def greedy_action(actor, obs):
-    logits, _ = actor.forward(np.atleast_2d(obs))
-    return int(np.argmax(logits[0]))
+    logits, _ = actor.forward(obs)
+    return int(logits[0].argmax())
 
 
 # ---- trainer ---------------------------------------------------------------

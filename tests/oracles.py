@@ -9,8 +9,8 @@ import math
 import numpy as np
 
 from sodfeeder.corridor import Segment
-from sodfeeder.demand import RequestState
-from sodfeeder.fleet import Stop, StopKind, VehicleStatus
+from sodfeeder.demand import RequestState, forecast_demand, segment_shares
+from sodfeeder.fleet import FleetClass, Stop, StopKind, VehicleStatus
 from sodfeeder.sim import StepReport
 
 
@@ -46,6 +46,52 @@ def gae_direct(deltas, discount, lam, dones):
             w *= discount * lam
         out[t] = acc
     return out
+
+
+# ---- observation oracle ------------------------------------------------------
+
+def oracle_observe(env):
+    """``ZonalDispatchEnv.observe`` as first written: separate counts over
+    the vehicles and over ``available_vehicles()``, commitments added per
+    category tuple, and ``np.clip`` over the scaled list."""
+    w = env.world
+    now = w.now
+    running = sum(1 for v in w.vehicles
+                  if v.status != VehicleStatus.AT_TERMINUS)
+    available = sum(1 for v in w.available_vehicles()
+                    if v.fleet_class == FleetClass.CONTROLLABLE)
+    forecast = forecast_demand(env.scenario.demand, env.scenario.horizon,
+                               now, 900.0)
+
+    unassigned = [0.0, 0.0, 0.0]
+    for r in w.pending_requests():
+        unassigned[w.category_of(r)] += 1
+
+    commit = [0.0, 0.0, 0.0]
+    for v in w.vehicles:
+        if v.window_open_idx is None or not v.schedule:
+            continue
+        open_dep = v.schedule[v.window_open_idx].departure
+        close_arr = v.schedule[v.window_close_idx].arrival
+        remaining = max(0.0, close_arr - max(now, open_dep))
+        cats = (0, 1, 2) if v.zone == 0 else (v.zone,)
+        for c in cats:
+            commit[c] += remaining
+
+    since = []
+    for c in (0, 1, 2):
+        last = w.last_departure[c]
+        since.append(env.scenario.norm.time_cap if last is None
+                     else now - last)
+
+    raw = [float(running), float(available), forecast]
+    for c in (0, 1, 2):
+        raw += [unassigned[c], commit[c], float(w.open_processes[c])]
+    shares = segment_shares(env.net, env.scenario.demand)
+    raw += since + [forecast * shares[c] for c in (0, 1, 2)]
+    lo = np.array([r[0] for r in env.ranges], dtype=float)
+    span = np.array([r[1] for r in env.ranges], dtype=float) - lo
+    return np.clip((np.asarray(raw, dtype=float) - lo) / span, 0.0, 1.0)
 
 
 # ---- brute-force insertion oracle ------------------------------------------

@@ -132,7 +132,7 @@ def test_criterion_3_gradient_checks():
             adv = rng.standard_normal(8)
 
             def loss_at(f):
-                net.set_flat_params(f)
+                net.flat[...] = f
                 l, _, _ = actor_loss_and_grad(net, states, actions, old_logp,
                                               adv, 0.2, 0.01)
                 return l
@@ -148,7 +148,7 @@ def test_criterion_3_gradient_checks():
             net = MLP([4, 2, 1], rng)
 
             def loss_at(f):
-                net.set_flat_params(f)
+                net.flat[...] = f
                 l, _ = critic_loss_and_grad(net, states, targets[:, 0])
                 return l
 
@@ -162,7 +162,7 @@ def test_criterion_3_gradient_checks():
             num = (loss_at(flat + e) - loss_at(flat - e)) / (2 * h)
             denom = max(1.0, abs(num), abs(flat_grad[idx]))
             worst = max(worst, abs(num - flat_grad[idx]) / denom)
-        net.set_flat_params(flat)
+        net.flat[...] = flat
     _report(3, "analytic gradients match central differences (100 trials)",
             worst <= 1e-4, "worst rel err %.2e" % worst)
 

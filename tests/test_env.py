@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
                            ZonalDispatchEnv, denormalize, normalize)
 from sodfeeder.fleet import FleetClass, VehicleStatus
 from sodfeeder.scenario import NormalizationRanges, Scenario
+
+from oracles import oracle_observe
 
 
 def test_layout_constants():
@@ -131,6 +135,51 @@ def test_snapshot_restore_share_the_network(scenario):
     # a snapshot that copied the network would restore a copy of it
     assert env.world.net is env.net
     assert env.controller.world is env.world
+
+
+def _zero_demand():
+    sc = Scenario()
+    return dataclasses.replace(sc, demand=dataclasses.replace(
+        sc.demand, base_rate=0.0, end_rate=0.0))
+
+
+def _observes_like_the_oracle(env, obs):
+    assert obs.tobytes() == oracle_observe(env).tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    Scenario,
+    lambda: Scenario(n_vehicles=12, n_reserved=4),
+    lambda: Scenario(n_vehicles=4, n_reserved=4),
+    _zero_demand,
+    # small caps, so that the upper clamp is exercised
+    lambda: Scenario(norm=NormalizationRanges(request_cap=2.0, time_cap=120.0,
+                                              forecast_cap=5.0)),
+], ids=["default", "12-vehicles-4-reserved", "all-reserved", "zero-demand",
+        "small-caps"])
+def test_observe_equals_the_oracle_over_an_episode(make):
+    env = ZonalDispatchEnv(make())
+    rng = np.random.default_rng(3)
+    _observes_like_the_oracle(env, env.reset(5))
+    while not env.done:
+        obs, _, _, _ = env.step(int(rng.integers(N_ACTIONS)))
+        _observes_like_the_oracle(env, obs)
+
+
+def test_observe_equals_the_oracle_after_restore(scenario):
+    env = ZonalDispatchEnv(scenario)
+    rng = np.random.default_rng(4)
+    env.reset(6)
+    for _ in range(60):
+        env.step(int(rng.integers(N_ACTIONS)))
+    snap = env.snapshot()
+    for _ in range(30):
+        env.step(3)
+    env.restore(snap)
+    _observes_like_the_oracle(env, env.observe())
+    while not env.done:
+        obs, _, _, _ = env.step(int(rng.integers(N_ACTIONS)))
+        _observes_like_the_oracle(env, obs)
 
 
 def _scanned_processes(world):

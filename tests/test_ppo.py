@@ -28,14 +28,25 @@ from toyenvs import BanditEnv
 def test_sample_action_equals_rng_choice():
     # sample_action searches a cumulative table instead of calling
     # rng.choice(p=...); a numpy whose choice draws differently fails here
-    logits = np.random.default_rng(5).normal(scale=3.0, size=(500, N_ACTIONS))
+    n_envs = 8
+    logits = np.random.default_rng(5).normal(scale=3.0, size=(400, N_ACTIONS))
     probs, _ = softmax_and_log(logits)
-    ours, numpys = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(40):
-        for row in probs:
-            assert sample_action(row, ours) == \
-                int(numpys.choice(len(row), p=row))
-    assert ours.random() == numpys.random()
+    # rows with zero-probability actions and one action near certainty
+    probs[::7, 1] = 0.0
+    probs[3::11, :2] = 0.0
+    probs[5::13] = [1.0 - 3e-12, 1e-12, 1e-12, 1e-12]
+    probs[6::13] = [0.0, 0.0, 1.0, 0.0]
+    probs /= probs.sum(axis=1, keepdims=True)
+    ours = [np.random.default_rng([9, i]) for i in range(n_envs)]
+    numpys = [np.random.default_rng([9, i]) for i in range(n_envs)]
+    for _ in range(20):
+        for table in probs.reshape(-1, n_envs, N_ACTIONS):
+            drawn = sample_action(table, ours)
+            assert drawn == [int(g.choice(N_ACTIONS, p=row))
+                             for row, g in zip(table, numpys)]
+            assert all(table[i, a] > 0.0 for i, a in enumerate(drawn))
+    for a, b in zip(ours, numpys):
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_orthogonal_init_is_orthogonal():
@@ -61,7 +72,7 @@ def test_mlp_forward_backward_finite_difference():
     target = rng.standard_normal((7, 2))
 
     def loss_at(flat):
-        net.set_flat_params(flat)
+        net.flat[...] = flat
         out, _ = net.forward(x)
         return float(np.sum((out - target) ** 2))
 
@@ -75,7 +86,7 @@ def test_mlp_forward_backward_finite_difference():
         e[idx] = h
         num = (loss_at(flat + e) - loss_at(flat - e)) / (2 * h)
         assert num == pytest.approx(flat_grad[idx], rel=1e-5, abs=1e-7)
-    net.set_flat_params(flat)
+    net.flat[...] = flat
 
 
 def test_adam_moves_towards_minimum():
@@ -221,7 +232,7 @@ def test_actor_gradient_matches_finite_differences(ent):
         flat_grad = np.concatenate([g.ravel() for g in grads])
 
         def loss_at(f):
-            net.set_flat_params(f)
+            net.flat[...] = f
             l, _, _ = actor_loss_and_grad(net, states, actions, old_logp,
                                           adv, 0.2, ent)
             return l
@@ -233,7 +244,7 @@ def test_actor_gradient_matches_finite_differences(ent):
             num = (loss_at(flat + e) - loss_at(flat - e)) / (2 * h)
             denom = max(1.0, abs(num), abs(flat_grad[idx]))
             assert abs(num - flat_grad[idx]) / denom < 1e-4
-        net.set_flat_params(flat)
+        net.flat[...] = flat
 
 
 def test_critic_gradient_matches_finite_differences():
@@ -246,7 +257,7 @@ def test_critic_gradient_matches_finite_differences():
     flat_grad = np.concatenate([g.ravel() for g in grads])
 
     def loss_at(f):
-        net.set_flat_params(f)
+        net.flat[...] = f
         l, _ = critic_loss_and_grad(net, states, targets)
         return l
 
