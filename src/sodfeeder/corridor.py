@@ -38,22 +38,24 @@ class CorridorSpec:
     mainline_speed: float = 9.0
     side_speed: float = 5.0
 
-    def validate(self):
-        if self.mainline_length <= 0:
-            raise ValueError("mainline_length must be positive")
-        if len(self.segment_lengths) != 3 or any(s <= 0 for s in self.segment_lengths):
-            raise ValueError("need three positive segment lengths")
-        if abs(sum(self.segment_lengths) - self.mainline_length) > 1e-6:
+    def __post_init__(self):
+        # a list (as YAML gives) is stored as a tuple, so specs stay hashable
+        object.__setattr__(self, "segment_lengths",
+                           tuple(self.segment_lengths))
+        for name in ("mainline_length", "side_spacing", "side_node_spacing",
+                     "mainline_speed", "side_speed"):
+            if not getattr(self, name) > 0:
+                raise ValueError("corridor.%s must be positive" % name)
+        if not self.side_depth >= 0:
+            raise ValueError("corridor.side_depth must be non-negative")
+        if (len(self.segment_lengths) != 3
+                or not all(s > 0 for s in self.segment_lengths)):
+            raise ValueError("corridor needs three positive segment lengths")
+        if not abs(sum(self.segment_lengths) - self.mainline_length) <= 1e-6:
             raise ValueError(
                 "segment lengths sum to %.1f, expected mainline length %.1f"
                 % (sum(self.segment_lengths), self.mainline_length)
             )
-        if self.side_spacing <= 0 or self.side_node_spacing <= 0:
-            raise ValueError("spacings must be positive")
-        if self.side_depth < 0:
-            raise ValueError("side_depth must be non-negative")
-        if self.mainline_speed <= 0 or self.side_speed <= 0:
-            raise ValueError("speeds must be positive")
 
 
 @dataclass
@@ -194,7 +196,6 @@ def build_corridor(spec=None):
     """
     if spec is None:
         spec = CorridorSpec()
-    spec.validate()
     b1 = spec.segment_lengths[0]
     b2 = spec.segment_lengths[0] + spec.segment_lengths[1]
     bounds = (b1, b2)

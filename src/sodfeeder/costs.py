@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# s; the tolerance of every feasibility check: wait, ride, window and walk
+EPS = 1e-6
 
-@dataclass
+
+@dataclass(frozen=True)
 class CostCoefficients:
     """Monetary weights (US$).  Distance rates per km, time rates per hour;
     the request-satisfaction rewards are dimensionless 1e6 dominators."""
@@ -18,10 +21,10 @@ class CostCoefficients:
     gamma_w: float = 24.75       # $/wait-hour
     gamma_v: float = 7.59        # $/vehicle-hour
 
-    def validate(self):
+    def __post_init__(self):
         for name, v in vars(self).items():
-            if v < 0:
-                raise ValueError("%s must be non-negative" % name)
+            if not v >= 0:
+                raise ValueError("coeffs.%s must be non-negative" % name)
 
     # per-meter / per-second forms used internally
     @property
@@ -41,17 +44,17 @@ class CostCoefficients:
         return self.gamma_w / 3600.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibilityLimits:
     max_wait: float = 900.0       # s, pickup - request time
     detour_factor: float = 2.5    # ride time <= factor * direct + detour_slack
     detour_slack: float = 300.0   # s
     flex_window: float = 1200.0   # s reserved for the flexible-route portion
 
-    def validate(self):
-        if min(self.max_wait, self.detour_factor, self.detour_slack,
-               self.flex_window) <= 0:
-            raise ValueError("all feasibility limits must be positive")
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if not v > 0:
+                raise ValueError("limits.%s must be positive" % name)
 
     def max_ride(self, direct_time):
         return self.detour_factor * direct_time + self.detour_slack

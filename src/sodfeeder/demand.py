@@ -62,7 +62,7 @@ class Request:
         self.state = new_state
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemandProfile:
     base_rate: float = 60.0       # requests/hour at horizon start
     end_rate: float = 20.0        # requests/hour at horizon end
@@ -70,13 +70,15 @@ class DemandProfile:
     walk_cap: float = 600.0       # seconds; weight zero beyond this walk time
     walk_speed: float = 1.25      # m/s
 
-    def validate(self):
-        if self.base_rate < 0 or self.end_rate < 0:
-            raise ValueError("rates must be non-negative")
+    def __post_init__(self):
+        for name in ("base_rate", "end_rate"):
+            if not getattr(self, name) >= 0:
+                raise ValueError("demand.%s must be non-negative" % name)
         if not 0.0 <= self.direction_split <= 1.0:
-            raise ValueError("direction_split must lie in [0, 1]")
-        if self.walk_cap <= 0:
-            raise ValueError("walk_cap must be positive")
+            raise ValueError("demand.direction_split must lie in [0, 1]")
+        for name in ("walk_cap", "walk_speed"):
+            if not getattr(self, name) > 0:
+                raise ValueError("demand.%s must be positive" % name)
 
     def rate_at(self, t, horizon):
         """Instantaneous rate in requests/second at time t of the horizon."""
@@ -107,7 +109,6 @@ def generate_instance(net, profile, horizon, seed):
     The arrival process is inhomogeneous Poisson (thinning against the peak
     rate).  Exactly one endpoint of every request is the terminus.
     """
-    profile.validate()
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(seed)

@@ -29,27 +29,28 @@ class PolicyKind(Enum):
         return self is PolicyKind.FIXED_ROUTE
 
 
-@dataclass
+@dataclass(frozen=True)
 class DispatchConfig:
     full_headway: float = 300.0       # FixedRoute / SoD departures
     reserved_headway: float = 600.0   # minimum-service override period
     nominal_period: float = 600.0     # controllable departures, NominalZonal
     nominal_offset: float = 300.0     # offset from the reserved departures
 
-    def validate(self):
-        if min(self.full_headway, self.reserved_headway,
-               self.nominal_period) <= 0:
-            raise ValueError("headways must be positive")
+    def __post_init__(self):
+        for name in ("full_headway", "reserved_headway", "nominal_period"):
+            if not getattr(self, name) > 0:
+                raise ValueError("dispatch.%s must be positive" % name)
+        if not self.nominal_offset >= 0:
+            raise ValueError("dispatch.nominal_offset must be non-negative")
 
 
 class DispatchController:
     """Per-run dispatch state for one world."""
 
-    def __init__(self, world, kind, config=None):
+    def __init__(self, world, kind, config):
         self.world = world
         self.kind = kind
-        self.config = config or DispatchConfig()
-        self.config.validate()
+        self.config = config
         self._full_due = 0.0
         self._reserved_due = 0.0
         self._nominal_due = self.config.nominal_offset

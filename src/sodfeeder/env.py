@@ -76,7 +76,6 @@ class ZonalDispatchEnv:
     """reset/step interface over the SoD world with RL zonal control."""
 
     def __init__(self, scenario, net=None):
-        scenario.validate()
         self.scenario = scenario
         self.net = net if net is not None else scenario.network()
         self.episode_len = scenario.n_steps // scenario.rl_period

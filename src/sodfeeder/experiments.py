@@ -18,7 +18,6 @@ from .scenario import build_world
 
 def run_simulation(scenario, policy_kind, seed, actor=None, net=None):
     """One full deterministic episode; returns (RunMetrics, world)."""
-    scenario.validate()
     if policy_kind is PolicyKind.RL_ZONAL:
         if actor is None:
             raise ValueError("the RL zonal policy needs a trained actor")
@@ -45,7 +44,6 @@ def run_simulation(scenario, policy_kind, seed, actor=None, net=None):
 def train_rl(scenario, n_instances, out_checkpoint=None, stats_path=None,
              seed=0, n_envs=None):
     """Desk-scale training run; returns (trainer, stats)."""
-    scenario.validate()
     net = scenario.network()
     trainer = PPOTrainer(
         env_factory=lambda i: ZonalDispatchEnv(scenario, net=net),
@@ -68,7 +66,6 @@ def compare(scenario, policies, seeds, actor=None, out_dir=None):
     Returns {policy: [RunMetrics per seed]}; RL action densities are attached
     under the "action_density" key of the returned info dict.
     """
-    scenario.validate()
     net = scenario.network()
     results = {}
     action_counts = None

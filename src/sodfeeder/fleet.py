@@ -50,7 +50,7 @@ class Stop:
 @dataclass
 class Vehicle:
     id: int
-    capacity: int = 20
+    capacity: int
     fleet_class: FleetClass = FleetClass.CONTROLLABLE
     zone: int | None = None          # z_v for the current cycle; None when idle
     status: VehicleStatus = VehicleStatus.AT_TERMINUS

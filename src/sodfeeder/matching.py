@@ -50,10 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corridor import Segment
+from .costs import EPS
 from .demand import RequestState
 from .fleet import Stop, StopKind, VehicleStatus, retime, walk
 
-EPS = 1e-6
 # s; the window screen's allowance for float round-off in its bound, which
 # stays near 1e-11 s over a 3-hour horizon
 SCREEN_MARGIN = 1e-6
@@ -319,7 +319,7 @@ def enumerate_candidates(world, request, base_terms=None, since=-1):
     return out
 
 
-def match_step(world, walk_speed=1.25, walk_cap=600.0):
+def match_step(world, *, walk_speed, walk_cap):
     """One matching round: expire overdue requests, then greedily insert the
     rest in request-time order.  A request left without a candidate keeps a
     retry memo in ``world.no_fit`` until it is assigned or rejected."""

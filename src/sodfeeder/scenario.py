@@ -3,8 +3,9 @@
 A scenario bundles corridor geometry, demand profile, fleet and cost
 parameters, dispatch headways, horizon bookkeeping, observation normalization
 ranges and the PPO hyperparameters.  Defaults reproduce the reference
-setting; any field can be overridden from a YAML file.  A scenario is frozen,
-and the simulation world reads its parameters from it directly.
+setting; any field can be overridden from a YAML file.  A scenario and each
+of its sections are frozen and checked when built, so every one that exists
+is valid, and the simulation world reads its parameters from it directly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dispatch import DispatchConfig
 from .sim import World
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeedConfig:
     train_start: int = 10_000
     train_count: int = 2_000
@@ -38,13 +39,19 @@ class SeedConfig:
         n = count if count is not None else self.eval_count
         return list(range(self.eval_start, self.eval_start + n))
 
-    def validate(self):
-        train = set(self.train_seeds())
-        if train & set(self.eval_seeds()):
+    def __post_init__(self):
+        for name in ("train_start", "eval_start"):
+            if not getattr(self, name) >= 0:
+                raise ValueError("seeds.%s must be non-negative" % name)
+        for name in ("train_count", "eval_count"):
+            if not getattr(self, name) >= 1:
+                raise ValueError("seeds.%s must be at least 1" % name)
+        a, b = self.train_start, self.eval_start
+        if max(a, b) < min(a + self.train_count, b + self.eval_count):
             raise ValueError("training and evaluation seed sets overlap")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PPOConfig:
     clip_eps: float = 0.2
     discount: float = 0.99
@@ -61,14 +68,26 @@ class PPOConfig:
     normalize_advantages: bool = True
     anneal_lr: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.clip_eps < 1:
-            raise ValueError("clip_eps must lie in (0, 1)")
-        if not 0 <= self.discount <= 1 or not 0 <= self.gae_lambda <= 1:
-            raise ValueError("discount and gae_lambda must lie in [0, 1]")
+            raise ValueError("ppo.clip_eps must lie in (0, 1)")
+        for name in ("discount", "gae_lambda"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError("ppo.%s must lie in [0, 1]" % name)
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError("ppo.%s must lie in [0, 1)" % name)
+        for name in ("minibatch_size", "epochs", "n_envs", "hidden_units"):
+            if not getattr(self, name) >= 1:
+                raise ValueError("ppo.%s must be at least 1" % name)
+        for name in ("learning_rate", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError("ppo.%s must be positive" % name)
+        if not self.entropy_coef >= 0:
+            raise ValueError("ppo.entropy_coef must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationRanges:
     """Upper ends of the observation features that no other field fixes.
 
@@ -79,7 +98,7 @@ class NormalizationRanges:
     time_cap: float = 1800.0
     forecast_cap: float = 15.0
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("request_cap", "time_cap", "forecast_cap"):
             if not getattr(self, name) > 0:
                 raise ValueError("norm.%s must be positive" % name)
@@ -112,29 +131,37 @@ class Scenario:
     dwell_per_pax: float = 2.0
     fixed_stop_spacing: float = 400.0
 
-    def validate(self):
-        self.corridor.validate()
-        self.demand.validate()
-        self.limits.validate()
-        self.coeffs.validate()
-        self.dispatch.validate()
-        self.ppo.validate()
-        self.seeds.validate()
-        self.norm.validate()
-        if self.horizon <= 0 or self.t_step <= 0:
-            raise ValueError("horizon and t_step must be positive")
+    def __post_init__(self):
+        """The checks that span fields; each section checked itself when it
+        was built."""
+        for name in ("horizon", "t_step"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite" % name)
         if not 0 <= self.warmup < self.horizon:
             raise ValueError("warmup must lie inside the horizon")
         if not math.isclose(self.n_steps * self.t_step, self.horizon):
             raise ValueError("horizon %g is not a multiple of t_step %g"
                              % (self.horizon, self.t_step))
-        if self.rl_period < 1 or self.n_steps % self.rl_period:
+        if not self.rl_period >= 1 or self.n_steps % self.rl_period:
             raise ValueError("the %d simulation steps do not split into RL "
                              "periods of %d" % (self.n_steps, self.rl_period))
-        if self.n_vehicles < 1:
-            raise ValueError("n_vehicles must be at least 1")
-        if self.n_reserved > self.n_vehicles:
-            raise ValueError("reserved fleet exceeds total fleet")
+        for name in ("n_vehicles", "capacity"):
+            if not getattr(self, name) >= 1:
+                raise ValueError("%s must be at least 1" % name)
+        if not 0 <= self.n_reserved <= self.n_vehicles:
+            raise ValueError("n_reserved must lie in [0, n_vehicles]")
+        for name in ("boarding_duration", "dwell_base", "dwell_per_pax"):
+            if not getattr(self, name) >= 0:
+                raise ValueError("%s must be non-negative" % name)
+        fixed_end = self.corridor.segment_lengths[0]
+        if not 0 < self.fixed_stop_spacing <= fixed_end:
+            raise ValueError("fixed_stop_spacing must lie in (0, %g], the "
+                             "fixed segment, so that it has a stop"
+                             % fixed_end)
+
+    # a built scenario is valid; this re-runs its own checks for callers
+    # that ask
+    validate = __post_init__
 
     @property
     def n_steps(self):
@@ -163,8 +190,6 @@ class Scenario:
                 if key not in tp.__dataclass_fields__:
                     raise ValueError("unknown field %r in scenario section %r"
                                      % (key, section))
-            if tp is CorridorSpec and "segment_lengths" in kwargs:
-                kwargs["segment_lengths"] = tuple(kwargs["segment_lengths"])
             return tp(**kwargs)
 
         nested = {
@@ -181,9 +206,7 @@ class Scenario:
                 kwargs[key] = value
             else:
                 raise ValueError("unknown scenario field %r" % key)
-        sc = cls(**kwargs)
-        sc.validate()
-        return sc
+        return cls(**kwargs)
 
     @classmethod
     def from_yaml(cls, path):

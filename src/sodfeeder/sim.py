@@ -11,9 +11,16 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+from .costs import EPS
 from .demand import RequestState
 from .fleet import (FleetClass, Stop, StopKind, Vehicle, VehicleStatus,
                     retime, stop_dwell)
+
+# looked up once: enum member access is slow, and the step loop compares
+# them for every event
+_BOARDING = VehicleStatus.BOARDING
+_EN_ROUTE = VehicleStatus.EN_ROUTE
+_TERMINUS_ARRIVE = StopKind.TERMINUS_ARRIVE
 
 
 @dataclass
@@ -205,19 +212,19 @@ class World:
 
     def _next_event(self, v):
         """Time of the vehicle's next event; infinite when it has none."""
-        if v.status == VehicleStatus.BOARDING:
+        if v.status is _BOARDING:
             return v.schedule[0].departure
-        if v.status == VehicleStatus.EN_ROUTE:
+        if v.status is _EN_ROUTE:
             return v.schedule[v.next_idx].arrival
         return math.inf
 
-    def advance_step(self, report=None):
+    def advance_step(self):
         """Advance the world by one time step, executing all due events in
         (time, vehicle id) order.  An event changes only its own vehicle, so
         a heap holding each vehicle's next event yields that order."""
         if self.now >= self.params.horizon:
             raise ValueError("clock is past the horizon")
-        rep = report if report is not None else StepReport()
+        rep = StepReport()
         step_end = self.now + self.params.t_step
         events = [(self._next_event(v), v.id) for v in self.vehicles]
         heapq.heapify(events)
@@ -231,11 +238,11 @@ class World:
         return rep
 
     def _process_event(self, v, t, rep):
-        if v.status == VehicleStatus.BOARDING:
+        if v.status is _BOARDING:
             stop = v.schedule[0]
             for rid in stop.board:
                 self._board(v, rid, t, rep)
-            v.status = VehicleStatus.EN_ROUTE
+            v.status = _EN_ROUTE
             v.next_idx = 1
             return
 
@@ -253,7 +260,7 @@ class World:
         if len(v.onboard) > v.capacity:
             raise AssertionError("capacity exceeded on vehicle %d" % v.id)
 
-        if stop.kind == StopKind.TERMINUS_ARRIVE:
+        if stop.kind is _TERMINUS_ARRIVE:
             if v.onboard:
                 rep.infeasibilities.append(
                     ("onboard_at_terminus", v.id, list(v.onboard)))
@@ -276,7 +283,7 @@ class World:
         req.pickup_time = t
         v.onboard.append(rid)
         rep.boardings += 1
-        if t - req.t_r > self.params.limits.max_wait + 1e-6:
+        if t - req.t_r > self.params.limits.max_wait + EPS:
             rep.infeasibilities.append(("wait_violation", rid, t - req.t_r))
 
     def _alight(self, v, rid, t, rep):
@@ -288,5 +295,5 @@ class World:
         rep.alightings += 1
         ride = t - req.pickup_time
         if (req.direct_time is not None
-                and ride > self.params.limits.max_ride(req.direct_time) + 1e-6):
+                and ride > self.params.limits.max_ride(req.direct_time) + EPS):
             rep.infeasibilities.append(("detour_violation", rid, ride))

@@ -340,7 +340,7 @@ def oracle_resolve(world, request, walk_speed, walk_cap):
     return OraclePlan(nodes[0], nodes[1], access, any(fixed_flags), feasible)
 
 
-def oracle_match(world, walk_speed=1.25, walk_cap=600.0):
+def oracle_match(world, *, walk_speed, walk_cap):
     """Sequential greedy matching round against the brute-force enumerator,
     applied to ``world`` (which the caller should deep-copy first).
 
@@ -417,13 +417,13 @@ class PerArrayAdam:
 
 # ---- rescanning step loop ----------------------------------------------------
 
-def rescan_advance_step(world, report=None):
+def rescan_advance_step(world):
     """``World.advance_step`` as a rescan of every vehicle after each event,
     executing the lexicographically least due (time, vehicle id) each time:
     the reference for the event heap."""
     if world.now >= world.params.horizon:
         raise ValueError("clock is past the horizon")
-    rep = report if report is not None else StepReport()
+    rep = StepReport()
     step_end = world.now + world.params.t_step
     while True:
         best = None

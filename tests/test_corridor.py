@@ -164,9 +164,9 @@ def test_unknown_node_raises(net):
 
 def test_invalid_spec_rejected():
     with pytest.raises(ValueError):
-        CorridorSpec(segment_lengths=(1000.0, 1000.0, 1000.0)).validate()
+        CorridorSpec(segment_lengths=(1000.0, 1000.0, 1000.0))
     with pytest.raises(ValueError):
-        CorridorSpec(mainline_speed=0.0).validate()
+        CorridorSpec(mainline_speed=0.0)
 
 
 def test_pure_linear_network():

@@ -187,6 +187,6 @@ def test_csv_ids_must_follow_request_time_order(tmp_path, net, rows):
 
 def test_invalid_profile_rejected():
     with pytest.raises(ValueError):
-        DemandProfile(base_rate=-1).validate()
+        DemandProfile(base_rate=-1)
     with pytest.raises(ValueError):
-        DemandProfile(direction_split=1.5).validate()
+        DemandProfile(direction_split=1.5)

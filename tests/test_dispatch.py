@@ -5,6 +5,8 @@ from sodfeeder.dispatch import DispatchConfig, DispatchController, PolicyKind
 from sodfeeder.fleet import FleetClass, StopKind, VehicleStatus
 from sodfeeder.scenario import Scenario, build_world
 
+from worldgen import walk_of
+
 
 def make(policy, **over):
     sc = Scenario(**over)
@@ -47,7 +49,7 @@ def test_fixed_route_never_plans_flex_stops():
     assert world.fixed_only
     for _ in range(sc.n_steps):
         ctrl.baseline_dispatch()
-        match_step(world)
+        match_step(world, **walk_of(world.params))
         for v in world.vehicles:
             assert v.window_open_idx is None
             assert all(s.kind is StopKind.FIXED for s in v.schedule[1:-1])
@@ -132,4 +134,4 @@ def test_apply_action_validation():
 
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
-        DispatchConfig(full_headway=0).validate()
+        DispatchConfig(full_headway=0)

@@ -22,7 +22,7 @@ from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
 from oracles import oracle_match
-from worldgen import random_mini_world, run_production_match
+from worldgen import random_mini_world, run_production_match, walk_of
 
 
 def make_world(policy=PolicyKind.SOD, requests=None, n_vehicles=2):
@@ -184,7 +184,7 @@ def test_match_assigns_and_updates_request():
     node = net.nearest_mainline_node(2000)
     w.requests = [feeder_request(net, 0, 0.0, node)]
     w.now = 0.0
-    rep = match_step(w)
+    rep = match_step(w, **walk_of(w.params))
     assert rep.assigned == [(0, 0)]
     r = w.requests[0]
     assert r.state is RequestState.ASSIGNED
@@ -200,7 +200,7 @@ def test_match_prefers_cheaper_vehicle():
     w.dispatch_vehicle(1, 1)
     node = net.nearest_mainline_node(2000)
     w.requests = [feeder_request(net, 0, 0.0, node)]
-    rep = match_step(w)
+    rep = match_step(w, **walk_of(w.params))
     assert rep.assigned == [(0, 1)]
 
 
@@ -209,7 +209,7 @@ def test_overdue_request_rejected():
     w.dispatch_vehicle(0, 0)
     w.requests = [feeder_request(net, 0, 0.0, net.nearest_mainline_node(2000))]
     w.now = 901.0
-    rep = match_step(w)
+    rep = match_step(w, **walk_of(w.params))
     assert rep.rejected == [0]
     assert w.requests[0].state is RequestState.REJECTED
     assert w.rejected_total == 1
@@ -218,7 +218,7 @@ def test_overdue_request_rejected():
 def test_no_vehicle_leaves_pending():
     w, net = make_world()
     w.requests = [feeder_request(net, 0, 0.0, net.nearest_mainline_node(2000))]
-    rep = match_step(w)
+    rep = match_step(w, **walk_of(w.params))
     assert rep.pending == [0]
     assert w.requests[0].state is RequestState.PENDING
 
@@ -230,7 +230,7 @@ def test_capacity_limits_assignments():
             for i in range(4)]
     w = World(net, sc, reqs)
     w.dispatch_vehicle(0, 0)
-    rep = match_step(w)
+    rep = match_step(w, **walk_of(w.params))
     assert len(rep.assigned) == 2
     assert len(rep.pending) == 2
 
@@ -244,7 +244,7 @@ def test_window_span_respected():
             if net.coords[n][0] >= 4000 and net.coords[n][1] == 300.0]
     reqs = [feeder_request(net, i, 0.0, deep[i]) for i in range(len(deep))]
     w.requests = reqs
-    rep = match_step(w)
+    rep = match_step(w, **walk_of(w.params))
     assert rep.pending   # not everything fits
     v = w.vehicles[0]
     span = (v.schedule[v.window_close_idx].arrival
@@ -257,7 +257,7 @@ def test_matches_brute_force_on_random_mini_worlds(net):
         world = random_mini_world(seed, net)
         twin = copy.deepcopy(world)
         got = run_production_match(world)
-        want = oracle_match(twin)
+        want = oracle_match(twin, **walk_of(twin.params))
         assert sorted(got["rejected"]) == sorted(want["rejected"]), seed
         assert sorted(got["pending"]) == sorted(want["pending"]), seed
         assert [(rid, vid) for rid, vid in got["assigned"]] == \
@@ -273,7 +273,7 @@ def _assert_same_round(world, twin, seed):
     """One production round on ``world`` equals one oracle round on its
     deep copy ``twin``."""
     got = run_production_match(world)
-    want = oracle_match(twin)
+    want = oracle_match(twin, **walk_of(twin.params))
     assert sorted(got["rejected"]) == sorted(want["rejected"]), seed
     assert sorted(got["pending"]) == sorted(want["pending"]), seed
     assert got["assigned"] == [(rid, vid) for rid, vid, *_ in
@@ -482,9 +482,11 @@ def test_rider_bound_met_exactly_still_accepts_the_insertion(to_corridor,
     if bound == "wait":
         lim = dataclasses.replace(lim, max_wait=pickup - req.t_r)
     else:
+        # a unit factor keeps the slack positive: the ride passes at least
+        # one dwell on top of the direct time
         direct = net.travel_time(req.pickup_node, req.dropoff_node)
-        lim = dataclasses.replace(
-            lim, detour_slack=dropoff - pickup - lim.detour_factor * direct)
+        lim = dataclasses.replace(lim, detour_factor=1.0,
+                                  detour_slack=dropoff - pickup - direct)
         assert lim.max_ride(direct) == pytest.approx(dropoff - pickup,
                                                      rel=0, abs=1e-9)
     w = World(net, Scenario(n_vehicles=1, n_reserved=0, limits=lim), [req])
@@ -566,7 +568,7 @@ def test_terminus_to_terminus_plan_is_served():
     cands = enumerate_candidates(w, req)
     last = len(v.schedule) - 1
     assert [(c.pickup_idx, c.dropoff_idx) for c in cands] == [(0, last)]
-    assert match_step(w).assigned == [(0, 0)]
+    assert match_step(w, **walk_of(w.params)).assigned == [(0, 0)]
 
 
 def _scaled_demand(factor):
@@ -599,7 +601,7 @@ def test_retry_memo_never_changes_a_round(case, kind, monkeypatch):
     net = sc.network()
     world = build_world(sc, kind, 0, net=net)
     ctrl = DispatchController(world, kind, sc.dispatch)
-    walk = dict(walk_speed=sc.demand.walk_speed, walk_cap=sc.demand.walk_cap)
+    walk = walk_of(sc)
     skipped = {"request": 0, "vehicle": 0}
     enumerate_all = matching.enumerate_candidates
 

@@ -1,0 +1,74 @@
+"""Scenario configs are frozen and checked when built."""
+
+import dataclasses
+import math
+
+import pytest
+import yaml
+
+from sodfeeder.cli import main
+from sodfeeder.scenario import Scenario, SeedConfig
+
+NAN = math.nan
+
+# (section or None for a top-level field, field, a value it must refuse)
+BAD_VALUES = [
+    (None, "capacity", 0),
+    (None, "fixed_stop_spacing", 2000.0),    # beyond the 1200 m fixed segment
+    (None, "dwell_base", -50.0),
+    (None, "boarding_duration", -1.0),
+    (None, "n_reserved", -1),
+    (None, "horizon", math.inf),
+    (None, "warmup", NAN),
+    ("demand", "walk_speed", 0.0),
+    ("demand", "base_rate", NAN),
+    ("seeds", "train_count", -5),
+    ("ppo", "minibatch_size", 0),
+    ("ppo", "n_envs", 0),
+    ("ppo", "epochs", 0),
+    ("ppo", "hidden_units", 0),
+    ("ppo", "learning_rate", -1.0),
+    ("coeffs", "gamma_o", NAN),
+    ("limits", "max_wait", NAN),
+    ("dispatch", "nominal_offset", NAN),
+    ("corridor", "side_depth", NAN),
+]
+
+
+def _config(section, name, value):
+    return {name: value} if section is None else {section: {name: value}}
+
+
+@pytest.mark.parametrize("section,name,value", BAD_VALUES)
+def test_bad_value_fails_when_built(section, name, value, tmp_path):
+    with pytest.raises(ValueError, match=name):
+        if section is None:
+            Scenario(**{name: value})
+        else:
+            type(getattr(Scenario(), section))(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        Scenario.from_dict(_config(section, name, value))
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_config(section, name, value)))
+    assert main(["simulate", "--policy", "sod", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
+def test_overlapping_seed_ranges_fail_when_built():
+    with pytest.raises(ValueError, match="overlap"):
+        SeedConfig(train_start=50, train_count=10, eval_start=0,
+                   eval_count=51)
+    # adjacent ranges share no seed
+    SeedConfig(train_start=50, train_count=10, eval_start=0, eval_count=50)
+    SeedConfig(train_start=0, train_count=10, eval_start=10, eval_count=5)
+
+
+def test_scenario_and_every_section_are_frozen():
+    sc = Scenario()
+    configs = [sc] + [getattr(sc, f.name) for f in dataclasses.fields(sc)
+                      if dataclasses.is_dataclass(getattr(sc, f.name))]
+    assert len(configs) == 9
+    for cfg in configs:
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))

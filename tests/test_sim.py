@@ -19,6 +19,7 @@ from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
 from oracles import rescan_advance_step
+from worldgen import walk_of
 
 
 def make_world(policy=PolicyKind.SOD, seed=0, requests=None, sc=None):
@@ -137,7 +138,7 @@ def test_each_schedule_writer_bumps_the_epoch_and_stamps_its_vehicle():
     assert _epochs(w) == (0, [0, 0, 0])
     v = w.dispatch_vehicle(1, 0)
     assert _epochs(w) == (1, [0, 1, 0])
-    assert match_step(w).assigned == [(0, 1)]
+    assert match_step(w, **walk_of(w.params)).assigned == [(0, 1)]
     assert _epochs(w) == (2, [0, 2, 0])
     while v.schedule:           # until the terminus arrival clears it
         w.advance_step()
@@ -222,7 +223,7 @@ def test_pending_requests_match_brute_force_over_an_episode():
     for _ in range(sc.n_steps):
         ctrl.baseline_dispatch()
         assert _same_requests(w.pending_requests(), _brute_pending(w))
-        match_step(w)
+        match_step(w, **walk_of(w.params))
         assert _same_requests(w.pending_requests(), _brute_pending(w))
         w.advance_step()
     assert _same_requests(w.pending_requests(), _brute_pending(w))
@@ -242,7 +243,7 @@ def test_pending_requests_is_a_fresh_list():
 def test_pending_requests_after_requests_reassigned():
     w, sc = make_world(seed=3)
     for _ in range(40):
-        match_step(w)
+        match_step(w, **walk_of(w.params))
         w.advance_step()
     assert w.pending_requests()
     w.requests = generate_instance(w.net, sc.demand, sc.horizon, 8)
@@ -321,8 +322,8 @@ def test_identical_runs_are_identical():
         w.dispatch_vehicle(1, 2)
     from sodfeeder.matching import match_step
     for _ in range(30):
-        match_step(wa)
-        match_step(wb)
+        match_step(wa, **walk_of(wa.params))
+        match_step(wb, **walk_of(wb.params))
         wa.advance_step()
         wb.advance_step()
     for va, vb in zip(wa.vehicles, wb.vehicles):
@@ -355,7 +356,7 @@ def test_retime_from_a_stop_equals_a_full_retime(net, seed, steps, status,
     ctrl = DispatchController(w, PolicyKind.SOD, sc.dispatch)
     for step in range(sc.n_steps):
         ctrl.baseline_dispatch()
-        match_step(w)
+        match_step(w, **walk_of(w.params))
         held = [v for v in w.vehicles if v.status is status]
         if step >= steps and held:
             break

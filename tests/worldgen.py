@@ -9,6 +9,12 @@ from sodfeeder.scenario import Scenario
 from sodfeeder.sim import World
 
 
+def walk_of(scenario):
+    """The walking keywords ``match_step`` takes, from ``scenario``."""
+    return {"walk_speed": scenario.demand.walk_speed,
+            "walk_cap": scenario.demand.walk_cap}
+
+
 def random_mini_world(seed, net, max_vehicles=2, max_requests=5,
                       min_requests=1):
     """A small in-flight world with pending requests, ready for one
@@ -46,6 +52,6 @@ def random_mini_world(seed, net, max_vehicles=2, max_requests=5,
 
 
 def run_production_match(world):
-    rep = match_step(world)
+    rep = match_step(world, **walk_of(world.params))
     return {"assigned": rep.assigned, "rejected": sorted(rep.rejected),
             "pending": sorted(rep.pending)}
