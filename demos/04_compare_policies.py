@@ -6,6 +6,7 @@ paired observations.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from sodfeeder.experiments import load_actor, paired_bootstrap_ge_zero
 sc = Scenario()
 checkpoint = sys.argv[1] if len(sys.argv) > 1 else "demo_policy.npz"
 actor = load_actor(checkpoint, sc)
-seeds = sc.seeds.eval_seeds(20)
+seeds = replace(sc.seeds, eval_count=20).eval_seeds()
 policies = [PolicyKind.FIXED_ROUTE, PolicyKind.SOD,
             PolicyKind.NOMINAL_ZONAL, PolicyKind.RL_ZONAL]
 results, info = compare(sc, policies, seeds, actor=actor, out_dir="demo_cmp")

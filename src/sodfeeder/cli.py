@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .demand import dump_requests_csv, generate_instance
@@ -58,18 +59,23 @@ def cmd_simulate(args):
 
 def cmd_train(args):
     sc = _load_scenario(args)
+    # the sizes go through the scenario, which checks them before any output
+    sc = replace(sc, seeds=replace(sc.seeds, train_count=args.instances))
+    if args.envs is not None:
+        sc = replace(sc, ppo=replace(sc.ppo, n_envs=args.envs))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = args.checkpoint or str(out / "policy.npz")
-    train_rl(sc, args.instances, out_checkpoint=ckpt,
-             stats_path=str(out / "training_stats.csv"), seed=args.seed,
-             n_envs=args.envs)
+    train_rl(sc, out_checkpoint=ckpt,
+             stats_path=str(out / "training_stats.csv"), seed=args.seed)
     LOG.info("checkpoint written to %s", ckpt)
     return 0
 
 
 def cmd_compare(args):
     sc = _load_scenario(args)
+    if args.n_seeds is not None:
+        sc = replace(sc, seeds=replace(sc.seeds, eval_count=args.n_seeds))
     policies = [_POLICY_NAMES[p] for p in args.policies.split(",")]
     actor = None
     if PolicyKind.RL_ZONAL in policies:
@@ -80,7 +86,7 @@ def cmd_compare(args):
     if args.seeds:
         seeds = [int(s) for s in Path(args.seeds).read_text().split()]
     else:
-        seeds = sc.seeds.eval_seeds(args.n_seeds)
+        seeds = sc.seeds.eval_seeds()
     compare(sc, policies, seeds, actor=actor, out_dir=args.out)
     LOG.info("comparison written to %s", args.out)
     return 0
@@ -119,9 +125,11 @@ def build_parser():
 
     p = sub.add_parser("train", help="train the RL zonal dispatch policy")
     _add_common(p)
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=int, default=200,
+                   help="number of training instances (seeds.train_count)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--envs", type=int, default=None)
+    p.add_argument("--envs", type=int, default=None,
+                   help="parallel environments (ppo.n_envs)")
     p.add_argument("--checkpoint", help="output checkpoint path")
     p.set_defaults(func=cmd_train)
 
@@ -130,7 +138,8 @@ def build_parser():
     p.add_argument("--policies",
                    default="fixed_route,sod,nominal_zonal,rl_zonal")
     p.add_argument("--seeds", help="file with one seed per line")
-    p.add_argument("--n-seeds", type=int, default=None)
+    p.add_argument("--n-seeds", type=int, default=None,
+                   help="number of evaluation seeds (seeds.eval_count)")
     p.add_argument("--checkpoint")
     p.set_defaults(func=cmd_compare)
 

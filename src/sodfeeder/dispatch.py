@@ -95,11 +95,14 @@ class DispatchController:
 
     def apply_action(self, action):
         """RL action: 0-2 dispatch a controllable vehicle with that zone
-        semantics, 3 holds.  Degrades to a no-op when no vehicle is free."""
+        semantics, 3 holds.  Degrades to a no-op when no vehicle is free.
+        Every valid action, hold or not, is recorded in
+        ``world.rl_actions``."""
         if self.kind is not PolicyKind.RL_ZONAL:
             raise ValueError("actions only apply to the RL zonal policy")
         if action not in (0, 1, 2, 3):
             raise ValueError("action must be in {0, 1, 2, 3}")
+        self.world.rl_actions.append(action)
         if action == 3:
             return False
         avail = self.world.available_vehicles(FleetClass.CONTROLLABLE)

@@ -23,13 +23,9 @@ def run_simulation(scenario, policy_kind, seed, actor=None, net=None):
             raise ValueError("the RL zonal policy needs a trained actor")
         env = ZonalDispatchEnv(scenario, net=net)
         obs = env.reset(seed)
-        actions = []
         while not env.done:
-            a = greedy_action(actor, obs)
-            actions.append(a)
-            obs, _, _, _ = env.step(a)
+            obs, _, _, _ = env.step(greedy_action(actor, obs))
         world = env.world
-        world.rl_actions = actions
     else:
         world = build_world(scenario, policy_kind, seed, net=net)
         controller = DispatchController(world, policy_kind, scenario.dispatch)
@@ -41,17 +37,16 @@ def run_simulation(scenario, policy_kind, seed, actor=None, net=None):
     return generalized_cost(world), world
 
 
-def train_rl(scenario, n_instances, out_checkpoint=None, stats_path=None,
-             seed=0, n_envs=None):
-    """Desk-scale training run; returns (trainer, stats)."""
+def train_rl(scenario, out_checkpoint=None, stats_path=None, seed=0):
+    """Desk-scale training run on ``scenario.seeds.train_seeds()`` with
+    ``scenario.ppo.n_envs`` environments; returns (trainer, stats)."""
     net = scenario.network()
     trainer = PPOTrainer(
         env_factory=lambda i: ZonalDispatchEnv(scenario, net=net),
         obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=scenario.ppo,
-        seed=seed, n_envs=n_envs)
-    n_updates = max(1, n_instances // trainer.n_envs)
-    seeds = scenario.seeds.train_seeds(n_instances)
-    trainer.train(seeds, n_updates)
+        seed=seed)
+    seeds = scenario.seeds.train_seeds()
+    trainer.train(seeds, max(1, len(seeds) // scenario.ppo.n_envs))
     if out_checkpoint:
         save_checkpoint(out_checkpoint, trainer.actor, trainer.critic,
                         scenario.ppo, scenario=scenario)
@@ -66,6 +61,9 @@ def compare(scenario, policies, seeds, actor=None, out_dir=None):
     Returns {policy: [RunMetrics per seed]}; RL action densities are attached
     under the "action_density" key of the returned info dict.
     """
+    if len(seeds) == 0:
+        raise ValueError("seeds is empty: compare needs at least one "
+                         "instance seed")
     net = scenario.network()
     results = {}
     action_counts = None

@@ -294,12 +294,19 @@ class TrainStats:
 
 
 class PPOTrainer:
-    """Owns the nets, optimizers and parallel environments."""
+    """Owns the nets, optimizers and parallel environments.
+
+    ``config.n_envs`` sets the number of environments; ``n_envs`` may only
+    repeat it.
+    """
 
     def __init__(self, env_factory, obs_dim, n_actions, config, seed=0,
                  n_envs=None):
+        if n_envs is not None and n_envs != config.n_envs:
+            raise ValueError("n_envs=%r contradicts ppo.n_envs=%r; set the "
+                             "count in the config" % (n_envs, config.n_envs))
         self.config = config
-        self.n_envs = n_envs if n_envs is not None else config.n_envs
+        self.n_envs = config.n_envs
         rng = np.random.default_rng(seed)
         hidden = config.hidden_units
         self.actor = MLP([obs_dim, hidden, hidden, n_actions], rng,

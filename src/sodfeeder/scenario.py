@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import yaml
@@ -24,22 +25,41 @@ from .dispatch import DispatchConfig
 from .sim import World
 
 
+def _check_ints(config, prefix=""):
+    """Make each field of ``config`` declared ``int`` a plain int.
+
+    A field takes what ``operator.index`` accepts, so numpy integers pass;
+    anything else, such as 2.5, raises a ``ValueError`` naming the field.
+    """
+    for f in dataclasses.fields(config):
+        if f.type not in ("int", int):
+            continue
+        value = getattr(config, f.name)
+        try:
+            object.__setattr__(config, f.name, operator.index(value))
+        except TypeError:
+            raise ValueError("%s%s must be an integer, not %r"
+                             % (prefix, f.name, value)) from None
+
+
 @dataclass(frozen=True)
 class SeedConfig:
+    """Disjoint ranges of demand-instance seeds for training and
+    evaluation; the counts are the run sizes."""
     train_start: int = 10_000
     train_count: int = 2_000
     eval_start: int = 0
     eval_count: int = 100
 
-    def train_seeds(self, count=None):
-        n = count if count is not None else self.train_count
-        return list(range(self.train_start, self.train_start + n))
+    def train_seeds(self):
+        return list(range(self.train_start,
+                          self.train_start + self.train_count))
 
-    def eval_seeds(self, count=None):
-        n = count if count is not None else self.eval_count
-        return list(range(self.eval_start, self.eval_start + n))
+    def eval_seeds(self):
+        return list(range(self.eval_start, self.eval_start + self.eval_count))
 
     def __post_init__(self):
+        _check_ints(self, "seeds.")
         for name in ("train_start", "eval_start"):
             if not getattr(self, name) >= 0:
                 raise ValueError("seeds.%s must be non-negative" % name)
@@ -48,7 +68,11 @@ class SeedConfig:
                 raise ValueError("seeds.%s must be at least 1" % name)
         a, b = self.train_start, self.eval_start
         if max(a, b) < min(a + self.train_count, b + self.eval_count):
-            raise ValueError("training and evaluation seed sets overlap")
+            raise ValueError(
+                "training seeds [%d, %d) and evaluation seeds [%d, %d) "
+                "overlap: move seeds.train_start or seeds.eval_start, or "
+                "shrink seeds.train_count or seeds.eval_count"
+                % (a, a + self.train_count, b, b + self.eval_count))
 
 
 @dataclass(frozen=True)
@@ -69,6 +93,7 @@ class PPOConfig:
     anneal_lr: bool = True
 
     def __post_init__(self):
+        _check_ints(self, "ppo.")
         if not 0 < self.clip_eps < 1:
             raise ValueError("ppo.clip_eps must lie in (0, 1)")
         for name in ("discount", "gae_lambda"):
@@ -134,6 +159,7 @@ class Scenario:
     def __post_init__(self):
         """The checks that span fields; each section checked itself when it
         was built."""
+        _check_ints(self)
         for name in ("horizon", "t_step"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)

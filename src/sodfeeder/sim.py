@@ -46,6 +46,8 @@ class World:
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
     assigned requests in category c (two per ASSIGNED request, one per
     RIDING one); assignment, boarding and alighting keep it current.
+    ``rl_actions`` lists the action of each RL decision in order;
+    ``DispatchController.apply_action`` is its only writer.
     """
 
     def __init__(self, net, scenario, requests, fixed_only=False,
@@ -82,6 +84,7 @@ class World:
         self.rejected_total = 0
         self.lateness_skips = 0
         self.dispatch_log = []   # (step, vehicle, source, z)
+        self.rl_actions = []     # each RL decision's action, holds included
         # time of the last departure serving each request category
         # (0=fixed-route/regular, 1=zone1, 2=zone2); z=0 serves all three
         self.last_departure = {0: None, 1: None, 2: None}

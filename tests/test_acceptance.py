@@ -6,6 +6,7 @@ paired 100-seed comparison are session fixtures shared across criteria.
 """
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from sodfeeder.demand import RequestState
 from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.econ import generalized_cost
 from sodfeeder.env import ZonalDispatchEnv
-from sodfeeder.experiments import compare, paired_bootstrap_ge_zero
+from sodfeeder.experiments import (compare, paired_bootstrap_ge_zero,
+                                   run_simulation)
 from sodfeeder.fleet import StopKind, walk
 from sodfeeder.matching import match_step
 from sodfeeder.nets import MLP, softmax_and_log
@@ -54,7 +56,8 @@ def trained():
         env_factory=lambda i: ZonalDispatchEnv(sc, net=net),
         obs_dim=18, n_actions=4, config=sc.ppo, seed=0)
     n_updates = N_TRAIN_INSTANCES // trainer.n_envs
-    trainer.train(sc.seeds.train_seeds(N_TRAIN_INSTANCES), n_updates)
+    trainer.train(replace(sc.seeds, train_count=N_TRAIN_INSTANCES)
+                  .train_seeds(), n_updates)
     return trainer
 
 
@@ -62,7 +65,7 @@ def trained():
 def comparison(trained):
     """All four policies on the same 100 held-out demand instances."""
     sc = Scenario()
-    seeds = sc.seeds.eval_seeds(N_EVAL_SEEDS)
+    seeds = replace(sc.seeds, eval_count=N_EVAL_SEEDS).eval_seeds()
     results, info = compare(
         sc, [PolicyKind.FIXED_ROUTE, PolicyKind.SOD,
              PolicyKind.NOMINAL_ZONAL, PolicyKind.RL_ZONAL],
@@ -350,19 +353,7 @@ def test_criterion_11_flexible_area_access_time(trained):
     sc = Scenario()
 
     def flex_access(kind, seed):
-        if kind is PolicyKind.RL_ZONAL:
-            env = ZonalDispatchEnv(sc)
-            env.reset(seed)
-            while not env.done:
-                env.step(greedy_action(trained.actor, env.observe()))
-            world = env.world
-        else:
-            world = build_world(sc, kind, seed)
-            ctrl = DispatchController(world, kind, sc.dispatch)
-            for _ in range(sc.n_steps):
-                ctrl.baseline_dispatch()
-                match_step(world, **walk_of(world.params))
-                world.advance_step()
+        world = run_simulation(sc, kind, seed, actor=trained.actor)[1]
         vals = [r.access_time for r in world.requests
                 if r.state is RequestState.SERVED
                 and world.category_of(r) in (Segment.ZONE1, Segment.ZONE2)]

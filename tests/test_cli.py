@@ -1,7 +1,9 @@
 import json
+import logging
 
 import pytest
 
+from sodfeeder import env, experiments
 from sodfeeder.cli import build_parser, main
 from sodfeeder.scenario import Scenario
 
@@ -101,6 +103,33 @@ def test_train_and_compare_round_trip(tmp_path, fast_config):
                "--checkpoint", str(ckpt), "--config", str(other),
                "--out", str(tmp_path / "cmp2")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("args,field", [
+    (["train", "--instances", "8", "--envs", "0"], "ppo.n_envs"),
+    (["train", "--instances", "0"], "seeds.train_count"),
+    (["compare", "--policies", "sod", "--n-seeds", "0"], "seeds.eval_count"),
+    # evaluation seeds 0..10000 would include training seed 10000
+    (["compare", "--policies", "sod", "--n-seeds", "10001"],
+     "seeds.eval_count"),
+    (["compare", "--policies", "sod", "--seeds", "EMPTY"], "seeds"),
+])
+def test_bad_run_size_fails_before_any_episode(args, field, tmp_path,
+                                               fast_config, monkeypatch,
+                                               caplog):
+    def no_episode(*a, **k):
+        raise AssertionError("an episode started")
+    monkeypatch.setattr(env, "build_world", no_episode)
+    monkeypatch.setattr(experiments, "build_world", no_episode)
+    empty = tmp_path / "seeds.txt"
+    empty.write_text("")
+    out = tmp_path / "out"
+    args = [str(empty) if a == "EMPTY" else a for a in args]
+    with caplog.at_level(logging.ERROR, logger="sodfeeder"):
+        rc = main(args + ["--config", fast_config, "--out", str(out)])
+    assert rc == 1
+    assert field in caplog.text
+    assert not out.exists()
 
 
 def test_compare_rl_requires_checkpoint(tmp_path, fast_config):

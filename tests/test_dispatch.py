@@ -121,12 +121,15 @@ def test_apply_action_hold_and_exhausted_are_noops():
     for _ in range(n_ctrl):
         assert ctrl.apply_action(0)
     assert not ctrl.apply_action(0)     # fleet exhausted -> no-op
+    # every valid action is recorded, holds and no-ops included
+    assert world.rl_actions == [3] + [0] * n_ctrl + [0]
 
 
 def test_apply_action_validation():
     world, ctrl, _ = make(PolicyKind.RL_ZONAL)
     with pytest.raises(ValueError):
         ctrl.apply_action(4)
+    assert world.rl_actions == []
     world2, ctrl2, _ = make(PolicyKind.SOD)
     with pytest.raises(ValueError):
         ctrl2.apply_action(0)

@@ -39,7 +39,8 @@ def _untrained_actor(sc):
     net = sc.network()
     trainer = PPOTrainer(env_factory=lambda i: ZonalDispatchEnv(sc, net=net),
                          obs_dim=STATE_DIM, n_actions=N_ACTIONS,
-                         config=sc.ppo, seed=0, n_envs=1)
+                         config=dataclasses.replace(sc.ppo, n_envs=1),
+                         seed=0)
     return trainer.actor
 
 

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,6 +348,18 @@ def test_single_env_replays_env_zero():
     assert np.allclose(b8.log_probs[:, 0], b1.log_probs[:, 0])
 
 
+def test_trainer_takes_its_env_count_from_the_config():
+    cfg = PPOConfig(n_envs=3)
+    for n_envs in (None, 3):
+        tr = PPOTrainer(env_factory=lambda i: BanditEnv(), obs_dim=2,
+                        n_actions=4, config=cfg, n_envs=n_envs)
+        assert tr.n_envs == len(tr.envs) == 3
+    for n_envs in (1, 8, 0):
+        with pytest.raises(ValueError, match="n_envs"):
+            PPOTrainer(env_factory=lambda i: BanditEnv(), obs_dim=2,
+                       n_actions=4, config=cfg, n_envs=n_envs)
+
+
 def test_training_stats_csv(tmp_path):
     tr = make_trainer()
     tr.train(list(range(8)), 3)
@@ -373,9 +386,9 @@ def test_trainer_state_after_three_updates_is_pinned():
     sc = Scenario()
     net = sc.network()
     tr = PPOTrainer(env_factory=lambda i: ZonalDispatchEnv(sc, net=net),
-                    obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=sc.ppo,
-                    seed=0, n_envs=2)
-    tr.train(sc.seeds.train_seeds(6), 3)
+                    obs_dim=STATE_DIM, n_actions=N_ACTIONS,
+                    config=replace(sc.ppo, n_envs=2), seed=0)
+    tr.train(replace(sc.seeds, train_count=6).train_seeds(), 3)
     keys = ("update", "env_steps", "mean_episode_reward", "value_loss",
             "policy_loss", "entropy", "approx_kl", "clip_frac")
     h = hashlib.sha256(np.concatenate([tr.actor.flat_params(),

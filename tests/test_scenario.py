@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -14,6 +15,9 @@ NAN = math.nan
 # (section or None for a top-level field, field, a value it must refuse)
 BAD_VALUES = [
     (None, "capacity", 0),
+    (None, "capacity", 2.5),
+    (None, "n_vehicles", 2.5),
+    (None, "rl_period", 1.0),
     (None, "fixed_stop_spacing", 2000.0),    # beyond the 1200 m fixed segment
     (None, "dwell_base", -50.0),
     (None, "boarding_duration", -1.0),
@@ -23,8 +27,10 @@ BAD_VALUES = [
     ("demand", "walk_speed", 0.0),
     ("demand", "base_rate", NAN),
     ("seeds", "train_count", -5),
+    ("seeds", "eval_count", 2.5),
     ("ppo", "minibatch_size", 0),
     ("ppo", "n_envs", 0),
+    ("ppo", "n_envs", 2.5),
     ("ppo", "epochs", 0),
     ("ppo", "hidden_units", 0),
     ("ppo", "learning_rate", -1.0),
@@ -52,6 +58,31 @@ def test_bad_value_fails_when_built(section, name, value, tmp_path):
     path.write_text(yaml.safe_dump(_config(section, name, value)))
     assert main(["simulate", "--policy", "sod", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+def test_every_int_field_refuses_a_fraction():
+    sc = Scenario()
+    types = [Scenario] + [type(getattr(sc, f.name))
+                          for f in dataclasses.fields(sc)
+                          if dataclasses.is_dataclass(getattr(sc, f.name))]
+    checked = set()
+    for tp in types:
+        for f in dataclasses.fields(tp):
+            if f.type in ("int", int):
+                with pytest.raises(ValueError,
+                                   match=r"\b%s must be an integer" % f.name):
+                    tp(**{f.name: 2.5})
+                checked.add(f.name)
+    assert {"n_vehicles", "capacity", "n_envs", "eval_count"} <= checked
+
+
+def test_numpy_integers_are_stored_as_ints(tmp_path):
+    sc = Scenario(n_vehicles=np.int64(6), n_reserved=np.int32(3),
+                  seeds=SeedConfig(eval_count=np.int64(7)))
+    assert type(sc.n_vehicles) is int and type(sc.n_reserved) is int
+    assert sc.seeds.eval_seeds() == list(range(7))
+    sc.to_yaml(tmp_path / "sc.yaml")
+    assert Scenario.from_yaml(tmp_path / "sc.yaml") == sc
 
 
 def test_overlapping_seed_ranges_fail_when_built():
