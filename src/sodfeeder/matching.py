@@ -9,13 +9,13 @@ schedule-cost increase is applied; ties break on (vehicle id, pickup
 position).  Requests with no feasible candidate stay pending and are
 rejected once their wait deadline lapses.
 
-Four shortcuts skip work without changing any result.  The window screen
+Five shortcuts skip work without changing any result.  The window screen
 (``_window_positions``) drops a new flexible stop whose window span would
 exceed the limit, and the whole window, unlooked at, when its slack is below
 one dwell: inserting x between a and b delays it by tt(a,x) + dwell +
 tt(x,b) - tt(a,b), and shortest-path times keep tt(a,x) + tt(x,b) >=
 tt(a,b) to within round-off (1.1e-13 s on the default corridor, far inside
-``SCREEN_MARGIN``).  The rider screen in ``enumerate_candidates`` drops a
+``SCREEN_MARGIN``).  The rider screen in ``_ranked_placements`` drops a
 placement that breaks the new rider's own wait or ride bound, read off the
 unmodified schedule: stops before the rider's stop keep their times, so its
 arrival and the terminus departure are exactly what ``retime`` gives, and
@@ -35,6 +35,26 @@ before the insertion point and boarded at their planned times.  A memo entry
 also marks the request's plan as resolved; it is dropped when the request is
 assigned or rejected.
 
+The rank shortcut (``_ranked_placements``) orders the placements that pass
+both screens by an estimate of their rank, the candidate's ``delta_rho +
+gamma_r + gamma_s * served_at_fixed_stop``, read off the unmodified schedule,
+and builds them in ascending (estimate, vehicle id, pickup, dropoff) order,
+stopping once the next estimate exceeds the best feasible built rank by
+``RANK_MARGIN``.  The satisfaction terms are the same for every placement of
+one request, so the rank orders candidates as ``delta_rho`` does; it is the
+change in the schedule's cost terms, o_per_m * Δd + t_per_s * (delay * k +
+dropoff - t_r).  Δd = d(a,x) + d(x,b) - d(a,b) for a new stop x between a and
+b, 0 for an existing one; since no stop after boarding idles, each of the k
+base riders who alight after the rider's stop (at or after b, or after the
+existing stop) is delayed by exactly ``delay``, and ``dropoff`` is the rider
+screen's exact value.  So the estimate equals the rank in real arithmetic;
+in floats the two differ by a few ulps of cost sums below 1e3 and of times
+below 2e4 s (at most 5e-14 over sod and nominal-zonal episodes at 0.1x, 1x
+and 3x paper demand), far inside ``RANK_MARGIN``.  An unbuilt placement
+then ranks more than 1e-6 above the winner, which keeps its ``delta_rho``,
+computed by subtracting the 2e6-scale rewards (ulp 2.3e-10), strictly
+above the winner's: it can neither beat nor tie it.
+
 A candidate shares its vehicle's stops before the insertion point: they
 keep their times, and a stop that ``set_schedule`` stored is never mutated
 again.  It copies stop 0 for an outbound rider and the stops from the
@@ -47,6 +67,7 @@ vehicle's base terms (``world.base_terms``) until its epoch moves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .corridor import Segment
@@ -57,6 +78,9 @@ from .fleet import Stop, StopKind, VehicleStatus, retime, walk
 # s; the window screen's allowance for float round-off in its bound, which
 # stays near 1e-11 s over a 3-hour horizon
 SCREEN_MARGIN = 1e-6
+# $; the rank shortcut's allowance for float round-off in its estimate, which
+# stays below 1e-13 $ on the default corridor
+RANK_MARGIN = 1e-6
 
 
 @dataclass
@@ -234,30 +258,33 @@ def _places(world, vehicle, node):
     return _window_positions(world, vehicle, node)
 
 
-def enumerate_candidates(world, request, base_terms=None, since=-1):
-    """All feasible insertions of the request across zone-compatible vehicles.
+def _alights_from(schedule):
+    """``after[i]``: how many riders alight at ``schedule[i:]``."""
+    after = [0] * (len(schedule) + 1)
+    for j in range(len(schedule) - 1, -1, -1):
+        after[j] = after[j + 1] + len(schedule[j].alight)
+    return after
 
-    The request is one of ``world.requests`` with its service plan resolved
-    (``resolve_service_plan``).  An outbound rider boards at the terminus
-    departure of a vehicle still boarding, an inbound rider alights at the
-    terminus arrival.  Each placement of the other end that survives the
-    window and rider screens is built and checked exactly.  ``base_terms``
-    caches each vehicle's ``schedule_cost_terms`` as vehicle id -> (epoch,
-    terms); a stale entry is replaced on the first feasible candidate.
-    ``since``, the request's retry memo (the schedule epoch of its last
-    attempt without a fit), skips every vehicle whose schedule has not
-    changed after that attempt.
-    """
+
+def _ranked_placements(world, request, since=-1):
+    """Every placement of the request that passes the window and rider
+    screens, as ``(est, vehicle id, idx, new)`` in ascending order: ``est``
+    is its rank estimate (module docstring), ``idx`` and ``new`` are as
+    ``_places`` gives them.  On one vehicle ``idx`` fixes the pickup and
+    dropoff positions, and neither falls as it grows, so this is (est,
+    vehicle id, pickup idx, dropoff idx) order.  ``since`` is as in
+    ``enumerate_candidates``."""
     outbound = request.pickup_node == world.net.terminus
     node = request.dropoff_node if outbound else request.pickup_node
-    if base_terms is None:
-        base_terms = {}
     zones = _serving_zones(world, request)
     p = world.params
     c = p.coeffs
+    o_per_m = c.o_per_m
+    t_per_s = c.t_per_s
+    t_r = request.t_r
     net = world.net
     times = net.times
-    flex_limit = p.limits.flex_window + EPS
+    dists = net.distances
     wait_limit = p.limits.max_wait + EPS + SCREEN_MARGIN
     ride_limit = p.limits.max_ride(request.direct_time) + EPS + SCREEN_MARGIN
     out = []
@@ -266,8 +293,9 @@ def enumerate_candidates(world, request, base_terms=None, since=-1):
             continue
         base_sched = v.schedule
         if outbound and (v.status != VehicleStatus.BOARDING
-                         or base_sched[0].departure - request.t_r > wait_limit):
+                         or base_sched[0].departure - t_r > wait_limit):
             continue
+        after = None
         for idx, new, delay in _places(world, v, node):
             # the rider screen (module docstring); ``at`` is exact
             prev = base_sched[idx - 1]
@@ -275,45 +303,102 @@ def enumerate_candidates(world, request, base_terms=None, since=-1):
                   else base_sched[idx].arrival)
             pickup, dropoff = ((base_sched[0].departure, at) if outbound
                                else (at, base_sched[-1].arrival + delay))
-            if (pickup - request.t_r > wait_limit
+            if (pickup - t_r > wait_limit
                     or dropoff - pickup > ride_limit):
                 continue
-            # the stops before ``idx`` are shared, the rest are copies
-            sched = base_sched[:idx]
+            if after is None:
+                after = _alights_from(base_sched)
             if new:
-                sched.append(Stop(node, StopKind.FLEX))
-            sched += [s.clone() for s in base_sched[idx:]]
-            close = v.window_close_idx
-            if new and idx <= close:
-                close += 1
-            if outbound:
-                sched[0] = sched[0].clone()
-            pk, dr = (0, idx) if outbound else (idx, len(sched) - 1)
-            sched[pk].board.append(request.id)
-            sched[dr].alight.append(request.id)
-            retime(sched, v.status, v.next_idx, net, p.dwell_base,
-                   p.dwell_per_pax, idx)
-            if v.window_open_idx is not None and (
-                    sched[close].arrival - sched[v.window_open_idx].departure
-                    > flex_limit):
-                continue
-            planned, peak, distance = walk(sched, net, len(v.onboard),
-                                           v.free_stop_min())
-            if peak > v.capacity:
-                continue
-            terms = _cost_terms(world, planned, distance, True)
-            if terms is None:
-                continue
-            base = base_terms.get(v.id)
-            if base is None or base[0] != v.epoch:
-                base = base_terms[v.id] = (
-                    v.epoch, schedule_cost_terms(world, base_sched))
-            cost, n_r, n_s = terms
-            _, (b_cost, b_r, b_s) = base
-            delta = (cost - b_cost - c.gamma_r * (n_r - b_r)
-                     - c.gamma_s * (n_s - b_s))
-            out.append(InsertionCandidate(v.id, pk, dr, sched, close, delta,
-                                          terms))
+                a, b = prev.node, base_sched[idx].node
+                detour = dists[a][node] + dists[node][b] - dists[a][b]
+                est = (o_per_m * detour
+                       + t_per_s * (delay * after[idx] + dropoff - t_r))
+            else:
+                est = t_per_s * (delay * after[idx + 1] + dropoff - t_r)
+            out.append((est, v.id, idx, new))
+    out.sort()
+    return out
+
+
+def _build(world, request, vehicle, idx, new):
+    """``(schedule, window close idx, pickup idx, dropoff idx)`` of the
+    vehicle's schedule with the request placed at ``idx`` (``new`` as
+    ``_places`` gives it), retimed."""
+    p = world.params
+    base_sched = vehicle.schedule
+    outbound = request.pickup_node == world.net.terminus
+    node = request.dropoff_node if outbound else request.pickup_node
+    # the stops before ``idx`` are shared, the rest are copies
+    sched = base_sched[:idx]
+    if new:
+        sched.append(Stop(node, StopKind.FLEX))
+    sched += [s.clone() for s in base_sched[idx:]]
+    close = vehicle.window_close_idx
+    if new and idx <= close:
+        close += 1
+    if outbound:
+        sched[0] = sched[0].clone()
+    pk, dr = (0, idx) if outbound else (idx, len(sched) - 1)
+    sched[pk].board.append(request.id)
+    sched[dr].alight.append(request.id)
+    retime(sched, vehicle.status, vehicle.next_idx, world.net, p.dwell_base,
+           p.dwell_per_pax, idx)
+    return sched, close, pk, dr
+
+
+def enumerate_candidates(world, request, base_terms=None, since=-1):
+    """The feasible insertions of the request that were built, the
+    cheapest first: among all feasible insertions across zone-compatible
+    vehicles, it is the one with the smallest (delta_rho, vehicle id, pickup
+    idx, dropoff idx).
+
+    The request is one of ``world.requests`` with its service plan resolved
+    (``resolve_service_plan``).  An outbound rider boards at the terminus
+    departure of a vehicle still boarding, an inbound rider alights at the
+    terminus arrival.  The placements of the other end that survive the
+    window and rider screens are built and checked exactly in the order of
+    their rank estimates, until the next estimate exceeds the best feasible
+    built rank by ``RANK_MARGIN`` (module docstring).  ``base_terms``
+    caches each vehicle's ``schedule_cost_terms`` as vehicle id -> (epoch,
+    terms); a stale entry is replaced on the first feasible candidate.
+    ``since``, the request's retry memo (the schedule epoch of its last
+    attempt without a fit), skips every vehicle whose schedule has not
+    changed after that attempt.
+    """
+    if base_terms is None:
+        base_terms = {}
+    p = world.params
+    c = p.coeffs
+    net = world.net
+    flex_limit = p.limits.flex_window + EPS
+    best = math.inf
+    out = []
+    for est, vid, idx, new in _ranked_placements(world, request, since):
+        if est > best + RANK_MARGIN:
+            break
+        v = world.vehicles[vid]
+        sched, close, pk, dr = _build(world, request, v, idx, new)
+        if v.window_open_idx is not None and (
+                sched[close].arrival - sched[v.window_open_idx].departure
+                > flex_limit):
+            continue
+        planned, peak, distance = walk(sched, net, len(v.onboard),
+                                       v.free_stop_min())
+        if peak > v.capacity:
+            continue
+        terms = _cost_terms(world, planned, distance, True)
+        if terms is None:
+            continue
+        base = base_terms.get(vid)
+        if base is None or base[0] != v.epoch:
+            base = base_terms[vid] = (
+                v.epoch, schedule_cost_terms(world, v.schedule))
+        cost, n_r, n_s = terms
+        _, (b_cost, b_r, b_s) = base
+        rank = cost - b_cost
+        best = min(best, rank)
+        delta = (rank - c.gamma_r * (n_r - b_r) - c.gamma_s * (n_s - b_s))
+        out.append(InsertionCandidate(vid, pk, dr, sched, close, delta, terms))
     out.sort(key=lambda c: (c.delta_rho, c.vehicle_id, c.pickup_idx,
                             c.dropoff_idx))
     return out

@@ -539,6 +539,120 @@ def test_one_round_equals_the_oracle_on_random_worlds(net, seed, n_vehicles,
     _assert_same_round(world, copy.deepcopy(world), seed)
 
 
+def _assert_exact_rank_estimates(world, request, since=-1):
+    """Every placement that passes the screens has a rank estimate within
+    ``RANK_MARGIN / 1000`` of the rank of the schedule it builds; returns
+    how many there are."""
+    placements = matching._ranked_placements(world, request, since)
+    for est, vid, idx, new in placements:
+        v = world.vehicles[vid]
+        sched = matching._build(world, request, v, idx, new)[0]
+        rank = (matching.schedule_cost_terms(world, sched)[0]
+                - matching.schedule_cost_terms(world, v.schedule)[0])
+        assert abs(est - rank) <= matching.RANK_MARGIN / 1000, (est, rank)
+    return len(placements)
+
+
+@given(seed=st.integers(0, 10**6), n_vehicles=st.integers(1, 4),
+       capacity=st.integers(1, 20), flex_window=st.floats(900.0, 1800.0))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_rank_estimates_are_exact_on_loaded_random_worlds(net, seed,
+                                                          n_vehicles,
+                                                          capacity,
+                                                          flex_window):
+    # over loaded rounds with small vehicles and tight or loose windows,
+    # every screened placement's estimate is its built rank, and building
+    # only what can win still gives the oracle's round
+    world = random_mini_world(seed, net, max_vehicles=n_vehicles,
+                              min_requests=20, max_requests=40,
+                              capacity=capacity, flex_window=flex_window)
+    enumerate_built = matching.enumerate_candidates
+
+    def checked(world, request, base_terms=None, since=-1):
+        _assert_exact_rank_estimates(world, request, since)
+        return enumerate_built(world, request, base_terms, since)
+
+    twin = copy.deepcopy(world)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "enumerate_candidates", checked)
+        _assert_same_round(world, twin, seed)
+
+
+def _counting_builds(monkeypatch):
+    built = {"n": 0}
+    _count_calls(monkeypatch, matching, "retime", built, "n")
+    return built
+
+
+def test_a_feasible_cheapest_placement_is_the_only_one_built(monkeypatch):
+    # a zone-1 rider has two window positions; the cheaper one is feasible,
+    # so the dearer one is ranked but never built
+    w, net = make_world(n_vehicles=1)
+    w.dispatch_vehicle(0, 1)
+    req = feeder_request(net, 0, 0.0, net.nearest_mainline_node(2000))
+    w.requests = [req]
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    assert _assert_exact_rank_estimates(w, req) == 2
+    built = _counting_builds(monkeypatch)
+    cands = enumerate_candidates(w, req)
+    assert built["n"] == 1
+    assert len(cands) == 1
+    _assert_same_round(w, copy.deepcopy(w), "cheapest feasible")
+
+
+def test_a_full_cheapest_vehicle_gives_way_to_the_next(monkeypatch):
+    # vehicle 0, dispatched first, would drop the rider soonest but its two
+    # seats are taken; vehicle 1's placement ranks next, is built and wins
+    sc = Scenario(n_vehicles=2, n_reserved=0, capacity=2)
+    net = sc.network()
+    stop = net.nearest_mainline_node(800)
+    reqs = [feeder_request(net, i, 0.0, stop) for i in range(2)]
+    w = World(net, sc, reqs)
+    w.dispatch_vehicle(0, 0)
+    assert match_step(w, **walk_of(sc)).assigned == [(0, 0), (1, 0)]
+    w.advance_step()
+    w.dispatch_vehicle(1, 0)
+    req = feeder_request(net, 2, w.now, stop)
+    w.requests = reqs + [req]
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    placements = matching._ranked_placements(w, req)
+    assert [p[1] for p in placements] == [0, 1]
+    assert placements[0][0] < placements[1][0]
+    built = _counting_builds(monkeypatch)
+    cands = enumerate_candidates(w, req)
+    assert built["n"] == 2
+    assert [c.vehicle_id for c in cands] == [1]
+    _assert_same_round(w, copy.deepcopy(w), "full cheapest vehicle")
+
+
+def test_placements_within_the_margin_are_built_and_tie_on_vehicle_id(
+        monkeypatch):
+    # two twin vehicles, the second one's times 1 ns earlier: its estimate
+    # is lower by far less than RANK_MARGIN, so it is built first, the
+    # first twin is built too, their delta_rho tie, and vehicle 0 wins
+    w, net = make_world()
+    w.dispatch_vehicle(0, 0)
+    v1 = w.dispatch_vehicle(1, 0)
+    earlier = [s.clone() for s in v1.schedule]
+    for s in earlier:
+        s.arrival -= 1e-9
+        s.departure -= 1e-9
+    w.set_schedule(v1, earlier)
+    req = feeder_request(net, 0, 0.0, net.nearest_mainline_node(2000))
+    w.requests = [req]
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    first, second = matching._ranked_placements(w, req)[:2]
+    assert (first[1], second[1]) == (1, 0)
+    assert 0 < second[0] - first[0] < matching.RANK_MARGIN
+    built = _counting_builds(monkeypatch)
+    cands = enumerate_candidates(w, req)
+    assert built["n"] == 2
+    assert [(c.vehicle_id, c.dropoff_idx) for c in cands] == \
+        [(0, first[2]), (1, first[2])]
+    assert cands[0].delta_rho == cands[1].delta_rho
+    assert match_step(w, **walk_of(w.params)).assigned == [(0, 0)]
+
+
 @pytest.mark.parametrize("pickup_x,dropoff_x", [(2000, 4000), (800, 2000),
                                                 (2000, 800), (400, 800)])
 def test_plan_without_terminus_endpoint_rejected(pickup_x, dropoff_x):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request
 from sodfeeder.dispatch import PolicyKind
 from sodfeeder.matching import match_step
@@ -16,12 +17,14 @@ def walk_of(scenario):
 
 
 def random_mini_world(seed, net, max_vehicles=2, max_requests=5,
-                      min_requests=1):
+                      min_requests=1, capacity=20, flex_window=1200.0):
     """A small in-flight world with pending requests, ready for one
     matching round.  A large ``min_requests`` loads the round so that
-    flexible windows fill up."""
+    flexible windows fill up; a small ``capacity`` or ``flex_window`` makes
+    vehicles and windows fill sooner."""
     rng = np.random.default_rng(seed)
-    sc = Scenario(n_vehicles=max_vehicles, n_reserved=0)
+    sc = Scenario(n_vehicles=max_vehicles, n_reserved=0, capacity=capacity,
+                  limits=FeasibilityLimits(flex_window=flex_window))
     policy = PolicyKind.FIXED_ROUTE if rng.random() < 0.2 else PolicyKind.SOD
     world = World(net, sc, [], fixed_only=policy.fixed_only)
 
