@@ -578,12 +578,6 @@ def test_rank_estimates_are_exact_on_loaded_random_worlds(net, seed,
         _assert_same_round(world, twin, seed)
 
 
-def _counting_builds(monkeypatch):
-    built = {"n": 0}
-    _count_calls(monkeypatch, matching, "retime", built, "n")
-    return built
-
-
 def test_a_feasible_cheapest_placement_is_the_only_one_built(monkeypatch):
     # a zone-1 rider has two window positions; the cheaper one is feasible,
     # so the dearer one is ranked but never built
@@ -593,7 +587,8 @@ def test_a_feasible_cheapest_placement_is_the_only_one_built(monkeypatch):
     w.requests = [req]
     assert resolve_service_plan(w, req, 1.25, 600.0)
     assert _assert_exact_rank_estimates(w, req) == 2
-    built = _counting_builds(monkeypatch)
+    built = {"n": 0}
+    _count_calls(monkeypatch, matching, "retime", built, "n")
     cands = enumerate_candidates(w, req)
     assert built["n"] == 1
     assert len(cands) == 1
@@ -618,7 +613,8 @@ def test_a_full_cheapest_vehicle_gives_way_to_the_next(monkeypatch):
     placements = matching._ranked_placements(w, req)
     assert [p[1] for p in placements] == [0, 1]
     assert placements[0][0] < placements[1][0]
-    built = _counting_builds(monkeypatch)
+    built = {"n": 0}
+    _count_calls(monkeypatch, matching, "retime", built, "n")
     cands = enumerate_candidates(w, req)
     assert built["n"] == 2
     assert [c.vehicle_id for c in cands] == [1]
@@ -644,7 +640,8 @@ def test_placements_within_the_margin_are_built_and_tie_on_vehicle_id(
     first, second = matching._ranked_placements(w, req)[:2]
     assert (first[1], second[1]) == (1, 0)
     assert 0 < second[0] - first[0] < matching.RANK_MARGIN
-    built = _counting_builds(monkeypatch)
+    built = {"n": 0}
+    _count_calls(monkeypatch, matching, "retime", built, "n")
     cands = enumerate_candidates(w, req)
     assert built["n"] == 2
     assert [(c.vehicle_id, c.dropoff_idx) for c in cands] == \
