@@ -60,7 +60,8 @@ def cmd_simulate(args):
 def cmd_train(args):
     sc = _load_scenario(args)
     # the sizes go through the scenario, which checks them before any output
-    sc = replace(sc, seeds=replace(sc.seeds, train_count=args.instances))
+    if args.instances is not None:
+        sc = replace(sc, seeds=replace(sc.seeds, train_count=args.instances))
     if args.envs is not None:
         sc = replace(sc, ppo=replace(sc.ppo, n_envs=args.envs))
     out = Path(args.out)
@@ -125,7 +126,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train the RL zonal dispatch policy")
     _add_common(p)
-    p.add_argument("--instances", type=int, default=200,
+    p.add_argument("--instances", type=int, default=None,
                    help="number of training instances (seeds.train_count)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--envs", type=int, default=None,

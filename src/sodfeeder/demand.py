@@ -11,6 +11,7 @@ mainline, zero beyond the walk cap.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,59 +104,93 @@ def endpoint_weights(net, profile):
     return w
 
 
+# Memos of pure functions of a network and a demand profile.  A ``Network``
+# is built only by ``build_corridor`` from its frozen ``spec``, so the spec
+# stands for the network in a key.  Each memo keeps its MEMO_SIZE newest
+# entries, and no caller gets a value it could change: the trips are tuples,
+# and ``segment_shares`` returns a copy.
+MEMO_SIZE = 8
+_tables = {}   # (spec, profile) -> (endpoint CDF list or None, segment shares)
+_trips = {}    # (spec, profile, horizon, seed) -> ((t_r, origin, dest), ...)
+
+
+def _memo(table, key, make):
+    """``table[key]``, made by ``make()`` on a miss."""
+    value = table.get(key)
+    if value is None:
+        value = make()
+        if len(table) >= MEMO_SIZE:
+            del table[next(iter(table))]
+        table[key] = value
+    return value
+
+
+def _endpoint_table(net, profile):
+    """The cumulative endpoint table that numpy's ``Generator.choice(p=...)``
+    searches, as a list (None when every weight is zero), and the segment
+    shares of the same weights."""
+    weights = endpoint_weights(net, profile)
+    total = weights.sum()
+    shares = {seg: 0.0 for seg in Segment}
+    if total <= 0:
+        return None, shares
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    for nid in range(net.n_nodes):
+        shares[net.labels[nid]] += weights[nid] / total
+    return cdf.tolist(), shares
+
+
+def _draw_trips(net, profile, horizon, seed):
+    """The (t_r, origin, destination) of each request of one instance."""
+    cdf = _memo(_tables, (net.spec, profile),
+                lambda: _endpoint_table(net, profile))[0]
+    rate_max = max(profile.base_rate, profile.end_rate) / 3600.0
+    if cdf is None or rate_max <= 0:
+        return ()
+    rng = np.random.default_rng(seed)
+    exponential, random = rng.exponential, rng.random
+    rate_at, split = profile.rate_at, profile.direction_split
+    scale = 1.0 / rate_max
+    term = net.terminus
+    trips = []
+    t = 0.0
+    while True:
+        t += exponential(scale)
+        if t >= horizon:
+            return tuple(trips)
+        if random() > rate_at(t, horizon) / rate_max:
+            continue
+        # bisect_right on the list finds searchsorted(side="right")'s index
+        node = bisect_right(cdf, random())
+        if random() < split:
+            trips.append((t, term, node))
+        else:
+            trips.append((t, node, term))
+
+
 def generate_instance(net, profile, horizon, seed):
     """Generate one seeded request stream, sorted by request time.
 
     The arrival process is inhomogeneous Poisson (thinning against the peak
-    rate).  Exactly one endpoint of every request is the terminus.
+    rate).  Exactly one endpoint of every request is the terminus.  The
+    drawn trips are memoized by (``net.spec``, ``profile``, ``horizon``,
+    ``seed``), so the policies of a paired comparison draw a seed's demand
+    once; ``seed`` is therefore an int, which fixes the draw.  Every call
+    returns new ``Request`` objects.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rng = np.random.default_rng(seed)
-    weights = endpoint_weights(net, profile)
-    total_w = weights.sum()
-    if total_w <= 0:
-        return []
-    # the cumulative search numpy's Generator.choice(p=...) runs, built once
-    cdf = (weights / total_w).cumsum()
-    cdf /= cdf[-1]
-
-    rate_max = max(profile.base_rate, profile.end_rate) / 3600.0
-    requests = []
-    t = 0.0
-    rid = 0
-    while True:
-        if rate_max <= 0:
-            break
-        t += rng.exponential(1.0 / rate_max)
-        if t >= horizon:
-            break
-        if rng.random() > profile.rate_at(t, horizon) / rate_max:
-            continue
-        node = int(cdf.searchsorted(rng.random(), side="right"))
-        from_terminus = rng.random() < profile.direction_split
-        if from_terminus:
-            origin, destination = net.terminus, node
-        else:
-            origin, destination = node, net.terminus
-        requests.append(Request(
-            id=rid, t_r=t,
-            origin=origin, destination=destination))
-        rid += 1
-    return requests
+    trips = _memo(_trips, (net.spec, profile, horizon, seed),
+                  lambda: _draw_trips(net, profile, horizon, seed))
+    return [Request(i, t, o, d) for i, (t, o, d) in enumerate(trips)]
 
 
 def segment_shares(net, profile):
     """Stationary probability that a request's non-terminus endpoint lies in
     each segment, under the generator's node weights."""
-    weights = endpoint_weights(net, profile)
-    total = weights.sum()
-    shares = {seg: 0.0 for seg in Segment}
-    if total <= 0:
-        return shares
-    for nid in range(net.n_nodes):
-        shares[net.labels[nid]] += weights[nid] / total
-    return shares
+    return dict(_memo(_tables, (net.spec, profile),
+                      lambda: _endpoint_table(net, profile))[1])
 
 
 def forecast_demand(profile, horizon, now, window):

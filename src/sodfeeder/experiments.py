@@ -65,11 +65,11 @@ def compare(scenario, policies, seeds, actor=None, out_dir=None):
         raise ValueError("seeds is empty: compare needs at least one "
                          "instance seed")
     net = scenario.network()
-    results = {}
+    # seed-major, so the policies of a seed reuse its memoized demand
+    results = {kind: [] for kind in policies}
     action_counts = None
-    for kind in policies:
-        metrics = []
-        for seed in seeds:
+    for seed in seeds:
+        for kind, metrics in results.items():
             m, world = run_simulation(scenario, kind, seed, actor=actor,
                                       net=net)
             metrics.append(m)
@@ -79,7 +79,6 @@ def compare(scenario, policies, seeds, actor=None, out_dir=None):
                                               N_ACTIONS))
                 for t, a in enumerate(world.rl_actions):
                     action_counts[t, a] += 1
-        results[kind] = metrics
 
     info = {}
     if action_counts is not None:

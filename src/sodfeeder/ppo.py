@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -267,9 +268,26 @@ def load_checkpoint(path, scenario=None):
     return actor, critic, meta
 
 
+def greedy_logits(actor, obs):
+    """``actor.forward(obs)[0][0]`` as a list, computed on the 1-D
+    observation without the batch wrapper; equal to it bit for bit."""
+    h = obs
+    for W, b in zip(actor.W[:-1], actor.b):
+        h = h @ W
+        h += b
+        np.tanh(h, out=h)
+    out = h @ actor.W[-1]
+    out += actor.b[-1]
+    logits = out.tolist()
+    if not all(map(math.isfinite, logits)):
+        raise FloatingPointError("non-finite values in forward pass")
+    return logits
+
+
 def greedy_action(actor, obs):
-    logits, _ = actor.forward(obs)
-    return int(logits[0].argmax())
+    """The first action of maximal logit, as ``argmax`` picks it."""
+    logits = greedy_logits(actor, obs)
+    return logits.index(max(logits))
 
 
 # ---- trainer ---------------------------------------------------------------

@@ -111,6 +111,9 @@ class World:
             if term not in (r.origin, r.destination):
                 raise ValueError("request %d: neither endpoint (%d, %d) is "
                                  "the terminus" % (i, r.origin, r.destination))
+            if r.origin == r.destination == term:
+                raise ValueError("request %d: both endpoints are the "
+                                 "terminus %d" % (i, term))
             if r.state is RequestState.ASSIGNED:
                 open_processes[self.category_of(r)] += 2
             elif r.state is RequestState.RIDING:

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from sodfeeder.corridor import Segment
-from sodfeeder.demand import RequestState, forecast_demand, segment_shares
+from sodfeeder.demand import (Request, RequestState, endpoint_weights,
+                              forecast_demand, segment_shares)
 from sodfeeder.fleet import FleetClass, Stop, StopKind, VehicleStatus
 from sodfeeder.sim import StepReport
 
@@ -46,6 +47,46 @@ def gae_direct(deltas, discount, lam, dones):
             w *= discount * lam
         out[t] = acc
     return out
+
+
+# ---- demand oracle -----------------------------------------------------------
+
+def oracle_generate_instance(net, profile, horizon, seed):
+    """``demand.generate_instance`` before its memo: a fresh draw on every
+    call, searching the cumulative table with ``searchsorted``."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    rng = np.random.default_rng(seed)
+    weights = endpoint_weights(net, profile)
+    total_w = weights.sum()
+    if total_w <= 0:
+        return []
+    cdf = (weights / total_w).cumsum()
+    cdf /= cdf[-1]
+
+    rate_max = max(profile.base_rate, profile.end_rate) / 3600.0
+    requests = []
+    t = 0.0
+    rid = 0
+    while True:
+        if rate_max <= 0:
+            break
+        t += rng.exponential(1.0 / rate_max)
+        if t >= horizon:
+            break
+        if rng.random() > profile.rate_at(t, horizon) / rate_max:
+            continue
+        node = int(cdf.searchsorted(rng.random(), side="right"))
+        from_terminus = rng.random() < profile.direction_split
+        if from_terminus:
+            origin, destination = net.terminus, node
+        else:
+            origin, destination = node, net.terminus
+        requests.append(Request(
+            id=rid, t_r=t,
+            origin=origin, destination=destination))
+        rid += 1
+    return requests
 
 
 # ---- observation oracle ------------------------------------------------------

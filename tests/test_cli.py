@@ -5,7 +5,7 @@ import pytest
 
 from sodfeeder import env, experiments
 from sodfeeder.cli import build_parser, main
-from sodfeeder.scenario import Scenario
+from sodfeeder.scenario import Scenario, SeedConfig
 
 
 @pytest.fixture()
@@ -72,6 +72,18 @@ def test_dump_demand(tmp_path, fast_config):
                "--out", str(out)])
     assert rc == 0
     assert (out / "demand_seed9.csv").exists()
+
+
+def test_train_keeps_the_configs_instance_count(tmp_path):
+    config = tmp_path / "scenario.yaml"
+    Scenario(horizon=1800.0, warmup=600.0,
+             seeds=SeedConfig(train_count=4)).to_yaml(config)
+    out = tmp_path / "train"
+    rc = main(["train", "--envs", "2", "--config", str(config),
+               "--out", str(out)])
+    assert rc == 0
+    rows = (out / "training_stats.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + 2     # header + 4 instances / 2 envs
 
 
 def test_train_and_compare_round_trip(tmp_path, fast_config):

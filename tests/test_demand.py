@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sodfeeder import demand
+from sodfeeder.corridor import CorridorSpec
 from sodfeeder.demand import (DemandProfile, Request, RequestState,
                               dump_requests_csv, endpoint_weights,
                               forecast_demand, generate_instance,
                               load_requests_csv, segment_shares)
+from sodfeeder.dispatch import PolicyKind
+from sodfeeder.experiments import run_simulation
+from sodfeeder.scenario import Scenario, build_world
+
+from oracles import oracle_generate_instance
 
 
 def test_same_seed_same_instance(net):
@@ -75,6 +84,46 @@ def test_mean_count_matches_rate_integral(net):
     mean = np.mean(counts)
     # 3-sigma band around the Poisson mean
     assert abs(mean - expected) < 3 * np.sqrt(expected / len(counts))
+
+
+def _fields(requests):
+    return [(r.id, r.t_r, r.origin, r.destination) for r in requests]
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.0, 400.0))
+
+
+@given(base_rate=rates, end_rate=rates,
+       direction_split=st.one_of(st.sampled_from([0.0, 1.0]),
+                                 st.floats(0.0, 1.0)),
+       walk_cap=st.floats(50.0, 900.0),
+       side_depth=st.sampled_from([0.0, 300.0]),
+       horizon=st.floats(60.0, 7200.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_memoized_instance_equals_the_oracle(base_rate, end_rate,
+                                             direction_split, walk_cap,
+                                             side_depth, horizon, seed):
+    net = Scenario(corridor=CorridorSpec(side_depth=side_depth)).network()
+    p = DemandProfile(base_rate=base_rate, end_rate=end_rate,
+                      direction_split=direction_split, walk_cap=walk_cap)
+    want = _fields(oracle_generate_instance(net, p, horizon, seed))
+    demand._trips.clear()
+    assert _fields(generate_instance(net, p, horizon, seed)) == want
+    assert _fields(generate_instance(net, p, horizon, seed)) == want
+
+
+def test_an_episode_leaves_the_memoized_instance_untouched():
+    sc = Scenario()
+    _, first = run_simulation(sc, PolicyKind.SOD, 5)
+    assert any(r.state is RequestState.SERVED for r in first.requests)
+    again = build_world(sc, PolicyKind.NOMINAL_ZONAL, 5).requests
+    assert len(again) == len(first.requests) > 0
+    assert not {id(r) for r in again} & {id(r) for r in first.requests}
+    # a new request equals one built from the drawn trip alone: PENDING,
+    # with no vehicle, times or service plan
+    assert again == [Request(r.id, r.t_r, r.origin, r.destination)
+                     for r in again]
 
 
 def test_endpoint_weights_decay_with_walk_time(net):

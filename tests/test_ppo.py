@@ -12,7 +12,7 @@ from sodfeeder.nets import MLP, Adam, orthogonal, softmax_and_log
 from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
                            clip_g, collect_rollouts, compute_gae,
                            critic_loss_and_grad, gae_from_deltas, greedy_action,
-                           load_checkpoint, sample_action, save_checkpoint,
+                           greedy_logits, load_checkpoint, sample_action, save_checkpoint,
                            td_error)
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
@@ -330,6 +330,37 @@ def test_bandit_learning_quickly():
     probs = softmax_and_log(tr.actor.forward(np.array([[1.0, 0.0]]))[0])[0][0]
     assert probs[2] > 0.9
     assert greedy_action(tr.actor, np.array([1.0, 0.0])) == 2
+
+
+def _greedy_actors():
+    rng = np.random.default_rng(11)
+    fresh = MLP([STATE_DIM, 64, 64, N_ACTIONS], rng, out_gain=0.01)
+    sc = Scenario(horizon=1800.0, warmup=600.0,
+                  ppo=PPOConfig(n_envs=2, epochs=2))
+    tr = PPOTrainer(env_factory=lambda i: ZonalDispatchEnv(sc),
+                    obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=sc.ppo,
+                    seed=4)
+    for u in range(3):
+        tr.run_update([2 * u, 2 * u + 1])
+    return fresh, tr.actor
+
+
+def test_greedy_path_equals_the_batch_forward():
+    obs = np.random.default_rng(12).random((2000, STATE_DIM))
+    obs = np.vstack([obs, np.zeros(STATE_DIM), np.ones(STATE_DIM)])
+    for actor in _greedy_actors():
+        for x in obs:
+            want = actor.forward(x)[0][0]
+            assert np.array(greedy_logits(actor, x)).tobytes() == \
+                want.tobytes()
+            assert greedy_action(actor, x) == int(want.argmax())
+
+
+def test_greedy_path_raises_on_nonfinite():
+    actor = MLP([STATE_DIM, 8, N_ACTIONS], np.random.default_rng(3))
+    actor.W[0][0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        greedy_action(actor, np.ones(STATE_DIM))
 
 
 def test_single_env_replays_env_zero():

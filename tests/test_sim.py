@@ -295,6 +295,16 @@ def test_world_rejects_misordered_requests(t_rs, ids, match):
     assert w.requests == []
 
 
+def test_world_rejects_a_terminus_to_terminus_request():
+    w, _ = make_world(requests=[])
+    term = w.net.terminus
+    reqs = [Request(0, 10.0, term, 40), Request(1, 20.0, term, term)]
+    with pytest.raises(ValueError, match="request 1: both endpoints are the "
+                                         "terminus %d" % term):
+        w.requests = reqs
+    assert w.requests == []
+
+
 def test_category_of():
     w, _ = make_world(requests=[])
     fixed_node = w.fixed_stop_nodes[0]
