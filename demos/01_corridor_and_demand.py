@@ -14,7 +14,7 @@ print("corridor: %d nodes, %d mainline nodes, terminus at node %d"
       % (net.n_nodes, len(net.mainline_nodes), net.terminus))
 
 for seg in Segment:
-    nodes = net.nodes_in_segment(seg)
+    nodes = [n for n, label in enumerate(net.labels) if label == seg]
     xs = [net.coords[n][0] for n in nodes]
     print("  %-6s %3d nodes, x in [%4.0f, %4.0f] m"
           % (seg.name, len(nodes), min(xs), max(xs)))

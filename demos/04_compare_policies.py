@@ -10,12 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from sodfeeder import PolicyKind, Scenario, compare
-from sodfeeder.experiments import load_actor, paired_bootstrap_ge_zero
+from sodfeeder import PolicyKind, Scenario, compare, load_checkpoint
+from sodfeeder.experiments import paired_bootstrap_ge_zero
 
 sc = Scenario()
 checkpoint = sys.argv[1] if len(sys.argv) > 1 else "demo_policy.npz"
-actor = load_actor(checkpoint, sc)
+actor = load_checkpoint(checkpoint, sc)[0]
 seeds = replace(sc.seeds, eval_count=20).eval_seeds()
 policies = [PolicyKind.FIXED_ROUTE, PolicyKind.SOD,
             PolicyKind.NOMINAL_ZONAL, PolicyKind.RL_ZONAL]

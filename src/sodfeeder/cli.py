@@ -12,7 +12,8 @@ from pathlib import Path
 from .demand import dump_requests_csv, generate_instance
 from .dispatch import PolicyKind
 from .econ import METRIC_FIELDS, write_metrics_csv, write_summary_json
-from .experiments import compare, load_actor, run_simulation, train_rl
+from .experiments import compare, run_simulation, train_rl
+from .ppo import load_checkpoint
 from .scenario import Scenario
 
 LOG = logging.getLogger("sodfeeder")
@@ -40,7 +41,7 @@ def cmd_simulate(args):
         if not args.checkpoint:
             LOG.error("policy rl_zonal requires --checkpoint")
             return 2
-        actor = load_actor(args.checkpoint, sc)
+        actor = load_checkpoint(args.checkpoint, sc)[0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics, world = run_simulation(sc, kind, args.seed, actor=actor)
@@ -83,7 +84,7 @@ def cmd_compare(args):
         if not args.checkpoint:
             LOG.error("comparing rl_zonal requires --checkpoint")
             return 2
-        actor = load_actor(args.checkpoint, sc)
+        actor = load_checkpoint(args.checkpoint, sc)[0]
     if args.seeds:
         seeds = [int(s) for s in Path(args.seeds).read_text().split()]
     else:

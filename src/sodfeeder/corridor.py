@@ -90,9 +90,6 @@ class Network:
     def is_mainline(self, node):
         return self.coords[node][1] == 0.0
 
-    def nodes_in_segment(self, segment):
-        return [i for i, lab in enumerate(self.labels) if lab == segment]
-
     def _check_node(self, node):
         if not (0 <= node < self.n_nodes):
             raise KeyError("unknown node id %r" % (node,))

@@ -18,7 +18,6 @@ Observation layout (version ``sod-state-v1``)::
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -65,11 +64,6 @@ def normalize(raw, ranges):
     """Elementwise (x - min) / (max - min), clamped to [0, 1]."""
     lo, span = bounds(ranges)
     return np.clip((np.asarray(raw, dtype=float) - lo) / span, 0.0, 1.0)
-
-
-def denormalize(x, ranges):
-    lo, span = bounds(ranges)
-    return lo + np.asarray(x, dtype=float) * span
 
 
 class ZonalDispatchEnv:
@@ -182,15 +176,3 @@ class ZonalDispatchEnv:
         np.maximum(x, 0.0, out=x)
         np.minimum(x, 1.0, out=x)
         return x
-
-    # ---- checkpoint/restore (Markov bookkeeping) ---------------------------
-
-    def snapshot(self):
-        # one deepcopy keeps the controller pointing at the copied world; the
-        # memo shares the immutable network instead of copying it
-        return copy.deepcopy((self.world, self.controller, self.t, self.done),
-                             {id(self.net): self.net})
-
-    def restore(self, snap):
-        self.world, self.controller, self.t, self.done = copy.deepcopy(
-            snap, {id(self.net): self.net})

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from .dispatch import DispatchController, PolicyKind
 from .econ import aggregate, generalized_cost
 from .env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
 from .matching import match_step
-from .ppo import PPOTrainer, greedy_action, load_checkpoint, save_checkpoint
+from .ppo import PPOTrainer, greedy_action, save_checkpoint
 from .scenario import build_world
 
 
@@ -49,7 +48,7 @@ def train_rl(scenario, out_checkpoint=None, stats_path=None, seed=0):
     trainer.train(seeds, max(1, len(seeds) // scenario.ppo.n_envs))
     if out_checkpoint:
         save_checkpoint(out_checkpoint, trainer.actor, trainer.critic,
-                        scenario.ppo, scenario=scenario)
+                        scenario.ppo, scenario)
     if stats_path:
         trainer.stats.to_csv(stats_path)
     return trainer, trainer.stats
@@ -114,12 +113,6 @@ def _write_compare_outputs(results, seeds, info, out):
             w.writerow(["step"] + ["a%d" % a for a in range(N_ACTIONS)])
             for t, row in enumerate(info["action_density"]):
                 w.writerow([t] + list(row))
-
-
-def load_actor(checkpoint_path, scenario):
-    """The actor of a checkpoint trained for ``scenario``."""
-    actor, _, _ = load_checkpoint(checkpoint_path, scenario=scenario)
-    return actor
 
 
 def paired_bootstrap_ge_zero(diffs, n_boot=10_000, seed=0):

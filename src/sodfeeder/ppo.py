@@ -225,16 +225,15 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
 
 # ---- checkpoints -----------------------------------------------------------
 
-def save_checkpoint(path, actor, critic, config, scenario=None):
-    """Write the nets and the state layout version; ``scenario`` embeds its
-    fingerprint, which ``load_checkpoint`` can then check."""
+def save_checkpoint(path, actor, critic, config, scenario):
+    """Write the nets, the state layout version and the fingerprint of the
+    ``scenario`` they were trained for, which ``load_checkpoint`` checks."""
     meta = {
         "layout_version": CHECKPOINT_VERSION,
         "actor_sizes": actor.sizes,
         "critic_sizes": critic.sizes,
         "config": {k: v for k, v in vars(config).items()},
-        "scenario": (None if scenario is None
-                     else scenario_fingerprint(scenario)),
+        "scenario": scenario_fingerprint(scenario),
     }
     arrays = {"%s_%d" % (name, i): p
               for name, net in (("actor", actor), ("critic", critic))
@@ -242,23 +241,22 @@ def save_checkpoint(path, actor, critic, config, scenario=None):
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
-def load_checkpoint(path, scenario=None):
-    """Read the nets back.  A checkpoint written for another state layout is
-    refused; with ``scenario`` given, so is one whose embedded fingerprint
-    differs from that scenario's (or that has none)."""
+def load_checkpoint(path, scenario):
+    """Read the nets back for ``scenario``.  A checkpoint written for another
+    state layout is refused, and so is one whose embedded fingerprint differs
+    from the scenario's (or that has none)."""
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
     if meta["layout_version"] != CHECKPOINT_VERSION:
         raise ValueError(
             "checkpoint layout %r does not match expected %r"
             % (meta["layout_version"], CHECKPOINT_VERSION))
-    if scenario is not None:
-        want = json.loads(json.dumps(scenario_fingerprint(scenario)))
-        got = meta.get("scenario") or {}
-        differ = [k for k in want if got.get(k) != want[k]]
-        if differ:
-            raise ValueError("checkpoint %s does not match the scenario's %s"
-                             % (path, ", ".join(differ)))
+    want = json.loads(json.dumps(scenario_fingerprint(scenario)))
+    got = meta.get("scenario") or {}
+    differ = [k for k in want if got.get(k) != want[k]]
+    if differ:
+        raise ValueError("checkpoint %s does not match the scenario's %s"
+                         % (path, ", ".join(differ)))
     rng = np.random.default_rng(0)
     actor = MLP(meta["actor_sizes"], rng)
     critic = MLP(meta["critic_sizes"], rng)

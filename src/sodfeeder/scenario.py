@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -210,13 +211,27 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data):
-        def build(section, tp, sub):
-            kwargs = dict(sub or {})
-            for key in kwargs:
-                if key not in tp.__dataclass_fields__:
-                    raise ValueError("unknown field %r in scenario section %r"
-                                     % (key, section))
-            return tp(**kwargs)
+        """A scenario from parsed YAML: a mapping of top-level fields and
+        sections, each section a mapping of its own fields."""
+        def fields_of(tp, sub, section=None):
+            """``sub`` as keyword arguments of ``tp``: known fields only, and
+            a number for each ``float`` field (YAML reads ``abc`` or ``1e3``
+            as text)."""
+            where = ("scenario section %r" % section if section
+                     else "the scenario")
+            if not isinstance(sub, dict):
+                raise ValueError("%s must be a mapping of fields, not %r"
+                                 % (where, sub))
+            for key, value in sub.items():
+                f = tp.__dataclass_fields__.get(key)
+                if f is None:
+                    raise ValueError("unknown field %r in %s" % (key, where))
+                if (f.type in ("float", float)
+                        and not isinstance(value, numbers.Real)):
+                    raise ValueError("%s%s must be a number, not %r"
+                                     % (section + "." if section else "",
+                                        key, value))
+            return dict(sub)
 
         nested = {
             "corridor": CorridorSpec, "demand": DemandProfile,
@@ -224,14 +239,10 @@ class Scenario:
             "dispatch": DispatchConfig, "ppo": PPOConfig,
             "seeds": SeedConfig, "norm": NormalizationRanges,
         }
-        kwargs = {}
-        for key, value in (data or {}).items():
-            if key in nested:
-                kwargs[key] = build(key, nested[key], value)
-            elif key in cls.__dataclass_fields__:
-                kwargs[key] = value
-            else:
-                raise ValueError("unknown scenario field %r" % key)
+        kwargs = fields_of(cls, {} if data is None else data)
+        for key in nested.keys() & kwargs.keys():
+            sub = {} if kwargs[key] is None else kwargs[key]
+            kwargs[key] = nested[key](**fields_of(nested[key], sub, key))
         return cls(**kwargs)
 
     @classmethod

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 from .costs import EPS
 from .demand import RequestState
-from .fleet import (FleetClass, Stop, StopKind, Vehicle, VehicleStatus,
-                    retime, stop_dwell)
+from .fleet import FleetClass, Stop, StopKind, Vehicle, VehicleStatus, retime
 
 # looked up once: enum member access is slow, and the step loop compares
 # them for every event

@@ -14,7 +14,6 @@ import pytest
 from sodfeeder.corridor import Segment
 from sodfeeder.demand import RequestState
 from sodfeeder.dispatch import DispatchController, PolicyKind
-from sodfeeder.econ import generalized_cost
 from sodfeeder.env import ZonalDispatchEnv
 from sodfeeder.experiments import (compare, paired_bootstrap_ge_zero,
                                    run_simulation)

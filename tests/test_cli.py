@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 
@@ -5,6 +6,7 @@ import pytest
 
 from sodfeeder import env, experiments
 from sodfeeder.cli import build_parser, main
+from sodfeeder.demand import generate_instance
 from sodfeeder.scenario import Scenario, SeedConfig
 
 
@@ -51,7 +53,9 @@ def test_bad_config_is_reported(tmp_path):
     bad = tmp_path / "bad.yaml"
     for text in ["no_such_field: 1\n", "demand:\n  foo: 1\n",
                  "limits:\n  capacity: 20\n", "horizon: 10830\n",
-                 "rl_period: 7\n", "n_vehicles: 0\nn_reserved: 0\n"]:
+                 "rl_period: 7\n", "n_vehicles: 0\nn_reserved: 0\n",
+                 # not a mapping, a scalar section, a non-numeric field
+                 "- 1\n", "demand: 5\n", "demand:\n  base_rate: abc\n"]:
         bad.write_text(text)
         rc = main(["simulate", "--policy", "sod", "--config", str(bad),
                    "--out", str(tmp_path / "x")])
@@ -71,7 +75,13 @@ def test_dump_demand(tmp_path, fast_config):
     rc = main(["dump-demand", "--seed", "9", "--config", fast_config,
                "--out", str(out)])
     assert rc == 0
-    assert (out / "demand_seed9.csv").exists()
+    with open(out / "demand_seed9.csv", newline="") as f:
+        rows = [(int(r["id"]), float(r["t_r"]), int(r["origin"]),
+                 int(r["destination"])) for r in csv.DictReader(f)]
+    sc = Scenario.from_yaml(fast_config)
+    want = generate_instance(sc.network(), sc.demand, sc.horizon, 9)
+    assert rows and rows == [(r.id, r.t_r, r.origin, r.destination)
+                             for r in want]
 
 
 def test_train_keeps_the_configs_instance_count(tmp_path):

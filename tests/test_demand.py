@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from sodfeeder import demand
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.demand import (DemandProfile, Request, RequestState,
-                              dump_requests_csv, endpoint_weights,
-                              forecast_demand, generate_instance,
-                              load_requests_csv, segment_shares)
+                              endpoint_weights, forecast_demand,
+                              generate_instance, segment_shares)
 from sodfeeder.dispatch import PolicyKind
 from sodfeeder.experiments import run_simulation
 from sodfeeder.scenario import Scenario, build_world
@@ -197,41 +196,6 @@ def test_every_state_pair_against_the_legal_moves():
             with pytest.raises(ValueError, match="illegal lifecycle"):
                 r.transition(new)
             assert r.state is old
-
-
-def test_csv_round_trip(tmp_path, net):
-    reqs = generate_instance(net, DemandProfile(), 10800, 11)
-    path = tmp_path / "demand.csv"
-    dump_requests_csv(reqs, path)
-    back = load_requests_csv(net, path)
-    assert len(back) == len(reqs)
-    for a, b in zip(reqs, back):
-        assert (a.id, a.origin, a.destination) == (b.id, b.origin, b.destination)
-        assert a.t_r == pytest.approx(b.t_r)
-
-
-def _write_csv(path, rows):
-    path.write_text("id,t_r,origin,destination\n"
-                    + "".join("%d,%r,%d,%d\n" % r for r in rows))
-
-
-@pytest.mark.parametrize("origin,destination", [(0, 0), (5, 7)])
-def test_csv_non_feeder_row_rejected(tmp_path, net, origin, destination):
-    path = tmp_path / "demand.csv"
-    _write_csv(path, [(0, 10.0, 0, 5), (1, 20.0, origin, destination)])
-    with pytest.raises(ValueError, match="line 3 \\(id 1\\)"):
-        load_requests_csv(net, path)
-
-
-@pytest.mark.parametrize("rows", [
-    [(1, 10.0, 0, 5), (0, 20.0, 5, 0)],     # ids out of request-time order
-    [(0, 10.0, 0, 5), (2, 20.0, 5, 0)],     # a gap in the ids
-])
-def test_csv_ids_must_follow_request_time_order(tmp_path, net, rows):
-    path = tmp_path / "demand.csv"
-    _write_csv(path, rows)
-    with pytest.raises(ValueError, match="ids must run 0..n-1"):
-        load_requests_csv(net, path)
 
 
 def test_invalid_profile_rejected():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from sodfeeder import env as env_module
 from sodfeeder import fleet, matching
-from sodfeeder.corridor import CorridorSpec, Segment
+from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request, RequestState
 from sodfeeder.dispatch import DispatchController, PolicyKind
@@ -22,7 +22,8 @@ from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
 from oracles import oracle_match
-from worldgen import random_mini_world, run_production_match, walk_of
+from worldgen import (random_mini_world, restore, run_production_match,
+                      snapshot, walk_of)
 
 
 def make_world(policy=PolicyKind.SOD, requests=None, n_vehicles=2):
@@ -836,12 +837,12 @@ def test_cached_base_terms_equal_a_fresh_sum(case, monkeypatch):
         for vid in assigned:
             assert world.base_terms[vid][0] == world.vehicles[vid].epoch
         if env.t == 40:
-            snap = env.snapshot()
+            snap = snapshot(env)
             want = dict(env.world.base_terms)
             for _ in range(8):
                 env.step(1)
             assert env.world.base_terms != want
-            env.restore(snap)
+            restore(env, snap)
             assert env.world.base_terms == want
             fresh += _fresh_base_terms(env.world)
     assert fresh > 0

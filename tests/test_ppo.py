@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import json
 import pickle
 from dataclasses import replace
 
@@ -17,7 +16,6 @@ from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
-from sodfeeder.experiments import load_actor
 from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
 
 from oracles import PerArrayAdam, gae_direct
@@ -432,8 +430,8 @@ def test_checkpoint_round_trip(tmp_path):
     tr = make_trainer()
     tr.run_update([0, 1, 2, 3])
     path = tmp_path / "policy.npz"
-    save_checkpoint(path, tr.actor, tr.critic, tr.config)
-    actor, critic, meta = load_checkpoint(path)
+    save_checkpoint(path, tr.actor, tr.critic, tr.config, Scenario())
+    actor, critic, meta = load_checkpoint(path, Scenario())
     assert meta["layout_version"] == CHECKPOINT_VERSION
     for a, b in zip(actor.params, tr.actor.params):
         assert np.array_equal(a, b)
@@ -445,19 +443,19 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_version_mismatch_rejected(tmp_path, monkeypatch):
     tr = make_trainer()
     path = tmp_path / "policy.npz"
+    sc = Scenario()
     with monkeypatch.context() as m:
         m.setattr(ppo, "CHECKPOINT_VERSION", "sod-state-v0")
-        save_checkpoint(path, tr.actor, tr.critic, tr.config)
+        save_checkpoint(path, tr.actor, tr.critic, tr.config, sc)
     with pytest.raises(ValueError, match="sod-state-v0"):
-        load_checkpoint(path)
+        load_checkpoint(path, sc)
 
     # scenario fingerprint: only the scenario it was trained for loads it
-    sc = Scenario()
     path = tmp_path / "fingerprinted.npz"
-    save_checkpoint(path, tr.actor, tr.critic, tr.config, scenario=sc)
-    _, _, meta = load_checkpoint(path, scenario=Scenario())
+    save_checkpoint(path, tr.actor, tr.critic, tr.config, sc)
+    actor, _, meta = load_checkpoint(path, Scenario())
     assert meta["scenario"]["n_vehicles"] == sc.n_vehicles
-    assert load_actor(path, Scenario()).sizes == tr.actor.sizes
+    assert actor.sizes == tr.actor.sizes
     mismatched = [
         Scenario(n_vehicles=10, n_reserved=5),
         Scenario(n_reserved=2),
@@ -467,14 +465,13 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, monkeypatch):
     ]
     for other in mismatched:
         with pytest.raises(ValueError, match="does not match the scenario"):
-            load_checkpoint(path, scenario=other)
-        with pytest.raises(ValueError, match="does not match the scenario"):
-            load_actor(path, other)
-    # a checkpoint without a fingerprint is refused when one is asked for
+            load_checkpoint(path, other)
+    # a file without a fingerprint, such as one written by other code, is
+    # refused
     bare = tmp_path / "bare.npz"
-    save_checkpoint(bare, tr.actor, tr.critic, tr.config)
+    np.savez(bare, meta='{"layout_version": "%s"}' % CHECKPOINT_VERSION)
     with pytest.raises(ValueError, match="state_layout, corridor"):
-        load_checkpoint(bare, scenario=sc)
+        load_checkpoint(bare, sc)
 
 
 def test_lr_annealing_schedule():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import sodfeeder
 from sodfeeder.corridor import Segment
-from sodfeeder.demand import (DemandProfile, Request, RequestState,
-                              generate_instance)
+from sodfeeder.demand import Request, RequestState, generate_instance
 from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
 from sodfeeder.fleet import StopKind, VehicleStatus, Stop, retime, walk
@@ -19,7 +18,7 @@ from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
 from oracles import rescan_advance_step
-from worldgen import walk_of
+from worldgen import restore, snapshot, walk_of
 
 
 def make_world(policy=PolicyKind.SOD, seed=0, requests=None, sc=None):
@@ -152,12 +151,12 @@ def test_snapshot_restore_keeps_the_epochs_and_the_memo(scenario):
     env.reset(4)
     for _ in range(20):
         env.step(0 if env.t % 4 == 0 else 3)
-    snap = env.snapshot()
+    snap = snapshot(env)
     want = _epochs(env.world), dict(env.world.no_fit)
     for _ in range(8):
         env.step(1)
     assert _epochs(env.world) != want[0]
-    env.restore(snap)
+    restore(env, snap)
     assert (_epochs(env.world), env.world.no_fit) == want
 
 
@@ -260,7 +259,7 @@ def test_pending_requests_continue_identically_after_restore(scenario):
     env.reset(4)
     for _ in range(12):
         env.step(3)
-    snap = env.snapshot()
+    snap = snapshot(env)
     plan = [1, 2, 3, 0, 3, 3, 1, 3]
 
     def rollout():
@@ -273,7 +272,7 @@ def test_pending_requests_continue_identically_after_restore(scenario):
         return out
 
     first = rollout()
-    env.restore(snap)
+    restore(env, snap)
     assert _same_requests(env.world.pending_requests(),
                           _brute_pending(env.world))
     assert rollout() == first

@@ -1,10 +1,14 @@
-"""Random small worlds for matching equivalence checks."""
+"""Random small worlds for matching equivalence checks, and the helpers
+that undo an observation's scaling and copy an environment's episode."""
+
+import copy
 
 import numpy as np
 
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request
 from sodfeeder.dispatch import PolicyKind
+from sodfeeder.env import bounds
 from sodfeeder.matching import match_step
 from sodfeeder.scenario import Scenario
 from sodfeeder.sim import World
@@ -58,3 +62,23 @@ def run_production_match(world):
     rep = match_step(world, **walk_of(world.params))
     return {"assigned": rep.assigned, "rejected": sorted(rep.rejected),
             "pending": sorted(rep.pending)}
+
+
+def denormalize(x, ranges):
+    """The raw features of a normalized observation (unclamped ones)."""
+    lo, span = bounds(ranges)
+    return lo + np.asarray(x, dtype=float) * span
+
+
+def snapshot(env):
+    """A deep copy of ``env``'s episode state.  One deepcopy keeps the
+    controller pointing at the copied world; the memo shares the immutable
+    network instead of copying it."""
+    return copy.deepcopy((env.world, env.controller, env.t, env.done),
+                         {id(env.net): env.net})
+
+
+def restore(env, snap):
+    """Put ``env`` back in the state ``snap`` holds; ``snap`` stays usable."""
+    env.world, env.controller, env.t, env.done = copy.deepcopy(
+        snap, {id(env.net): env.net})
