@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -39,18 +40,20 @@ class CorridorSpec:
     side_speed: float = 5.0
 
     def __post_init__(self):
+        lengths = self.segment_lengths
+        if not (isinstance(lengths, (list, tuple)) and len(lengths) == 3
+                and all(isinstance(s, numbers.Real) and s > 0
+                        for s in lengths)):
+            raise ValueError("corridor.segment_lengths must be three positive "
+                             "numbers, not %r" % (lengths,))
         # a list (as YAML gives) is stored as a tuple, so specs stay hashable
-        object.__setattr__(self, "segment_lengths",
-                           tuple(self.segment_lengths))
+        object.__setattr__(self, "segment_lengths", tuple(lengths))
         for name in ("mainline_length", "side_spacing", "side_node_spacing",
                      "mainline_speed", "side_speed"):
             if not getattr(self, name) > 0:
                 raise ValueError("corridor.%s must be positive" % name)
         if not self.side_depth >= 0:
             raise ValueError("corridor.side_depth must be non-negative")
-        if (len(self.segment_lengths) != 3
-                or not all(s > 0 for s in self.segment_lengths)):
-            raise ValueError("corridor needs three positive segment lengths")
         if not abs(sum(self.segment_lengths) - self.mainline_length) <= 1e-6:
             raise ValueError(
                 "segment lengths sum to %.1f, expected mainline length %.1f"

@@ -56,39 +56,36 @@ class DispatchController:
         self._nominal_due = self.config.nominal_offset
         self._nominal_next_zone = 1
 
-    def _dispatch(self, vehicle, z, source):
+    def _dispatch(self, fleet_class, z, source):
+        """Send the first free vehicle of ``fleet_class`` (of any, when
+        None) on a cycle with zone assignment z; False when none is free."""
         w = self.world
-        w.dispatch_vehicle(vehicle.id, z)
-        w.dispatch_log.append((w.step_k, vehicle.id, source, z))
+        avail = w.available_vehicles(fleet_class)
+        if avail:
+            w.dispatch_vehicle(avail[0].id, z)
+            w.dispatch_log.append((w.step_k, avail[0].id, source, z))
+        return bool(avail)
 
     def baseline_dispatch(self):
         """Run the headway-based departures due at the current time."""
         w = self.world
         if self.kind in (PolicyKind.FIXED_ROUTE, PolicyKind.SOD):
             while w.now >= self._full_due - 1e-9:
-                avail = w.available_vehicles()
-                if avail:
-                    self._dispatch(avail[0], 0, "baseline")
-                else:
+                if not self._dispatch(None, 0, "baseline"):
                     w.lateness_skips += 1
                 self._full_due += self.config.full_headway
             return
 
         # zonal kinds: the reserved-fleet override
         while w.now >= self._reserved_due - 1e-9:
-            avail = w.available_vehicles(FleetClass.RESERVED)
-            if avail:
-                self._dispatch(avail[0], 0, "override")
-            else:
+            if not self._dispatch(FleetClass.RESERVED, 0, "override"):
                 w.lateness_skips += 1
             self._reserved_due += self.config.reserved_headway
 
         if self.kind is PolicyKind.NOMINAL_ZONAL:
             while w.now >= self._nominal_due - 1e-9:
-                avail = w.available_vehicles(FleetClass.CONTROLLABLE)
-                if avail:
-                    self._dispatch(avail[0], self._nominal_next_zone, "baseline")
-                else:
+                if not self._dispatch(FleetClass.CONTROLLABLE,
+                                      self._nominal_next_zone, "baseline"):
                     w.lateness_skips += 1
                 self._nominal_next_zone = 3 - self._nominal_next_zone
                 self._nominal_due += self.config.nominal_period
@@ -103,10 +100,5 @@ class DispatchController:
         if action not in (0, 1, 2, 3):
             raise ValueError("action must be in {0, 1, 2, 3}")
         self.world.rl_actions.append(action)
-        if action == 3:
-            return False
-        avail = self.world.available_vehicles(FleetClass.CONTROLLABLE)
-        if not avail:
-            return False
-        self._dispatch(avail[0], action, "rl")
-        return True
+        return action != 3 and self._dispatch(FleetClass.CONTROLLABLE, action,
+                                              "rl")

@@ -55,7 +55,8 @@ class Vehicle:
     zone: int | None = None          # z_v for the current cycle; None when idle
     status: VehicleStatus = VehicleStatus.AT_TERMINUS
     schedule: list = field(default_factory=list)
-    epoch: int = 0                   # world epoch of the last schedule change
+    dispatched: int = 0              # World.dispatches at its last dispatch
+    terms: tuple | None = None       # schedule_cost_terms of ``schedule``
     next_idx: int = 0                # next stop with a pending arrival event
     onboard: list = field(default_factory=list)
     window_open_idx: int | None = None   # last outbound fixed stop

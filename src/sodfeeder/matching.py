@@ -21,19 +21,23 @@ unmodified schedule: stops before the rider's stop keep their times, so its
 arrival and the terminus departure are exactly what ``retime`` gives, and
 since no stop after boarding idles, the terminus arrival is the old one plus
 the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The retry
-memo (``world.no_fit``, request id -> schedule epoch) keeps the epoch at
-which a pending request last found no candidate; ``World.set_schedule``,
-the one writer of schedules, moves it on and stamps the vehicle, but not
-for an empty schedule: that takes no rider, so it adds no placement.  If it
+memo (``world.no_fit``, request id -> ``World.dispatches``) keeps the count
+of dispatches at which a pending request last found no candidate.  If it
 has not moved, the request stays pending unexamined; if it has, only
-vehicles stamped after the memo are examined.  Sound because with an
-unchanged schedule (so unchanged zone and window), advancing a vehicle only
-raises ``free_insert_min``/``free_stop_min`` and ends its boarding, so the
-placements left are a subset of those already tried, and each rebuilds to
-the same times, load and window span: riders that boarded meanwhile sit
-before the insertion point and boarded at their planned times.  A memo entry
-also marks the request's plan as resolved; it is dropped when the request is
-assigned or rejected.
+vehicles dispatched after the memo are examined.  Sound because between
+dispatches a vehicle (so its zone) only loses placements.  Advancing it
+raises ``free_insert_min``/``free_stop_min`` and ends its boarding, and the
+placements left rebuild to the same times.  An insertion adds a stop or a
+rider, no stop after boarding idles, shortest-path times obey the triangle
+inequality and ``_places`` never reuses a flex stop, so each placement on
+the new schedule has one on the old with no later pickup or dropoff, no
+longer ride, no wider window span and no higher load.  Float round-off
+(1.1e-13 s in the triangle inequality on the default corridor, a few ulps in
+a ride or span, a difference of two times) can only undo a miss by a hair: a
+try that built a placement missing its time bounds by less than
+``SCREEN_MARGIN`` (the screens drop only wider misses) sets the memo to 0,
+to retry every vehicle.  A memo entry also marks the request's plan as
+resolved; it is dropped when the request is assigned or rejected.
 
 The rank shortcut (``_ranked_placements``) orders the placements that pass
 both screens by an estimate of their rank, the candidate's ``delta_rho +
@@ -62,7 +66,7 @@ insertion point on, which alone ``retime`` recomputes.  One ``fleet.walk``
 gives its times, load and distance; one pass over its riders, in the walk's
 order, checks their bounds and adds their ride costs to the distance cost,
 the very sum of ``schedule_cost_terms``.  So the winner's terms stand as its
-vehicle's base terms (``world.base_terms``) until its epoch moves.
+vehicle's base terms (``Vehicle.terms``) until its schedule is replaced.
 """
 
 from __future__ import annotations
@@ -160,10 +164,10 @@ def zone_compatible(world, request, vehicle):
     return vehicle.zone in _serving_zones(world, request)
 
 
-def _cost_terms(world, planned, distance, check):
+def _cost_terms(world, planned, distance, slack=None):
     """``schedule_cost_terms`` from a schedule's ``fleet.walk``: one pass
-    over its riders in ``planned`` order.  With ``check``, None as soon as
-    a rider breaks its wait or ride bound."""
+    over its riders in ``planned`` order.  With a ``slack``, None as soon as
+    a rider breaks its wait or ride bound by more than ``slack``."""
     p = world.params
     c = p.coeffs
     lim = p.limits
@@ -173,12 +177,14 @@ def _cost_terms(world, planned, distance, check):
     n_r = n_s = 0
     for rid, (pk, dr) in planned.items():
         req = requests[rid]
-        if check:
+        if slack is not None:
             riding = req.state is RequestState.RIDING
             pickup = req.pickup_time if riding else pk
             if pickup is not None and dr is not None and (
-                    (not riding and pickup - req.t_r > lim.max_wait + EPS)
-                    or dr - pickup > lim.max_ride(req.direct_time) + EPS):
+                    (not riding
+                     and pickup - req.t_r > lim.max_wait + EPS + slack)
+                    or dr - pickup
+                    > lim.max_ride(req.direct_time) + EPS + slack):
                 return None
         if dr is None:
             continue
@@ -197,7 +203,7 @@ def schedule_cost_terms(world, schedule):
     separately so that cost differences stay numerically exact.
     """
     planned, _, distance = walk(schedule, world.net, 0, 0)
-    return _cost_terms(world, planned, distance, False)
+    return _cost_terms(world, planned, distance)
 
 
 def vehicle_rho(world, schedule):
@@ -289,7 +295,7 @@ def _ranked_placements(world, request, since=-1):
     ride_limit = p.limits.max_ride(request.direct_time) + EPS + SCREEN_MARGIN
     out = []
     for v in world.vehicles:
-        if not v.schedule or v.epoch <= since or v.zone not in zones:
+        if not v.schedule or v.dispatched <= since or v.zone not in zones:
             continue
         base_sched = v.schedule
         if outbound and (v.status != VehicleStatus.BOARDING
@@ -346,7 +352,7 @@ def _build(world, request, vehicle, idx, new):
     return sched, close, pk, dr
 
 
-def enumerate_candidates(world, request, base_terms=None, since=-1):
+def enumerate_candidates(world, request, since=-1, near=None):
     """The feasible insertions of the request that were built, the
     cheapest first: among all feasible insertions across zone-compatible
     vehicles, it is the one with the smallest (delta_rho, vehicle id, pickup
@@ -358,15 +364,13 @@ def enumerate_candidates(world, request, base_terms=None, since=-1):
     terminus arrival.  The placements of the other end that survive the
     window and rider screens are built and checked exactly in the order of
     their rank estimates, until the next estimate exceeds the best feasible
-    built rank by ``RANK_MARGIN`` (module docstring).  ``base_terms``
-    caches each vehicle's ``schedule_cost_terms`` as vehicle id -> (epoch,
-    terms); a stale entry is replaced on the first feasible candidate.
-    ``since``, the request's retry memo (the schedule epoch of its last
-    attempt without a fit), skips every vehicle whose schedule has not
-    changed after that attempt.
+    built rank by ``RANK_MARGIN`` (module docstring).  ``since``, the
+    request's retry memo (the ``World.dispatches`` of its last attempt
+    without a fit), skips every vehicle not dispatched after that attempt.
+    Each built placement that breaks a time bound by less than
+    ``SCREEN_MARGIN``, and no other check, adds its vehicle id to the set
+    ``near``, if one is given.
     """
-    if base_terms is None:
-        base_terms = {}
     p = world.params
     c = p.coeffs
     net = world.net
@@ -378,23 +382,25 @@ def enumerate_candidates(world, request, base_terms=None, since=-1):
             break
         v = world.vehicles[vid]
         sched, close, pk, dr = _build(world, request, v, idx, new)
-        if v.window_open_idx is not None and (
-                sched[close].arrival - sched[v.window_open_idx].departure
-                > flex_limit):
+        over = -math.inf if v.window_open_idx is None else (
+            sched[close].arrival - sched[v.window_open_idx].departure
+            - flex_limit)
+        if over > SCREEN_MARGIN:
             continue
         planned, peak, distance = walk(sched, net, len(v.onboard),
                                        v.free_stop_min())
         if peak > v.capacity:
             continue
-        terms = _cost_terms(world, planned, distance, True)
-        if terms is None:
+        terms = over <= 0 and _cost_terms(world, planned, distance, 0.0)
+        if not terms:
+            if near is not None and _cost_terms(world, planned, distance,
+                                                SCREEN_MARGIN):
+                near.add(vid)
             continue
-        base = base_terms.get(vid)
-        if base is None or base[0] != v.epoch:
-            base = base_terms[vid] = (
-                v.epoch, schedule_cost_terms(world, v.schedule))
+        if v.terms is None:
+            v.terms = schedule_cost_terms(world, v.schedule)
         cost, n_r, n_s = terms
-        _, (b_cost, b_r, b_s) = base
+        b_cost, b_r, b_s = v.terms
         rank = cost - b_cost
         best = min(best, rank)
         delta = (rank - c.gamma_r * (n_r - b_r) - c.gamma_s * (n_s - b_s))
@@ -423,20 +429,21 @@ def match_step(world, *, walk_speed, walk_cap):
             rep.rejected.append(req.id)
             memo.pop(req.id, None)
             continue
-        if since == world.epoch:
-            # no schedule has changed since its last try (module docstring)
+        if since == world.dispatches:
+            # no vehicle was dispatched since its last try (module docstring)
             rep.pending.append(req.id)
             continue
-        cands = enumerate_candidates(world, req, world.base_terms, since)
+        near = set()
+        cands = enumerate_candidates(world, req, since, near)
         if not cands:
-            memo[req.id] = world.epoch
+            memo[req.id] = 0 if near else world.dispatches
             rep.pending.append(req.id)
             continue
         memo.pop(req.id, None)
         best = cands[0]
         v = world.vehicles[best.vehicle_id]
         world.set_schedule(v, best.schedule)
-        world.base_terms[v.id] = (v.epoch, best.terms)
+        v.terms = best.terms
         v.window_close_idx = best.window_close_idx
         req.transition(RequestState.ASSIGNED)
         world.open_processes[world.category_of(req)] += 2

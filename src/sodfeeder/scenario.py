@@ -214,9 +214,9 @@ class Scenario:
         """A scenario from parsed YAML: a mapping of top-level fields and
         sections, each section a mapping of its own fields."""
         def fields_of(tp, sub, section=None):
-            """``sub`` as keyword arguments of ``tp``: known fields only, and
-            a number for each ``float`` field (YAML reads ``abc`` or ``1e3``
-            as text)."""
+            """``sub`` as keyword arguments of ``tp``: known fields only, a
+            number for each ``float`` field (YAML reads ``abc`` or ``1e3`` as
+            text) and true or false for each ``bool`` one (not ``"false"``)."""
             where = ("scenario section %r" % section if section
                      else "the scenario")
             if not isinstance(sub, dict):
@@ -226,11 +226,11 @@ class Scenario:
                 f = tp.__dataclass_fields__.get(key)
                 if f is None:
                     raise ValueError("unknown field %r in %s" % (key, where))
-                if (f.type in ("float", float)
-                        and not isinstance(value, numbers.Real)):
-                    raise ValueError("%s%s must be a number, not %r"
+                kind = {"float": numbers.Real, "bool": bool}.get(f.type)
+                if kind and not isinstance(value, kind):
+                    raise ValueError("%s%s must be a %s, not %r"
                                      % (section + "." if section else "",
-                                        key, value))
+                                        key, f.type, value))
             return dict(sub)
 
         nested = {

@@ -37,11 +37,10 @@ class World:
     must be feeder trips (one end at the terminus) sorted by request time
     with ids 0..n-1 in list order, and each vehicle's id is its index in
     ``vehicles``; the clock ``now`` only moves forward.  Every schedule
-    change goes through ``set_schedule``, which bumps the schedule ``epoch``
-    and stamps the vehicle with it (unless the schedule is empty).
-    ``no_fit`` is matching's retry memo (request id -> the epoch of its
-    last attempt without a fit), and ``base_terms`` its cache of each
-    vehicle's schedule cost terms (vehicle id -> (epoch, terms)).
+    change goes through ``set_schedule``.  ``dispatches`` counts the calls
+    of ``dispatch_vehicle``, which stamps the vehicle with the count, and
+    ``no_fit`` is matching's retry memo (request id -> the count at its
+    last attempt without a fit).
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
     assigned requests in category c (two per ASSIGNED request, one per
     RIDING one); assignment, boarding and alighting keep it current.
@@ -72,7 +71,7 @@ class World:
             2: net.nearest_mainline_node(net.spec.mainline_length),
         }
 
-        self.epoch = 0
+        self.dispatches = 0
         self.vehicles = []
         for i in range(scenario.n_vehicles):
             reserved = split_fleet and i < scenario.n_reserved
@@ -122,7 +121,6 @@ class World:
         self._seen = 0        # requests[:_seen] have become visible
         self._pending = []    # visible requests, pruned to PENDING per call
         self.no_fit = {}
-        self.base_terms = {}
 
     def pending_requests(self):
         """Visible, unassigned requests in request-time order."""
@@ -148,13 +146,9 @@ class World:
     def set_schedule(self, vehicle, schedule):
         """The one writer of ``Vehicle.schedule``: a schedule list is
         replaced whole, and neither it nor its stops are edited once set.
-        Moves the schedule epoch on and stamps the vehicle with it, unless
-        the schedule is empty: that takes no rider, so no insertion that
-        failed before can fit now."""
-        if schedule:
-            self.epoch += 1
-            vehicle.epoch = self.epoch
+        Clears the vehicle's cached cost terms."""
         vehicle.schedule = schedule
+        vehicle.terms = None
 
     # ---- dispatching -------------------------------------------------------
 
@@ -192,6 +186,8 @@ class World:
         retime(stops, VehicleStatus.BOARDING, 0, net, p.dwell_base,
                p.dwell_per_pax)
         self.set_schedule(v, stops)
+        self.dispatches += 1
+        v.dispatched = self.dispatches
         v.status = VehicleStatus.BOARDING
         v.zone = z
         v.next_idx = 0

@@ -70,6 +70,18 @@ def test_dump_network(tmp_path):
     assert (out / "edges.csv").exists()
 
 
+@pytest.mark.parametrize("lengths", ["abc", "[1200, x, 800]"])
+def test_dump_network_reports_bad_segment_lengths(lengths, tmp_path, caplog):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("corridor:\n  segment_lengths: %s\n" % lengths)
+    out = tmp_path / "net"
+    with caplog.at_level(logging.ERROR, logger="sodfeeder"):
+        rc = main(["dump-network", "--config", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert "corridor.segment_lengths" in caplog.text
+    assert not out.exists()
+
+
 def test_dump_demand(tmp_path, fast_config):
     out = tmp_path / "dem"
     rc = main(["dump-demand", "--seed", "9", "--config", fast_config,

@@ -10,7 +10,7 @@ import oracles
 from sodfeeder import env as env_module
 from sodfeeder import fleet, matching
 from sodfeeder.corridor import CorridorSpec
-from sodfeeder.costs import FeasibilityLimits
+from sodfeeder.costs import EPS, FeasibilityLimits
 from sodfeeder.demand import Request, RequestState
 from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
@@ -569,14 +569,65 @@ def test_rank_estimates_are_exact_on_loaded_random_worlds(net, seed,
                               capacity=capacity, flex_window=flex_window)
     enumerate_built = matching.enumerate_candidates
 
-    def checked(world, request, base_terms=None, since=-1):
+    def checked(world, request, since=-1, near=None):
         _assert_exact_rank_estimates(world, request, since)
-        return enumerate_built(world, request, base_terms, since)
+        return enumerate_built(world, request, since, near)
 
     twin = copy.deepcopy(world)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matching, "enumerate_candidates", checked)
         _assert_same_round(world, twin, seed)
+
+
+def _solo(world, vid):
+    """A shallow copy of ``world`` in which only vehicle ``vid`` (the very
+    object) holds a schedule, so that matching examines no other."""
+    solo = copy.copy(world)
+    solo.vehicles = [v if v.id == vid else dataclasses.replace(v, schedule=[])
+                     for v in world.vehicles]
+    return solo
+
+
+@given(seed=st.integers(0, 10**6), n_vehicles=st.integers(1, 3),
+       capacity=st.integers(1, 20), flex_window=st.floats(900.0, 1800.0),
+       data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_an_insertion_never_makes_a_refused_placement_fit(net, seed,
+                                                          n_vehicles,
+                                                          capacity,
+                                                          flex_window, data):
+    # the retry memo's premise (module docstring): a request with no
+    # feasible placement on a vehicle, and no near miss there, still has
+    # none after any feasible insertions of other requests into it
+    world = random_mini_world(seed, net, max_vehicles=n_vehicles,
+                              min_requests=20, max_requests=40,
+                              capacity=capacity, flex_window=flex_window)
+    walk = walk_of(world.params)
+    reqs = [r for r in world.requests
+            if resolve_service_plan(world, r, **walk)]
+    for v in world.vehicles:
+        if not v.schedule:
+            continue
+        solo = _solo(world, v.id)
+        refused, pool = [], []
+        for r in reqs:
+            near = set()
+            fits = enumerate_candidates(solo, r, -1, near)
+            (pool if fits or near else refused).append(r)
+        for _ in range(data.draw(st.integers(1, 3))):
+            with pytest.MonkeyPatch.context() as mp:
+                # build every screened placement, not only those that can win
+                mp.setattr(matching, "RANK_MARGIN", math.inf)
+                insertions = [(r, c) for r in pool
+                              for c in enumerate_candidates(solo, r)]
+            if not insertions:
+                break
+            r, cand = data.draw(st.sampled_from(insertions))
+            pool.remove(r)
+            world.set_schedule(v, cand.schedule)
+            v.window_close_idx = cand.window_close_idx
+            for q in refused:
+                assert not enumerate_candidates(solo, q), (v.id, r.id, q.id)
 
 
 def test_a_feasible_cheapest_placement_is_the_only_one_built(monkeypatch):
@@ -707,8 +758,8 @@ def _schedules(world):
 def test_retry_memo_never_changes_a_round(case, kind, monkeypatch):
     # every round of a full episode equals the round a deep-copied twin
     # runs with the retry memo emptied, so every insertion is rebuilt; the
-    # memo skips a retry whole when the schedule epoch has not moved since
-    # it, and otherwise each vehicle whose schedule is no newer than it
+    # memo skips a retry whole when no vehicle was dispatched since it, and
+    # otherwise each vehicle not dispatched since, whatever it took meanwhile
     sc = MEMO_SCENARIOS[case]()
     net = sc.network()
     world = build_world(sc, kind, 0, net=net)
@@ -717,26 +768,52 @@ def test_retry_memo_never_changes_a_round(case, kind, monkeypatch):
     skipped = {"request": 0, "vehicle": 0}
     enumerate_all = matching.enumerate_candidates
 
-    def counted(world, request, base_terms=None, since=-1):
+    def counted(world, request, since=-1, near=None):
         skipped["vehicle"] += sum(1 for v in world.vehicles
-                                  if v.schedule and v.epoch <= since)
-        return enumerate_all(world, request, base_terms, since)
+                                  if v.schedule and v.dispatched <= since)
+        return enumerate_all(world, request, since, near)
 
     monkeypatch.setattr(matching, "enumerate_candidates", counted)
     for step in range(sc.n_steps):
         ctrl.baseline_dispatch()
         twin = copy.deepcopy(world, {id(net): net})
         twin.no_fit = {}
-        memo = dict(world.no_fit)
+        memo, dispatches = dict(world.no_fit), world.dispatches
         assert match_step(world, **walk) == match_step(twin, **walk), step
         assert _schedules(world) == _schedules(twin), step
         assert set(world.no_fit) == {r.id for r in world.pending_requests()}
-        # a retry that enumerated records a newer epoch; one skipped whole
-        # keeps its memo
-        skipped["request"] += sum(1 for rid, since in world.no_fit.items()
-                                  if memo.get(rid) == since)
+        # a retry skipped whole is one whose memo is the dispatch count
+        skipped["request"] += sum(1 for rid in world.no_fit
+                                  if memo.get(rid) == dispatches)
         world.advance_step()
     assert skipped["request"] > 0 and skipped["vehicle"] > 0, skipped
+
+
+@pytest.mark.parametrize("miss,memo", [(1e-9, 0), (1e-3, 1)])
+def test_a_near_miss_retries_every_vehicle(miss, memo, monkeypatch):
+    # a request whose shortest ride breaks its bound by less than
+    # SCREEN_MARGIN, which round-off in a later insertion could undo, keeps
+    # the memo 0; a wider miss keeps the dispatch count
+    w, net = make_world(n_vehicles=1)
+    w.dispatch_vehicle(0, 0)
+    node = net.nearest_mainline_node(2000)
+    req = feeder_request(net, 0, 0.0, node)
+    w.requests = [req]
+    assert resolve_service_plan(w, req, 1.25, 600.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(matching, "RANK_MARGIN", math.inf)    # build them all
+        ride = min(c.schedule[c.dropoff_idx].arrival - c.schedule[0].departure
+                   for c in enumerate_candidates(w, req))
+    slack = ride - miss - EPS - req.direct_time
+    sc = Scenario(n_vehicles=1, n_reserved=0, limits=FeasibilityLimits(
+        detour_factor=1.0, detour_slack=slack))
+    w = World(net, sc, [feeder_request(net, 0, 0.0, node)])
+    w.dispatch_vehicle(0, 0)
+    assert match_step(w, **walk_of(sc)).pending == [0]
+    assert w.no_fit == {0: memo}
+    near = set()
+    assert enumerate_candidates(w, w.requests[0], -1, near) == []
+    assert near == ({0} if memo == 0 else set())
 
 
 def _run_episode(sc, kind, seed=0):
@@ -777,8 +854,8 @@ def test_committed_stops_are_never_mutated(kind, case, monkeypatch):
     shared = {"stops": 0}
     enumerate_all = matching.enumerate_candidates
 
-    def checked(world, request, base_terms=None, since=-1):
-        cands = enumerate_all(world, request, base_terms, since)
+    def checked(world, request, since=-1, near=None):
+        cands = enumerate_all(world, request, since, near)
         for cand in cands:
             base = world.vehicles[cand.vehicle_id].schedule
             outbound = cand.pickup_idx == 0
@@ -800,15 +877,18 @@ def test_committed_stops_are_never_mutated(kind, case, monkeypatch):
 
 
 def _fresh_base_terms(world):
-    """Asserts that every cached base term of a vehicle's current schedule
-    equals a fresh ``schedule_cost_terms``; returns how many there are."""
+    """Asserts that every vehicle's cached base terms equal a fresh
+    ``schedule_cost_terms`` of its schedule; returns how many there are."""
     fresh = 0
-    for vid, (epoch, terms) in world.base_terms.items():
-        v = world.vehicles[vid]
-        if v.schedule and v.epoch == epoch:
-            assert terms == matching.schedule_cost_terms(world, v.schedule)
+    for v in world.vehicles:
+        if v.terms is not None:
+            assert v.terms == matching.schedule_cost_terms(world, v.schedule)
             fresh += 1
     return fresh
+
+
+def _base_terms(world):
+    return [v.terms for v in world.vehicles]
 
 
 @pytest.mark.parametrize("case", ["default", "default_3x"])
@@ -835,14 +915,15 @@ def test_cached_base_terms_equal_a_fresh_sum(case, monkeypatch):
         fresh += _fresh_base_terms(env.world)
         world = env.world
         for vid in assigned:
-            assert world.base_terms[vid][0] == world.vehicles[vid].epoch
+            v = world.vehicles[vid]
+            assert v.terms is not None or not v.schedule
         if env.t == 40:
             snap = snapshot(env)
-            want = dict(env.world.base_terms)
+            want = _base_terms(env.world)
             for _ in range(8):
                 env.step(1)
-            assert env.world.base_terms != want
+            assert _base_terms(env.world) != want
             restore(env, snap)
-            assert env.world.base_terms == want
+            assert _base_terms(env.world) == want
             fresh += _fresh_base_terms(env.world)
     assert fresh > 0

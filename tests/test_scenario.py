@@ -38,6 +38,10 @@ BAD_VALUES = [
     ("limits", "max_wait", NAN),
     ("dispatch", "nominal_offset", NAN),
     ("corridor", "side_depth", NAN),
+    ("corridor", "segment_lengths", "abc"),
+    ("corridor", "segment_lengths", [1200.0, "x", 800.0]),
+    ("corridor", "segment_lengths", [1200.0, 2200.0]),
+    ("corridor", "segment_lengths", 5600.0),
 ]
 
 
@@ -58,6 +62,19 @@ def test_bad_value_fails_when_built(section, name, value, tmp_path):
     path.write_text(yaml.safe_dump(_config(section, name, value)))
     assert main(["simulate", "--policy", "sod", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1.0, None])
+def test_a_bool_field_refuses_anything_but_true_or_false(value, tmp_path):
+    # YAML reads "false" in quotes as text, which would be truthy
+    with pytest.raises(ValueError, match=r"ppo\.anneal_lr must be a bool"):
+        Scenario.from_dict({"ppo": {"anneal_lr": value}})
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({"ppo": {"anneal_lr": value}}))
+    assert main(["simulate", "--policy", "sod", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert Scenario.from_dict({"ppo": {"anneal_lr": False}}).ppo.anneal_lr \
+        is False
 
 
 def test_every_int_field_refuses_a_fraction():

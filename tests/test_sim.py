@@ -13,7 +13,7 @@ from sodfeeder.demand import Request, RequestState, generate_instance
 from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
 from sodfeeder.fleet import StopKind, VehicleStatus, Stop, retime, walk
-from sodfeeder.matching import match_step
+from sodfeeder.matching import match_step, schedule_cost_terms
 from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
@@ -125,39 +125,46 @@ def test_empty_cycle_completes_and_accrues_distance():
     assert v.deployed_metric == pytest.approx(end)
 
 
-def _epochs(w):
-    return w.epoch, [v.epoch for v in w.vehicles]
+def _stamps(w):
+    return w.dispatches, [v.dispatched for v in w.vehicles]
 
 
-def test_each_schedule_writer_bumps_the_epoch_and_stamps_its_vehicle():
+def test_each_dispatch_bumps_the_count_and_stamps_its_vehicle():
     sc = Scenario(n_vehicles=3, n_reserved=0)
     net = sc.network()
     req = Request(0, 0.0, net.terminus, net.nearest_mainline_node(2000))
     w = World(net, sc, [req])
-    assert _epochs(w) == (0, [0, 0, 0])
+    assert _stamps(w) == (0, [0, 0, 0])
     v = w.dispatch_vehicle(1, 0)
-    assert _epochs(w) == (1, [0, 1, 0])
+    assert _stamps(w) == (1, [0, 1, 0])
+    assert v.terms is None
+    # an insertion only takes placements away, so it leaves the count
+    # alone; it stores the new schedule's cost terms
     assert match_step(w, **walk_of(w.params)).assigned == [(0, 1)]
-    assert _epochs(w) == (2, [0, 2, 0])
+    assert _stamps(w) == (1, [0, 1, 0])
+    assert v.terms == schedule_cost_terms(w, v.schedule)
     while v.schedule:           # until the terminus arrival clears it
         w.advance_step()
     assert v.status is VehicleStatus.AT_TERMINUS
-    # an empty schedule takes no rider, so it leaves the epoch alone
-    assert _epochs(w) == (2, [0, 2, 0])
+    assert v.terms is None
+    assert _stamps(w) == (1, [0, 1, 0])
+    w.dispatch_vehicle(1, 2)
+    w.dispatch_vehicle(0, 0)
+    assert _stamps(w) == (3, [3, 2, 0])
 
 
-def test_snapshot_restore_keeps_the_epochs_and_the_memo(scenario):
+def test_snapshot_restore_keeps_the_dispatch_stamps_and_the_memo(scenario):
     env = ZonalDispatchEnv(scenario)
     env.reset(4)
     for _ in range(20):
         env.step(0 if env.t % 4 == 0 else 3)
     snap = snapshot(env)
-    want = _epochs(env.world), dict(env.world.no_fit)
+    want = _stamps(env.world), dict(env.world.no_fit)
     for _ in range(8):
         env.step(1)
-    assert _epochs(env.world) != want[0]
+    assert _stamps(env.world) != want[0]
     restore(env, snap)
-    assert (_epochs(env.world), env.world.no_fit) == want
+    assert (_stamps(env.world), env.world.no_fit) == want
 
 
 def test_set_schedule_is_the_one_schedule_writer():
