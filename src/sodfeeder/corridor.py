@@ -70,6 +70,8 @@ class Network:
     construction by one Dijkstra per source.  ``travel_time`` and
     ``travel_distance`` read them with node-id checks; the inner loops that
     only index node ids taken from this network read the tables directly.
+    ``snaps`` is ``matching.nearest_fixed_stop``'s memo, filled as nodes are
+    snapped.
     """
 
     coords: list            # node id -> (x, y) meters
@@ -80,6 +82,8 @@ class Network:
     spec: CorridorSpec
     times: list = field(init=False, repr=False, compare=False)
     distances: list = field(init=False, repr=False, compare=False)
+    snaps: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def __post_init__(self):
         rows = [self._dijkstra(src) for src in range(self.n_nodes)]

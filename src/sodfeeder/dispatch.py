@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .fleet import FleetClass
+from .fleet import FleetClass, VehicleStatus
 
 
 class PolicyKind(Enum):
@@ -44,6 +44,11 @@ class DispatchConfig:
             raise ValueError("dispatch.nominal_offset must be non-negative")
 
 
+# looked up once: enum member access is slow, and _dispatch compares it for
+# every vehicle
+_AT_TERMINUS = VehicleStatus.AT_TERMINUS
+
+
 class DispatchController:
     """Per-run dispatch state for one world."""
 
@@ -55,21 +60,28 @@ class DispatchController:
         self._reserved_due = 0.0
         self._nominal_due = self.config.nominal_offset
         self._nominal_next_zone = 1
+        # resolved once, for the same reason: baseline_dispatch runs every
+        # step
+        self._headway_only = kind in (PolicyKind.FIXED_ROUTE, PolicyKind.SOD)
+        self._nominal = kind is PolicyKind.NOMINAL_ZONAL
+        self._rl = kind is PolicyKind.RL_ZONAL
 
     def _dispatch(self, fleet_class, z, source):
         """Send the first free vehicle of ``fleet_class`` (of any, when
         None) on a cycle with zone assignment z; False when none is free."""
         w = self.world
-        avail = w.available_vehicles(fleet_class)
-        if avail:
-            w.dispatch_vehicle(avail[0].id, z)
-            w.dispatch_log.append((w.step_k, avail[0].id, source, z))
-        return bool(avail)
+        for v in w.vehicles:
+            if v.status is _AT_TERMINUS and (fleet_class is None
+                                             or v.fleet_class is fleet_class):
+                w.dispatch_vehicle(v.id, z)
+                w.dispatch_log.append((w.step_k, v.id, source, z))
+                return True
+        return False
 
     def baseline_dispatch(self):
         """Run the headway-based departures due at the current time."""
         w = self.world
-        if self.kind in (PolicyKind.FIXED_ROUTE, PolicyKind.SOD):
+        if self._headway_only:
             while w.now >= self._full_due - 1e-9:
                 if not self._dispatch(None, 0, "baseline"):
                     w.lateness_skips += 1
@@ -82,7 +94,7 @@ class DispatchController:
                 w.lateness_skips += 1
             self._reserved_due += self.config.reserved_headway
 
-        if self.kind is PolicyKind.NOMINAL_ZONAL:
+        if self._nominal:
             while w.now >= self._nominal_due - 1e-9:
                 if not self._dispatch(FleetClass.CONTROLLABLE,
                                       self._nominal_next_zone, "baseline"):
@@ -95,7 +107,7 @@ class DispatchController:
         semantics, 3 holds.  Degrades to a no-op when no vehicle is free.
         Every valid action, hold or not, is recorded in
         ``world.rl_actions``."""
-        if self.kind is not PolicyKind.RL_ZONAL:
+        if not self._rl:
             raise ValueError("actions only apply to the RL zonal policy")
         if action not in (0, 1, 2, 3):
             raise ValueError("action must be in {0, 1, 2, 3}")

@@ -19,6 +19,7 @@ Observation layout (version ``sod-state-v1``)::
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -90,8 +91,10 @@ class ZonalDispatchEnv:
             + [(0.0, n.time_cap)] * 3
             + [(0.0, n.forecast_cap)] * 3
         )
-        self._bounds = bounds(self.ranges)
+        lo, span = bounds(self.ranges)
+        self._bounds = list(zip(lo.tolist(), span.tolist()))
         self._seg_shares = segment_shares(self.net, scenario.demand)
+        self._forecasts = {}     # now -> the 15-min forecast observe gives
 
     def reset(self, seed):
         self.world = build_world(self.scenario, PolicyKind.RL_ZONAL, seed,
@@ -106,10 +109,19 @@ class ZonalDispatchEnv:
         """Advance one decision period: override, action, matching, movement."""
         if self.done:
             raise RuntimeError("step() called on a finished episode")
+        # refused before anything moves: operator.index lets numpy integers
+        # pass, and a bool is refused though it is an int
+        try:
+            a = None if isinstance(action, bool) else operator.index(action)
+        except TypeError:
+            a = None
+        if a not in range(N_ACTIONS):
+            raise ValueError("action must be an integer in 0-%d, not %r"
+                             % (N_ACTIONS - 1, action))
         w = self.world
         rejected_before = w.rejected_total
         self.controller.baseline_dispatch()
-        self.controller.apply_action(int(action))
+        self.controller.apply_action(a)
         infos = []
         for _ in range(self.scenario.rl_period):
             match_step(w, walk_speed=self.scenario.demand.walk_speed,
@@ -126,8 +138,9 @@ class ZonalDispatchEnv:
     def observe(self):
         """The normalized state vector (layout above).  One pass over the
         vehicles counts them and sums the committed window seconds in vehicle
-        order; the result equals ``tests/oracles.oracle_observe`` bit for
-        bit."""
+        order; each feature is scaled and clamped as a Python float, whose
+        subtract, divide, max and min round as numpy's do, so the result
+        equals ``tests/oracles.oracle_observe`` bit for bit."""
         w = self.world
         now = w.now
         running = available = 0
@@ -149,17 +162,23 @@ class ZonalDispatchEnv:
             else:
                 commit[v.zone] += remaining
 
+        # the category of a request is the segment of its non-terminus end
+        labels = w.net.labels
+        term = w.net.terminus
         unassigned = [0, 0, 0]
         for r in w.pending_requests():
-            unassigned[w.category_of(r)] += 1
+            unassigned[labels[r.destination if r.origin == term
+                              else r.origin]] += 1
 
-        forecast = forecast_demand(self.scenario.demand, self.scenario.horizon,
-                                   now, 900.0)
+        forecast = self._forecasts.get(now)
+        if forecast is None:
+            forecast = self._forecasts[now] = forecast_demand(
+                self.scenario.demand, self.scenario.horizon, now, 900.0)
         time_cap = self.scenario.norm.time_cap
         last = w.last_departure
         shares = self._seg_shares
         opens = w.open_processes
-        x = np.array([
+        raw = (
             running, available, forecast,
             unassigned[0], commit[0], opens[0],
             unassigned[1], commit[1], opens[1],
@@ -168,11 +187,10 @@ class ZonalDispatchEnv:
             time_cap if last[1] is None else now - last[1],
             time_cap if last[2] is None else now - last[2],
             forecast * shares[0], forecast * shares[1], forecast * shares[2],
-        ], dtype=float)
-        lo, span = self._bounds
-        x -= lo
-        x /= span
-        # equal to np.clip(x, 0, 1) on finite input, without its wrapper
-        np.maximum(x, 0.0, out=x)
-        np.minimum(x, 1.0, out=x)
-        return x
+        )
+        x = [(f - lo) / span for f, (lo, span) in zip(raw, self._bounds)]
+        # max(0.0, v) and then min(1.0, v), written out: a tie keeps the
+        # bound, as np.maximum(v, 0.0) and np.minimum(v, 1.0) do, so this is
+        # np.clip(v, 0, 1) on every feature but a NaN, which no world gives
+        return np.array([(v if v < 1.0 else 1.0) if v > 0.0 else 0.0
+                         for v in x])

@@ -2,15 +2,16 @@
 
 Each pending request is processed in request-time order.  Its service plan
 is resolved onto the request once: a fixed-portion endpoint is snapped to
-the closest fixed stop by walking time, a flexible endpoint is served
-door-to-door by inserting a stop into a zone-compatible vehicle's flexible
-window.  Among all feasible candidates the one with the smallest
-schedule-cost increase is applied; ties break on (vehicle id, pickup
-position).  Requests with no feasible candidate stay pending and are
-rejected once their wait deadline lapses.
+the closest fixed stop by walking time (memoized on the network, per set of
+fixed stops and walk speed), a flexible endpoint is served door-to-door by
+inserting a stop into a zone-compatible vehicle's flexible window.  Among
+all feasible candidates the one with the smallest schedule-cost increase is
+applied; ties break on (vehicle id, pickup position).  Requests with no
+feasible candidate stay pending and are rejected once their wait deadline
+lapses.
 
 Five shortcuts skip work without changing any result.  The window screen
-(``_window_positions``) drops a new flexible stop whose window span would
+in ``_ranked_placements`` drops a new flexible stop whose window span would
 exceed the limit, and the whole window, unlooked at, when its slack is below
 one dwell: inserting x between a and b delays it by tt(a,x) + dwell +
 tt(x,b) - tt(a,b), and shortest-path times keep tt(a,x) + tt(x,b) >=
@@ -29,8 +30,8 @@ dispatches a vehicle (so its zone) only loses placements.  Advancing it
 raises ``free_insert_min``/``free_stop_min`` and ends its boarding, and the
 placements left rebuild to the same times.  An insertion adds a stop or a
 rider, no stop after boarding idles, shortest-path times obey the triangle
-inequality and ``_places`` never reuses a flex stop, so each placement on
-the new schedule has one on the old with no later pickup or dropoff, no
+inequality and a rider never joins an existing flex stop, so each placement
+on the new schedule has one on the old with no later pickup or dropoff, no
 longer ride, no wider window span and no higher load.  Float round-off
 (1.1e-13 s in the triangle inequality on the default corridor, a few ulps in
 a ride or span, a difference of two times) can only undo a miss by a hair: a
@@ -86,6 +87,11 @@ SCREEN_MARGIN = 1e-6
 # stays below 1e-13 $ on the default corridor
 RANK_MARGIN = 1e-6
 
+# looked up once: enum member access is slow, and the screens compare them
+# for every vehicle and stop
+_BOARDING = VehicleStatus.BOARDING
+_FIXED = StopKind.FIXED
+
 
 @dataclass
 class InsertionCandidate:
@@ -107,13 +113,19 @@ class MatchReport:
 
 def nearest_fixed_stop(world, node, walk_speed):
     """Closest fixed stop (incl. the terminus) by walking time; lower node id
-    breaks ties."""
-    best, best_t = None, None
-    for stop_node in [world.net.terminus] + world.fixed_stop_nodes:
-        t = world.net.walk_time(node, stop_node, walk_speed)
-        if best_t is None or t < best_t - 1e-9:
-            best, best_t = stop_node, t
-    return best, best_t
+    breaks ties.  Memoized in ``world.net.snaps``, keyed by the fixed stops,
+    the walk speed and the node, since worlds of one network may differ in
+    their stops."""
+    key = (tuple(world.fixed_stop_nodes), walk_speed, node)
+    snap = world.net.snaps.get(key)
+    if snap is None:
+        best, best_t = None, None
+        for stop_node in [world.net.terminus] + world.fixed_stop_nodes:
+            t = world.net.walk_time(node, stop_node, walk_speed)
+            if best_t is None or t < best_t - 1e-9:
+                best, best_t = stop_node, t
+        snap = world.net.snaps[key] = (best, best_t)
+    return snap
 
 
 def resolve_service_plan(world, request, walk_speed, walk_cap):
@@ -220,50 +232,6 @@ def rho(world):
                for v in world.vehicles if v.schedule)
 
 
-def _window_positions(world, vehicle, node):
-    """``(pos, delay)`` for each position inside the vehicle's flexible
-    window where a new flexible stop at ``node`` (becoming ``schedule[pos]``)
-    passes the window screen (module docstring), as ``_places`` gives it."""
-    if vehicle.window_open_idx is None:
-        return []
-    p = world.params
-    sched = vehicle.schedule
-    close = vehicle.window_close_idx
-    span0 = sched[close].arrival - sched[vehicle.window_open_idx].departure
-    dwell = p.dwell_base + p.dwell_per_pax
-    limit = p.limits.flex_window + EPS + SCREEN_MARGIN
-    if span0 + dwell > limit:
-        return []
-    times = world.net.times
-    from_x = times[node]
-    out = []
-    for pos in range(max(vehicle.window_open_idx + 1, vehicle.free_insert_min()),
-                     close + 1):
-        a, b = sched[pos - 1].node, sched[pos].node
-        from_a = times[a]
-        delay = from_a[node] + dwell + from_x[b] - from_a[b]
-        if span0 + delay <= limit:
-            out.append((pos, True, delay))
-    return out
-
-
-def _places(world, vehicle, node):
-    """Where the rider's other end ``node`` (the one not at the terminus
-    departure or arrival) can go, as ``(idx, new, delay)``: ``new`` is False
-    for an existing stop and True for a new flexible stop inserted at ``idx``
-    that passes the window screen; ``delay`` is what the rider's stop adds to
-    the times of every stop after it."""
-    sched = vehicle.schedule
-    last = len(sched) - 1
-    if node == world.net.terminus:      # both ends snapped to the terminus
-        return [(last, False, 0.0)]
-    if node in world.fixed_stop_set:
-        return [(i, False, world.params.dwell_per_pax)
-                for i in range(max(1, vehicle.free_stop_min()), last)
-                if sched[i].node == node and sched[i].kind == StopKind.FIXED]
-    return _window_positions(world, vehicle, node)
-
-
 def _alights_from(schedule):
     """``after[i]``: how many riders alight at ``schedule[i:]``."""
     after = [0] * (len(schedule) + 1)
@@ -275,48 +243,84 @@ def _alights_from(schedule):
 def _ranked_placements(world, request, since=-1):
     """Every placement of the request that passes the window and rider
     screens, as ``(est, vehicle id, idx, new)`` in ascending order: ``est``
-    is its rank estimate (module docstring), ``idx`` and ``new`` are as
-    ``_places`` gives them.  On one vehicle ``idx`` fixes the pickup and
-    dropoff positions, and neither falls as it grows, so this is (est,
-    vehicle id, pickup idx, dropoff idx) order.  ``since`` is as in
+    is its rank estimate (module docstring).  The rider's other end ``node``
+    (the one not at the terminus departure or arrival) goes to an existing
+    stop ``idx`` (``new`` False: the terminus arrival when both ends snapped
+    to the terminus, else a fixed stop at ``node``) or to a new flexible
+    stop inserted at ``idx`` (``new`` True).  On one vehicle ``idx`` fixes
+    the pickup and dropoff positions, and neither falls as it grows, so this
+    is (est, vehicle id, pickup idx, dropoff idx) order.  ``since`` is as in
     ``enumerate_candidates``."""
-    outbound = request.pickup_node == world.net.terminus
+    net = world.net
+    term = net.terminus
+    outbound = request.pickup_node == term
     node = request.dropoff_node if outbound else request.pickup_node
     zones = _serving_zones(world, request)
     p = world.params
     c = p.coeffs
+    lim = p.limits
     o_per_m = c.o_per_m
     t_per_s = c.t_per_s
     t_r = request.t_r
-    net = world.net
     times = net.times
     dists = net.distances
-    wait_limit = p.limits.max_wait + EPS + SCREEN_MARGIN
-    ride_limit = p.limits.max_ride(request.direct_time) + EPS + SCREEN_MARGIN
+    from_x = times[node]
+    dist_x = dists[node]
+    wait_limit = lim.max_wait + EPS + SCREEN_MARGIN
+    ride_limit = lim.max_ride(request.direct_time) + EPS + SCREEN_MARGIN
+    span_limit = lim.flex_window + EPS + SCREEN_MARGIN
+    dwell = p.dwell_base + p.dwell_per_pax
+    per_pax = p.dwell_per_pax
+    at_terminus = node == term      # both ends snapped to the terminus
+    at_fixed = node in world.fixed_stop_set
     out = []
     for v in world.vehicles:
-        if not v.schedule or v.dispatched <= since or v.zone not in zones:
+        sched = v.schedule
+        if not sched or v.dispatched <= since or v.zone not in zones:
             continue
-        base_sched = v.schedule
-        if outbound and (v.status != VehicleStatus.BOARDING
-                         or base_sched[0].departure - t_r > wait_limit):
+        if outbound and (v.status is not _BOARDING
+                         or sched[0].departure - t_r > wait_limit):
             continue
+        # (idx, new, delay, the arrival at the rider's stop) of each place;
+        # ``delay`` is what the rider's stop adds to every later stop
+        if at_terminus:
+            last = len(sched) - 1
+            places = [(last, False, 0.0, sched[last].arrival)]
+        elif at_fixed:
+            places = [(i, False, per_pax, sched[i].arrival)
+                      for i in range(max(1, v.free_stop_min()), len(sched) - 1)
+                      if sched[i].node == node and sched[i].kind is _FIXED]
+        else:
+            # the window screen (module docstring)
+            if v.window_open_idx is None:
+                continue
+            close = v.window_close_idx
+            span0 = sched[close].arrival - sched[v.window_open_idx].departure
+            if span0 + dwell > span_limit:
+                continue
+            places = []
+            for pos in range(max(v.window_open_idx + 1, v.free_insert_min()),
+                             close + 1):
+                prev = sched[pos - 1]
+                from_a = times[prev.node]
+                b = sched[pos].node
+                delay = from_a[node] + dwell + from_x[b] - from_a[b]
+                if span0 + delay <= span_limit:
+                    places.append((pos, True, delay,
+                                   prev.departure + from_a[node]))
         after = None
-        for idx, new, delay in _places(world, v, node):
+        for idx, new, delay, at in places:
             # the rider screen (module docstring); ``at`` is exact
-            prev = base_sched[idx - 1]
-            at = (prev.departure + times[prev.node][node] if new
-                  else base_sched[idx].arrival)
-            pickup, dropoff = ((base_sched[0].departure, at) if outbound
-                               else (at, base_sched[-1].arrival + delay))
+            pickup, dropoff = ((sched[0].departure, at) if outbound
+                               else (at, sched[-1].arrival + delay))
             if (pickup - t_r > wait_limit
                     or dropoff - pickup > ride_limit):
                 continue
             if after is None:
-                after = _alights_from(base_sched)
+                after = _alights_from(sched)
             if new:
-                a, b = prev.node, base_sched[idx].node
-                detour = dists[a][node] + dists[node][b] - dists[a][b]
+                a, b = sched[idx - 1].node, sched[idx].node
+                detour = dists[a][node] + dist_x[b] - dists[a][b]
                 est = (o_per_m * detour
                        + t_per_s * (delay * after[idx] + dropoff - t_r))
             else:
@@ -329,7 +333,7 @@ def _ranked_placements(world, request, since=-1):
 def _build(world, request, vehicle, idx, new):
     """``(schedule, window close idx, pickup idx, dropoff idx)`` of the
     vehicle's schedule with the request placed at ``idx`` (``new`` as
-    ``_places`` gives it), retimed."""
+    ``_ranked_placements`` gives it), retimed."""
     p = world.params
     base_sched = vehicle.schedule
     outbound = request.pickup_node == world.net.terminus

@@ -26,17 +26,30 @@ from .dispatch import DispatchConfig
 from .sim import World
 
 
-def _check_ints(config, prefix=""):
-    """Make each field of ``config`` declared ``int`` a plain int.
+def _is_real(value):
+    """A number for a ``float`` field: any real but a bool, since a YAML
+    ``true`` in a number field is a slip, not 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
-    A field takes what ``operator.index`` accepts, so numpy integers pass;
-    anything else, such as 2.5, raises a ``ValueError`` naming the field.
+
+def _check_numbers(config, prefix=""):
+    """Make each field of ``config`` declared ``int`` a plain int, and check
+    that each one declared ``float`` holds a number (``_is_real``).
+
+    An int field takes what ``operator.index`` accepts but a bool, so numpy
+    integers pass; anything else, such as 2.5 or True, raises a
+    ``ValueError`` naming the field.
     """
     for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", float) and not _is_real(value):
+            raise ValueError("%s%s must be a float, not %r"
+                             % (prefix, f.name, value))
         if f.type not in ("int", int):
             continue
-        value = getattr(config, f.name)
         try:
+            if isinstance(value, bool):
+                raise TypeError
             object.__setattr__(config, f.name, operator.index(value))
         except TypeError:
             raise ValueError("%s%s must be an integer, not %r"
@@ -60,7 +73,7 @@ class SeedConfig:
         return list(range(self.eval_start, self.eval_start + self.eval_count))
 
     def __post_init__(self):
-        _check_ints(self, "seeds.")
+        _check_numbers(self, "seeds.")
         for name in ("train_start", "eval_start"):
             if not getattr(self, name) >= 0:
                 raise ValueError("seeds.%s must be non-negative" % name)
@@ -94,7 +107,7 @@ class PPOConfig:
     anneal_lr: bool = True
 
     def __post_init__(self):
-        _check_ints(self, "ppo.")
+        _check_numbers(self, "ppo.")
         if not 0 < self.clip_eps < 1:
             raise ValueError("ppo.clip_eps must lie in (0, 1)")
         for name in ("discount", "gae_lambda"):
@@ -160,7 +173,7 @@ class Scenario:
     def __post_init__(self):
         """The checks that span fields; each section checked itself when it
         was built."""
-        _check_ints(self)
+        _check_numbers(self)
         for name in ("horizon", "t_step"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
@@ -215,8 +228,9 @@ class Scenario:
         sections, each section a mapping of its own fields."""
         def fields_of(tp, sub, section=None):
             """``sub`` as keyword arguments of ``tp``: known fields only, a
-            number for each ``float`` field (YAML reads ``abc`` or ``1e3`` as
-            text) and true or false for each ``bool`` one (not ``"false"``)."""
+            number but a bool for each ``float`` field (YAML reads ``abc``
+            or ``1e3`` as text, ``yes`` as true) and true or false for each
+            ``bool`` one (not ``"false"``)."""
             where = ("scenario section %r" % section if section
                      else "the scenario")
             if not isinstance(sub, dict):
@@ -226,8 +240,9 @@ class Scenario:
                 f = tp.__dataclass_fields__.get(key)
                 if f is None:
                     raise ValueError("unknown field %r in %s" % (key, where))
-                kind = {"float": numbers.Real, "bool": bool}.get(f.type)
-                if kind and not isinstance(value, kind):
+                ok = {"float": _is_real,
+                      "bool": lambda v: isinstance(v, bool)}.get(f.type)
+                if ok and not ok(value):
                     raise ValueError("%s%s must be a %s, not %r"
                                      % (section + "." if section else "",
                                         key, f.type, value))

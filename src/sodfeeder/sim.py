@@ -8,7 +8,6 @@ alighting and arrival event that falls inside the step window.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 from .costs import EPS
@@ -152,12 +151,6 @@ class World:
 
     # ---- dispatching -------------------------------------------------------
 
-    def available_vehicles(self, fleet_class=None):
-        out = [v for v in self.vehicles if v.status == VehicleStatus.AT_TERMINUS]
-        if fleet_class is not None:
-            out = [v for v in out if v.fleet_class == fleet_class]
-        return out
-
     def dispatch_vehicle(self, vehicle_id, z):
         """Send a terminus vehicle on a new cycle with zone assignment z."""
         v = self.vehicles[vehicle_id]
@@ -211,29 +204,42 @@ class World:
 
     # ---- the step loop -----------------------------------------------------
 
-    def _next_event(self, v):
-        """Time of the vehicle's next event; infinite when it has none."""
-        if v.status is _BOARDING:
-            return v.schedule[0].departure
-        if v.status is _EN_ROUTE:
-            return v.schedule[v.next_idx].arrival
-        return math.inf
-
     def advance_step(self):
         """Advance the world by one time step, executing all due events in
         (time, vehicle id) order.  An event changes only its own vehicle, so
-        a heap holding each vehicle's next event yields that order."""
+        a heap holding the next event of each vehicle with one due yields
+        that order: a vehicle at the terminus has none, and one whose next
+        event falls after the step cannot get an earlier one.  Each step
+        reads the next events afresh from the schedules."""
         if self.now >= self.params.horizon:
             raise ValueError("clock is past the horizon")
         rep = StepReport()
         step_end = self.now + self.params.t_step
-        events = [(self._next_event(v), v.id) for v in self.vehicles]
+        due = step_end + 1e-9
+        vehicles = self.vehicles
+        events = []
+        for v in vehicles:
+            status = v.status
+            if status is _BOARDING:
+                t = v.schedule[0].departure
+            elif status is _EN_ROUTE:
+                t = v.schedule[v.next_idx].arrival
+            else:
+                continue
+            if t <= due:
+                events.append((t, v.id))
         heapq.heapify(events)
-        while events and events[0][0] <= step_end + 1e-9:
+        while events:
             t, vid = events[0]
-            v = self.vehicles[vid]
+            v = vehicles[vid]
             self._process_event(v, t, rep)
-            heapq.heapreplace(events, (self._next_event(v), vid))
+            # an event leaves its vehicle en route or at the terminus
+            if v.status is _EN_ROUTE:
+                t = v.schedule[v.next_idx].arrival
+                if t <= due:
+                    heapq.heapreplace(events, (t, vid))
+                    continue
+            heapq.heappop(events)
         self.now = step_end
         self.step_k += 1
         return rep

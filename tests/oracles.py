@@ -11,8 +11,11 @@ import numpy as np
 from sodfeeder.corridor import Segment
 from sodfeeder.demand import (Request, RequestState, endpoint_weights,
                               forecast_demand, segment_shares)
+from sodfeeder.dispatch import DispatchController
 from sodfeeder.fleet import FleetClass, Stop, StopKind, VehicleStatus
 from sodfeeder.sim import StepReport
+
+from worldgen import available_vehicles
 
 
 def bellman_ford_time(net, src):
@@ -93,13 +96,13 @@ def oracle_generate_instance(net, profile, horizon, seed):
 
 def oracle_observe(env):
     """``ZonalDispatchEnv.observe`` as first written: separate counts over
-    the vehicles and over ``available_vehicles()``, commitments added per
-    category tuple, and ``np.clip`` over the scaled list."""
+    the vehicles and over ``available_vehicles(world)``, commitments added
+    per category tuple, and ``np.clip`` over the scaled list."""
     w = env.world
     now = w.now
     running = sum(1 for v in w.vehicles
                   if v.status != VehicleStatus.AT_TERMINUS)
-    available = sum(1 for v in w.available_vehicles()
+    available = sum(1 for v in available_vehicles(w)
                     if v.fleet_class == FleetClass.CONTROLLABLE)
     forecast = forecast_demand(env.scenario.demand, env.scenario.horizon,
                                now, 900.0)
@@ -483,3 +486,18 @@ def rescan_advance_step(world):
     world.now = step_end
     world.step_k += 1
     return rep
+
+
+# ---- list-building dispatch --------------------------------------------------
+
+class RescanDispatchController(DispatchController):
+    """``DispatchController`` whose dispatch lists the free vehicles of the
+    class and takes the first: the reference for its one-pass scan."""
+
+    def _dispatch(self, fleet_class, z, source):
+        w = self.world
+        avail = available_vehicles(w, fleet_class)
+        if avail:
+            w.dispatch_vehicle(avail[0].id, z)
+            w.dispatch_log.append((w.step_k, avail[0].id, source, z))
+        return bool(avail)

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sodfeeder.corridor import CorridorSpec
 from sodfeeder.demand import RequestState, forecast_demand
 from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
                            ZonalDispatchEnv, normalize)
@@ -10,7 +13,8 @@ from sodfeeder.fleet import FleetClass, VehicleStatus
 from sodfeeder.scenario import NormalizationRanges, Scenario
 
 from oracles import oracle_observe
-from worldgen import denormalize, restore, snapshot
+from worldgen import (available_vehicles, denormalize, restore, scenarios,
+                      snapshot)
 
 
 def test_layout_constants():
@@ -113,6 +117,27 @@ def test_dispatch_action_changes_state(scenario):
     assert raw[4 + 3] > 0.0
 
 
+@pytest.mark.parametrize("action", [2.7, True, "3", None, 4, -1])
+def test_an_action_that_is_not_an_integer_in_range_is_refused(action):
+    # int() would take 2.7 as 2, True as 1 and "3" as a hold; the refusal
+    # comes before the reserved override due at step 10 is dispatched
+    env = ZonalDispatchEnv(Scenario(n_vehicles=4, n_reserved=2))
+    env.reset(0)
+    for _ in range(10):
+        env.step(3)
+    w = env.world
+    before = w.step_k, list(w.dispatch_log), list(w.rl_actions)
+    with pytest.raises(ValueError, match="action must be an integer"):
+        env.step(action)
+    assert (w.step_k, w.dispatch_log, w.rl_actions) == before
+    assert env.t == 10
+    # numpy integers are integers
+    env.step(np.int64(2))
+    assert w.rl_actions[-1] == 2 and type(w.rl_actions[-1]) is int
+    assert [(source, z) for _, _, source, z in w.dispatch_log[-2:]] == [
+        ("override", 0), ("rl", 2)]
+
+
 def test_snapshot_restore_markov(scenario):
     env = ZonalDispatchEnv(scenario)
     env.reset(4)
@@ -155,6 +180,33 @@ def test_observe_equals_the_oracle_over_an_episode(make):
     while not env.done:
         obs, _, _, _ = env.step(int(rng.integers(N_ACTIONS)))
         _observes_like_the_oracle(env, obs)
+
+
+@given(sc=scenarios(min_demand=0.0), seed=st.integers(0, 10**4))
+@example(sc=dataclasses.replace(_zero_demand(), horizon=3600.0, warmup=0.0),
+         seed=0)
+@example(sc=Scenario(n_vehicles=4, n_reserved=4, horizon=3600.0, warmup=0.0),
+         seed=1)
+@example(sc=Scenario(corridor=CorridorSpec(side_depth=0.0), horizon=3600.0,
+                     warmup=0.0), seed=2)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_observe_equals_the_oracle_on_random_scenarios(sc, seed):
+    # random actions through a whole episode; at its end, a departure stamp
+    # in the future and a pile of open processes push features below 0 and
+    # above 1, which the clamp must cut as np.clip does
+    env = ZonalDispatchEnv(sc)
+    rng = np.random.default_rng(seed)
+    _observes_like_the_oracle(env, env.reset(seed))
+    while not env.done:
+        obs, _, _, _ = env.step(int(rng.integers(N_ACTIONS)))
+        _observes_like_the_oracle(env, obs)
+    w = env.world
+    w.last_departure = {c: w.now + 60.0 * c for c in (0, 1, 2)}
+    w.open_processes = [10**6, 0, 10**6]
+    obs = env.observe()
+    _observes_like_the_oracle(env, obs)
+    assert obs[12:15].tolist() == [0.0, 0.0, 0.0]
+    assert obs[[5, 8, 11]].tolist() == [1.0, 0.0, 1.0]
 
 
 def test_observe_equals_the_oracle_after_restore(scenario):
@@ -231,7 +283,7 @@ def test_fleet_ranges_follow_the_fleet():
         running = sum(v.status != VehicleStatus.AT_TERMINUS
                       for v in w.vehicles)
         available = sum(v.fleet_class == FleetClass.CONTROLLABLE
-                        for v in w.available_vehicles())
+                        for v in available_vehicles(w))
         raw = denormalize(obs, env.ranges)
         assert raw[0:2] == pytest.approx([running, available])
         if running > 8:

@@ -414,7 +414,9 @@ def test_window_slack_of_one_dwell_still_accepts_the_insertion(ulps_under):
 
 
 def _count_window_looks(monkeypatch, counts):
-    # each look into a window's positions asks for free_insert_min once
+    # the window screen in _ranked_placements asks for free_insert_min once
+    # per window it looks into position by position, and nothing else in
+    # enumerate_candidates asks for it
     _count_calls(monkeypatch, fleet.Vehicle, "free_insert_min", counts,
                  "looks")
 
@@ -449,7 +451,7 @@ def test_window_slack_screen_is_strict_at_its_limit(monkeypatch):
     w = _window_world(flex_window)
     counts = {"looks": 0}
     _count_window_looks(monkeypatch, counts)
-    matching._window_positions(w, w.vehicles[0], w.requests[0].dropoff_node)
+    matching._ranked_placements(w, w.requests[0])
     assert counts["looks"] == 1
 
 

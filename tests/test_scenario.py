@@ -42,6 +42,10 @@ BAD_VALUES = [
     ("corridor", "segment_lengths", [1200.0, "x", 800.0]),
     ("corridor", "segment_lengths", [1200.0, 2200.0]),
     ("corridor", "segment_lengths", 5600.0),
+    # YAML reads yes/true as a bool, which int() and the >= checks take as 1
+    (None, "capacity", True),
+    (None, "dwell_base", True),
+    ("ppo", "epochs", True),
 ]
 
 

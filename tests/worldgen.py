@@ -1,14 +1,19 @@
-"""Random small worlds for matching equivalence checks, and the helpers
-that undo an observation's scaling and copy an environment's episode."""
+"""Random small worlds for matching equivalence checks, random scenarios
+for whole-episode checks, and the helpers that list a world's free vehicles,
+undo an observation's scaling and copy an environment's episode."""
 
 import copy
+import dataclasses
 
 import numpy as np
+from hypothesis import strategies as st
 
+from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request
-from sodfeeder.dispatch import PolicyKind
+from sodfeeder.dispatch import DispatchConfig, PolicyKind
 from sodfeeder.env import bounds
+from sodfeeder.fleet import VehicleStatus
 from sodfeeder.matching import match_step
 from sodfeeder.scenario import Scenario
 from sodfeeder.sim import World
@@ -58,10 +63,58 @@ def random_mini_world(seed, net, max_vehicles=2, max_requests=5,
     return world
 
 
+@st.composite
+def scenarios(draw, min_demand=0.1):
+    """A random scenario for whole episodes: a fleet of 1-12 with any
+    number reserved, capacity 1-20, a corridor with or without side
+    streets, fixed stops 200-1200 m apart, the default demand scaled by
+    ``min_demand``, 0.5, 1, 2 or 5 (ramped or falling to 0, all one way or
+    split), the wait, detour and window limits, the headway, two
+    normalization caps, and a 1 or 2 h horizon with no warm-up.  Each field
+    takes one of a few values, so that draws share their networks and
+    stay cheap."""
+    sc = Scenario()
+    fleet = draw(st.integers(1, 12))
+    factor = draw(st.sampled_from([min_demand, 0.5, 1.0, 2.0, 5.0]))
+    d = sc.demand
+    demand = dataclasses.replace(
+        d, base_rate=d.base_rate * factor,
+        end_rate=draw(st.sampled_from([0.0, d.end_rate * factor])),
+        direction_split=draw(st.sampled_from([0.0, 0.5, 1.0])))
+    limits = FeasibilityLimits(
+        max_wait=draw(st.sampled_from([300.0, 900.0, 1800.0])),
+        detour_factor=draw(st.sampled_from([1.5, 2.5])),
+        flex_window=draw(st.sampled_from([600.0, 1200.0, 1800.0])))
+    norm = dataclasses.replace(
+        sc.norm, request_cap=draw(st.sampled_from([2.0, 20.0])),
+        time_cap=draw(st.sampled_from([300.0, 1800.0])))
+    side_depth = draw(st.sampled_from([0.0, 300.0]))
+    return dataclasses.replace(
+        sc, corridor=CorridorSpec(side_depth=side_depth), demand=demand,
+        limits=limits, norm=norm,
+        dispatch=DispatchConfig(
+            full_headway=draw(st.sampled_from([180.0, 300.0, 600.0]))),
+        horizon=draw(st.sampled_from([3600.0, 7200.0])), warmup=0.0,
+        n_vehicles=fleet, n_reserved=draw(st.integers(0, fleet)),
+        capacity=draw(st.integers(1, 20)),
+        fixed_stop_spacing=draw(st.sampled_from([200.0, 400.0, 600.0,
+                                                 1200.0])))
+
+
 def run_production_match(world):
     rep = match_step(world, **walk_of(world.params))
     return {"assigned": rep.assigned, "rejected": sorted(rep.rejected),
             "pending": sorted(rep.pending)}
+
+
+def available_vehicles(world, fleet_class=None):
+    """The vehicles at the terminus, of ``fleet_class`` unless it is None,
+    in id order."""
+    out = [v for v in world.vehicles
+           if v.status == VehicleStatus.AT_TERMINUS]
+    if fleet_class is not None:
+        out = [v for v in out if v.fleet_class == fleet_class]
+    return out
 
 
 def denormalize(x, ranges):
