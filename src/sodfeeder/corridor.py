@@ -4,17 +4,20 @@ Builds a ladder-shaped network: a mainline polyline with short perpendicular
 side streets at fixed spacing.  The mainline is partitioned into a fixed-route
 segment (scheduled stops) followed by two flexible zones.  All travel times
 are constant per edge, so the network computes its all-pairs travel-time and
-distance tables once, when it is built.
+distance tables once, when it is built.  The ladder is a tree (no rung joins
+two side streets), so each pair of nodes has one path: the tables come from
+one walk that roots the tree at the terminus and two passes over it, with no
+shortest-path search.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+from .costs import check_types, is_real
 
 
 class Segment(IntEnum):
@@ -40,10 +43,10 @@ class CorridorSpec:
     side_speed: float = 5.0
 
     def __post_init__(self):
+        check_types(self, "corridor.")
         lengths = self.segment_lengths
         if not (isinstance(lengths, (list, tuple)) and len(lengths) == 3
-                and all(isinstance(s, numbers.Real) and s > 0
-                        for s in lengths)):
+                and all(is_real(s) and s > 0 for s in lengths)):
             raise ValueError("corridor.segment_lengths must be three positive "
                              "numbers, not %r" % (lengths,))
         # a list (as YAML gives) is stored as a tuple, so specs stay hashable
@@ -65,11 +68,18 @@ class CorridorSpec:
 class Network:
     """Immutable street network with all-pairs travel tables.
 
-    ``times[a][b]`` (s) and ``distances[a][b]`` (m) hold the shortest-path
-    travel time and length between every pair of nodes, computed on
-    construction by one Dijkstra per source.  ``travel_time`` and
-    ``travel_distance`` read them with node-id checks; the inner loops that
-    only index node ids taken from this network read the tables directly.
+    ``adj`` must be one connected tree that lists each edge at both ends
+    with the same time and length, as ``build_corridor`` makes it; anything
+    else raises a ``ValueError``.  ``times[a][b]`` (s) and
+    ``distances[a][b]`` (m) hold the travel time and length of the one path
+    from ``a`` to ``b``, built on construction by two passes over the tree
+    rooted at the terminus.  Each entry is the entry one leg nearer its
+    source plus that leg, so it is the left-to-right sum of the legs from
+    ``a`` to ``b``, the sum a shortest-path search from ``a`` would build;
+    ``times[b][a]`` sums the same legs from the other end and may differ
+    from ``times[a][b]`` in the last bits.  ``travel_time`` and
+    ``travel_distance`` read the tables with node-id checks; the inner loops
+    that only index node ids taken from this network read them directly.
     ``snaps`` is ``matching.nearest_fixed_stop``'s memo, filled as nodes are
     snapped.
     """
@@ -86,9 +96,59 @@ class Network:
                         default_factory=dict)
 
     def __post_init__(self):
-        rows = [self._dijkstra(src) for src in range(self.n_nodes)]
-        self.times = [t for t, _ in rows]
-        self.distances = [d for _, d in rows]
+        n = self.n_nodes
+        # root the tree at the terminus: in the pre-order ``order`` each
+        # subtree is one slice, and ``children`` lists each node's children
+        # in that order
+        parent = [None] * n
+        leg = [None] * n          # (time, length) of the edge to the parent
+        children = [[] for _ in range(n)]
+        order = []
+        seen = [False] * n
+        seen[self.terminus] = True
+        stack = [self.terminus]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            if parent[u] is not None:
+                children[parent[u]].append(u)
+            for v, t, l in self.adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v], leg[v] = u, (t, l)
+                    stack.append(v)
+        ends = sum(map(len, self.adj))   # each edge is listed at both ends
+        if len(order) < n or ends != 2 * (n - 1):
+            raise ValueError(
+                "the network must be one connected tree, not %d nodes and "
+                "%g edges with %d of the nodes reachable from the terminus"
+                % (n, ends / 2, len(order)))
+        # Column v of a table, listed by the pre-order position of the
+        # source.  Upward pass, leaves first: the sources in v's subtree,
+        # each child's entries plus the leg from that child to v.
+        up_t, up_d = [None] * n, [None] * n
+        for v in reversed(order):
+            col_t, col_d = [0.0], [0.0]
+            for c in children[v]:
+                t, l = leg[c]
+                col_t += [x + t for x in up_t[c]]
+                col_d += [x + l for x in up_d[c]]
+            up_t[v], up_d[v] = col_t, col_d
+        # Downward pass, root first: the sources outside v's subtree, the
+        # parent's entries plus the leg from the parent to v.
+        cols_t, cols_d = up_t[:], up_d[:]
+        for i in range(1, n):
+            v = order[i]
+            end = i + len(up_t[v])
+            t, l = leg[v]
+            pt, pd = cols_t[parent[v]], cols_d[parent[v]]
+            cols_t[v] = ([x + t for x in pt[:i]] + up_t[v]
+                         + [x + t for x in pt[end:]])
+            cols_d[v] = ([x + l for x in pd[:i]] + up_d[v]
+                         + [x + l for x in pd[end:]])
+        self.times, self.distances = [None] * n, [None] * n
+        for src, row_t, row_d in zip(order, zip(*cols_t), zip(*cols_d)):
+            self.times[src], self.distances[src] = list(row_t), list(row_d)
 
     @property
     def n_nodes(self):
@@ -100,24 +160,6 @@ class Network:
     def _check_node(self, node):
         if not (0 <= node < self.n_nodes):
             raise KeyError("unknown node id %r" % (node,))
-
-    def _dijkstra(self, src):
-        """Shortest times from ``src`` and the lengths of those paths."""
-        time = [math.inf] * self.n_nodes
-        dist = [math.inf] * self.n_nodes
-        time[src] = 0.0
-        dist[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            t, u = heapq.heappop(heap)
-            if t > time[u]:
-                continue
-            for v, et, el in self.adj[u]:
-                if t + et < time[v]:
-                    time[v] = t + et
-                    dist[v] = dist[u] + el
-                    heapq.heappush(heap, (time[v], v))
-        return time, dist
 
     def travel_time(self, a, b):
         self._check_node(a)

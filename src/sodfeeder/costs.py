@@ -1,11 +1,49 @@
-"""Cost coefficients and feasibility limits for matching and evaluation."""
+"""Cost coefficients and feasibility limits for matching and evaluation,
+and the type checks that every config section runs when it is built."""
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
+import operator
 from dataclasses import dataclass
 
 # s; the tolerance of every feasibility check: wait, ride, window and walk
 EPS = 1e-6
+
+
+def is_real(value):
+    """A number for a ``float`` field: any real but a bool, since a YAML
+    ``true`` in a number field is a slip, not 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_types(config, prefix=""):
+    """Make each field of ``config`` declared ``int`` a plain int, and check
+    that each one declared ``float`` holds a number (``is_real``) and each
+    one declared ``bool`` True or False (not the truthy text ``"false"``).
+
+    An int field takes what ``operator.index`` accepts but a bool, so numpy
+    integers pass; anything else, such as 2.5 or True, raises a
+    ``ValueError`` naming the field.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", float) and not is_real(value):
+            raise ValueError("%s%s must be a float, not %r"
+                             % (prefix, f.name, value))
+        if f.type in ("bool", bool) and not isinstance(value, bool):
+            raise ValueError("%s%s must be a bool, not %r"
+                             % (prefix, f.name, value))
+        if f.type not in ("int", int):
+            continue
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            object.__setattr__(config, f.name, operator.index(value))
+        except TypeError:
+            raise ValueError("%s%s must be an integer, not %r"
+                             % (prefix, f.name, value)) from None
 
 
 @dataclass(frozen=True)
@@ -22,6 +60,7 @@ class CostCoefficients:
     gamma_v: float = 7.59        # $/vehicle-hour
 
     def __post_init__(self):
+        check_types(self, "coeffs.")
         for name, v in vars(self).items():
             if not v >= 0:
                 raise ValueError("coeffs.%s must be non-negative" % name)
@@ -52,6 +91,7 @@ class FeasibilityLimits:
     flex_window: float = 1200.0   # s reserved for the flexible-route portion
 
     def __post_init__(self):
+        check_types(self, "limits.")
         for name, v in vars(self).items():
             if not v > 0:
                 raise ValueError("limits.%s must be positive" % name)

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .corridor import Segment
+from .costs import check_types
 
 
 class RequestState(Enum):
@@ -72,6 +73,7 @@ class DemandProfile:
     walk_speed: float = 1.25      # m/s
 
     def __post_init__(self):
+        check_types(self, "demand.")
         for name in ("base_rate", "end_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError("demand.%s must be non-negative" % name)
@@ -108,10 +110,13 @@ def endpoint_weights(net, profile):
 # is built only by ``build_corridor`` from its frozen ``spec``, so the spec
 # stands for the network in a key.  Each memo keeps its MEMO_SIZE newest
 # entries, and no caller gets a value it could change: the trips are tuples,
-# and ``segment_shares`` returns a copy.
+# and ``segment_shares`` returns a copy.  The forecasts are the exception:
+# ``forecast_memo`` hands out its dicts for the env to fill, with the values
+# ``forecast_demand`` gives.
 MEMO_SIZE = 8
 _tables = {}   # (spec, profile) -> (endpoint CDF list or None, segment shares)
 _trips = {}    # (spec, profile, horizon, seed) -> ((t_r, origin, dest), ...)
+_forecasts = {}  # (profile, horizon) -> {now: the observation's forecast}
 
 
 def _memo(table, key, make):
@@ -207,6 +212,13 @@ def forecast_demand(profile, horizon, now, window):
         return 0.0
     # linear rate: integrate trapezoidally (exact)
     return 0.5 * (profile.rate_at(a, horizon) + profile.rate_at(b, horizon)) * (b - a)
+
+
+def forecast_memo(profile, horizon):
+    """The dict ``now -> forecast`` in which ``ZonalDispatchEnv.observe``
+    keeps its ``forecast_demand`` values, shared by every env of this
+    profile and horizon, so that a run's new env per episode still hits."""
+    return _memo(_forecasts, (profile, horizon), dict)
 
 
 def dump_requests_csv(requests, path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .costs import check_types
 from .fleet import FleetClass, VehicleStatus
 
 
@@ -37,6 +38,7 @@ class DispatchConfig:
     nominal_offset: float = 300.0     # offset from the reserved departures
 
     def __post_init__(self):
+        check_types(self, "dispatch.")
         for name in ("full_headway", "reserved_headway", "nominal_period"):
             if not getattr(self, name) > 0:
                 raise ValueError("dispatch.%s must be positive" % name)

@@ -23,7 +23,7 @@ import operator
 
 import numpy as np
 
-from .demand import forecast_demand, segment_shares
+from .demand import forecast_demand, forecast_memo, segment_shares
 from .dispatch import DispatchController, PolicyKind
 from .fleet import FleetClass, VehicleStatus
 from .matching import match_step
@@ -94,7 +94,8 @@ class ZonalDispatchEnv:
         lo, span = bounds(self.ranges)
         self._bounds = list(zip(lo.tolist(), span.tolist()))
         self._seg_shares = segment_shares(self.net, scenario.demand)
-        self._forecasts = {}     # now -> the 15-min forecast observe gives
+        # now -> the 15-min forecast observe gives
+        self._forecasts = forecast_memo(scenario.demand, scenario.horizon)
 
     def reset(self, seed):
         self.world = build_world(self.scenario, PolicyKind.RL_ZONAL, seed,

@@ -13,47 +13,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 
 import yaml
 
 from .corridor import CorridorSpec, build_corridor
-from .costs import CostCoefficients, FeasibilityLimits
+from .costs import CostCoefficients, FeasibilityLimits, check_types
 from .demand import DemandProfile
 from .dispatch import DispatchConfig
 from .sim import World
-
-
-def _is_real(value):
-    """A number for a ``float`` field: any real but a bool, since a YAML
-    ``true`` in a number field is a slip, not 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_numbers(config, prefix=""):
-    """Make each field of ``config`` declared ``int`` a plain int, and check
-    that each one declared ``float`` holds a number (``_is_real``).
-
-    An int field takes what ``operator.index`` accepts but a bool, so numpy
-    integers pass; anything else, such as 2.5 or True, raises a
-    ``ValueError`` naming the field.
-    """
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if f.type in ("float", float) and not _is_real(value):
-            raise ValueError("%s%s must be a float, not %r"
-                             % (prefix, f.name, value))
-        if f.type not in ("int", int):
-            continue
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            object.__setattr__(config, f.name, operator.index(value))
-        except TypeError:
-            raise ValueError("%s%s must be an integer, not %r"
-                             % (prefix, f.name, value)) from None
 
 
 @dataclass(frozen=True)
@@ -73,7 +41,7 @@ class SeedConfig:
         return list(range(self.eval_start, self.eval_start + self.eval_count))
 
     def __post_init__(self):
-        _check_numbers(self, "seeds.")
+        check_types(self, "seeds.")
         for name in ("train_start", "eval_start"):
             if not getattr(self, name) >= 0:
                 raise ValueError("seeds.%s must be non-negative" % name)
@@ -107,7 +75,7 @@ class PPOConfig:
     anneal_lr: bool = True
 
     def __post_init__(self):
-        _check_numbers(self, "ppo.")
+        check_types(self, "ppo.")
         if not 0 < self.clip_eps < 1:
             raise ValueError("ppo.clip_eps must lie in (0, 1)")
         for name in ("discount", "gae_lambda"):
@@ -138,6 +106,7 @@ class NormalizationRanges:
     forecast_cap: float = 15.0
 
     def __post_init__(self):
+        check_types(self, "norm.")
         for name in ("request_cap", "time_cap", "forecast_cap"):
             if not getattr(self, name) > 0:
                 raise ValueError("norm.%s must be positive" % name)
@@ -173,7 +142,7 @@ class Scenario:
     def __post_init__(self):
         """The checks that span fields; each section checked itself when it
         was built."""
-        _check_numbers(self)
+        check_types(self)
         for name in ("horizon", "t_step"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
@@ -227,25 +196,17 @@ class Scenario:
         """A scenario from parsed YAML: a mapping of top-level fields and
         sections, each section a mapping of its own fields."""
         def fields_of(tp, sub, section=None):
-            """``sub`` as keyword arguments of ``tp``: known fields only, a
-            number but a bool for each ``float`` field (YAML reads ``abc``
-            or ``1e3`` as text, ``yes`` as true) and true or false for each
-            ``bool`` one (not ``"false"``)."""
+            """``sub`` as keyword arguments of ``tp``: known fields only.
+            Each section checks its field types itself (YAML reads ``abc``
+            or ``1e3`` as text, ``yes`` as true)."""
             where = ("scenario section %r" % section if section
                      else "the scenario")
             if not isinstance(sub, dict):
                 raise ValueError("%s must be a mapping of fields, not %r"
                                  % (where, sub))
-            for key, value in sub.items():
-                f = tp.__dataclass_fields__.get(key)
-                if f is None:
+            for key in sub:
+                if key not in tp.__dataclass_fields__:
                     raise ValueError("unknown field %r in %s" % (key, where))
-                ok = {"float": _is_real,
-                      "bool": lambda v: isinstance(v, bool)}.get(f.type)
-                if ok and not ok(value):
-                    raise ValueError("%s%s must be a %s, not %r"
-                                     % (section + "." if section else "",
-                                        key, f.type, value))
             return dict(sub)
 
         nested = {

@@ -4,6 +4,7 @@ Everything here is deliberately naive (double loops, full recomputation) and
 shares no decision logic with the package.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -16,6 +17,32 @@ from sodfeeder.fleet import FleetClass, Stop, StopKind, VehicleStatus
 from sodfeeder.sim import StepReport
 
 from worldgen import available_vehicles
+
+
+def oracle_tables(net):
+    """``net.times`` and ``net.distances`` as one Dijkstra per source built
+    them: the heap pops the nearest open node, and a neighbour's time and
+    length are the popped node's plus the edge's."""
+    n = net.n_nodes
+    times, distances = [], []
+    for src in range(n):
+        time = [math.inf] * n
+        dist = [math.inf] * n
+        time[src] = 0.0
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            t, u = heapq.heappop(heap)
+            if t > time[u]:
+                continue
+            for v, et, el in net.adj[u]:
+                if t + et < time[v]:
+                    time[v] = t + et
+                    dist[v] = dist[u] + el
+                    heapq.heappush(heap, (time[v], v))
+        times.append(time)
+        distances.append(dist)
+    return times, distances
 
 
 def bellman_ford_time(net, src):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from sodfeeder.corridor import CorridorSpec, Segment, build_corridor
 
-from oracles import bellman_ford_time
+from oracles import bellman_ford_time, oracle_tables
 
 
 def test_default_node_count(net):
@@ -62,7 +64,7 @@ def test_travel_time_symmetric(net):
         assert net.travel_time(a, b) == pytest.approx(net.travel_time(b, a))
 
 
-@pytest.mark.parametrize("spec", [
+LADDERS = pytest.mark.parametrize("spec", [
     CorridorSpec(),
     CorridorSpec(side_depth=0.0),
     # spacings that do not divide the mainline or the side-street depth
@@ -70,6 +72,9 @@ def test_travel_time_symmetric(net):
                  segment_lengths=(1100.0, 1900.0, 2000.0), side_spacing=300.0,
                  side_depth=250.0, side_node_spacing=110.0, side_speed=4.0),
 ], ids=["default", "linear", "uneven"])
+
+
+@LADDERS
 def test_tables_match_the_ladder_closed_form(spec):
     # every side street hangs off one mainline node with no rungs between
     # them, so the corridor is a tree and each pair of nodes has one path
@@ -90,6 +95,49 @@ def test_tables_match_the_ladder_closed_form(spec):
             assert net.distances[a][b] == pytest.approx(d, rel=1e-12, abs=1e-9)
             assert net.travel_time(a, b) == net.times[a][b]
             assert net.travel_distance(a, b) == net.distances[a][b]
+
+
+def _assert_tables_equal_the_oracle(net):
+    """Every entry, bit for bit (signs of zero included): the tree passes
+    sum each path's legs in the order one Dijkstra per source does."""
+    times, distances = oracle_tables(net)
+    assert [[x.hex() for x in row] for row in net.times] == \
+        [[x.hex() for x in row] for row in times]
+    assert [[x.hex() for x in row] for row in net.distances] == \
+        [[x.hex() for x in row] for row in distances]
+
+
+@LADDERS
+def test_tables_equal_one_dijkstra_per_source_bit_for_bit(spec):
+    _assert_tables_equal_the_oracle(build_corridor(spec))
+
+
+def _with_adj(net, adj, extra_nodes=0):
+    return dataclasses.replace(
+        net, adj=adj, coords=net.coords + [(0.0, -1.0)] * extra_nodes,
+        labels=net.labels + [Segment.FIXED] * extra_nodes)
+
+
+def test_an_adjacency_that_is_not_one_tree_is_refused(net):
+    def linked(adj, u, v, t=1.0, length=9.0):
+        adj = [list(nbrs) for nbrs in adj]
+        adj[u].append((v, t, length))
+        adj[v].append((u, t, length))
+        return adj
+
+    def cut(adj, u, v):
+        return [[e for e in nbrs if {i, e[0]} != {u, v}]
+                for i, nbrs in enumerate(adj)]
+
+    assert _with_adj(net, net.adj).times == net.times
+    rung = linked(net.adj, 29, 31)           # joins two side streets
+    with pytest.raises(ValueError, match=r"\b85 nodes and 85 edges"):
+        _with_adj(net, rung)
+    with pytest.raises(ValueError, match=r"\b86 nodes and 84 edges"):
+        _with_adj(net, net.adj + [[]], extra_nodes=1)
+    # as many edges as a tree has, but one of them closes a cycle
+    with pytest.raises(ValueError, match=r"\b85 nodes and 84 edges with 83"):
+        _with_adj(net, cut(rung, 28, 83))
 
 
 def _obeys_the_triangle_inequality(net):
@@ -121,6 +169,12 @@ def corridor_specs(draw):
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_random_corridors_obey_the_triangle_inequality(spec):
     assert _obeys_the_triangle_inequality(build_corridor(spec))
+
+
+@given(spec=corridor_specs())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_random_corridor_tables_equal_one_dijkstra_per_source(spec):
+    _assert_tables_equal_the_oracle(build_corridor(spec))
 
 
 def test_deterministic_rebuild(net):

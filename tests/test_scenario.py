@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from sodfeeder.cli import main
-from sodfeeder.scenario import Scenario, SeedConfig
+from sodfeeder.scenario import PPOConfig, Scenario, SeedConfig
 
 NAN = math.nan
 
@@ -73,6 +73,8 @@ def test_a_bool_field_refuses_anything_but_true_or_false(value, tmp_path):
     # YAML reads "false" in quotes as text, which would be truthy
     with pytest.raises(ValueError, match=r"ppo\.anneal_lr must be a bool"):
         Scenario.from_dict({"ppo": {"anneal_lr": value}})
+    with pytest.raises(ValueError, match=r"ppo\.anneal_lr must be a bool"):
+        PPOConfig(anneal_lr=value)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({"ppo": {"anneal_lr": value}}))
     assert main(["simulate", "--policy", "sod", "--config", str(path),
@@ -95,6 +97,26 @@ def test_every_int_field_refuses_a_fraction():
                     tp(**{f.name: 2.5})
                 checked.add(f.name)
     assert {"n_vehicles", "capacity", "n_envs", "eval_count"} <= checked
+
+
+def test_every_float_field_refuses_a_bool():
+    # each section checks its own fields when built, from Python or YAML
+    sc = Scenario()
+    sections = [("", Scenario)] + [
+        (f.name + ".", type(getattr(sc, f.name)))
+        for f in dataclasses.fields(sc)
+        if dataclasses.is_dataclass(getattr(sc, f.name))]
+    checked = set()
+    for prefix, tp in sections:
+        for f in dataclasses.fields(tp):
+            if f.type in ("float", float):
+                with pytest.raises(ValueError, match=r"^%s%s must be a float"
+                                   % (prefix.replace(".", r"\."), f.name)):
+                    tp(**{f.name: True})
+                checked.add(prefix + f.name)
+    assert {"corridor.mainline_speed", "demand.walk_speed", "limits.max_wait",
+            "coeffs.gamma_o", "dispatch.full_headway", "ppo.clip_eps",
+            "norm.time_cap", "horizon"} <= checked
 
 
 def test_numpy_integers_are_stored_as_ints(tmp_path):
