@@ -43,7 +43,9 @@ class CorridorSpec:
     side_speed: float = 5.0
 
     def __post_init__(self):
-        check_types(self, "corridor.")
+        check_types(self, "corridor.", positive=(
+            "mainline_length", "side_spacing", "side_node_spacing",
+            "mainline_speed", "side_speed"), non_negative=("side_depth",))
         lengths = self.segment_lengths
         if not (isinstance(lengths, (list, tuple)) and len(lengths) == 3
                 and all(is_real(s) and s > 0 for s in lengths)):
@@ -51,12 +53,6 @@ class CorridorSpec:
                              "numbers, not %r" % (lengths,))
         # a list (as YAML gives) is stored as a tuple, so specs stay hashable
         object.__setattr__(self, "segment_lengths", tuple(lengths))
-        for name in ("mainline_length", "side_spacing", "side_node_spacing",
-                     "mainline_speed", "side_speed"):
-            if not getattr(self, name) > 0:
-                raise ValueError("corridor.%s must be positive" % name)
-        if not self.side_depth >= 0:
-            raise ValueError("corridor.side_depth must be non-negative")
         if not abs(sum(self.segment_lengths) - self.mainline_length) <= 1e-6:
             raise ValueError(
                 "segment lengths sum to %.1f, expected mainline length %.1f"
@@ -117,6 +113,10 @@ class Network:
                     seen[v] = True
                     parent[v], leg[v] = u, (t, l)
                     stack.append(v)
+                elif v == parent[u] and (t, l) != leg[u]:
+                    raise ValueError(
+                        "edge %d-%d is (%r s, %r m) at node %d but (%r s, %r "
+                        "m) at node %d" % (v, u, *leg[u], v, t, l, u))
         ends = sum(map(len, self.adj))   # each edge is listed at both ends
         if len(order) < n or ends != 2 * (n - 1):
             raise ValueError(
@@ -179,14 +179,10 @@ class Network:
 
     def walk_time(self, a, b, walk_speed):
         """Straight-line walking time in seconds."""
-        if walk_speed <= 0:
-            raise ValueError("walk_speed must be positive")
         return self.euclidean(a, b) / walk_speed
 
     def walk_time_to_mainline(self, node, walk_speed):
         """Walk time from a node to the nearest point on the mainline (y=0)."""
-        if walk_speed <= 0:
-            raise ValueError("walk_speed must be positive")
         return abs(self.coords[node][1]) / walk_speed
 
     def nearest_mainline_node(self, x):

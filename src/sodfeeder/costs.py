@@ -1,9 +1,10 @@
 """Cost coefficients and feasibility limits for matching and evaluation,
-and the type checks that every config section runs when it is built."""
+and the checks that every config section runs when it is built."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -18,20 +19,36 @@ def is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_types(config, prefix=""):
-    """Make each field of ``config`` declared ``int`` a plain int, and check
-    that each one declared ``float`` holds a number (``is_real``) and each
-    one declared ``bool`` True or False (not the truthy text ``"false"``).
+# check_types keyword -> (the range's test, what a value outside it must do)
+RANGES = {
+    "positive": (lambda v: v > 0, "be positive"),
+    "non_negative": (lambda v: v >= 0, "be non-negative"),
+    "at_least_1": (lambda v: v >= 1, "be at least 1"),
+    "closed_unit": (lambda v: 0 <= v <= 1, "lie in [0, 1]"),
+    "half_open_unit": (lambda v: 0 <= v < 1, "lie in [0, 1)"),
+    "open_unit": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+}
 
-    An int field takes what ``operator.index`` accepts but a bool, so numpy
-    integers pass; anything else, such as 2.5 or True, raises a
-    ``ValueError`` naming the field.
+
+def check_types(config, prefix="", **ranges):
+    """Check each field of ``config`` against its declared type and the
+    range it is listed under, raising a ``ValueError`` that names it.
+
+    An ``int`` field takes what ``operator.index`` accepts but a bool (numpy
+    integers pass, 2.5 and True fail) and is stored as a plain int.  A
+    ``float`` field takes a number but a bool (``is_real``), and a ``bool``
+    field only True or False, not the truthy text ``"false"``.  Each keyword
+    of ``ranges`` is a key of ``RANGES`` that lists the fields it holds, and
+    NaN fails every range.  Last, a ``float`` field refuses +-inf.
     """
+    floats = []
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.type in ("float", float) and not is_real(value):
-            raise ValueError("%s%s must be a float, not %r"
-                             % (prefix, f.name, value))
+        if f.type in ("float", float):
+            if not is_real(value):
+                raise ValueError("%s%s must be a float, not %r"
+                                 % (prefix, f.name, value))
+            floats.append(f.name)
         if f.type in ("bool", bool) and not isinstance(value, bool):
             raise ValueError("%s%s must be a bool, not %r"
                              % (prefix, f.name, value))
@@ -44,6 +61,15 @@ def check_types(config, prefix=""):
         except TypeError:
             raise ValueError("%s%s must be an integer, not %r"
                              % (prefix, f.name, value)) from None
+    for kind, names in ranges.items():
+        test, must = RANGES[kind]
+        for name in names:
+            if not test(getattr(config, name)):
+                raise ValueError("%s%s must %s" % (prefix, name, must))
+    for name in floats:
+        if math.isinf(getattr(config, name)):
+            raise ValueError("%s%s must be finite, not %r"
+                             % (prefix, name, getattr(config, name)))
 
 
 @dataclass(frozen=True)
@@ -60,10 +86,7 @@ class CostCoefficients:
     gamma_v: float = 7.59        # $/vehicle-hour
 
     def __post_init__(self):
-        check_types(self, "coeffs.")
-        for name, v in vars(self).items():
-            if not v >= 0:
-                raise ValueError("coeffs.%s must be non-negative" % name)
+        check_types(self, "coeffs.", non_negative=tuple(vars(self)))
 
     # per-meter / per-second forms used internally
     @property
@@ -91,10 +114,7 @@ class FeasibilityLimits:
     flex_window: float = 1200.0   # s reserved for the flexible-route portion
 
     def __post_init__(self):
-        check_types(self, "limits.")
-        for name, v in vars(self).items():
-            if not v > 0:
-                raise ValueError("limits.%s must be positive" % name)
+        check_types(self, "limits.", positive=tuple(vars(self)))
 
     def max_ride(self, direct_time):
         return self.detour_factor * direct_time + self.detour_slack

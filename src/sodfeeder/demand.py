@@ -73,15 +73,9 @@ class DemandProfile:
     walk_speed: float = 1.25      # m/s
 
     def __post_init__(self):
-        check_types(self, "demand.")
-        for name in ("base_rate", "end_rate"):
-            if not getattr(self, name) >= 0:
-                raise ValueError("demand.%s must be non-negative" % name)
-        if not 0.0 <= self.direction_split <= 1.0:
-            raise ValueError("demand.direction_split must lie in [0, 1]")
-        for name in ("walk_cap", "walk_speed"):
-            if not getattr(self, name) > 0:
-                raise ValueError("demand.%s must be positive" % name)
+        check_types(self, "demand.", non_negative=("base_rate", "end_rate"),
+                    closed_unit=("direction_split",),
+                    positive=("walk_cap", "walk_speed"))
 
     def rate_at(self, t, horizon):
         """Instantaneous rate in requests/second at time t of the horizon."""
@@ -184,8 +178,6 @@ def generate_instance(net, profile, horizon, seed):
     once; ``seed`` is therefore an int, which fixes the draw.  Every call
     returns new ``Request`` objects.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     trips = _memo(_trips, (net.spec, profile, horizon, seed),
                   lambda: _draw_trips(net, profile, horizon, seed))
     return [Request(i, t, o, d) for i, (t, o, d) in enumerate(trips)]
@@ -204,8 +196,6 @@ def forecast_demand(profile, horizon, now, window):
     This is a perfect-information forecast of the generator mean (not of the
     realized sample); ``segment_shares`` apportions it by category.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
     a = min(max(now, 0.0), horizon)
     b = min(now + window, horizon)
     if b <= a:

@@ -38,12 +38,9 @@ class DispatchConfig:
     nominal_offset: float = 300.0     # offset from the reserved departures
 
     def __post_init__(self):
-        check_types(self, "dispatch.")
-        for name in ("full_headway", "reserved_headway", "nominal_period"):
-            if not getattr(self, name) > 0:
-                raise ValueError("dispatch.%s must be positive" % name)
-        if not self.nominal_offset >= 0:
-            raise ValueError("dispatch.nominal_offset must be non-negative")
+        check_types(self, "dispatch.", positive=(
+            "full_headway", "reserved_headway", "nominal_period"),
+            non_negative=("nominal_offset",))
 
 
 # looked up once: enum member access is slow, and _dispatch compares it for

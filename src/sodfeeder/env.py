@@ -61,12 +61,6 @@ def bounds(ranges):
     return lo, hi - lo
 
 
-def normalize(raw, ranges):
-    """Elementwise (x - min) / (max - min), clamped to [0, 1]."""
-    lo, span = bounds(ranges)
-    return np.clip((np.asarray(raw, dtype=float) - lo) / span, 0.0, 1.0)
-
-
 class ZonalDispatchEnv:
     """reset/step interface over the SoD world with RL zonal control."""
 
@@ -107,7 +101,9 @@ class ZonalDispatchEnv:
         return self.observe()
 
     def step(self, action):
-        """Advance one decision period: override, action, matching, movement."""
+        """Advance one decision period: ``rl_period`` simulation steps, each
+        with the headway departures due, then matching and movement; the
+        action is taken in the first, after its departures."""
         if self.done:
             raise RuntimeError("step() called on a finished episode")
         # refused before anything moves: operator.index lets numpy integers
@@ -121,10 +117,11 @@ class ZonalDispatchEnv:
                              % (N_ACTIONS - 1, action))
         w = self.world
         rejected_before = w.rejected_total
-        self.controller.baseline_dispatch()
-        self.controller.apply_action(a)
         infos = []
-        for _ in range(self.scenario.rl_period):
+        for i in range(self.scenario.rl_period):
+            self.controller.baseline_dispatch()
+            if i == 0:
+                self.controller.apply_action(a)
             match_step(w, walk_speed=self.scenario.demand.walk_speed,
                        walk_cap=self.scenario.demand.walk_cap)
             rep = w.advance_step()

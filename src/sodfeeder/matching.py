@@ -170,12 +170,6 @@ def _serving_zones(world, request):
     return (0, 1) if world.net.labels[node] == Segment.ZONE1 else (0, 2)
 
 
-def zone_compatible(world, request, vehicle):
-    """True iff every non-terminus, non-fixed-stop service point of the
-    request lies in a zone served by the vehicle's current assignment."""
-    return vehicle.zone in _serving_zones(world, request)
-
-
 def _cost_terms(world, planned, distance, slack=None):
     """``schedule_cost_terms`` from a schedule's ``fleet.walk``: one pass
     over its riders in ``planned`` order.  With a ``slack``, None as soon as
@@ -216,20 +210,6 @@ def schedule_cost_terms(world, schedule):
     """
     planned, _, distance = walk(schedule, world.net, 0, 0)
     return _cost_terms(world, planned, distance)
-
-
-def vehicle_rho(world, schedule):
-    """Single-vehicle share of the fleet schedule cost: its cost terms
-    minus the satisfaction rewards."""
-    c = world.params.coeffs
-    cost, n_r, n_s = schedule_cost_terms(world, schedule)
-    return cost - c.gamma_r * n_r - c.gamma_s * n_s
-
-
-def rho(world):
-    """Fleet-wide schedule cost over all active vehicle schedules."""
-    return sum(vehicle_rho(world, v.schedule)
-               for v in world.vehicles if v.schedule)
 
 
 def _alights_from(schedule):

@@ -41,13 +41,8 @@ class SeedConfig:
         return list(range(self.eval_start, self.eval_start + self.eval_count))
 
     def __post_init__(self):
-        check_types(self, "seeds.")
-        for name in ("train_start", "eval_start"):
-            if not getattr(self, name) >= 0:
-                raise ValueError("seeds.%s must be non-negative" % name)
-        for name in ("train_count", "eval_count"):
-            if not getattr(self, name) >= 1:
-                raise ValueError("seeds.%s must be at least 1" % name)
+        check_types(self, "seeds.", non_negative=("train_start", "eval_start"),
+                    at_least_1=("train_count", "eval_count"))
         a, b = self.train_start, self.eval_start
         if max(a, b) < min(a + self.train_count, b + self.eval_count):
             raise ValueError(
@@ -75,23 +70,13 @@ class PPOConfig:
     anneal_lr: bool = True
 
     def __post_init__(self):
-        check_types(self, "ppo.")
-        if not 0 < self.clip_eps < 1:
-            raise ValueError("ppo.clip_eps must lie in (0, 1)")
-        for name in ("discount", "gae_lambda"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError("ppo.%s must lie in [0, 1]" % name)
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError("ppo.%s must lie in [0, 1)" % name)
-        for name in ("minibatch_size", "epochs", "n_envs", "hidden_units"):
-            if not getattr(self, name) >= 1:
-                raise ValueError("ppo.%s must be at least 1" % name)
-        for name in ("learning_rate", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError("ppo.%s must be positive" % name)
-        if not self.entropy_coef >= 0:
-            raise ValueError("ppo.entropy_coef must be non-negative")
+        check_types(
+            self, "ppo.", open_unit=("clip_eps",),
+            closed_unit=("discount", "gae_lambda"),
+            half_open_unit=("adam_beta1", "adam_beta2"),
+            at_least_1=("minibatch_size", "epochs", "n_envs", "hidden_units"),
+            positive=("learning_rate", "adam_eps"),
+            non_negative=("entropy_coef",))
 
 
 @dataclass(frozen=True)
@@ -106,10 +91,8 @@ class NormalizationRanges:
     forecast_cap: float = 15.0
 
     def __post_init__(self):
-        check_types(self, "norm.")
-        for name in ("request_cap", "time_cap", "forecast_cap"):
-            if not getattr(self, name) > 0:
-                raise ValueError("norm.%s must be positive" % name)
+        check_types(self, "norm.", positive=(
+            "request_cap", "time_cap", "forecast_cap"))
 
 
 @functools.lru_cache(maxsize=8)
@@ -140,33 +123,27 @@ class Scenario:
     fixed_stop_spacing: float = 400.0
 
     def __post_init__(self):
-        """The checks that span fields; each section checked itself when it
-        was built."""
-        check_types(self)
-        for name in ("horizon", "t_step"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError("%s must be positive and finite" % name)
-        if not 0 <= self.warmup < self.horizon:
-            raise ValueError("warmup must lie inside the horizon")
+        """The checks of its own fields and those that span sections; each
+        section checked itself when it was built."""
+        check_types(
+            self, positive=("horizon", "t_step", "fixed_stop_spacing"),
+            non_negative=("warmup", "n_reserved", "boarding_duration",
+                          "dwell_base", "dwell_per_pax"),
+            at_least_1=("rl_period", "n_vehicles", "capacity"))
+        if not self.warmup < self.horizon:
+            raise ValueError("warmup must end before the horizon")
         if not math.isclose(self.n_steps * self.t_step, self.horizon):
             raise ValueError("horizon %g is not a multiple of t_step %g"
                              % (self.horizon, self.t_step))
-        if not self.rl_period >= 1 or self.n_steps % self.rl_period:
+        if self.n_steps % self.rl_period:
             raise ValueError("the %d simulation steps do not split into RL "
                              "periods of %d" % (self.n_steps, self.rl_period))
-        for name in ("n_vehicles", "capacity"):
-            if not getattr(self, name) >= 1:
-                raise ValueError("%s must be at least 1" % name)
-        if not 0 <= self.n_reserved <= self.n_vehicles:
-            raise ValueError("n_reserved must lie in [0, n_vehicles]")
-        for name in ("boarding_duration", "dwell_base", "dwell_per_pax"):
-            if not getattr(self, name) >= 0:
-                raise ValueError("%s must be non-negative" % name)
+        if self.n_reserved > self.n_vehicles:
+            raise ValueError("n_reserved must be at most n_vehicles")
         fixed_end = self.corridor.segment_lengths[0]
-        if not 0 < self.fixed_stop_spacing <= fixed_end:
-            raise ValueError("fixed_stop_spacing must lie in (0, %g], the "
-                             "fixed segment, so that it has a stop"
-                             % fixed_end)
+        if self.fixed_stop_spacing > fixed_end:
+            raise ValueError("fixed_stop_spacing must be at most %g, so that "
+                             "the fixed segment has a stop" % fixed_end)
 
     # a built scenario is valid; this re-runs its own checks for callers
     # that ask

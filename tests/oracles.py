@@ -230,6 +230,33 @@ def _oracle_cost_terms(world, stops, extra_request=None, extra_fixed=False):
     return cost, n_r, n_s
 
 
+def vehicle_rho(world, schedule):
+    """One vehicle's share of the fleet schedule cost: its cost terms minus
+    the satisfaction rewards."""
+    c = world.params.coeffs
+    cost, n_r, n_s = _oracle_cost_terms(world, schedule)
+    return cost - c.gamma_r * n_r - c.gamma_s * n_s
+
+
+def rho(world):
+    """Fleet-wide schedule cost over all active vehicle schedules."""
+    return sum(vehicle_rho(world, v.schedule)
+               for v in world.vehicles if v.schedule)
+
+
+def zone_compatible(world, request, vehicle):
+    """True iff the vehicle's zone assignment serves every service point of
+    the request that is neither the terminus nor a fixed stop."""
+    if vehicle.zone is None:
+        return False
+    snap = {world.net.terminus} | set(world.fixed_stop_nodes)
+    for node in (request.pickup_node, request.dropoff_node):
+        zone = 1 if world.net.labels[node] == Segment.ZONE1 else 2
+        if node not in snap and vehicle.zone not in (0, zone):
+            return False
+    return True
+
+
 def _oracle_feasible(world, v, stops, close_idx, request, direct):
     lim = world.params.limits
     if v.window_open_idx is not None and close_idx is not None:

@@ -1,11 +1,12 @@
 """Every definition in ``src/sodfeeder`` has a caller in ``src``.
 
 A pure-AST scan, so it imports nothing and runs in well under a second.  A
-function or class (methods included, dunders not) counts as used when any
-``src`` module references its name, ``__init__``'s re-exports included.  A
-name that only tests, demos or the bench harness use either moves out of
-``src`` or gets an entry in ``ALLOWED`` with its reason.  The scan also fails
-on an import that its module never uses.
+function or class (methods included, dunders not) counts as used when some
+``src`` module loads its name or reads it as an attribute; an import is not
+a use, so ``__init__``'s re-exports do not count.  A name that only tests,
+demos or the bench harness use either moves out of ``src`` or gets an entry
+in ``ALLOWED`` with its reason.  The scan also fails on an import that its
+module never uses.
 """
 
 import ast
@@ -31,15 +32,13 @@ def _trees():
 
 
 def _referenced(tree):
-    """Every name the module loads, reads as an attribute or imports."""
+    """Every name the module loads or reads as an attribute."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(a.name for a in node.names)
     return names
 
 

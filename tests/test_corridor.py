@@ -118,6 +118,16 @@ def _with_adj(net, adj, extra_nodes=0):
         labels=net.labels + [Segment.FIXED] * extra_nodes)
 
 
+def test_an_edge_whose_two_ends_disagree_is_refused(net):
+    # the tables take each leg from the parent's end, so a child that lists
+    # its edge otherwise would go unseen
+    for u, v in ((29, 1), (1, 29)):
+        adj = [list(nbrs) for nbrs in net.adj]
+        adj[u] = [(w, 2 * t if w == v else t, l) for w, t, l in adj[u]]
+        with pytest.raises(ValueError, match=r"^edge 1-29 is .* at node 29$"):
+            _with_adj(net, adj)
+
+
 def test_an_adjacency_that_is_not_one_tree_is_refused(net):
     def linked(adj, u, v, t=1.0, length=9.0):
         adj = [list(nbrs) for nbrs in adj]

@@ -10,13 +10,13 @@ from sodfeeder import env as env_module
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.demand import RequestState, forecast_demand
 from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
-                           ZonalDispatchEnv, normalize)
+                           ZonalDispatchEnv)
 from sodfeeder.fleet import FleetClass, VehicleStatus
 from sodfeeder.scenario import NormalizationRanges, Scenario
 
 from oracles import oracle_observe
-from worldgen import (available_vehicles, denormalize, restore, scenarios,
-                      snapshot)
+from worldgen import (available_vehicles, denormalize, normalize, restore,
+                      scenarios, snapshot)
 
 
 def test_layout_constants():
@@ -71,6 +71,21 @@ def test_episode_runs_to_done(scenario):
     assert steps == env.episode_len
     with pytest.raises(RuntimeError):
         env.step(0)
+
+
+def test_overrides_keep_their_headway_whatever_the_rl_period(scenario):
+    # each simulation step of a decision period runs the departures due, so
+    # the reserved override leaves every 600 s, not at the next decision
+    def override_steps(rl_period):
+        env = ZonalDispatchEnv(dataclasses.replace(scenario,
+                                                   rl_period=rl_period))
+        env.reset(0)
+        while not env.done:
+            env.step(3)
+        return [k for k, _, source, _ in env.world.dispatch_log
+                if source == "override"]
+
+    assert override_steps(3) == override_steps(1) == list(range(0, 180, 10))
 
 
 def test_reward_is_negative_new_rejections(scenario):

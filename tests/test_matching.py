@@ -16,12 +16,11 @@ from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
 from sodfeeder.experiments import run_simulation
 from sodfeeder.matching import (enumerate_candidates, match_step,
-                                nearest_fixed_stop, resolve_service_plan,
-                                rho, vehicle_rho, zone_compatible)
+                                nearest_fixed_stop, resolve_service_plan)
 from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
-from oracles import oracle_match
+from oracles import oracle_match, rho, vehicle_rho, zone_compatible
 from worldgen import (random_mini_world, restore, run_production_match,
                       snapshot, walk_of)
 

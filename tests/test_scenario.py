@@ -1,16 +1,23 @@
 """Scenario configs are frozen and checked when built."""
 
+import contextlib
 import dataclasses
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
+from sodfeeder import corridor, costs, demand, dispatch
+from sodfeeder import scenario as scenario_module
 from sodfeeder.cli import main
+from sodfeeder.costs import RANGES, check_types
 from sodfeeder.scenario import PPOConfig, Scenario, SeedConfig
 
 NAN = math.nan
+INF = math.inf
 
 # (section or None for a top-level field, field, a value it must refuse)
 BAD_VALUES = [
@@ -46,6 +53,12 @@ BAD_VALUES = [
     (None, "capacity", True),
     (None, "dwell_base", True),
     ("ppo", "epochs", True),
+    # inf passed every "positive" or "non-negative" float field; a base_rate
+    # of inf would draw requests without end
+    ("demand", "base_rate", INF),
+    (None, "dwell_base", INF),
+    ("dispatch", "full_headway", INF),
+    ("corridor", "side_depth", INF),
 ]
 
 
@@ -100,7 +113,8 @@ def test_every_int_field_refuses_a_fraction():
 
 
 def test_every_float_field_refuses_a_bool():
-    # each section checks its own fields when built, from Python or YAML
+    # each section checks its own fields when built, from Python or YAML,
+    # and no float field takes NaN or +-inf either
     sc = Scenario()
     sections = [("", Scenario)] + [
         (f.name + ".", type(getattr(sc, f.name)))
@@ -113,10 +127,67 @@ def test_every_float_field_refuses_a_bool():
                 with pytest.raises(ValueError, match=r"^%s%s must be a float"
                                    % (prefix.replace(".", r"\."), f.name)):
                     tp(**{f.name: True})
+                for value in (NAN, INF, -INF):
+                    with pytest.raises(ValueError, match=r"^%s%s must "
+                                       % (prefix.replace(".", r"\."), f.name)):
+                        tp(**{f.name: value})
                 checked.add(prefix + f.name)
     assert {"corridor.mainline_speed", "demand.walk_speed", "limits.max_wait",
             "coeffs.gamma_o", "dispatch.full_headway", "ppo.clip_eps",
             "norm.time_cap", "horizon"} <= checked
+
+
+def _declared_ranges():
+    """(section prefix, section type, range, field) for each field that a
+    range names, recorded from the ``check_types`` call of every section of
+    a default scenario."""
+    rows = []
+
+    def recording(config, prefix="", **ranges):
+        rows.extend((prefix, type(config), kind, name)
+                    for kind, names in ranges.items() for name in names)
+        check_types(config, prefix, **ranges)
+
+    with contextlib.ExitStack() as stack:
+        for module in (corridor, costs, demand, dispatch, scenario_module):
+            stack.enter_context(
+                mock.patch.object(module, "check_types", recording))
+        Scenario()
+    return rows
+
+
+DECLARED_RANGES = _declared_ranges()
+
+# values just outside each range, one past each end that it has
+OUTSIDE = {
+    "positive": (0, -1),
+    "non_negative": (-1,),
+    "at_least_1": (0,),
+    "closed_unit": (-0.5, 1.5),
+    "half_open_unit": (-0.5, 1.0),
+    "open_unit": (0.0, 1.0),
+}
+
+
+def test_every_number_field_of_every_section_has_a_range():
+    types = {tp for _, tp, _, _ in DECLARED_RANGES}
+    assert len(types) == 9
+    numbers = {(tp, f.name) for tp in types for f in dataclasses.fields(tp)
+               if f.type in ("float", float, "int", int)}
+    assert {(tp, name) for _, tp, _, name in DECLARED_RANGES} == numbers
+    assert {kind for _, _, kind, _ in DECLARED_RANGES} == set(RANGES) \
+        == set(OUTSIDE)
+
+
+@pytest.mark.parametrize("prefix,tp,kind,name", DECLARED_RANGES,
+                         ids=[p + n for p, _, _, n in DECLARED_RANGES])
+def test_a_value_just_outside_its_range_is_refused(prefix, tp, kind, name):
+    is_float = tp.__dataclass_fields__[name].type in ("float", float)
+    message = "^%s must %s$" % (re.escape(prefix + name),
+                                re.escape(RANGES[kind][1]))
+    for value in OUTSIDE[kind]:
+        with pytest.raises(ValueError, match=message):
+            tp(**{name: float(value) if is_float else value})
 
 
 def test_numpy_integers_are_stored_as_ints(tmp_path):

@@ -1,6 +1,6 @@
 """Random small worlds for matching equivalence checks, random scenarios
 for whole-episode checks, and the helpers that list a world's free vehicles,
-undo an observation's scaling and copy an environment's episode."""
+do and undo an observation's scaling and copy an environment's episode."""
 
 import copy
 import dataclasses
@@ -115,6 +115,12 @@ def available_vehicles(world, fleet_class=None):
     if fleet_class is not None:
         out = [v for v in out if v.fleet_class == fleet_class]
     return out
+
+
+def normalize(raw, ranges):
+    """Elementwise (x - min) / (max - min), clamped to [0, 1]."""
+    lo, span = bounds(ranges)
+    return np.clip((np.asarray(raw, dtype=float) - lo) / span, 0.0, 1.0)
 
 
 def denormalize(x, ranges):
