@@ -9,9 +9,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .demand import dump_requests_csv, generate_instance
+from .demand import generate_instance
 from .dispatch import PolicyKind
-from .econ import METRIC_FIELDS, write_metrics_csv, write_summary_json
+from .econ import (METRIC_FIELDS, write_metrics_csv, write_summary_json,
+                   write_table)
 from .experiments import compare, run_simulation, train_rl
 from .ppo import load_checkpoint
 from .scenario import Scenario
@@ -49,10 +50,8 @@ def cmd_simulate(args):
                       out / "metrics.csv")
     write_summary_json({f: getattr(metrics, f) for f in METRIC_FIELDS},
                        out / "metrics.json")
-    with open(out / "dispatch_log.csv", "w") as f:
-        f.write("step,vehicle,source,z\n")
-        for row in world.dispatch_log:
-            f.write(",".join(str(x) for x in row) + "\n")
+    write_table(out / "dispatch_log.csv", ["step", "vehicle", "source", "z"],
+                world.dispatch_log)
     LOG.info("served %d / generated %d, cost %.2f", metrics.served,
              metrics.generated, metrics.total_cost)
     return 0
@@ -99,7 +98,12 @@ def cmd_dump_network(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     net = sc.network()
-    net.dump_csv(out / "nodes.csv", out / "edges.csv")
+    write_table(out / "nodes.csv", ["id", "x", "y", "segment", "is_mainline"],
+                ([i, x, y, net.labels[i].name, int(net.is_mainline(i))]
+                 for i, (x, y) in enumerate(net.coords)))
+    write_table(out / "edges.csv", ["u", "v", "length", "time"],
+                ([u, v, l, t] for u, legs in enumerate(net.adj)
+                 for v, t, l in legs))
     LOG.info("%d nodes written", net.n_nodes)
     return 0
 
@@ -109,7 +113,9 @@ def cmd_dump_demand(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reqs = generate_instance(sc.network(), sc.demand, sc.horizon, args.seed)
-    dump_requests_csv(reqs, out / ("demand_seed%d.csv" % args.seed))
+    write_table(out / ("demand_seed%d.csv" % args.seed),
+                ["id", "t_r", "origin", "destination"],
+                ([r.id, r.t_r, r.origin, r.destination] for r in reqs))
     LOG.info("%d requests written", len(reqs))
     return 0
 

@@ -12,12 +12,16 @@ shortest-path search.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .costs import check_types, is_real
+
+
+# the most nodes (terminus, mainline and side streets) a corridor may have:
+# its travel tables hold two entries per pair of nodes
+MAX_NODES = 2_000
 
 
 class Segment(IntEnum):
@@ -55,9 +59,17 @@ class CorridorSpec:
         object.__setattr__(self, "segment_lengths", tuple(lengths))
         if not abs(sum(self.segment_lengths) - self.mainline_length) <= 1e-6:
             raise ValueError(
-                "segment lengths sum to %.1f, expected mainline length %.1f"
-                % (sum(self.segment_lengths), self.mainline_length)
-            )
+                "corridor.segment_lengths sum to %.1f, but "
+                "corridor.mainline_length is %.1f"
+                % (sum(self.segment_lengths), self.mainline_length))
+        # build_corridor's node count, by arithmetic
+        mainline = _n_offsets(self.mainline_length, self.side_spacing)
+        side = _n_offsets(self.side_depth, self.side_node_spacing)
+        if 1 + mainline * (1 + side) > MAX_NODES:
+            raise ValueError(
+                "corridor.mainline_length / corridor.side_spacing and "
+                "corridor.side_depth / corridor.side_node_spacing give more "
+                "than the %d nodes a corridor may have" % MAX_NODES)
 
 
 @dataclass
@@ -194,19 +206,6 @@ class Network:
                 best, best_d = nid, d
         return best
 
-    def dump_csv(self, nodes_path, edges_path):
-        with open(nodes_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["id", "x", "y", "segment", "is_mainline"])
-            for i, (x, y) in enumerate(self.coords):
-                w.writerow([i, x, y, self.labels[i].name, int(self.is_mainline(i))])
-        with open(edges_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["u", "v", "length", "time"])
-            for u in range(self.n_nodes):
-                for v, t, l in self.adj[u]:
-                    w.writerow([u, v, l, t])
-
 
 def _segment_of(x, bounds):
     if x <= bounds[0] + 1e-9:
@@ -226,6 +225,12 @@ def _offsets(total, step):
     if total > 1e-9:
         out.append(total)
     return out
+
+
+def _n_offsets(total, step):
+    """``len(_offsets(total, step))`` by arithmetic, counting no further
+    than MAX_NODES + 1, so that a huge count neither loops nor overflows."""
+    return max(0, math.ceil(min((total - 1e-9) / step, MAX_NODES + 1)))
 
 
 def build_corridor(spec=None):

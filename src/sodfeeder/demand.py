@@ -10,7 +10,6 @@ mainline, zero beyond the walk cap.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -104,13 +103,10 @@ def endpoint_weights(net, profile):
 # is built only by ``build_corridor`` from its frozen ``spec``, so the spec
 # stands for the network in a key.  Each memo keeps its MEMO_SIZE newest
 # entries, and no caller gets a value it could change: the trips are tuples,
-# and ``segment_shares`` returns a copy.  The forecasts are the exception:
-# ``forecast_memo`` hands out its dicts for the env to fill, with the values
-# ``forecast_demand`` gives.
+# and ``segment_shares`` returns a copy.
 MEMO_SIZE = 8
 _tables = {}   # (spec, profile) -> (endpoint CDF list or None, segment shares)
 _trips = {}    # (spec, profile, horizon, seed) -> ((t_r, origin, dest), ...)
-_forecasts = {}  # (profile, horizon) -> {now: the observation's forecast}
 
 
 def _memo(table, key, make):
@@ -202,19 +198,4 @@ def forecast_demand(profile, horizon, now, window):
         return 0.0
     # linear rate: integrate trapezoidally (exact)
     return 0.5 * (profile.rate_at(a, horizon) + profile.rate_at(b, horizon)) * (b - a)
-
-
-def forecast_memo(profile, horizon):
-    """The dict ``now -> forecast`` in which ``ZonalDispatchEnv.observe``
-    keeps its ``forecast_demand`` values, shared by every env of this
-    profile and horizon, so that a run's new env per episode still hits."""
-    return _memo(_forecasts, (profile, horizon), dict)
-
-
-def dump_requests_csv(requests, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "t_r", "origin", "destination"])
-        for r in requests:
-            w.writerow([r.id, r.t_r, r.origin, r.destination])
 

@@ -88,6 +88,8 @@ def generalized_cost(world):
 
 
 METRIC_FIELDS = [f for f in RunMetrics.__dataclass_fields__]
+# the statistics ``aggregate`` gives each field, in column order
+STATS = ("mean", "q1", "median", "q3", "min", "max")
 
 
 def aggregate(metrics_list):
@@ -98,8 +100,7 @@ def aggregate(metrics_list):
                       if not (isinstance(getattr(m, name), float)
                               and math.isnan(getattr(m, name))))
         if not vals:
-            out[name] = {k: math.nan for k in
-                         ("mean", "q1", "median", "q3", "min", "max")}
+            out[name] = {k: math.nan for k in STATS}
             continue
         out[name] = {
             "mean": sum(vals) / len(vals),
@@ -122,29 +123,33 @@ def _quantile(sorted_vals, q):
     return sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac
 
 
+def write_table(path, header, rows):
+    """Write a CSV table: the ``header`` row, then each of ``rows``.  Every
+    table the program writes goes through here, so all share one format:
+    the ``csv`` module's default dialect, whose lines end in ``\\r\\n``."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_metrics_csv(rows, path):
     """rows: list of (label dict, RunMetrics)."""
     if not rows:
         return
     label_keys = list(rows[0][0].keys())
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(label_keys + METRIC_FIELDS)
-        for labels, m in rows:
-            w.writerow([labels[k] for k in label_keys]
-                       + [getattr(m, name) for name in METRIC_FIELDS])
+    write_table(path, label_keys + METRIC_FIELDS,
+                ([labels[k] for k in label_keys]
+                 + [getattr(m, name) for name in METRIC_FIELDS]
+                 for labels, m in rows))
 
 
 def write_aggregate_csv(agg_by_label, path):
     """agg_by_label: {label: aggregate dict} -> long-format CSV."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label", "metric", "mean", "q1", "median", "q3", "min", "max"])
-        for label, agg in agg_by_label.items():
-            for name, stats in agg.items():
-                w.writerow([label, name] + [stats[k] for k in
-                                            ("mean", "q1", "median", "q3",
-                                             "min", "max")])
+    write_table(path, ["label", "metric", *STATS],
+                ([label, name] + [stats[k] for k in STATS]
+                 for label, agg in agg_by_label.items()
+                 for name, stats in agg.items()))
 
 
 def write_summary_json(payload, path):

@@ -23,7 +23,7 @@ import operator
 
 import numpy as np
 
-from .demand import forecast_demand, forecast_memo, segment_shares
+from .demand import forecast_demand, segment_shares
 from .dispatch import DispatchController, PolicyKind
 from .fleet import FleetClass, VehicleStatus
 from .matching import match_step
@@ -88,8 +88,6 @@ class ZonalDispatchEnv:
         lo, span = bounds(self.ranges)
         self._bounds = list(zip(lo.tolist(), span.tolist()))
         self._seg_shares = segment_shares(self.net, scenario.demand)
-        # now -> the 15-min forecast observe gives
-        self._forecasts = forecast_memo(scenario.demand, scenario.horizon)
 
     def reset(self, seed):
         self.world = build_world(self.scenario, PolicyKind.RL_ZONAL, seed,
@@ -168,10 +166,8 @@ class ZonalDispatchEnv:
             unassigned[labels[r.destination if r.origin == term
                               else r.origin]] += 1
 
-        forecast = self._forecasts.get(now)
-        if forecast is None:
-            forecast = self._forecasts[now] = forecast_demand(
-                self.scenario.demand, self.scenario.horizon, now, 900.0)
+        forecast = forecast_demand(self.scenario.demand,
+                                   self.scenario.horizon, now, 900.0)
         time_cap = self.scenario.norm.time_cap
         last = w.last_departure
         shares = self._seg_shares

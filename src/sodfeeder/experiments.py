@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from .dispatch import DispatchController, PolicyKind
-from .econ import aggregate, generalized_cost
+from .econ import (aggregate, generalized_cost, write_aggregate_csv,
+                   write_metrics_csv, write_summary_json, write_table)
 from .env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
 from .matching import match_step
 from .ppo import PPOTrainer, greedy_action, save_checkpoint
@@ -92,8 +92,6 @@ def compare(scenario, policies, seeds, actor=None, out_dir=None):
 
 
 def _write_compare_outputs(results, seeds, info, out):
-    from .econ import write_aggregate_csv, write_metrics_csv, \
-        write_summary_json
     rows = []
     for kind, metrics in results.items():
         for seed, m in zip(seeds, metrics):
@@ -108,11 +106,10 @@ def _write_compare_outputs(results, seeds, info, out):
                           agg[kind.value]["cost_per_passenger"]["mean"]}
          for kind in results}, out / "summary.json")
     if "action_density" in info:
-        with open(out / "action_density.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step"] + ["a%d" % a for a in range(N_ACTIONS)])
-            for t, row in enumerate(info["action_density"]):
-                w.writerow([t] + list(row))
+        density = info["action_density"]
+        write_table(out / "action_density.csv",
+                    ["step"] + ["a%d" % a for a in range(N_ACTIONS)],
+                    ([t, *row] for t, row in enumerate(density)))
 
 
 def paired_bootstrap_ge_zero(diffs, n_boot=10_000, seed=0):

@@ -8,7 +8,6 @@ shuffled minibatch epochs with Adam.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -17,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .econ import write_table
 from .env import STATE_LAYOUT_VERSION as CHECKPOINT_VERSION
 from .env import scenario_fingerprint
 from .nets import MLP, Adam, softmax_and_log
@@ -303,10 +303,9 @@ class TrainStats:
     def to_csv(self, path):
         if not self.rows:
             return
-        with open(path, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=list(self.rows[0].keys()))
-            w.writeheader()
-            w.writerows(self.rows)
+        header = list(self.rows[0])
+        write_table(path, header, ([row[k] for k in header]
+                                   for row in self.rows))
 
 
 class PPOTrainer:
@@ -335,7 +334,6 @@ class PPOTrainer:
                                config.adam_beta1, config.adam_beta2,
                                config.adam_eps)
         self.envs = [env_factory(i) for i in range(self.n_envs)]
-        self.seed = seed
         # independent per-environment sampling streams, index-addressed so an
         # n_envs=1 run replays environment 0 of a wider run exactly
         self.action_rngs = [np.random.default_rng([seed, 7919 + i])

@@ -24,6 +24,14 @@ from .dispatch import DispatchConfig
 from .sim import World
 
 
+# Caps on the counts that a scenario's fields set, each computed from the
+# fields by arithmetic, so that a tiny step, spacing or headway fails when
+# built instead of looping for hours (a day at 1 s steps is 86,400 steps).
+MAX_STEPS = 100_000          # simulation steps per horizon
+MAX_FIXED_STOPS = 1_000      # stops on the fixed segment
+MAX_DEPARTURES = 100_000     # per horizon, of each dispatch headway or period
+
+
 @dataclass(frozen=True)
 class SeedConfig:
     """Disjoint ranges of demand-instance seeds for training and
@@ -132,18 +140,35 @@ class Scenario:
             at_least_1=("rl_period", "n_vehicles", "capacity"))
         if not self.warmup < self.horizon:
             raise ValueError("warmup must end before the horizon")
+        if self.horizon / self.t_step > MAX_STEPS:
+            raise ValueError("horizon %g / t_step %g gives more than %d "
+                             "simulation steps"
+                             % (self.horizon, self.t_step, MAX_STEPS))
         if not math.isclose(self.n_steps * self.t_step, self.horizon):
             raise ValueError("horizon %g is not a multiple of t_step %g"
                              % (self.horizon, self.t_step))
         if self.n_steps % self.rl_period:
-            raise ValueError("the %d simulation steps do not split into RL "
-                             "periods of %d" % (self.n_steps, self.rl_period))
+            raise ValueError("rl_period %d does not split the %d simulation "
+                             "steps into whole RL periods"
+                             % (self.rl_period, self.n_steps))
         if self.n_reserved > self.n_vehicles:
             raise ValueError("n_reserved must be at most n_vehicles")
         fixed_end = self.corridor.segment_lengths[0]
         if self.fixed_stop_spacing > fixed_end:
             raise ValueError("fixed_stop_spacing must be at most %g, so that "
                              "the fixed segment has a stop" % fixed_end)
+        if fixed_end / self.fixed_stop_spacing > MAX_FIXED_STOPS:
+            raise ValueError(
+                "corridor.segment_lengths[0] %g / fixed_stop_spacing %g gives "
+                "more than %d fixed stops"
+                % (fixed_end, self.fixed_stop_spacing, MAX_FIXED_STOPS))
+        for name in ("full_headway", "reserved_headway", "nominal_period"):
+            headway = getattr(self.dispatch, name)
+            if self.horizon / headway > MAX_DEPARTURES:
+                raise ValueError(
+                    "horizon %g / dispatch.%s %g gives more than %d "
+                    "departures" % (self.horizon, name, headway,
+                                    MAX_DEPARTURES))
 
     # a built scenario is valid; this re-runs its own checks for callers
     # that ask

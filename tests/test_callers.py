@@ -6,7 +6,8 @@ function or class (methods included, dunders not) counts as used when some
 a use, so ``__init__``'s re-exports do not count.  A name that only tests,
 demos or the bench harness use either moves out of ``src`` or gets an entry
 in ``ALLOWED`` with its reason.  The scan also fails on an import that its
-module never uses.
+module never uses, and on a module other than ``econ.py`` that imports
+``csv``: ``econ.write_table`` is the one writer of the program's tables.
 """
 
 import ast
@@ -88,3 +89,16 @@ def test_no_unused_import_in_src():
                         unused.append("%s:%d %s" % (fname, node.lineno,
                                                     bound))
     assert not unused, "unused imports: %s" % unused
+
+
+def _imports_csv(node):
+    return (isinstance(node, ast.Import)
+            and any(a.name == "csv" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "csv")
+
+
+def test_only_econ_imports_csv():
+    importers = sorted({fname for fname, tree in _trees().items()
+                        for node in ast.walk(tree) if _imports_csv(node)})
+    assert importers == ["econ.py"], (
+        "write tables with econ.write_table, not csv: %s" % importers)

@@ -66,7 +66,9 @@ def test_dump_network(tmp_path):
     out = tmp_path / "net"
     rc = main(["dump-network", "--out", str(out)])
     assert rc == 0
-    assert (out / "nodes.csv").exists()
+    lines = (out / "nodes.csv").read_text().strip().splitlines()
+    assert len(lines) == Scenario().network().n_nodes + 1
+    assert lines[0] == "id,x,y,segment,is_mainline"
     assert (out / "edges.csv").exists()
 
 

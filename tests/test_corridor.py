@@ -235,11 +235,3 @@ def test_pure_linear_network():
     spec = CorridorSpec(side_depth=0.0)
     net = build_corridor(spec)
     assert net.n_nodes == len(net.mainline_nodes)
-
-
-def test_dump_csv(tmp_path, net):
-    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
-    net.dump_csv(nodes, edges)
-    lines = nodes.read_text().strip().splitlines()
-    assert len(lines) == net.n_nodes + 1
-    assert lines[0] == "id,x,y,segment,is_mainline"

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sodfeeder import demand
-from sodfeeder import env as env_module
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.demand import RequestState, forecast_demand
 from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
@@ -344,23 +342,3 @@ def test_nonpositive_normalization_cap_fails_at_validate(cap, value):
         NormalizationRanges(**{cap: value})
     with pytest.raises(ValueError, match="norm.%s" % cap):
         Scenario.from_dict({"norm": {cap: value}})
-
-
-def test_the_envs_of_one_scenario_share_their_forecasts(monkeypatch):
-    # a run builds a new env per RL episode; the forecasts of the first
-    # episode serve every later one
-    calls = []
-
-    def counted(profile, horizon, now, window):
-        calls.append(now)
-        return forecast_demand(profile, horizon, now, window)
-
-    monkeypatch.setattr(demand, "_forecasts", {})
-    monkeypatch.setattr(env_module, "forecast_demand", counted)
-    sc = Scenario(horizon=3600.0, warmup=0.0)
-    for seed in (1, 2):
-        env = ZonalDispatchEnv(sc)
-        env.reset(seed)
-        while not env.done:
-            env.step(3)
-    assert calls == [60.0 * k for k in range(sc.n_steps + 1)]

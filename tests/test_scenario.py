@@ -9,12 +9,17 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodfeeder import corridor, costs, demand, dispatch
 from sodfeeder import scenario as scenario_module
 from sodfeeder.cli import main
+from sodfeeder.corridor import MAX_NODES, CorridorSpec
 from sodfeeder.costs import RANGES, check_types
-from sodfeeder.scenario import PPOConfig, Scenario, SeedConfig
+from sodfeeder.dispatch import DispatchConfig
+from sodfeeder.scenario import (MAX_DEPARTURES, MAX_FIXED_STOPS, MAX_STEPS,
+                                PPOConfig, Scenario, SeedConfig)
 
 NAN = math.nan
 INF = math.inf
@@ -59,6 +64,13 @@ BAD_VALUES = [
     (None, "dwell_base", INF),
     ("dispatch", "full_headway", INF),
     ("corridor", "side_depth", INF),
+    # counts over their caps: each would loop about 1e12 times in a run
+    (None, "t_step", 1e-9),
+    (None, "horizon", 1e12),
+    (None, "fixed_stop_spacing", 1e-9),
+    ("corridor", "side_spacing", 1e-9),
+    ("corridor", "side_node_spacing", 1e-9),
+    ("corridor", "side_depth", 1e12),
 ]
 
 
@@ -217,3 +229,86 @@ def test_scenario_and_every_section_are_frozen():
         for f in dataclasses.fields(cfg):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, f.name, getattr(cfg, f.name))
+
+
+@pytest.mark.parametrize("build,names", [
+    (lambda: CorridorSpec(mainline_length=1000.0),
+     ["corridor.segment_lengths", "corridor.mainline_length"]),
+    (lambda: Scenario(rl_period=7), ["rl_period", "RL periods"]),
+], ids=["segment-sum", "rl-period"])
+def test_a_cross_field_error_names_its_fields(build, names):
+    with pytest.raises(ValueError) as err:
+        build()
+    for name in names:
+        assert name in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["full_headway", "reserved_headway",
+                                  "nominal_period"])
+def test_a_headway_with_too_many_departures_is_refused(name):
+    # DispatchConfig alone does not know the horizon, so the scenario checks
+    with pytest.raises(ValueError, match=r"horizon .* dispatch\.%s" % name):
+        Scenario(dispatch=DispatchConfig(**{name: 1e-9}))
+    with pytest.raises(ValueError, match=r"dispatch\.%s" % name):
+        Scenario.from_dict({"dispatch": {name: 1e-9}})
+
+
+@pytest.mark.parametrize("at_cap,past_cap,name", [
+    ({"horizon": 50_000.0, "t_step": 0.5},
+     {"horizon": 50_000.5, "t_step": 0.5}, "t_step"),
+    ({"corridor": {"side_depth": 0.0, "side_spacing": 5600.0 / 1999}},
+     {"corridor": {"side_depth": 0.0, "side_spacing": 5600.0 / 2000}},
+     "corridor.side_spacing"),
+    ({"corridor": {"segment_lengths": [1000.0, 2300.0, 2300.0]},
+      "fixed_stop_spacing": 1.0},
+     {"corridor": {"segment_lengths": [1000.0, 2300.0, 2300.0]},
+      "fixed_stop_spacing": 0.999}, "fixed_stop_spacing"),
+    ({"horizon": 6250.0, "t_step": 62.5, "dispatch": {"full_headway": 0.0625}},
+     {"horizon": 6250.0, "t_step": 62.5, "dispatch": {"full_headway": 0.0624}},
+     "dispatch.full_headway"),
+], ids=["steps", "nodes", "fixed-stops", "departures"])
+def test_each_cap_admits_its_count_and_refuses_more(at_cap, past_cap, name):
+    # built only: no network or episode of a config at a cap
+    Scenario.from_dict(at_cap)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        Scenario.from_dict(past_cap)
+
+
+def _fields(data, prefix=""):
+    """The dotted name of every field of ``Scenario().to_dict()``."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _fields(value, key + ".")
+        else:
+            yield prefix + key
+
+
+FIELDS = sorted(_fields(Scenario().to_dict()))
+EDIT_VALUES = [NAN, INF, -INF, 0, -1, 1e-9, 1e12, True, "abc"]
+
+
+@given(edits=st.lists(st.tuples(st.sampled_from(FIELDS),
+                                st.sampled_from(EDIT_VALUES)),
+                      min_size=1, max_size=2, unique_by=lambda e: e[0]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_an_edited_config_names_a_field_or_builds_within_the_caps(edits):
+    data = Scenario().to_dict()
+    for name, value in edits:
+        section, _, key = name.rpartition(".")
+        (data[section] if section else data)[key] = value
+    try:
+        sc = Scenario.from_dict(data)
+    except ValueError as exc:
+        assert any(re.search(r"\b%s\b" % re.escape(name), str(exc))
+                   for name, _ in edits), (edits, str(exc))
+        return
+    # the counts by arithmetic, never by building the network or a world,
+    # so that a cap that lets a huge config through fails here, not hangs
+    c = sc.corridor
+    assert sc.n_steps <= MAX_STEPS
+    assert 1 + math.ceil(c.mainline_length / c.side_spacing) * (
+        1 + math.ceil(c.side_depth / c.side_node_spacing)) <= MAX_NODES
+    assert c.segment_lengths[0] // sc.fixed_stop_spacing <= MAX_FIXED_STOPS
+    for headway in (sc.dispatch.full_headway, sc.dispatch.reserved_headway,
+                    sc.dispatch.nominal_period):
+        assert math.ceil(sc.horizon / headway) <= MAX_DEPARTURES
