@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sodfeeder.cli import main
 from sodfeeder.corridor import CorridorSpec, Segment, build_corridor
 
 from oracles import bellman_ford_time, oracle_tables
@@ -235,3 +236,19 @@ def test_pure_linear_network():
     spec = CorridorSpec(side_depth=0.0)
     net = build_corridor(spec)
     assert net.n_nodes == len(net.mainline_nodes)
+
+
+def test_dump_csv(tmp_path, net):
+    out = tmp_path / "net"
+    assert main(["dump-network", "--out", str(out)]) == 0
+    lines = (out / "nodes.csv").read_text().strip().splitlines()
+    assert len(lines) == net.n_nodes + 1
+    assert lines[0] == "id,x,y,segment,is_mainline"
+    for i, line in enumerate(lines[1:]):
+        nid, _, _, seg, main_flag = line.split(",")
+        assert int(nid) == i
+        assert seg == net.labels[i].name
+        assert int(main_flag) == int(net.is_mainline(i))
+    edges = (out / "edges.csv").read_text().strip().splitlines()
+    assert edges[0] == "u,v,length,time"
+    assert len(edges) - 1 == sum(len(legs) for legs in net.adj)
