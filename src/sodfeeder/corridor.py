@@ -85,11 +85,13 @@ class Network:
     source plus that leg, so it is the left-to-right sum of the legs from
     ``a`` to ``b``, the sum a shortest-path search from ``a`` would build;
     ``times[b][a]`` sums the same legs from the other end and may differ
-    from ``times[a][b]`` in the last bits.  ``travel_time`` and
-    ``travel_distance`` read the tables with node-id checks; the inner loops
-    that only index node ids taken from this network read them directly.
-    ``snaps`` is ``matching.nearest_fixed_stop``'s memo, filled as nodes are
-    snapped.
+    from ``times[a][b]`` in the last bits.  ``travel_time``,
+    ``travel_distance`` and ``euclidean`` (and so ``walk_time``) check both
+    ids inline, a sign test and then the list's own bounds check, and raise
+    a ``KeyError`` naming an id outside ``0..n_nodes-1``; the inner loops
+    that only index node ids taken from this network read the tables
+    directly.  ``snaps`` is ``matching.nearest_fixed_stop``'s memo, filled
+    as nodes are snapped.
     """
 
     coords: list            # node id -> (x, y) meters
@@ -169,25 +171,36 @@ class Network:
     def is_mainline(self, node):
         return self.coords[node][1] == 0.0
 
-    def _check_node(self, node):
-        if not (0 <= node < self.n_nodes):
-            raise KeyError("unknown node id %r" % (node,))
-
     def travel_time(self, a, b):
-        self._check_node(a)
-        self._check_node(b)
-        return self.times[a][b]
+        if a >= 0 and b >= 0:
+            try:
+                return self.times[a][b]
+            except IndexError:
+                pass
+        raise self._unknown_node(a, b)
 
     def travel_distance(self, a, b):
-        self._check_node(a)
-        self._check_node(b)
-        return self.distances[a][b]
+        if a >= 0 and b >= 0:
+            try:
+                return self.distances[a][b]
+            except IndexError:
+                pass
+        raise self._unknown_node(a, b)
 
     def euclidean(self, a, b):
-        self._check_node(a)
-        self._check_node(b)
-        (xa, ya), (xb, yb) = self.coords[a], self.coords[b]
-        return math.hypot(xa - xb, ya - yb)
+        if a >= 0 and b >= 0:
+            try:
+                (xa, ya), (xb, yb) = self.coords[a], self.coords[b]
+            except IndexError:
+                pass
+            else:
+                return math.hypot(xa - xb, ya - yb)
+        raise self._unknown_node(a, b)
+
+    def _unknown_node(self, a, b):
+        """The KeyError for a query whose id ``a`` or ``b`` is not a node."""
+        bad = b if 0 <= a < self.n_nodes else a
+        return KeyError("unknown node id %r" % (bad,))
 
     def walk_time(self, a, b, walk_speed):
         """Straight-line walking time in seconds."""

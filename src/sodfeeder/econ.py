@@ -88,21 +88,24 @@ def generalized_cost(world):
 
 
 METRIC_FIELDS = [f for f in RunMetrics.__dataclass_fields__]
-# the statistics ``aggregate`` gives each field, in column order
-STATS = ("mean", "q1", "median", "q3", "min", "max")
+# the statistics ``aggregate`` gives each field, in column order; ``n`` is
+# the number of runs the others cover
+STATS = ("n", "mean", "q1", "median", "q3", "min", "max")
 
 
 def aggregate(metrics_list):
-    """Per-field mean, quartiles, min and max across runs."""
+    """Per-field run count, mean, quartiles, min and max across runs.  A
+    NaN value, such as ``cost_per_passenger`` of a run that served nobody,
+    is left out, and the field's ``n`` counts only the runs it keeps."""
     out = {}
     for name in METRIC_FIELDS:
-        vals = sorted(getattr(m, name) for m in metrics_list
-                      if not (isinstance(getattr(m, name), float)
-                              and math.isnan(getattr(m, name))))
+        vals = sorted(v for v in (getattr(m, name) for m in metrics_list)
+                      if not (isinstance(v, float) and math.isnan(v)))
         if not vals:
-            out[name] = {k: math.nan for k in STATS}
+            out[name] = dict.fromkeys(STATS, math.nan) | {"n": 0}
             continue
         out[name] = {
+            "n": len(vals),
             "mean": sum(vals) / len(vals),
             "q1": _quantile(vals, 0.25),
             "median": _quantile(vals, 0.5),

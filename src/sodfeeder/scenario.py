@@ -30,6 +30,21 @@ from .sim import World
 MAX_STEPS = 100_000          # simulation steps per horizon
 MAX_FIXED_STOPS = 1_000      # stops on the fixed segment
 MAX_DEPARTURES = 100_000     # per horizon, of each dispatch headway or period
+MAX_REQUESTS = 100_000       # candidate requests the sampler draws per horizon
+# Caps on the counts that int fields set directly.
+MAX_VEHICLES = 1_000         # n_vehicles
+MAX_SEEDS = 1_000_000        # seeds.train_count and seeds.eval_count
+MAX_HIDDEN_UNITS = 1_024     # ppo.hidden_units, the width of each MLP layer
+
+
+def _check_caps(config, prefix="", **caps):
+    """Refuse each int field of ``config`` named in ``caps`` that is over
+    its cap, with a ``ValueError`` that names it."""
+    for name, cap in caps.items():
+        value = getattr(config, name)
+        if value > cap:
+            raise ValueError("%s%s must be at most %d, not %d"
+                             % (prefix, name, cap, value))
 
 
 @dataclass(frozen=True)
@@ -51,6 +66,8 @@ class SeedConfig:
     def __post_init__(self):
         check_types(self, "seeds.", non_negative=("train_start", "eval_start"),
                     at_least_1=("train_count", "eval_count"))
+        _check_caps(self, "seeds.", train_count=MAX_SEEDS,
+                    eval_count=MAX_SEEDS)
         a, b = self.train_start, self.eval_start
         if max(a, b) < min(a + self.train_count, b + self.eval_count):
             raise ValueError(
@@ -85,6 +102,7 @@ class PPOConfig:
             at_least_1=("minibatch_size", "epochs", "n_envs", "hidden_units"),
             positive=("learning_rate", "adam_eps"),
             non_negative=("entropy_coef",))
+        _check_caps(self, "ppo.", hidden_units=MAX_HIDDEN_UNITS)
 
 
 @dataclass(frozen=True)
@@ -138,12 +156,21 @@ class Scenario:
             non_negative=("warmup", "n_reserved", "boarding_duration",
                           "dwell_base", "dwell_per_pax"),
             at_least_1=("rl_period", "n_vehicles", "capacity"))
+        _check_caps(self, n_vehicles=MAX_VEHICLES)
         if not self.warmup < self.horizon:
             raise ValueError("warmup must end before the horizon")
         if self.horizon / self.t_step > MAX_STEPS:
             raise ValueError("horizon %g / t_step %g gives more than %d "
                              "simulation steps"
                              % (self.horizon, self.t_step, MAX_STEPS))
+        # the sampler draws candidates at the higher rate and thins them
+        d = self.demand
+        if max(d.base_rate, d.end_rate) * self.horizon / 3600.0 > MAX_REQUESTS:
+            name = "base_rate" if d.base_rate >= d.end_rate else "end_rate"
+            raise ValueError(
+                "demand.%s %g requests/h over the horizon %g s gives more "
+                "than %d candidate requests"
+                % (name, getattr(d, name), self.horizon, MAX_REQUESTS))
         if not math.isclose(self.n_steps * self.t_step, self.horizon):
             raise ValueError("horizon %g is not a multiple of t_step %g"
                              % (self.horizon, self.t_step))

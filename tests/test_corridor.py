@@ -221,8 +221,19 @@ def test_nearest_mainline_node(net):
 
 
 def test_unknown_node_raises(net):
-    with pytest.raises(KeyError):
-        net.travel_time(0, net.n_nodes + 5)
+    # a bare list read would take -1 from the end and so return a value
+    n = net.n_nodes
+    queries = [net.travel_time, net.travel_distance, net.euclidean,
+               lambda a, b: net.walk_time(a, b, 1.25)]
+    for query in queries:
+        for bad in (-1, n, n + 5):
+            for good in (0, n - 1):
+                for a, b in ((bad, good), (good, bad)):
+                    with pytest.raises(KeyError) as err:
+                        query(a, b)
+                    assert err.value.args == ("unknown node id %d" % bad,)
+            with pytest.raises(KeyError, match="unknown node id"):
+                query(bad, bad)
 
 
 def test_invalid_spec_rejected():

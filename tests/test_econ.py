@@ -99,6 +99,30 @@ def test_aggregate_quartiles():
     assert math.isnan(agg["cost_per_passenger"]["mean"])
 
 
+def test_aggregate_counts_the_runs_each_field_covers(tmp_path):
+    # the second run served nobody, so its cost per passenger is NaN
+    served = RunMetrics(generated=4, served=4, total_cost=40.0,
+                        cost_per_passenger=10.0)
+    unserved = RunMetrics(generated=3, rejected=3, total_cost=30.0)
+    assert math.isnan(unserved.cost_per_passenger)
+    agg = aggregate([served, unserved])
+    assert agg["served"]["n"] == 2
+    assert agg["total_cost"] == {"n": 2, "mean": 35.0, "q1": 32.5,
+                                 "median": 35.0, "q3": 37.5, "min": 30.0,
+                                 "max": 40.0}
+    assert agg["cost_per_passenger"]["n"] == 1
+    assert agg["cost_per_passenger"]["mean"] == 10.0
+    empty = aggregate([unserved])["cost_per_passenger"]
+    assert empty["n"] == 0
+    assert all(math.isnan(empty[k]) for k in empty if k != "n")
+
+    path = tmp_path / "aggregate.csv"
+    write_aggregate_csv({"sod": agg}, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "label,metric,n,mean,q1,median,q3,min,max"
+    assert "sod,cost_per_passenger,1,10.0,10.0,10.0,10.0,10.0,10.0" in lines
+
+
 def test_metric_field_list_matches_dataclass():
     m = RunMetrics()
     for f in METRIC_FIELDS:

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sodfeeder import corridor, costs, demand, dispatch
@@ -18,8 +18,10 @@ from sodfeeder.cli import main
 from sodfeeder.corridor import MAX_NODES, CorridorSpec
 from sodfeeder.costs import RANGES, check_types
 from sodfeeder.dispatch import DispatchConfig
-from sodfeeder.scenario import (MAX_DEPARTURES, MAX_FIXED_STOPS, MAX_STEPS,
-                                PPOConfig, Scenario, SeedConfig)
+from sodfeeder.scenario import (MAX_DEPARTURES, MAX_FIXED_STOPS,
+                                MAX_HIDDEN_UNITS, MAX_REQUESTS, MAX_SEEDS,
+                                MAX_STEPS, MAX_VEHICLES, PPOConfig, Scenario,
+                                SeedConfig)
 
 NAN = math.nan
 INF = math.inf
@@ -71,6 +73,12 @@ BAD_VALUES = [
     ("corridor", "side_spacing", 1e-9),
     ("corridor", "side_node_spacing", 1e-9),
     ("corridor", "side_depth", 1e12),
+    ("demand", "base_rate", 1e12),
+    ("demand", "end_rate", 1e12),
+    (None, "n_vehicles", 10**12),
+    ("seeds", "train_count", 10**12),
+    ("seeds", "eval_count", 10**12),
+    ("ppo", "hidden_units", 10**12),
 ]
 
 
@@ -80,11 +88,14 @@ def _config(section, name, value):
 
 @pytest.mark.parametrize("section,name,value", BAD_VALUES)
 def test_bad_value_fails_when_built(section, name, value, tmp_path):
+    # a section refuses a value out of its own range when built, and the
+    # scenario one that spans sections, such as a rate's request count
     with pytest.raises(ValueError, match=name):
         if section is None:
             Scenario(**{name: value})
         else:
-            type(getattr(Scenario(), section))(**{name: value})
+            tp = type(getattr(Scenario(), section))
+            Scenario(**{section: tp(**{name: value})})
     with pytest.raises(ValueError, match=name):
         Scenario.from_dict(_config(section, name, value))
     path = tmp_path / "bad.yaml"
@@ -266,7 +277,25 @@ def test_a_headway_with_too_many_departures_is_refused(name):
     ({"horizon": 6250.0, "t_step": 62.5, "dispatch": {"full_headway": 0.0625}},
      {"horizon": 6250.0, "t_step": 62.5, "dispatch": {"full_headway": 0.0624}},
      "dispatch.full_headway"),
-], ids=["steps", "nodes", "fixed-stops", "departures"])
+    # 10 h at MAX_REQUESTS / 10 requests/h
+    ({"horizon": 36_000.0, "demand": {"base_rate": MAX_REQUESTS / 10}},
+     {"horizon": 36_000.0, "demand": {"base_rate": MAX_REQUESTS / 10 + 0.1}},
+     "demand.base_rate"),
+    ({"horizon": 36_000.0, "demand": {"end_rate": MAX_REQUESTS / 10}},
+     {"horizon": 36_000.0, "demand": {"end_rate": MAX_REQUESTS / 10 + 0.1}},
+     "demand.end_rate"),
+    ({"n_vehicles": MAX_VEHICLES}, {"n_vehicles": MAX_VEHICLES + 1},
+     "n_vehicles"),
+    ({"seeds": {"train_count": MAX_SEEDS}},
+     {"seeds": {"train_count": MAX_SEEDS + 1}}, "seeds.train_count"),
+    ({"seeds": {"eval_count": MAX_SEEDS, "train_start": MAX_SEEDS}},
+     {"seeds": {"eval_count": MAX_SEEDS + 1, "train_start": 2 * MAX_SEEDS}},
+     "seeds.eval_count"),
+    ({"ppo": {"hidden_units": MAX_HIDDEN_UNITS}},
+     {"ppo": {"hidden_units": MAX_HIDDEN_UNITS + 1}}, "ppo.hidden_units"),
+], ids=["steps", "nodes", "fixed-stops", "departures", "requests-base",
+        "requests-end", "vehicles", "train-seeds", "eval-seeds",
+        "hidden-units"])
 def test_each_cap_admits_its_count_and_refuses_more(at_cap, past_cap, name):
     # built only: no network or episode of a config at a cap
     Scenario.from_dict(at_cap)
@@ -284,13 +313,20 @@ def _fields(data, prefix=""):
 
 
 FIELDS = sorted(_fields(Scenario().to_dict()))
-EDIT_VALUES = [NAN, INF, -INF, 0, -1, 1e-9, 1e12, True, "abc"]
+EDIT_VALUES = [NAN, INF, -INF, 0, -1, 1e-9, 1e12, 10**12, True, "abc"]
 
 
 @given(edits=st.lists(st.tuples(st.sampled_from(FIELDS),
                                 st.sampled_from(EDIT_VALUES)),
                       min_size=1, max_size=2, unique_by=lambda e: e[0]))
 @settings(max_examples=400, deadline=None, derandomize=True)
+# each field with a count cap, past it, whatever the draws reach
+@example(edits=[("demand.base_rate", 1e12)])
+@example(edits=[("demand.end_rate", 1e12)])
+@example(edits=[("n_vehicles", 10**12)])
+@example(edits=[("seeds.train_count", 10**12)])
+@example(edits=[("seeds.eval_count", 10**12), ("seeds.eval_start", 10**12)])
+@example(edits=[("ppo.hidden_units", 10**12)])
 def test_an_edited_config_names_a_field_or_builds_within_the_caps(edits):
     data = Scenario().to_dict()
     for name, value in edits:
@@ -312,3 +348,8 @@ def test_an_edited_config_names_a_field_or_builds_within_the_caps(edits):
     for headway in (sc.dispatch.full_headway, sc.dispatch.reserved_headway,
                     sc.dispatch.nominal_period):
         assert math.ceil(sc.horizon / headway) <= MAX_DEPARTURES
+    d = sc.demand
+    assert max(d.base_rate, d.end_rate) * sc.horizon / 3600 <= MAX_REQUESTS
+    assert sc.n_vehicles <= MAX_VEHICLES
+    assert max(sc.seeds.train_count, sc.seeds.eval_count) <= MAX_SEEDS
+    assert sc.ppo.hidden_units <= MAX_HIDDEN_UNITS
