@@ -87,11 +87,10 @@ class Network:
     ``times[b][a]`` sums the same legs from the other end and may differ
     from ``times[a][b]`` in the last bits.  ``travel_time``,
     ``travel_distance`` and ``euclidean`` (and so ``walk_time``) check both
-    ids inline, a sign test and then the list's own bounds check, and raise
-    a ``KeyError`` naming an id outside ``0..n_nodes-1``; the inner loops
-    that only index node ids taken from this network read the tables
-    directly.  ``snaps`` is ``matching.nearest_fixed_stop``'s memo, filled
-    as nodes are snapped.
+    ids inline, one range test each, and raise a ``KeyError`` naming an id
+    outside ``0..n_nodes-1``; the inner loops that only index node ids
+    taken from this network read the tables directly.  ``snaps`` is
+    ``matching.nearest_fixed_stop``'s memo, filled as nodes are snapped.
     """
 
     coords: list            # node id -> (x, y) meters
@@ -172,35 +171,23 @@ class Network:
         return self.coords[node][1] == 0.0
 
     def travel_time(self, a, b):
-        if a >= 0 and b >= 0:
-            try:
-                return self.times[a][b]
-            except IndexError:
-                pass
-        raise self._unknown_node(a, b)
+        n = len(self.times)
+        if 0 <= a < n and 0 <= b < n:
+            return self.times[a][b]
+        raise KeyError("unknown node id %r" % (b if 0 <= a < n else a,))
 
     def travel_distance(self, a, b):
-        if a >= 0 and b >= 0:
-            try:
-                return self.distances[a][b]
-            except IndexError:
-                pass
-        raise self._unknown_node(a, b)
+        n = len(self.distances)
+        if 0 <= a < n and 0 <= b < n:
+            return self.distances[a][b]
+        raise KeyError("unknown node id %r" % (b if 0 <= a < n else a,))
 
     def euclidean(self, a, b):
-        if a >= 0 and b >= 0:
-            try:
-                (xa, ya), (xb, yb) = self.coords[a], self.coords[b]
-            except IndexError:
-                pass
-            else:
-                return math.hypot(xa - xb, ya - yb)
-        raise self._unknown_node(a, b)
-
-    def _unknown_node(self, a, b):
-        """The KeyError for a query whose id ``a`` or ``b`` is not a node."""
-        bad = b if 0 <= a < self.n_nodes else a
-        return KeyError("unknown node id %r" % (bad,))
+        n = len(self.coords)
+        if 0 <= a < n and 0 <= b < n:
+            (xa, ya), (xb, yb) = self.coords[a], self.coords[b]
+            return math.hypot(xa - xb, ya - yb)
+        raise KeyError("unknown node id %r" % (b if 0 <= a < n else a,))
 
     def walk_time(self, a, b, walk_speed):
         """Straight-line walking time in seconds."""

@@ -30,7 +30,7 @@ RANGES = {
 }
 
 
-def check_types(config, prefix="", **ranges):
+def check_types(config, prefix="", at_most=None, **ranges):
     """Check each field of ``config`` against its declared type and the
     range it is listed under, raising a ``ValueError`` that names it.
 
@@ -39,7 +39,8 @@ def check_types(config, prefix="", **ranges):
     ``float`` field takes a number but a bool (``is_real``), and a ``bool``
     field only True or False, not the truthy text ``"false"``.  Each keyword
     of ``ranges`` is a key of ``RANGES`` that lists the fields it holds, and
-    NaN fails every range.  Last, a ``float`` field refuses +-inf.
+    NaN fails every range.  ``at_most`` maps an ``int`` field to the largest
+    count it may set.  Last, a ``float`` field refuses +-inf.
     """
     floats = []
     for f in dataclasses.fields(config):
@@ -66,6 +67,10 @@ def check_types(config, prefix="", **ranges):
         for name in names:
             if not test(getattr(config, name)):
                 raise ValueError("%s%s must %s" % (prefix, name, must))
+    for name, cap in (at_most or {}).items():
+        if getattr(config, name) > cap:
+            raise ValueError("%s%s must be at most %d, not %d"
+                             % (prefix, name, cap, getattr(config, name)))
     for name in floats:
         if math.isinf(getattr(config, name)):
             raise ValueError("%s%s must be finite, not %r"

@@ -31,20 +31,11 @@ MAX_STEPS = 100_000          # simulation steps per horizon
 MAX_FIXED_STOPS = 1_000      # stops on the fixed segment
 MAX_DEPARTURES = 100_000     # per horizon, of each dispatch headway or period
 MAX_REQUESTS = 100_000       # candidate requests the sampler draws per horizon
-# Caps on the counts that int fields set directly.
+# Caps on the counts that int fields set directly, each section's
+# ``check_types`` ``at_most``.
 MAX_VEHICLES = 1_000         # n_vehicles
 MAX_SEEDS = 1_000_000        # seeds.train_count and seeds.eval_count
 MAX_HIDDEN_UNITS = 1_024     # ppo.hidden_units, the width of each MLP layer
-
-
-def _check_caps(config, prefix="", **caps):
-    """Refuse each int field of ``config`` named in ``caps`` that is over
-    its cap, with a ``ValueError`` that names it."""
-    for name, cap in caps.items():
-        value = getattr(config, name)
-        if value > cap:
-            raise ValueError("%s%s must be at most %d, not %d"
-                             % (prefix, name, cap, value))
 
 
 @dataclass(frozen=True)
@@ -65,9 +56,9 @@ class SeedConfig:
 
     def __post_init__(self):
         check_types(self, "seeds.", non_negative=("train_start", "eval_start"),
-                    at_least_1=("train_count", "eval_count"))
-        _check_caps(self, "seeds.", train_count=MAX_SEEDS,
-                    eval_count=MAX_SEEDS)
+                    at_least_1=("train_count", "eval_count"),
+                    at_most={"train_count": MAX_SEEDS,
+                             "eval_count": MAX_SEEDS})
         a, b = self.train_start, self.eval_start
         if max(a, b) < min(a + self.train_count, b + self.eval_count):
             raise ValueError(
@@ -101,8 +92,8 @@ class PPOConfig:
             half_open_unit=("adam_beta1", "adam_beta2"),
             at_least_1=("minibatch_size", "epochs", "n_envs", "hidden_units"),
             positive=("learning_rate", "adam_eps"),
-            non_negative=("entropy_coef",))
-        _check_caps(self, "ppo.", hidden_units=MAX_HIDDEN_UNITS)
+            non_negative=("entropy_coef",),
+            at_most={"hidden_units": MAX_HIDDEN_UNITS})
 
 
 @dataclass(frozen=True)
@@ -155,8 +146,8 @@ class Scenario:
             self, positive=("horizon", "t_step", "fixed_stop_spacing"),
             non_negative=("warmup", "n_reserved", "boarding_duration",
                           "dwell_base", "dwell_per_pax"),
-            at_least_1=("rl_period", "n_vehicles", "capacity"))
-        _check_caps(self, n_vehicles=MAX_VEHICLES)
+            at_least_1=("rl_period", "n_vehicles", "capacity"),
+            at_most={"n_vehicles": MAX_VEHICLES})
         if not self.warmup < self.horizon:
             raise ValueError("warmup must end before the horizon")
         if self.horizon / self.t_step > MAX_STEPS:

@@ -16,6 +16,7 @@ from sodfeeder import corridor, costs, demand, dispatch
 from sodfeeder import scenario as scenario_module
 from sodfeeder.cli import main
 from sodfeeder.corridor import MAX_NODES, CorridorSpec
+from sodfeeder.demand import DemandProfile
 from sodfeeder.costs import RANGES, check_types
 from sodfeeder.dispatch import DispatchConfig
 from sodfeeder.scenario import (MAX_DEPARTURES, MAX_FIXED_STOPS,
@@ -73,8 +74,6 @@ BAD_VALUES = [
     ("corridor", "side_spacing", 1e-9),
     ("corridor", "side_node_spacing", 1e-9),
     ("corridor", "side_depth", 1e12),
-    ("demand", "base_rate", 1e12),
-    ("demand", "end_rate", 1e12),
     (None, "n_vehicles", 10**12),
     ("seeds", "train_count", 10**12),
     ("seeds", "eval_count", 10**12),
@@ -88,18 +87,30 @@ def _config(section, name, value):
 
 @pytest.mark.parametrize("section,name,value", BAD_VALUES)
 def test_bad_value_fails_when_built(section, name, value, tmp_path):
-    # a section refuses a value out of its own range when built, and the
-    # scenario one that spans sections, such as a rate's request count
     with pytest.raises(ValueError, match=name):
         if section is None:
             Scenario(**{name: value})
         else:
-            tp = type(getattr(Scenario(), section))
-            Scenario(**{section: tp(**{name: value})})
+            type(getattr(Scenario(), section))(**{name: value})
     with pytest.raises(ValueError, match=name):
         Scenario.from_dict(_config(section, name, value))
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(_config(section, name, value)))
+    assert main(["simulate", "--policy", "sod", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
+# a rate's request count needs the horizon, so a lone DemandProfile builds
+# and the scenario that holds it refuses it
+@pytest.mark.parametrize("name", ["base_rate", "end_rate"])
+def test_a_rate_past_the_request_cap_fails_when_built(name, tmp_path):
+    profile = DemandProfile(**{name: 1e12})
+    with pytest.raises(ValueError, match="demand.%s" % name):
+        Scenario(demand=profile)
+    with pytest.raises(ValueError, match="demand.%s" % name):
+        Scenario.from_dict(_config("demand", name, 1e12))
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_config("demand", name, 1e12)))
     assert main(["simulate", "--policy", "sod", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1
 
@@ -162,24 +173,27 @@ def test_every_float_field_refuses_a_bool():
 
 def _declared_ranges():
     """(section prefix, section type, range, field) for each field that a
-    range names, recorded from the ``check_types`` call of every section of
-    a default scenario."""
-    rows = []
+    range names, and (section prefix, section type, field, cap) for each
+    ``at_most`` cap, recorded from the ``check_types`` call of every section
+    of a default scenario."""
+    rows, caps = [], []
 
-    def recording(config, prefix="", **ranges):
+    def recording(config, prefix="", at_most=None, **ranges):
         rows.extend((prefix, type(config), kind, name)
                     for kind, names in ranges.items() for name in names)
-        check_types(config, prefix, **ranges)
+        caps.extend((prefix, type(config), name, cap)
+                    for name, cap in (at_most or {}).items())
+        check_types(config, prefix, at_most, **ranges)
 
     with contextlib.ExitStack() as stack:
         for module in (corridor, costs, demand, dispatch, scenario_module):
             stack.enter_context(
                 mock.patch.object(module, "check_types", recording))
         Scenario()
-    return rows
+    return rows, caps
 
 
-DECLARED_RANGES = _declared_ranges()
+DECLARED_RANGES, DECLARED_CAPS = _declared_ranges()
 
 # values just outside each range, one past each end that it has
 OUTSIDE = {
@@ -211,6 +225,21 @@ def test_a_value_just_outside_its_range_is_refused(prefix, tp, kind, name):
     for value in OUTSIDE[kind]:
         with pytest.raises(ValueError, match=message):
             tp(**{name: float(value) if is_float else value})
+
+
+def test_the_caps_are_those_of_the_int_count_fields():
+    assert sorted((p + name, cap) for p, _, name, cap in DECLARED_CAPS) == [
+        ("n_vehicles", MAX_VEHICLES), ("ppo.hidden_units", MAX_HIDDEN_UNITS),
+        ("seeds.eval_count", MAX_SEEDS), ("seeds.train_count", MAX_SEEDS)]
+
+
+@pytest.mark.parametrize("prefix,tp,name,cap", DECLARED_CAPS,
+                         ids=[p + n for p, _, n, _ in DECLARED_CAPS])
+def test_a_count_just_past_its_cap_is_refused(prefix, tp, name, cap):
+    message = "^%s must be at most %d, not %d$" % (re.escape(prefix + name),
+                                                   cap, cap + 1)
+    with pytest.raises(ValueError, match=message):
+        tp(**{name: cap + 1})
 
 
 def test_numpy_integers_are_stored_as_ints(tmp_path):
