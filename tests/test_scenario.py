@@ -16,8 +16,8 @@ from sodfeeder import corridor, costs, demand, dispatch
 from sodfeeder import scenario as scenario_module
 from sodfeeder.cli import main
 from sodfeeder.corridor import MAX_NODES, CorridorSpec
-from sodfeeder.demand import DemandProfile
 from sodfeeder.costs import RANGES, check_types
+from sodfeeder.demand import DemandProfile
 from sodfeeder.dispatch import DispatchConfig
 from sodfeeder.scenario import (MAX_DEPARTURES, MAX_FIXED_STOPS,
                                 MAX_HIDDEN_UNITS, MAX_REQUESTS, MAX_SEEDS,
@@ -173,16 +173,13 @@ def test_every_float_field_refuses_a_bool():
 
 def _declared_ranges():
     """(section prefix, section type, range, field) for each field that a
-    range names, and (section prefix, section type, field, cap) for each
-    ``at_most`` cap, recorded from the ``check_types`` call of every section
-    of a default scenario."""
-    rows, caps = [], []
+    range names, recorded from the ``check_types`` call of every section of
+    a default scenario."""
+    rows = []
 
     def recording(config, prefix="", at_most=None, **ranges):
         rows.extend((prefix, type(config), kind, name)
                     for kind, names in ranges.items() for name in names)
-        caps.extend((prefix, type(config), name, cap)
-                    for name, cap in (at_most or {}).items())
         check_types(config, prefix, at_most, **ranges)
 
     with contextlib.ExitStack() as stack:
@@ -190,10 +187,10 @@ def _declared_ranges():
             stack.enter_context(
                 mock.patch.object(module, "check_types", recording))
         Scenario()
-    return rows, caps
+    return rows
 
 
-DECLARED_RANGES, DECLARED_CAPS = _declared_ranges()
+DECLARED_RANGES = _declared_ranges()
 
 # values just outside each range, one past each end that it has
 OUTSIDE = {
@@ -225,21 +222,6 @@ def test_a_value_just_outside_its_range_is_refused(prefix, tp, kind, name):
     for value in OUTSIDE[kind]:
         with pytest.raises(ValueError, match=message):
             tp(**{name: float(value) if is_float else value})
-
-
-def test_the_caps_are_those_of_the_int_count_fields():
-    assert sorted((p + name, cap) for p, _, name, cap in DECLARED_CAPS) == [
-        ("n_vehicles", MAX_VEHICLES), ("ppo.hidden_units", MAX_HIDDEN_UNITS),
-        ("seeds.eval_count", MAX_SEEDS), ("seeds.train_count", MAX_SEEDS)]
-
-
-@pytest.mark.parametrize("prefix,tp,name,cap", DECLARED_CAPS,
-                         ids=[p + n for p, _, n, _ in DECLARED_CAPS])
-def test_a_count_just_past_its_cap_is_refused(prefix, tp, name, cap):
-    message = "^%s must be at most %d, not %d$" % (re.escape(prefix + name),
-                                                   cap, cap + 1)
-    with pytest.raises(ValueError, match=message):
-        tp(**{name: cap + 1})
 
 
 def test_numpy_integers_are_stored_as_ints(tmp_path):
