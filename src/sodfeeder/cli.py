@@ -77,7 +77,12 @@ def cmd_compare(args):
     sc = _load_scenario(args)
     if args.n_seeds is not None:
         sc = replace(sc, seeds=replace(sc.seeds, eval_count=args.n_seeds))
-    policies = [_POLICY_NAMES[p] for p in args.policies.split(",")]
+    names = args.policies.split(",")
+    unknown = [p for p in names if p not in _POLICY_NAMES]
+    if unknown:
+        raise ValueError("unknown policy %s in --policies; known: %s"
+                         % (", ".join(unknown), ", ".join(_POLICY_NAMES)))
+    policies = [_POLICY_NAMES[p] for p in names]
     actor = None
     if PolicyKind.RL_ZONAL in policies:
         if not args.checkpoint:

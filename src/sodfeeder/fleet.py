@@ -5,7 +5,11 @@ a flexible window (door-to-door stops around a mandatory turnaround), inbound
 fixed stops, terminus arrival.  Planned times are kept exact on every stop and
 recomputed from the vehicle's committed position whenever the schedule changes.
 A schedule a vehicle holds is replaced, never edited, so its stops may be
-shared with a candidate schedule built from it.
+shared with a candidate schedule built from it.  Every cycle has this shape,
+so with k fixed stops a flexible cycle's window opens at stop k and closes at
+stop ``len(schedule) - 1 - k`` (new stops go only between the two), a
+fixed-route cycle turns at its last fixed stop and has no window, and stop
+0's arrival is the dispatch time.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ class Stop:
 
 @dataclass
 class Vehicle:
+    """One SAV.  Its cycle's window and dispatch time are read off
+    ``schedule``, which holds the whole cycle (module docstring)."""
     id: int
     capacity: int
     fleet_class: FleetClass = FleetClass.CONTROLLABLE
@@ -59,9 +65,6 @@ class Vehicle:
     terms: tuple | None = None       # schedule_cost_terms of ``schedule``
     next_idx: int = 0                # next stop with a pending arrival event
     onboard: list = field(default_factory=list)
-    window_open_idx: int | None = None   # last outbound fixed stop
-    window_close_idx: int | None = None  # first inbound fixed stop
-    dispatch_time: float | None = None
     dist_metric: float = 0.0         # m driven after the warm-up cutoff
     deployed_metric: float = 0.0     # s deployed after the warm-up cutoff
 

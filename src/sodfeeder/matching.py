@@ -10,21 +10,22 @@ applied; ties break on (vehicle id, pickup position).  Requests with no
 feasible candidate stay pending and are rejected once their wait deadline
 lapses.
 
-Five shortcuts skip work without changing any result.  The window screen
-in ``_ranked_placements`` drops a new flexible stop whose window span would
-exceed the limit, and the whole window, unlooked at, when its slack is below
-one dwell: inserting x between a and b delays it by tt(a,x) + dwell +
-tt(x,b) - tt(a,b), and shortest-path times keep tt(a,x) + tt(x,b) >=
-tt(a,b) to within round-off (1.1e-13 s on the default corridor, far inside
-``SCREEN_MARGIN``).  The rider screen in ``_ranked_placements`` drops a
-placement that breaks the new rider's own wait or ride bound, read off the
-unmodified schedule: stops before the rider's stop keep their times, so its
-arrival and the terminus departure are exactly what ``retime`` gives, and
-since no stop after boarding idles, the terminus arrival is the old one plus
-the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The retry
-memo (``world.no_fit``, request id -> ``World.dispatches``) keeps the count
-of dispatches at which a pending request last found no candidate.  If it
-has not moved, the request stays pending unexamined; if it has, only
+Five shortcuts skip work without changing any result.  The window screen in
+``_ranked_placements`` (the cycle's shape puts the window from stop k to
+stop ``len - 1 - k`` for k fixed stops, ``fleet``) drops a new flexible stop
+whose window span would exceed the limit, and the whole window, unlooked at,
+when its slack is below one dwell: inserting x between a and b delays it by
+tt(a,x) + dwell + tt(x,b) - tt(a,b), and shortest-path times keep tt(a,x) +
+tt(x,b) >= tt(a,b) to within round-off (1.1e-13 s on the default corridor,
+far inside ``SCREEN_MARGIN``).  The rider screen in ``_ranked_placements``
+drops a placement that breaks the new rider's own wait or ride bound, read
+off the unmodified schedule: stops before the rider's stop keep their times,
+so its arrival and the terminus departure are exactly what ``retime`` gives,
+and since no stop after boarding idles, the terminus arrival is the old one
+plus the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The
+retry memo (``world.no_fit``, request id -> ``World.dispatches``) keeps the
+count of dispatches at which a pending request last found no candidate.  If
+it has not moved, the request stays pending unexamined; if it has, only
 vehicles dispatched after the memo are examined.  Sound because between
 dispatches a vehicle (so its zone) only loses placements.  Advancing it
 raises ``free_insert_min``/``free_stop_min`` and ends its boarding, and the
@@ -99,7 +100,6 @@ class InsertionCandidate:
     pickup_idx: int
     dropoff_idx: int
     schedule: list
-    window_close_idx: int | None
     delta_rho: float
     terms: tuple          # schedule_cost_terms of ``schedule``
 
@@ -253,6 +253,7 @@ def _ranked_placements(world, request, since=-1):
     per_pax = p.dwell_per_pax
     at_terminus = node == term      # both ends snapped to the terminus
     at_fixed = node in world.fixed_stop_set
+    k = len(world.fixed_stop_nodes)
     out = []
     for v in world.vehicles:
         sched = v.schedule
@@ -272,15 +273,14 @@ def _ranked_placements(world, request, since=-1):
                       if sched[i].node == node and sched[i].kind is _FIXED]
         else:
             # the window screen (module docstring)
-            if v.window_open_idx is None:
+            if world.fixed_only:
                 continue
-            close = v.window_close_idx
-            span0 = sched[close].arrival - sched[v.window_open_idx].departure
+            close = len(sched) - 1 - k
+            span0 = sched[close].arrival - sched[k].departure
             if span0 + dwell > span_limit:
                 continue
             places = []
-            for pos in range(max(v.window_open_idx + 1, v.free_insert_min()),
-                             close + 1):
+            for pos in range(max(k + 1, v.free_insert_min()), close + 1):
                 prev = sched[pos - 1]
                 from_a = times[prev.node]
                 b = sched[pos].node
@@ -311,9 +311,9 @@ def _ranked_placements(world, request, since=-1):
 
 
 def _build(world, request, vehicle, idx, new):
-    """``(schedule, window close idx, pickup idx, dropoff idx)`` of the
-    vehicle's schedule with the request placed at ``idx`` (``new`` as
-    ``_ranked_placements`` gives it), retimed."""
+    """``(schedule, pickup idx, dropoff idx)`` of the vehicle's schedule
+    with the request placed at ``idx`` (``new`` as ``_ranked_placements``
+    gives it), retimed."""
     p = world.params
     base_sched = vehicle.schedule
     outbound = request.pickup_node == world.net.terminus
@@ -323,9 +323,6 @@ def _build(world, request, vehicle, idx, new):
     if new:
         sched.append(Stop(node, StopKind.FLEX))
     sched += [s.clone() for s in base_sched[idx:]]
-    close = vehicle.window_close_idx
-    if new and idx <= close:
-        close += 1
     if outbound:
         sched[0] = sched[0].clone()
     pk, dr = (0, idx) if outbound else (idx, len(sched) - 1)
@@ -333,7 +330,7 @@ def _build(world, request, vehicle, idx, new):
     sched[dr].alight.append(request.id)
     retime(sched, vehicle.status, vehicle.next_idx, world.net, p.dwell_base,
            p.dwell_per_pax, idx)
-    return sched, close, pk, dr
+    return sched, pk, dr
 
 
 def enumerate_candidates(world, request, since=-1, near=None):
@@ -359,16 +356,16 @@ def enumerate_candidates(world, request, since=-1, near=None):
     c = p.coeffs
     net = world.net
     flex_limit = p.limits.flex_window + EPS
+    k = len(world.fixed_stop_nodes)
     best = math.inf
     out = []
     for est, vid, idx, new in _ranked_placements(world, request, since):
         if est > best + RANK_MARGIN:
             break
         v = world.vehicles[vid]
-        sched, close, pk, dr = _build(world, request, v, idx, new)
-        over = -math.inf if v.window_open_idx is None else (
-            sched[close].arrival - sched[v.window_open_idx].departure
-            - flex_limit)
+        sched, pk, dr = _build(world, request, v, idx, new)
+        over = -math.inf if world.fixed_only else (
+            sched[-1 - k].arrival - sched[k].departure - flex_limit)
         if over > SCREEN_MARGIN:
             continue
         planned, peak, distance = walk(sched, net, len(v.onboard),
@@ -388,7 +385,7 @@ def enumerate_candidates(world, request, since=-1, near=None):
         rank = cost - b_cost
         best = min(best, rank)
         delta = (rank - c.gamma_r * (n_r - b_r) - c.gamma_s * (n_s - b_s))
-        out.append(InsertionCandidate(vid, pk, dr, sched, close, delta, terms))
+        out.append(InsertionCandidate(vid, pk, dr, sched, delta, terms))
     out.sort(key=lambda c: (c.delta_rho, c.vehicle_id, c.pickup_idx,
                             c.dropoff_idx))
     return out
@@ -428,7 +425,6 @@ def match_step(world, *, walk_speed, walk_cap):
         v = world.vehicles[best.vehicle_id]
         world.set_schedule(v, best.schedule)
         v.terms = best.terms
-        v.window_close_idx = best.window_close_idx
         req.transition(RequestState.ASSIGNED)
         world.open_processes[world.category_of(req)] += 2
         req.vehicle = v.id

@@ -132,7 +132,6 @@ class RolloutBatch:
     rewards: np.ndarray      # (T, N)
     dones: np.ndarray        # (T, N)
     log_probs: np.ndarray    # (T, N), recorded at sampling time
-    values: np.ndarray       # (T, N), recorded at sampling time
     advantages: np.ndarray = None
     returns: np.ndarray = None
 
@@ -187,7 +186,7 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
         obs = np.array([s[0] for s in steps])
 
     last_vals, _ = critic.forward(obs)
-    batch = RolloutBatch(states, actions, rewards, dones, log_probs, values)
+    batch = RolloutBatch(states, actions, rewards, dones, log_probs)
     batch.advantages, batch.returns = compute_gae(
         rewards, values, dones, last_vals[:, 0], config.discount,
         config.gae_lambda)

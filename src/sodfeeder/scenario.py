@@ -36,6 +36,8 @@ MAX_REQUESTS = 100_000       # candidate requests the sampler draws per horizon
 MAX_VEHICLES = 1_000         # n_vehicles
 MAX_SEEDS = 1_000_000        # seeds.train_count and seeds.eval_count
 MAX_HIDDEN_UNITS = 1_024     # ppo.hidden_units, the width of each MLP layer
+MAX_ENVS = 1_000             # ppo.n_envs, environments built per trainer
+MAX_EPOCHS = 1_000           # ppo.epochs, passes over each rollout batch
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,8 @@ class PPOConfig:
             at_least_1=("minibatch_size", "epochs", "n_envs", "hidden_units"),
             positive=("learning_rate", "adam_eps"),
             non_negative=("entropy_coef",),
-            at_most={"hidden_units": MAX_HIDDEN_UNITS})
+            at_most={"hidden_units": MAX_HIDDEN_UNITS, "n_envs": MAX_ENVS,
+                     "epochs": MAX_EPOCHS})
 
 
 @dataclass(frozen=True)

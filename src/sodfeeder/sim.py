@@ -160,20 +160,13 @@ class World:
         net = self.net
         stops = [Stop(net.terminus, StopKind.TERMINUS_DEPART,
                       arrival=self.now, departure=self.now + p.boarding_duration)]
-        for fx in self.fixed_stop_nodes:
-            stops.append(Stop(fx, StopKind.FIXED))
+        stops += [Stop(fx, StopKind.FIXED) for fx in self.fixed_stop_nodes]
+        back = self.fixed_stop_nodes[::-1]
         if self.fixed_only:
-            # turn at the last fixed stop; it is visited once
-            for fx in reversed(self.fixed_stop_nodes[:-1]):
-                stops.append(Stop(fx, StopKind.FIXED))
-            v.window_open_idx = None
-            v.window_close_idx = None
+            back = back[1:]    # turn at the last fixed stop; it is visited once
         else:
             stops.append(Stop(self.turn_nodes[z], StopKind.TURNAROUND))
-            for fx in reversed(self.fixed_stop_nodes):
-                stops.append(Stop(fx, StopKind.FIXED))
-            v.window_open_idx = len(self.fixed_stop_nodes)       # last outbound fixed
-            v.window_close_idx = len(self.fixed_stop_nodes) + 2  # first inbound fixed
+        stops += [Stop(fx, StopKind.FIXED) for fx in back]
         stops.append(Stop(net.terminus, StopKind.TERMINUS_ARRIVE))
 
         retime(stops, VehicleStatus.BOARDING, 0, net, p.dwell_base,
@@ -184,7 +177,6 @@ class World:
         v.status = VehicleStatus.BOARDING
         v.zone = z
         v.next_idx = 0
-        v.dispatch_time = self.now
 
         if z == 0:
             for cat in (0, 1, 2):
@@ -271,15 +263,13 @@ class World:
             if v.onboard:
                 rep.infeasibilities.append(
                     ("onboard_at_terminus", v.id, list(v.onboard)))
-            v.deployed_metric += ((stop.arrival - v.dispatch_time)
-                                  * self._metric_share(v.dispatch_time,
-                                                       stop.arrival))
+            t0 = v.schedule[0].arrival      # the dispatch time
+            v.deployed_metric += ((stop.arrival - t0)
+                                  * self._metric_share(t0, stop.arrival))
             v.status = VehicleStatus.AT_TERMINUS
             v.zone = None
             self.set_schedule(v, [])
             v.next_idx = 0
-            v.window_open_idx = None
-            v.window_close_idx = None
         else:
             v.next_idx += 1
 

@@ -119,6 +119,23 @@ def oracle_generate_instance(net, profile, horizon, seed):
     return requests
 
 
+# ---- window oracle -----------------------------------------------------------
+
+def oracle_window(stops):
+    """``(open idx, close idx)`` of a cycle's flexible window, found by stop
+    kinds: the last fixed stop before the turnaround and the first fixed
+    stop after it.  None for a stop list with no turnaround (a fixed-route
+    cycle, or no cycle)."""
+    kinds = [s.kind for s in stops]
+    if StopKind.TURNAROUND not in kinds:
+        return None
+    turn = kinds.index(StopKind.TURNAROUND)
+    open_idx = max(i for i in range(turn) if kinds[i] == StopKind.FIXED)
+    close_idx = min(i for i in range(turn + 1, len(kinds))
+                    if kinds[i] == StopKind.FIXED)
+    return open_idx, close_idx
+
+
 # ---- observation oracle ------------------------------------------------------
 
 def oracle_observe(env):
@@ -140,10 +157,11 @@ def oracle_observe(env):
 
     commit = [0.0, 0.0, 0.0]
     for v in w.vehicles:
-        if v.window_open_idx is None or not v.schedule:
+        window = oracle_window(v.schedule)
+        if window is None:
             continue
-        open_dep = v.schedule[v.window_open_idx].departure
-        close_arr = v.schedule[v.window_close_idx].arrival
+        open_dep = v.schedule[window[0]].departure
+        close_arr = v.schedule[window[1]].arrival
         remaining = max(0.0, close_arr - max(now, open_dep))
         cats = (0, 1, 2) if v.zone == 0 else (v.zone,)
         for c in cats:
@@ -257,10 +275,11 @@ def zone_compatible(world, request, vehicle):
     return True
 
 
-def _oracle_feasible(world, v, stops, close_idx, request, direct):
+def _oracle_feasible(world, v, stops, request, direct):
     lim = world.params.limits
-    if v.window_open_idx is not None and close_idx is not None:
-        if (stops[close_idx].arrival - stops[v.window_open_idx].departure
+    window = oracle_window(stops)
+    if window is not None:
+        if (stops[window[1]].arrival - stops[window[0]].departure
                 > lim.flex_window + 1e-6):
             return False
     load = len(v.onboard)
@@ -322,6 +341,7 @@ def oracle_best_insertion(world, request, plan):
         last = len(v.schedule) - 1
         free_stop = 0 if v.status == VehicleStatus.BOARDING else v.next_idx
         free_ins = 1 if v.status == VehicleStatus.BOARDING else v.next_idx + 1
+        window = oracle_window(v.schedule)
 
         # every way to place the pickup
         pickup_ways = []
@@ -333,9 +353,8 @@ def oracle_best_insertion(world, request, plan):
                 if (v.schedule[i].node == plan.pickup_node
                         and v.schedule[i].kind == StopKind.FIXED):
                     pickup_ways.append(("at", i))
-        elif v.window_open_idx is not None:
-            for pos in range(max(v.window_open_idx + 1, free_ins),
-                             v.window_close_idx + 1):
+        elif window is not None:
+            for pos in range(max(window[0] + 1, free_ins), window[1] + 1):
                 pickup_ways.append(("ins", pos))
 
         for pway in pickup_ways:
@@ -348,37 +367,31 @@ def oracle_best_insertion(world, request, plan):
                     if (v.schedule[i].node == plan.dropoff_node
                             and v.schedule[i].kind == StopKind.FIXED):
                         dropoff_ways.append(("at", i))
-            elif v.window_open_idx is not None:
-                lo = max(v.window_open_idx + 1, free_ins, pway[1] + 1)
-                for pos in range(lo, v.window_close_idx + 1):
+            elif window is not None:
+                lo = max(window[0] + 1, free_ins, pway[1] + 1)
+                for pos in range(lo, window[1] + 1):
                     dropoff_ways.append(("ins", pos))
 
             for dway in dropoff_ways:
                 stops = [Stop(s.node, s.kind, list(s.board), list(s.alight),
                               s.arrival, s.departure) for s in v.schedule]
-                close = v.window_close_idx
                 pk_idx = pway[1]
                 if pway[0] == "ins":
                     stops.insert(pk_idx, Stop(plan.pickup_node, StopKind.FLEX,
                                               board=[request.id]))
-                    if close is not None and pk_idx <= close:
-                        close += 1
                 else:
                     stops[pk_idx].board.append(request.id)
                 dr_idx = dway[1]
                 if dway[0] == "ins":
                     stops.insert(dr_idx, Stop(plan.dropoff_node, StopKind.FLEX,
                                               alight=[request.id]))
-                    if close is not None and dr_idx <= close:
-                        close += 1
                 else:
                     if pway[0] == "ins" and dr_idx >= pk_idx:
                         dr_idx += 1
                     stops[dr_idx].alight.append(request.id)
                 _oracle_retime(stops, v.status, v.next_idx, net,
                                p.dwell_base, p.dwell_per_pax)
-                if not _oracle_feasible(world, v, stops, close, request,
-                                        direct):
+                if not _oracle_feasible(world, v, stops, request, direct):
                     continue
                 cost, n_r, n_s = _oracle_cost_terms(world, stops, request,
                                                     plan.served_at_fixed)
@@ -386,7 +399,7 @@ def oracle_best_insertion(world, request, plan):
                          - c.gamma_s * (n_s - base_ns))
                 key = (delta, v.id, pk_idx, dr_idx)
                 if best is None or key < best[0]:
-                    best = (key, v.id, pk_idx, dr_idx, stops, close)
+                    best = (key, v.id, pk_idx, dr_idx, stops)
     return best
 
 
@@ -469,11 +482,9 @@ def oracle_match(world, *, walk_speed, walk_cap):
         if best is None:
             out["pending"].append(req.id)
             continue
-        _, vid, pk_idx, dr_idx, stops, close = best
+        _, vid, pk_idx, dr_idx, stops = best
         v = world.vehicles[vid]
         world.set_schedule(v, stops)
-        if close is not None:
-            v.window_close_idx = close
         req.transition(RequestState.ASSIGNED)
         req.vehicle = vid
         req.pickup_node = plan.pickup_node

@@ -25,7 +25,7 @@ from sodfeeder.ppo import (PPOTrainer, actor_loss_and_grad,
                            greedy_action)
 from sodfeeder.scenario import PPOConfig, Scenario, build_world
 
-from oracles import gae_direct, oracle_match
+from oracles import gae_direct, oracle_match, oracle_window
 from toyenvs import BanditEnv
 from worldgen import random_mini_world, run_production_match, walk_of
 
@@ -229,9 +229,10 @@ def _audited_run(sc, kind, seed, actor=None):
             if walk(v.schedule, net, len(v.onboard),
                     v.free_stop_min())[1] > v.capacity:
                 violations.append((kind.value, seed, "capacity", v.id))
-            if v.window_open_idx is not None:
-                span = (v.schedule[v.window_close_idx].arrival
-                        - v.schedule[v.window_open_idx].departure)
+            window = oracle_window(v.schedule)
+            if window is not None:
+                span = (v.schedule[window[1]].arrival
+                        - v.schedule[window[0]].departure)
                 if span > lim.flex_window + 1e-6:
                     violations.append((kind.value, seed, "window", v.id))
             for s in v.schedule:

@@ -8,6 +8,12 @@ demos or the bench harness use either moves out of ``src`` or gets an entry
 in ``ALLOWED`` with its reason.  The scan also fails on an import that its
 module never uses, and on a module other than ``econ.py`` that imports
 ``csv``: ``econ.write_table`` is the one writer of the program's tables.
+
+Nor may ``src`` keep write-only state: every attribute that a class stores
+(an assignment to ``self.X`` in a method, or a field of a dataclass that is
+not frozen) must be read as an attribute in some ``src`` module, or have an
+entry in ``OUTSIDE_READERS`` naming who reads it.  The output records that
+``src`` returns to its callers are exempt.
 """
 
 import ast
@@ -25,6 +31,20 @@ ALLOWED = {
     "paired_bootstrap_ge_zero": "acceptance criteria 8-10 and demo 04 test "
                                 "paired differences with it",
 }
+
+
+# "Class.attribute" -> who reads it, for state that src stores and only
+# tests or the bench harness read
+OUTSIDE_READERS = {
+    "World.lateness_skips": "bench/tracer.py counts the skipped dispatches "
+                            "of each step with it",
+    "RolloutBatch.dones": "test_ppo.py checks that only the last step of a "
+                          "rollout ends its episode",
+    "Request.vehicle": "the bench audit and the tests check each rider's "
+                       "vehicle with it",
+}
+# records that src fills for its callers, every field of which is output
+OUTPUT_RECORDS = {"RunMetrics", "StepReport", "MatchReport"}
 
 
 def _trees():
@@ -102,3 +122,65 @@ def test_only_econ_imports_csv():
                         for node in ast.walk(tree) if _imports_csv(node)})
     assert importers == ["econ.py"], (
         "write tables with econ.write_table, not csv: %s" % importers)
+
+
+def _mutable_dataclass(cls):
+    """Whether the class is a dataclass that is not frozen."""
+    for d in cls.decorator_list:
+        if isinstance(d, ast.Name) and d.id == "dataclass":
+            return True
+        if (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                and d.func.id == "dataclass"):
+            return not any(k.arg == "frozen" and getattr(k.value, "value", 0)
+                           for k in d.keywords)
+    return False
+
+
+def _stored(tree):
+    """``(class, attribute, line)`` of each attribute the module's classes
+    store: a field of a dataclass that is not frozen, or an assignment to
+    ``self.X`` in a method."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _mutable_dataclass(cls):
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    yield cls.name, node.target.id, node.lineno
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                yield cls.name, node.attr, node.lineno
+
+
+def _read_attributes(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_stored_attribute_is_read():
+    trees = _trees()
+    read = _read_attributes(trees)
+    unread = sorted({"%s:%d %s.%s" % (fname, line, cls, attr)
+                     for fname, tree in trees.items()
+                     for cls, attr, line in _stored(tree)
+                     if attr not in read and cls not in OUTPUT_RECORDS
+                     and "%s.%s" % (cls, attr) not in OUTSIDE_READERS})
+    assert not unread, (
+        "src stores these and never reads them; delete them, or add them "
+        "to OUTSIDE_READERS with their reader: %s" % unread)
+
+
+def test_outside_readers_are_stored_and_still_unread_in_src():
+    trees = _trees()
+    stored = {"%s.%s" % (cls, attr) for tree in trees.values()
+              for cls, attr, _ in _stored(tree)}
+    read = _read_attributes(trees)
+    assert set(OUTSIDE_READERS) <= stored
+    assert OUTPUT_RECORDS <= {name.split(".")[0] for name in stored}
+    assert not {name.split(".")[1] for name in OUTSIDE_READERS} & read, (
+        "a src reader makes the entry unneeded")

@@ -147,6 +147,7 @@ def test_train_and_compare_round_trip(tmp_path, fast_config):
     (["compare", "--policies", "sod", "--n-seeds", "10001"],
      "seeds.eval_count"),
     (["compare", "--policies", "sod", "--seeds", "EMPTY"], "seeds"),
+    (["compare", "--policies", "sod,foo"], "foo"),
 ])
 def test_bad_run_size_fails_before_any_episode(args, field, tmp_path,
                                                fast_config, monkeypatch,

@@ -5,6 +5,7 @@ from sodfeeder.dispatch import DispatchConfig, DispatchController, PolicyKind
 from sodfeeder.fleet import FleetClass, StopKind, VehicleStatus
 from sodfeeder.scenario import Scenario, build_world
 
+from oracles import oracle_window
 from worldgen import walk_of
 
 
@@ -51,7 +52,7 @@ def test_fixed_route_never_plans_flex_stops():
         ctrl.baseline_dispatch()
         match_step(world, **walk_of(world.params))
         for v in world.vehicles:
-            assert v.window_open_idx is None
+            assert oracle_window(v.schedule) is None
             assert all(s.kind is StopKind.FIXED for s in v.schedule[1:-1])
         world.advance_step()
     assert any(r.state is RequestState.SERVED for r in world.requests)

@@ -32,6 +32,12 @@ def make_world(policy=PolicyKind.SOD, requests=None, n_vehicles=2):
                  fixed_only=policy.fixed_only), net
 
 
+def window_span(schedule):
+    """The flexible window span of a cycle, its window found by stop kinds."""
+    open_idx, close_idx = oracles.oracle_window(schedule)
+    return schedule[close_idx].arrival - schedule[open_idx].departure
+
+
 def feeder_request(net, rid, t_r, node, to_corridor=True):
     if to_corridor:
         o, d = net.terminus, node
@@ -246,10 +252,7 @@ def test_window_span_respected():
     w.requests = reqs
     rep = match_step(w, **walk_of(w.params))
     assert rep.pending   # not everything fits
-    v = w.vehicles[0]
-    span = (v.schedule[v.window_close_idx].arrival
-            - v.schedule[v.window_open_idx].departure)
-    assert span <= 1200.0 + 1e-6
+    assert window_span(w.vehicles[0].schedule) <= 1200.0 + 1e-6
 
 
 def test_matches_brute_force_on_random_mini_worlds(net):
@@ -283,7 +286,11 @@ def _assert_same_round(world, twin, seed):
                  s.arrival, s.departure) for s in va.schedule] == \
             [(s.node, s.kind, sorted(s.board), sorted(s.alight),
               s.arrival, s.departure) for s in vb.schedule], seed
-        assert va.window_close_idx == vb.window_close_idx, seed
+        # the window that matching reads off the shape, for k fixed stops
+        k = len(world.fixed_stop_nodes)
+        want = (None if world.fixed_only or not va.schedule
+                else (k, len(va.schedule) - 1 - k))
+        assert oracles.oracle_window(va.schedule) == want, seed
 
 
 def _count_calls(monkeypatch, module, name, counts, key):
@@ -314,8 +321,7 @@ def test_full_window_builds_no_flexible_schedule(monkeypatch):
     # is screened out unbuilt, and the round still equals the oracle's
     probe, net = make_world(n_vehicles=1)
     v = probe.dispatch_vehicle(0, 0)
-    span = (v.schedule[v.window_close_idx].arrival
-            - v.schedule[v.window_open_idx].departure)
+    span = window_span(v.schedule)
     sc = Scenario(n_vehicles=1, n_reserved=0,
                   limits=FeasibilityLimits(flex_window=span))
     flex = net.nearest_mainline_node(4000)
@@ -341,7 +347,7 @@ def test_window_filled_exactly_still_accepts_the_insertion(to_corridor):
     # flex_window set to the exact window span after the best flexible
     # insertion: the screen's bound meets the limit and must let it through
     probe, net = make_world(n_vehicles=1)
-    v = probe.dispatch_vehicle(0, 0)
+    probe.dispatch_vehicle(0, 0)
     if not to_corridor:
         for _ in range(5):      # past boarding: inbound riders only
             probe.advance_step()
@@ -351,8 +357,7 @@ def test_window_filled_exactly_still_accepts_the_insertion(to_corridor):
     probe.requests = [req]
     assert resolve_service_plan(probe, req, 1.25, 600.0)
     best = enumerate_candidates(probe, req)[0]
-    span = (best.schedule[best.window_close_idx].arrival
-            - best.schedule[v.window_open_idx].departure)
+    span = window_span(best.schedule)
     sc = Scenario(n_vehicles=1, n_reserved=0,
                   limits=FeasibilityLimits(flex_window=span))
     w = World(net, sc, [req])
@@ -371,9 +376,7 @@ def _window_span_and_dwell():
     probe, net = make_world(n_vehicles=1)
     v = probe.dispatch_vehicle(0, 0)
     p = probe.params
-    return (v.schedule[v.window_close_idx].arrival
-            - v.schedule[v.window_open_idx].departure,
-            p.dwell_base + p.dwell_per_pax)
+    return window_span(v.schedule), p.dwell_base + p.dwell_per_pax
 
 
 def _window_world(flex_window):
@@ -402,10 +405,8 @@ def test_window_slack_of_one_dwell_still_accepts_the_insertion(ulps_under):
     for _ in range(ulps_under):
         flex_window = math.nextafter(flex_window, -math.inf)
     w = _window_world(flex_window)
-    v = w.vehicles[0]
     best = enumerate_candidates(w, w.requests[0])[0]
-    assert (best.schedule[best.window_close_idx].arrival
-            - best.schedule[v.window_open_idx].departure) == \
+    assert window_span(best.schedule) == \
         pytest.approx(span0 + dwell, rel=0, abs=1e-9)
     _assert_same_round(w, copy.deepcopy(w), "slack of one dwell")
     assert [r.state for r in w.requests] == [RequestState.ASSIGNED,
@@ -626,7 +627,6 @@ def test_an_insertion_never_makes_a_refused_placement_fit(net, seed,
             r, cand = data.draw(st.sampled_from(insertions))
             pool.remove(r)
             world.set_schedule(v, cand.schedule)
-            v.window_close_idx = cand.window_close_idx
             for q in refused:
                 assert not enumerate_candidates(solo, q), (v.id, r.id, q.id)
 

@@ -19,10 +19,10 @@ from sodfeeder.corridor import MAX_NODES, CorridorSpec
 from sodfeeder.costs import RANGES, check_types
 from sodfeeder.demand import DemandProfile
 from sodfeeder.dispatch import DispatchConfig
-from sodfeeder.scenario import (MAX_DEPARTURES, MAX_FIXED_STOPS,
-                                MAX_HIDDEN_UNITS, MAX_REQUESTS, MAX_SEEDS,
-                                MAX_STEPS, MAX_VEHICLES, PPOConfig, Scenario,
-                                SeedConfig)
+from sodfeeder.scenario import (MAX_DEPARTURES, MAX_ENVS, MAX_EPOCHS,
+                                MAX_FIXED_STOPS, MAX_HIDDEN_UNITS,
+                                MAX_REQUESTS, MAX_SEEDS, MAX_STEPS,
+                                MAX_VEHICLES, PPOConfig, Scenario, SeedConfig)
 
 NAN = math.nan
 INF = math.inf
@@ -78,6 +78,8 @@ BAD_VALUES = [
     ("seeds", "train_count", 10**12),
     ("seeds", "eval_count", 10**12),
     ("ppo", "hidden_units", 10**12),
+    ("ppo", "n_envs", 10**12),
+    ("ppo", "epochs", 10**12),
 ]
 
 
@@ -304,9 +306,13 @@ def test_a_headway_with_too_many_departures_is_refused(name):
      "seeds.eval_count"),
     ({"ppo": {"hidden_units": MAX_HIDDEN_UNITS}},
      {"ppo": {"hidden_units": MAX_HIDDEN_UNITS + 1}}, "ppo.hidden_units"),
+    ({"ppo": {"n_envs": MAX_ENVS}}, {"ppo": {"n_envs": MAX_ENVS + 1}},
+     "ppo.n_envs"),
+    ({"ppo": {"epochs": MAX_EPOCHS}}, {"ppo": {"epochs": MAX_EPOCHS + 1}},
+     "ppo.epochs"),
 ], ids=["steps", "nodes", "fixed-stops", "departures", "requests-base",
         "requests-end", "vehicles", "train-seeds", "eval-seeds",
-        "hidden-units"])
+        "hidden-units", "envs", "epochs"])
 def test_each_cap_admits_its_count_and_refuses_more(at_cap, past_cap, name):
     # built only: no network or episode of a config at a cap
     Scenario.from_dict(at_cap)
@@ -338,6 +344,8 @@ EDIT_VALUES = [NAN, INF, -INF, 0, -1, 1e-9, 1e12, 10**12, True, "abc"]
 @example(edits=[("seeds.train_count", 10**12)])
 @example(edits=[("seeds.eval_count", 10**12), ("seeds.eval_start", 10**12)])
 @example(edits=[("ppo.hidden_units", 10**12)])
+@example(edits=[("ppo.n_envs", 10**12)])
+@example(edits=[("ppo.epochs", 10**12)])
 def test_an_edited_config_names_a_field_or_builds_within_the_caps(edits):
     data = Scenario().to_dict()
     for name, value in edits:
@@ -364,3 +372,5 @@ def test_an_edited_config_names_a_field_or_builds_within_the_caps(edits):
     assert sc.n_vehicles <= MAX_VEHICLES
     assert max(sc.seeds.train_count, sc.seeds.eval_count) <= MAX_SEEDS
     assert sc.ppo.hidden_units <= MAX_HIDDEN_UNITS
+    assert sc.ppo.n_envs <= MAX_ENVS
+    assert sc.ppo.epochs <= MAX_EPOCHS

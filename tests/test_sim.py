@@ -17,8 +17,8 @@ from sodfeeder.matching import match_step, schedule_cost_terms
 from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
-from oracles import rescan_advance_step
-from worldgen import restore, snapshot, walk_of
+from oracles import oracle_window, rescan_advance_step
+from worldgen import restore, scenarios, snapshot, walk_of
 
 
 def make_world(policy=PolicyKind.SOD, seed=0, requests=None, sc=None):
@@ -48,8 +48,7 @@ def test_dispatch_schedule_structure():
     assert kinds == ([StopKind.TERMINUS_DEPART] + [StopKind.FIXED] * 3
                      + [StopKind.TURNAROUND] + [StopKind.FIXED] * 3
                      + [StopKind.TERMINUS_ARRIVE])
-    assert v.window_open_idx == 3
-    assert v.window_close_idx == 5
+    assert oracle_window(v.schedule) == (3, 5)
     assert v.status is VehicleStatus.BOARDING
     assert v.zone == 0
 
@@ -83,7 +82,7 @@ def test_fixed_only_cycle_has_no_window():
     kinds = [s.kind for s in v.schedule]
     assert StopKind.TURNAROUND not in kinds
     assert StopKind.FLEX not in kinds
-    assert v.window_open_idx is None
+    assert oracle_window(v.schedule) is None
     # last fixed stop appears exactly once (the turn point)
     last_fx = w.fixed_stop_nodes[-1]
     assert sum(1 for s in v.schedule if s.node == last_fx) == 1
@@ -100,6 +99,56 @@ def test_cycle_time_bound_near_half_hour():
                  + sc.limits.flex_window) / 60.0
     # the design target is a ~33 min round trip; accept +-10%
     assert 33.0 * 0.9 <= bound_min <= 33.0 * 1.1
+
+
+def _assert_cycle_shape(world, dispatched_at):
+    """Each cycle has the shape that matching, ``observe`` and the deployed
+    time read their window and dispatch time off (``fleet``): the window
+    found by stop kinds is (k, len - 1 - k) for k fixed stops, a fixed route
+    has no turnaround, and stop 0 arrives at the vehicle's dispatch."""
+    k = len(world.fixed_stop_nodes)
+    for v in world.vehicles:
+        if not v.schedule:
+            continue
+        window = oracle_window(v.schedule)
+        if world.fixed_only:
+            assert window is None, v.id
+        else:
+            assert window == (k, len(v.schedule) - 1 - k), v.id
+        assert v.schedule[0].arrival == dispatched_at[v.id], v.id
+
+
+@given(sc=scenarios(), kind=st.sampled_from(list(PolicyKind)),
+       seed=st.integers(0, 10**4))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_cycle_fixes_its_window_and_dispatch_time(sc, kind, seed):
+    # checked after every dispatch, match and advance of a whole episode;
+    # a return to the terminus adds the time since stop 0's arrival as
+    # deployed (whole, since the drawn scenarios have no warm-up)
+    world = build_world(sc, kind, seed)
+    ctrl = DispatchController(world, kind, sc.dispatch)
+    actions = np.random.default_rng(seed).integers(N_ACTIONS, size=sc.n_steps)
+    walk = walk_of(sc)
+    dispatched_at = {}
+    for step in range(sc.n_steps):
+        stamps = [v.dispatched for v in world.vehicles]
+        ctrl.baseline_dispatch()
+        if kind is PolicyKind.RL_ZONAL and step % sc.rl_period == 0:
+            ctrl.apply_action(int(actions[step]))
+        for v, stamp in zip(world.vehicles, stamps):
+            if v.dispatched != stamp:
+                dispatched_at[v.id] = world.now
+        _assert_cycle_shape(world, dispatched_at)
+        match_step(world, **walk)
+        _assert_cycle_shape(world, dispatched_at)
+        ends = {v.id: (v.schedule[-1].arrival, v.deployed_metric)
+                for v in world.vehicles if v.schedule}
+        world.advance_step()
+        _assert_cycle_shape(world, dispatched_at)
+        for vid, (end, deployed) in ends.items():
+            if not world.vehicles[vid].schedule:
+                assert world.vehicles[vid].deployed_metric == \
+                    deployed + (end - dispatched_at[vid]), vid
 
 
 def test_dispatch_requires_vehicle_at_terminus():
