@@ -4,12 +4,20 @@ The actor maps observations to 4 action logits (softmax policy); the critic
 estimates state values.  Rollouts are collected from independent environment
 instances, advantages come from the backward GAE recursion, and updates run
 shuffled minibatch epochs with Adam.
+
+Rollouts run in this process.  An update runs the actor's and the critic's
+minibatch steps in two processes at once: ``update`` forks one child for
+the critic and reaps it before it returns (see ``update``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -195,31 +203,145 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
 
 # ---- updates ---------------------------------------------------------------
 
+def critic_steps(critic, critic_opt, states, returns, minibatches):
+    """The critic's Adam steps over ``minibatches``, in order; returns the
+    value loss of each."""
+    losses = []
+    for idx in minibatches:
+        vloss, vgrads = critic_loss_and_grad(critic, states[idx],
+                                             returns[idx])
+        critic_opt.step(vgrads)
+        losses.append(vloss)
+    return losses
+
+
+def _critic_payload(critic, critic_opt, states, returns, minibatches):
+    """What the forked critic process sends back, pickled: (None, its
+    parameters, Adam moments and value losses), or (the exception that its
+    steps raised, None)."""
+    try:
+        losses = critic_steps(critic, critic_opt, states, returns,
+                              minibatches)
+    except BaseException as exc:
+        return pickle.dumps((exc, None))
+    return pickle.dumps(
+        (None, (critic.flat, critic_opt.m, critic_opt.v, losses)))
+
+
+def _fork_critic(critic, critic_opt, states, returns, minibatches):
+    """Fork a process that runs ``critic_steps`` and writes its results to a
+    pipe; returns (pid, read end).  The child never returns: it exits with
+    status 0 once it has written them, with 1 if it could not."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        with os.fdopen(w, "wb") as f:
+            f.write(_critic_payload(critic, critic_opt, states, returns,
+                                    minibatches))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid, r, kill):
+    """Close the pipe and wait for the child, killing it first if ``kill``;
+    returns its wait status."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    os.close(r)
+    return os.waitpid(pid, 0)[1]
+
+
+def _join_critic(pid, r):
+    """Read the forked critic's results, reap it and return what it sent;
+    raises the child's exception, or ``RuntimeError`` if it died without
+    sending a result."""
+    chunks = []
+    try:
+        while chunk := os.read(r, 1 << 16):
+            chunks.append(chunk)
+    except BaseException:
+        _reap(pid, r, kill=True)
+        raise
+    status = _reap(pid, r, kill=False)
+    if os.WIFSIGNALED(status):
+        raise RuntimeError("the critic's update process was killed by "
+                           "signal %d" % os.WTERMSIG(status))
+    if os.WEXITSTATUS(status) != 0:
+        raise RuntimeError("the critic's update process exited with status "
+                           "%d" % os.WEXITSTATUS(status))
+    exc, result = pickle.loads(b"".join(chunks))
+    if exc is not None:
+        raise exc
+    return result
+
+
 def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
-    """Shuffled minibatch epochs over one rollout batch."""
+    """Shuffled minibatch epochs over one rollout batch.
+
+    Every epoch's permutation is drawn up front, so ``rng`` is consumed as
+    when the epochs ran one after the other.  The actor and the critic share
+    no parameter, so their steps run at the same time: a forked child runs
+    the critic's over the same minibatches while this process runs the
+    actor's, then sends back the critic's parameters, Adam moments and value
+    losses, and exits before ``update`` returns.  With a single CPU, or
+    while other threads run, the critic's steps run here after the actor's.
+    The results equal the interleaved serial loop's bit for bit.  An
+    exception in the child is raised here; if the actor's steps raise, the
+    child is killed and reaped first.
+    """
     states, actions, old_logp, adv, returns = batch.flatten()
     if config.normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     surr_clipped = clip_g(config.clip_eps, adv)
     n = len(actions)
-    stats_acc = {"value_loss": [], "policy_loss": [], "entropy": [],
-                 "approx_kl": [], "clip_frac": []}
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.minibatch_size):
-            idx = order[start:start + config.minibatch_size]
-            mb_states = states[idx]
+    size = config.minibatch_size
+    orders = [rng.permutation(n) for _ in range(config.epochs)]
+    minibatches = [order[start:start + size]
+                   for order in orders for start in range(0, n, size)]
+    # the child has only the forking thread, so a lock that another thread
+    # held at the fork would stay held in it: fork only without other threads
+    child = None
+    if len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1:
+        child = _fork_critic(critic, critic_opt, states, returns,
+                             minibatches)
+    try:
+        actor_stats = []
+        for idx in minibatches:
             ploss, pgrads, pstats = actor_loss_and_grad(
-                actor, mb_states, actions[idx], old_logp[idx], adv[idx],
+                actor, states[idx], actions[idx], old_logp[idx], adv[idx],
                 config.clip_eps, config.entropy_coef, surr_clipped[idx])
             actor_opt.step(pgrads)
-            vloss, vgrads = critic_loss_and_grad(critic, mb_states,
-                                                 returns[idx])
-            critic_opt.step(vgrads)
-            pstats.update(policy_loss=ploss, value_loss=vloss)
-            for k, acc in stats_acc.items():
-                acc.append(pstats[k])
-    return {k: float(np.mean(v)) for k, v in stats_acc.items()}
+            actor_stats.append((ploss, pstats))
+    except BaseException:
+        if child is not None:
+            _reap(*child, kill=True)
+        raise
+    if child is None:
+        value_losses = critic_steps(critic, critic_opt, states, returns,
+                                    minibatches)
+    else:
+        flat, m, v, value_losses = _join_critic(*child)
+        critic.flat[...] = flat
+        critic_opt.m[...] = m
+        critic_opt.v[...] = v
+        critic_opt.t += len(minibatches)
+    return {
+        "value_loss": float(np.mean(value_losses)),
+        "policy_loss": float(np.mean([p for p, _ in actor_stats])),
+        **{k: float(np.mean([s[k] for _, s in actor_stats]))
+           for k in ("entropy", "approx_kl", "clip_frac")},
+    }
 
 
 # ---- checkpoints -----------------------------------------------------------

@@ -14,6 +14,7 @@ from sodfeeder.demand import (Request, RequestState, endpoint_weights,
                               forecast_demand, segment_shares)
 from sodfeeder.dispatch import DispatchController
 from sodfeeder.fleet import FleetClass, Stop, StopKind, VehicleStatus
+from sodfeeder.ppo import actor_loss_and_grad, clip_g, critic_loss_and_grad
 from sodfeeder.sim import StepReport
 
 from worldgen import available_vehicles
@@ -566,3 +567,34 @@ class RescanDispatchController(DispatchController):
             w.dispatch_vehicle(avail[0].id, z)
             w.dispatch_log.append((w.step_k, avail[0].id, source, z))
         return bool(avail)
+
+
+# ---- serial PPO update ---------------------------------------------------------
+
+def serial_update(actor, critic, actor_opt, critic_opt, batch, config, rng):
+    """``ppo.update`` as one process runs it: each epoch draws its
+    permutation when it starts, and each minibatch steps the actor, then the
+    critic."""
+    states, actions, old_logp, adv, returns = batch.flatten()
+    if config.normalize_advantages:
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    surr_clipped = clip_g(config.clip_eps, adv)
+    n = len(actions)
+    stats_acc = {"value_loss": [], "policy_loss": [], "entropy": [],
+                 "approx_kl": [], "clip_frac": []}
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.minibatch_size):
+            idx = order[start:start + config.minibatch_size]
+            mb_states = states[idx]
+            ploss, pgrads, pstats = actor_loss_and_grad(
+                actor, mb_states, actions[idx], old_logp[idx], adv[idx],
+                config.clip_eps, config.entropy_coef, surr_clipped[idx])
+            actor_opt.step(pgrads)
+            vloss, vgrads = critic_loss_and_grad(critic, mb_states,
+                                                 returns[idx])
+            critic_opt.step(vgrads)
+            pstats.update(policy_loss=ploss, value_loss=vloss)
+            for k, acc in stats_acc.items():
+                acc.append(pstats[k])
+    return {k: float(np.mean(v)) for k, v in stats_acc.items()}

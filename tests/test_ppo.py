@@ -1,6 +1,10 @@
+import contextlib
 import copy
 import hashlib
+import os
 import pickle
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +22,7 @@ from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
 from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
 
-from oracles import PerArrayAdam, gae_direct
+from oracles import PerArrayAdam, gae_direct, serial_update
 from toyenvs import BanditEnv
 
 
@@ -401,6 +405,139 @@ def test_training_stats_csv(tmp_path):
     assert len(lines) == 4
     for row in tr.stats.rows:
         assert row["rollout_s"] > 0.0 and row["update_s"] > 0.0
+
+
+# ---- the update's two processes ----------------------------------------------
+
+def _update_state(seed=0):
+    """Small nets, their optimizers and an update stream."""
+    rng = np.random.default_rng(seed)
+    actor = MLP([STATE_DIM, 16, 16, N_ACTIONS], rng, out_gain=0.01)
+    critic = MLP([STATE_DIM, 16, 16, 1], rng)
+    return (actor, critic, Adam(actor.flat, 0.01), Adam(critic.flat, 0.01),
+            np.random.default_rng([seed, 1]))
+
+
+def _batch(actor, seed, T=16, N=8):
+    """A rollout batch of random states and returns, with actions and
+    log-probabilities drawn from ``actor``."""
+    rng = np.random.default_rng(seed)
+    states = rng.random((T, N, STATE_DIM))
+    logits, _ = actor.forward(states.reshape(T * N, -1))
+    probs, logp_all = softmax_and_log(logits)
+    actions = np.array([rng.choice(N_ACTIONS, p=p) for p in probs])
+    log_probs = logp_all[np.arange(T * N), actions] + rng.normal(
+        scale=0.1, size=T * N)
+    batch = ppo.RolloutBatch(states, actions.reshape(T, N), rng.random((T, N)),
+                             np.zeros((T, N)), log_probs.reshape(T, N))
+    batch.advantages = rng.normal(size=(T, N))
+    batch.returns = rng.normal(size=(T, N))
+    return batch
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@contextlib.contextmanager
+def _no_child_or_fd_left(seconds=60):
+    """Fails, rather than hangs, if the block takes over ``seconds``; after
+    it, no child process is left unreaped and no file descriptor open."""
+    def timeout(*_):
+        raise TimeoutError("update did not return")
+    fds = len(os.listdir("/proc/self/fd"))
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("cpus,thread", [(2, False), (1, False), (2, True)],
+                         ids=["forked", "one-cpu", "other-thread"])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("minibatch_size", [64, 7, 200])
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_update_equals_the_serial_loop(monkeypatch, cpus, thread, epochs,
+                                       minibatch_size, entropy_coef,
+                                       normalize):
+    # the batch holds 128 samples: 64 divides it, 7 does not, 200 exceeds it
+    cfg = PPOConfig(epochs=epochs, minibatch_size=minibatch_size,
+                    entropy_coef=entropy_coef, normalize_advantages=normalize)
+    ours = _update_state()
+    want = copy.deepcopy(ours)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(threading, "active_count", lambda: 1 + thread)
+    with _no_child_or_fd_left():
+        for k in range(2):
+            batch = _batch(want[0], seed=k)
+            expected = serial_update(*want[:4], batch, cfg, want[4])
+            got = ppo.update(*ours[:4], batch, cfg, ours[4])
+            assert list(got.items()) == list(expected.items())
+    assert len(forks) == (0 if cpus == 1 or thread else 2)
+    for a, b in zip(ours[:2], want[:2]):
+        assert a.flat.tobytes() == b.flat.tobytes()
+    for a, b in zip(ours[2:4], want[2:4]):
+        assert (a.m.tobytes(), a.v.tobytes(), a.t) == \
+            (b.m.tobytes(), b.v.tobytes(), b.t)
+    assert ours[4].bit_generator.state == want[4].bit_generator.state
+
+
+def test_a_critic_error_in_the_child_is_raised_with_its_type(monkeypatch):
+    actor, critic, actor_opt, critic_opt, rng = _update_state()
+    batch = _batch(actor, seed=0)
+    critic.W[0][0, 0] = np.nan
+    _cpus(monkeypatch, 2)
+    with _no_child_or_fd_left():
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ppo.update(actor, critic, actor_opt, critic_opt, batch,
+                       PPOConfig(), rng)
+
+
+def test_a_killed_child_raises_instead_of_hanging(monkeypatch):
+    parent = os.getpid()
+    step = ppo.critic_loss_and_grad
+
+    def die_in_the_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return step(*args)
+
+    monkeypatch.setattr(ppo, "critic_loss_and_grad", die_in_the_child)
+    _cpus(monkeypatch, 2)
+    actor, critic, actor_opt, critic_opt, rng = _update_state()
+    with _no_child_or_fd_left():
+        with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
+            ppo.update(actor, critic, actor_opt, critic_opt,
+                       _batch(actor, seed=0), PPOConfig(), rng)
+
+
+def test_an_actor_error_reaps_the_child(monkeypatch):
+    calls = []
+    step = ppo.actor_loss_and_grad
+
+    def fail_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("actor step failed")
+        return step(*args)
+
+    monkeypatch.setattr(ppo, "actor_loss_and_grad", fail_second)
+    _cpus(monkeypatch, 2)
+    actor, critic, actor_opt, critic_opt, rng = _update_state()
+    with _no_child_or_fd_left():
+        with pytest.raises(ValueError, match="actor step failed"):
+            ppo.update(actor, critic, actor_opt, critic_opt,
+                       _batch(actor, seed=0), PPOConfig(), rng)
 
 
 # sha256 of the flat parameters and the stats rows after 3 updates, recorded

@@ -18,7 +18,8 @@ from sodfeeder.cli import main
 from sodfeeder.corridor import MAX_NODES, CorridorSpec
 from sodfeeder.costs import RANGES, check_types
 from sodfeeder.demand import DemandProfile
-from sodfeeder.dispatch import DispatchConfig
+from sodfeeder.dispatch import DispatchConfig, PolicyKind
+from sodfeeder.experiments import run_simulation
 from sodfeeder.scenario import (MAX_DEPARTURES, MAX_ENVS, MAX_EPOCHS,
                                 MAX_FIXED_STOPS, MAX_HIDDEN_UNITS,
                                 MAX_REQUESTS, MAX_SEEDS, MAX_STEPS,
@@ -330,6 +331,17 @@ def _fields(data, prefix=""):
 
 
 FIELDS = sorted(_fields(Scenario().to_dict()))
+
+
+def _edited(edits):
+    """``Scenario().to_dict()`` with each (dotted field, value) edit set."""
+    data = Scenario().to_dict()
+    for name, value in edits:
+        section, _, key = name.rpartition(".")
+        (data[section] if section else data)[key] = value
+    return data
+
+
 EDIT_VALUES = [NAN, INF, -INF, 0, -1, 1e-9, 1e12, 10**12, True, "abc"]
 
 
@@ -347,12 +359,8 @@ EDIT_VALUES = [NAN, INF, -INF, 0, -1, 1e-9, 1e12, 10**12, True, "abc"]
 @example(edits=[("ppo.n_envs", 10**12)])
 @example(edits=[("ppo.epochs", 10**12)])
 def test_an_edited_config_names_a_field_or_builds_within_the_caps(edits):
-    data = Scenario().to_dict()
-    for name, value in edits:
-        section, _, key = name.rpartition(".")
-        (data[section] if section else data)[key] = value
     try:
-        sc = Scenario.from_dict(data)
+        sc = Scenario.from_dict(_edited(edits))
     except ValueError as exc:
         assert any(re.search(r"\b%s\b" % re.escape(name), str(exc))
                    for name, _ in edits), (edits, str(exc))
@@ -374,3 +382,28 @@ def test_an_edited_config_names_a_field_or_builds_within_the_caps(edits):
     assert sc.ppo.hidden_units <= MAX_HIDDEN_UNITS
     assert sc.ppo.n_envs <= MAX_ENVS
     assert sc.ppo.epochs <= MAX_EPOCHS
+
+
+# three edits that the property above accepts in its derandomized draws: a
+# corridor without side depth, no capacity or walking limit, and a dwell of
+# 10**12 s per rider
+ACCEPTED_EDITS = [
+    [("corridor.side_depth", 1e-9), ("ppo.discount", 1e-9)],
+    [("capacity", 10**12), ("demand.walk_cap", 10**12)],
+    [("dwell_per_pax", 10**12)],
+]
+
+
+@pytest.mark.parametrize("edits", ACCEPTED_EDITS,
+                         ids=["side-depth", "capacity", "dwell"])
+def test_an_accepted_edit_runs_each_baseline_to_its_horizon(edits):
+    data = _edited(edits)
+    data.update(horizon=1800.0, warmup=600.0)
+    sc = Scenario.from_dict(data)
+    for kind in (PolicyKind.FIXED_ROUTE, PolicyKind.SOD,
+                 PolicyKind.NOMINAL_ZONAL):
+        m, world = run_simulation(sc, kind, 0)
+        assert world.now == sc.horizon
+        assert m.served + m.rejected + m.pending == m.generated > 0
+        assert all(map(math.isfinite, m.components()))
+        assert math.isfinite(m.total_cost)
