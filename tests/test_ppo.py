@@ -435,8 +435,10 @@ def _batch(actor, seed, T=16, N=8):
     return batch
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+def _machine(monkeypatch, cpus, threads=1):
+    """Make ``update`` see ``cpus`` CPUs and ``threads`` Python threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
 
 
 @contextlib.contextmanager
@@ -475,8 +477,7 @@ def test_update_equals_the_serial_loop(monkeypatch, cpus, thread, epochs,
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    _cpus(monkeypatch, cpus)
-    monkeypatch.setattr(threading, "active_count", lambda: 1 + thread)
+    _machine(monkeypatch, cpus, 1 + thread)
     with _no_child_or_fd_left():
         for k in range(2):
             batch = _batch(want[0], seed=k)
@@ -496,7 +497,7 @@ def test_a_critic_error_in_the_child_is_raised_with_its_type(monkeypatch):
     actor, critic, actor_opt, critic_opt, rng = _update_state()
     batch = _batch(actor, seed=0)
     critic.W[0][0, 0] = np.nan
-    _cpus(monkeypatch, 2)
+    _machine(monkeypatch, 2)
     with _no_child_or_fd_left():
         with pytest.raises(FloatingPointError, match="non-finite"):
             ppo.update(actor, critic, actor_opt, critic_opt, batch,
@@ -513,7 +514,7 @@ def test_a_killed_child_raises_instead_of_hanging(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(ppo, "critic_loss_and_grad", die_in_the_child)
-    _cpus(monkeypatch, 2)
+    _machine(monkeypatch, 2)
     actor, critic, actor_opt, critic_opt, rng = _update_state()
     with _no_child_or_fd_left():
         with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
@@ -532,7 +533,7 @@ def test_an_actor_error_reaps_the_child(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(ppo, "actor_loss_and_grad", fail_second)
-    _cpus(monkeypatch, 2)
+    _machine(monkeypatch, 2)
     actor, critic, actor_opt, critic_opt, rng = _update_state()
     with _no_child_or_fd_left():
         with pytest.raises(ValueError, match="actor step failed"):
