@@ -45,6 +45,9 @@ class Request:
     origin: int
     destination: int
     state: RequestState = RequestState.PENDING
+    # the Segment of the non-terminus end (0 regular, 1 zone 1, 2 zone 2);
+    # the World.requests setter writes it
+    category: int | None = None
     # filled by matching (the service plan, by resolve_service_plan) and by
     # the simulation
     vehicle: int | None = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .costs import check_types
-from .fleet import FleetClass, VehicleStatus
+from .fleet import _AT_TERMINUS, FleetClass
 
 
 class PolicyKind(Enum):
@@ -41,11 +41,6 @@ class DispatchConfig:
         check_types(self, "dispatch.", positive=(
             "full_headway", "reserved_headway", "nominal_period"),
             non_negative=("nominal_offset",))
-
-
-# looked up once: enum member access is slow, and _dispatch compares it for
-# every vehicle
-_AT_TERMINUS = VehicleStatus.AT_TERMINUS
 
 
 class DispatchController:

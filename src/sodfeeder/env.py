@@ -25,17 +25,13 @@ import numpy as np
 
 from .demand import forecast_demand, segment_shares
 from .dispatch import DispatchController, PolicyKind
-from .fleet import FleetClass, VehicleStatus
+from .fleet import _AT_TERMINUS, _CONTROLLABLE
 from .matching import match_step
 from .scenario import build_world
 
 STATE_LAYOUT_VERSION = "sod-state-v1"
 STATE_DIM = 18
 N_ACTIONS = 4
-
-# looked up once: enum member access is slow, and observe runs every step
-_AT_TERMINUS = VehicleStatus.AT_TERMINUS
-_CONTROLLABLE = FleetClass.CONTROLLABLE
 
 
 def scenario_fingerprint(scenario):
@@ -50,15 +46,6 @@ def scenario_fingerprint(scenario):
         "flex_window": scenario.limits.flex_window,
         "norm": dataclasses.asdict(scenario.norm),
     }
-
-
-def bounds(ranges):
-    """Arrays ``lo`` and ``hi - lo`` of a list of (min, max) ranges."""
-    lo = np.array([r[0] for r in ranges], dtype=float)
-    hi = np.array([r[1] for r in ranges], dtype=float)
-    if np.any(hi <= lo):
-        raise ValueError("every range needs min < max")
-    return lo, hi - lo
 
 
 class ZonalDispatchEnv:
@@ -85,8 +72,9 @@ class ZonalDispatchEnv:
             + [(0.0, n.time_cap)] * 3
             + [(0.0, n.forecast_cap)] * 3
         )
-        lo, span = bounds(self.ranges)
-        self._bounds = list(zip(lo.tolist(), span.tolist()))
+        # (lo, hi - lo) per feature, as floats whatever real a cap is given as
+        self._bounds = [(float(lo), float(hi) - float(lo))
+                        for lo, hi in self.ranges]
         self._seg_shares = segment_shares(self.net, scenario.demand)
 
     def reset(self, seed):
@@ -160,13 +148,9 @@ class ZonalDispatchEnv:
             else:
                 commit[v.zone] += remaining
 
-        # the category of a request is the segment of its non-terminus end
-        labels = w.net.labels
-        term = w.net.terminus
         unassigned = [0, 0, 0]
         for r in w.pending_requests():
-            unassigned[labels[r.destination if r.origin == term
-                              else r.origin]] += 1
+            unassigned[r.category] += 1
 
         forecast = forecast_demand(self.scenario.demand,
                                    self.scenario.horizon, now, 900.0)

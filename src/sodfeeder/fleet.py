@@ -68,21 +68,23 @@ class Vehicle:
     dist_metric: float = 0.0         # m driven after the warm-up cutoff
     deployed_metric: float = 0.0     # s deployed after the warm-up cutoff
 
-    def free_insert_min(self):
-        """Smallest schedule index a newly inserted stop may take."""
-        if self.status == VehicleStatus.BOARDING:
-            return 1
-        return self.next_idx + 1
-
     def free_stop_min(self):
-        """Smallest existing stop index whose board/alight lists may change."""
-        if self.status == VehicleStatus.BOARDING:
+        """Smallest existing stop index whose board/alight lists may change;
+        a newly inserted stop goes after it."""
+        if self.status is _BOARDING:
             return 0
         return self.next_idx
 
 
-# looked up once: enum member access is slow, and stop_dwell runs for every
-# stop of every candidate schedule
+# the hot loops' enum members, looked up once here and imported elsewhere:
+# a member read costs about 90 ns more than a global's (99 against 7 ns by
+# timeit, CPython 3.11), paid per stop, event or vehicle compared
+_AT_TERMINUS = VehicleStatus.AT_TERMINUS
+_BOARDING = VehicleStatus.BOARDING
+_EN_ROUTE = VehicleStatus.EN_ROUTE
+_CONTROLLABLE = FleetClass.CONTROLLABLE
+_FIXED = StopKind.FIXED
+_TERMINUS_ARRIVE = StopKind.TERMINUS_ARRIVE
 _FULL_DWELL_KINDS = (StopKind.FIXED, StopKind.FLEX)
 
 

@@ -28,12 +28,12 @@ count of dispatches at which a pending request last found no candidate.  If
 it has not moved, the request stays pending unexamined; if it has, only
 vehicles dispatched after the memo are examined.  Sound because between
 dispatches a vehicle (so its zone) only loses placements.  Advancing it
-raises ``free_insert_min``/``free_stop_min`` and ends its boarding, and the
-placements left rebuild to the same times.  An insertion adds a stop or a
-rider, no stop after boarding idles, shortest-path times obey the triangle
-inequality and a rider never joins an existing flex stop, so each placement
-on the new schedule has one on the old with no later pickup or dropoff, no
-longer ride, no wider window span and no higher load.  Float round-off
+raises ``free_stop_min`` and ends its boarding, and the placements left
+rebuild to the same times.  An insertion adds a stop or a rider, no stop
+after boarding idles, shortest-path times obey the triangle inequality and
+a rider never joins an existing flex stop, so each placement on the new
+schedule has one on the old with no later pickup or dropoff, no longer
+ride, no wider window span and no higher load.  Float round-off
 (1.1e-13 s in the triangle inequality on the default corridor, a few ulps in
 a ride or span, a difference of two times) can only undo a miss by a hair: a
 try that built a placement missing its time bounds by less than
@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from .corridor import Segment
 from .costs import EPS
 from .demand import RequestState
-from .fleet import Stop, StopKind, VehicleStatus, retime, walk
+from .fleet import _BOARDING, _FIXED, Stop, StopKind, retime, walk
 
 # s; the window screen's allowance for float round-off in its bound, which
 # stays near 1e-11 s over a 3-hour horizon
@@ -87,11 +87,6 @@ SCREEN_MARGIN = 1e-6
 # $; the rank shortcut's allowance for float round-off in its estimate, which
 # stays below 1e-13 $ on the default corridor
 RANK_MARGIN = 1e-6
-
-# looked up once: enum member access is slow, and the screens compare them
-# for every vehicle and stop
-_BOARDING = VehicleStatus.BOARDING
-_FIXED = StopKind.FIXED
 
 
 @dataclass
@@ -156,18 +151,6 @@ def resolve_service_plan(world, request, walk_speed, walk_cap):
     request.served_at_fixed_stop = snapped
     request.direct_time = net.travel_time(pickup, dropoff)
     return True
-
-
-def _serving_zones(world, request):
-    """The vehicle zone assignments that may serve the request: all three,
-    unless its non-terminus end is served door to door in zone k, which
-    leaves 0 (all zones) and k."""
-    term = world.net.terminus
-    node = (request.dropoff_node if request.pickup_node == term
-            else request.pickup_node)
-    if node == term or node in world.fixed_stop_set:
-        return (0, 1, 2)
-    return (0, 1) if world.net.labels[node] == Segment.ZONE1 else (0, 2)
 
 
 def _cost_terms(world, planned, distance, slack=None):
@@ -235,7 +218,6 @@ def _ranked_placements(world, request, since=-1):
     term = net.terminus
     outbound = request.pickup_node == term
     node = request.dropoff_node if outbound else request.pickup_node
-    zones = _serving_zones(world, request)
     p = world.params
     c = p.coeffs
     lim = p.limits
@@ -253,6 +235,9 @@ def _ranked_placements(world, request, since=-1):
     per_pax = p.dwell_per_pax
     at_terminus = node == term      # both ends snapped to the terminus
     at_fixed = node in world.fixed_stop_set
+    # a rider served at the terminus or a fixed stop rides with any zone;
+    # one served door to door in zone k (its category) with zones 0 and k
+    zones = (0, 1, 2) if at_terminus or at_fixed else (0, request.category)
     k = len(world.fixed_stop_nodes)
     out = []
     for v in world.vehicles:
@@ -280,7 +265,7 @@ def _ranked_placements(world, request, since=-1):
             if span0 + dwell > span_limit:
                 continue
             places = []
-            for pos in range(max(k + 1, v.free_insert_min()), close + 1):
+            for pos in range(max(k, v.free_stop_min()) + 1, close + 1):
                 prev = sched[pos - 1]
                 from_a = times[prev.node]
                 b = sched[pos].node
@@ -426,7 +411,7 @@ def match_step(world, *, walk_speed, walk_cap):
         world.set_schedule(v, best.schedule)
         v.terms = best.terms
         req.transition(RequestState.ASSIGNED)
-        world.open_processes[world.category_of(req)] += 2
+        world.open_processes[req.category] += 2
         req.vehicle = v.id
         rep.assigned.append((req.id, v.id))
     return rep

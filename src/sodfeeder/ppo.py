@@ -138,7 +138,6 @@ class RolloutBatch:
     states: np.ndarray       # (T, N, obs_dim)
     actions: np.ndarray      # (T, N)
     rewards: np.ndarray      # (T, N)
-    dones: np.ndarray        # (T, N)
     log_probs: np.ndarray    # (T, N), recorded at sampling time
     advantages: np.ndarray = None
     returns: np.ndarray = None
@@ -194,7 +193,7 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
         obs = np.array([s[0] for s in steps])
 
     last_vals, _ = critic.forward(obs)
-    batch = RolloutBatch(states, actions, rewards, dones, log_probs)
+    batch = RolloutBatch(states, actions, rewards, log_probs)
     batch.advantages, batch.returns = compute_gae(
         rewards, values, dones, last_vals[:, 0], config.discount,
         config.gae_lambda)
@@ -215,23 +214,11 @@ def critic_steps(critic, critic_opt, states, returns, minibatches):
     return losses
 
 
-def _critic_payload(critic, critic_opt, states, returns, minibatches):
-    """What the forked critic process sends back, pickled: (None, its
-    parameters, Adam moments and value losses), or (the exception that its
-    steps raised, None)."""
-    try:
-        losses = critic_steps(critic, critic_opt, states, returns,
-                              minibatches)
-    except BaseException as exc:
-        return pickle.dumps((exc, None))
-    return pickle.dumps(
-        (None, (critic.flat, critic_opt.m, critic_opt.v, losses)))
-
-
-def _fork_critic(critic, critic_opt, states, returns, minibatches):
-    """Fork a process that runs ``critic_steps`` and writes its results to a
-    pipe; returns (pid, read end).  The child never returns: it exits with
-    status 0 once it has written them, with 1 if it could not."""
+def _fork(fn):
+    """Fork a process that runs ``fn`` and writes to a pipe, pickled, (None,
+    its result) or (the exception it raised, None); returns (pid, read end).
+    The child never returns: it exits with status 0 once it has written,
+    with 1 if it could not."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -245,9 +232,12 @@ def _fork_critic(critic, critic_opt, states, returns, minibatches):
     code = 1
     try:
         os.close(r)
+        try:
+            payload = pickle.dumps((None, fn()))
+        except BaseException as exc:
+            payload = pickle.dumps((exc, None))
         with os.fdopen(w, "wb") as f:
-            f.write(_critic_payload(critic, critic_opt, states, returns,
-                                    minibatches))
+            f.write(payload)
         code = 0
     finally:
         os._exit(code)
@@ -262,10 +252,10 @@ def _reap(pid, r, kill):
     return os.waitpid(pid, 0)[1]
 
 
-def _join_critic(pid, r):
-    """Read the forked critic's results, reap it and return what it sent;
-    raises the child's exception, or ``RuntimeError`` if it died without
-    sending a result."""
+def _join(pid, r):
+    """Read what the forked process sent, reap it and return its result;
+    raises its exception, or ``RuntimeError`` if it died without sending
+    one."""
     chunks = []
     try:
         while chunk := os.read(r, 1 << 16):
@@ -273,13 +263,12 @@ def _join_critic(pid, r):
     except BaseException:
         _reap(pid, r, kill=True)
         raise
-    status = _reap(pid, r, kill=False)
-    if os.WIFSIGNALED(status):
-        raise RuntimeError("the critic's update process was killed by "
-                           "signal %d" % os.WTERMSIG(status))
-    if os.WEXITSTATUS(status) != 0:
-        raise RuntimeError("the critic's update process exited with status "
-                           "%d" % os.WEXITSTATUS(status))
+    code = os.waitstatus_to_exitcode(_reap(pid, r, kill=False))
+    if code < 0:
+        raise RuntimeError("the forked process was killed by signal %d"
+                           % -code)
+    if code:
+        raise RuntimeError("the forked process exited with status %d" % code)
     exc, result = pickle.loads(b"".join(chunks))
     if exc is not None:
         raise exc
@@ -313,8 +302,9 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
     # held at the fork would stay held in it: fork only without other threads
     child = None
     if len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1:
-        child = _fork_critic(critic, critic_opt, states, returns,
-                             minibatches)
+        child = _fork(lambda: (
+            critic_steps(critic, critic_opt, states, returns, minibatches),
+            critic.flat, critic_opt.m, critic_opt.v))
     try:
         actor_stats = []
         for idx in minibatches:
@@ -331,10 +321,9 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
         value_losses = critic_steps(critic, critic_opt, states, returns,
                                     minibatches)
     else:
-        flat, m, v, value_losses = _join_critic(*child)
-        critic.flat[...] = flat
-        critic_opt.m[...] = m
-        critic_opt.v[...] = v
+        # in place: critic_opt.params and the W and b views share critic.flat
+        (value_losses, critic.flat[...], critic_opt.m[...],
+         critic_opt.v[...]) = _join(*child)
         critic_opt.t += len(minibatches)
     return {
         "value_loss": float(np.mean(value_losses)),
@@ -365,25 +354,37 @@ def save_checkpoint(path, actor, critic, config, scenario):
 def load_checkpoint(path, scenario):
     """Read the nets back for ``scenario``.  A checkpoint written for another
     state layout is refused, and so is one whose embedded fingerprint differs
-    from the scenario's (or that has none)."""
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    if meta["layout_version"] != CHECKPOINT_VERSION:
-        raise ValueError(
-            "checkpoint layout %r does not match expected %r"
-            % (meta["layout_version"], CHECKPOINT_VERSION))
-    want = json.loads(json.dumps(scenario_fingerprint(scenario)))
-    got = meta.get("scenario") or {}
-    differ = [k for k in want if got.get(k) != want[k]]
-    if differ:
-        raise ValueError("checkpoint %s does not match the scenario's %s"
-                         % (path, ", ".join(differ)))
-    rng = np.random.default_rng(0)
-    actor = MLP(meta["actor_sizes"], rng)
-    critic = MLP(meta["critic_sizes"], rng)
-    for name, net in (("actor", actor), ("critic", critic)):
-        for i, p in enumerate(net.params):
-            p[...] = data["%s_%d" % (name, i)]
+    from the scenario's (or that has none), one without a ``meta`` entry or
+    whose ``meta`` is not a JSON object, and one without a layer of the
+    shape that the sizes in its ``meta`` give."""
+    with np.load(path, allow_pickle=False) as data:
+        if "meta" not in data:
+            raise ValueError("checkpoint %s has no meta entry" % path)
+        meta = json.loads(str(data["meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError("checkpoint %s: meta is not a JSON object" % path)
+        if meta.get("layout_version") != CHECKPOINT_VERSION:
+            raise ValueError(
+                "checkpoint layout %r does not match expected %r"
+                % (meta.get("layout_version"), CHECKPOINT_VERSION))
+        want = json.loads(json.dumps(scenario_fingerprint(scenario)))
+        got = meta.get("scenario") or {}
+        differ = [k for k in want if got.get(k) != want[k]]
+        if differ:
+            raise ValueError("checkpoint %s does not match the scenario's %s"
+                             % (path, ", ".join(differ)))
+        rng = np.random.default_rng(0)
+        actor = MLP(meta["actor_sizes"], rng)
+        critic = MLP(meta["critic_sizes"], rng)
+        for name, net in (("actor", actor), ("critic", critic)):
+            for i, p in enumerate(net.params):
+                key = "%s_%d" % (name, i)
+                value = data.get(key)
+                if value is None or value.shape != p.shape:
+                    raise ValueError(
+                        "checkpoint %s has no %s entry of shape %s, which "
+                        "the sizes in its meta give" % (path, key, p.shape))
+                p[...] = value
     return actor, critic, meta
 
 

@@ -12,13 +12,8 @@ from dataclasses import dataclass, field
 
 from .costs import EPS
 from .demand import RequestState
-from .fleet import FleetClass, Stop, StopKind, Vehicle, VehicleStatus, retime
-
-# looked up once: enum member access is slow, and the step loop compares
-# them for every event
-_BOARDING = VehicleStatus.BOARDING
-_EN_ROUTE = VehicleStatus.EN_ROUTE
-_TERMINUS_ARRIVE = StopKind.TERMINUS_ARRIVE
+from .fleet import (_BOARDING, _EN_ROUTE, _TERMINUS_ARRIVE, FleetClass, Stop,
+                    StopKind, Vehicle, VehicleStatus, retime)
 
 
 @dataclass
@@ -34,7 +29,8 @@ class World:
 
     ``params`` holds the ``Scenario`` the world runs under.  ``requests``
     must be feeder trips (one end at the terminus) sorted by request time
-    with ids 0..n-1 in list order, and each vehicle's id is its index in
+    with ids 0..n-1 in list order; setting them is the one writer of each
+    request's ``category``.  Each vehicle's id is its index in
     ``vehicles``; the clock ``now`` only moves forward.  Every schedule
     change goes through ``set_schedule``.  ``dispatches`` counts the calls
     of ``dispatch_vehicle``, which stamps the vehicle with the count, and
@@ -96,6 +92,7 @@ class World:
     def requests(self, requests):
         requests = list(requests)
         term = self.net.terminus
+        labels = self.net.labels
         open_processes = [0, 0, 0]
         for i, r in enumerate(requests):
             if r.id != i:
@@ -111,10 +108,12 @@ class World:
             if r.origin == r.destination == term:
                 raise ValueError("request %d: both endpoints are the "
                                  "terminus %d" % (i, term))
+            r.category = labels[r.destination if r.origin == term
+                                else r.origin]
             if r.state is RequestState.ASSIGNED:
-                open_processes[self.category_of(r)] += 2
+                open_processes[r.category] += 2
             elif r.state is RequestState.RIDING:
-                open_processes[self.category_of(r)] += 1
+                open_processes[r.category] += 1
         self._requests = requests
         self.open_processes = open_processes
         self._seen = 0        # requests[:_seen] have become visible
@@ -132,13 +131,6 @@ class World:
         self._pending = [r for r in pending
                          if r.state is RequestState.PENDING]
         return list(self._pending)
-
-    def category_of(self, request):
-        """Request service category (0 regular, 1 zone 1, 2 zone 2): the
-        ``Segment`` of its non-terminus endpoint, an int of that value."""
-        node = (request.destination if request.origin == self.net.terminus
-                else request.origin)
-        return self.net.labels[node]
 
     # ---- schedules ---------------------------------------------------------
 
@@ -276,7 +268,7 @@ class World:
     def _board(self, v, rid, t, rep):
         req = self.requests[rid]
         req.transition(RequestState.RIDING)
-        self.open_processes[self.category_of(req)] -= 1
+        self.open_processes[req.category] -= 1
         req.pickup_time = t
         v.onboard.append(rid)
         rep.boardings += 1
@@ -286,7 +278,7 @@ class World:
     def _alight(self, v, rid, t, rep):
         req = self.requests[rid]
         req.transition(RequestState.SERVED)
-        self.open_processes[self.category_of(req)] -= 1
+        self.open_processes[req.category] -= 1
         req.dropoff_time = t
         v.onboard.remove(rid)
         rep.alightings += 1

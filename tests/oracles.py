@@ -139,6 +139,14 @@ def oracle_window(stops):
 
 # ---- observation oracle ------------------------------------------------------
 
+def oracle_category(world, request):
+    """A request's category: the network label of the one end that is not
+    the terminus."""
+    term = world.net.terminus
+    (node,) = [n for n in (request.origin, request.destination) if n != term]
+    return world.net.labels[node]
+
+
 def oracle_observe(env):
     """``ZonalDispatchEnv.observe`` as first written: separate counts over
     the vehicles and over ``available_vehicles(world)``, commitments added
@@ -154,7 +162,7 @@ def oracle_observe(env):
 
     unassigned = [0.0, 0.0, 0.0]
     for r in w.pending_requests():
-        unassigned[w.category_of(r)] += 1
+        unassigned[oracle_category(w, r)] += 1
 
     commit = [0.0, 0.0, 0.0]
     for v in w.vehicles:

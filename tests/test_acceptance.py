@@ -356,7 +356,7 @@ def test_criterion_11_flexible_area_access_time(trained):
         world = run_simulation(sc, kind, seed, actor=trained.actor)[1]
         vals = [r.access_time for r in world.requests
                 if r.state is RequestState.SERVED
-                and world.category_of(r) in (Segment.ZONE1, Segment.ZONE2)]
+                and r.category in (Segment.ZONE1, Segment.ZONE2)]
         return vals
 
     seeds = range(5)

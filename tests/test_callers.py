@@ -6,8 +6,10 @@ function or class (methods included, dunders not) counts as used when some
 a use, so ``__init__``'s re-exports do not count.  A name that only tests,
 demos or the bench harness use either moves out of ``src`` or gets an entry
 in ``ALLOWED`` with its reason.  The scan also fails on an import that its
-module never uses, and on a module other than ``econ.py`` that imports
-``csv``: ``econ.write_table`` is the one writer of the program's tables.
+module never uses, on a module other than ``econ.py`` that imports
+``csv`` (``econ.write_table`` is the one writer of the program's tables),
+and on a second module-level alias of one enum member, or one outside the
+enum's own module: each alias has one home, beside its enum.
 
 Nor may ``src`` keep write-only state: every attribute that a class stores
 (an assignment to ``self.X`` in a method, or a field of a dataclass that is
@@ -38,8 +40,6 @@ ALLOWED = {
 OUTSIDE_READERS = {
     "World.lateness_skips": "bench/tracer.py counts the skipped dispatches "
                             "of each step with it",
-    "RolloutBatch.dones": "test_ppo.py checks that only the last step of a "
-                          "rollout ends its episode",
     "Request.vehicle": "the bench audit and the tests check each rider's "
                        "vehicle with it",
 }
@@ -122,6 +122,39 @@ def test_only_econ_imports_csv():
                         for node in ast.walk(tree) if _imports_csv(node)})
     assert importers == ["econ.py"], (
         "write tables with econ.write_table, not csv: %s" % importers)
+
+
+def _enum_aliases(trees):
+    """``(aliases, homes)``: ``(enum, member) -> ["module:line NAME", ...]``
+    over every module-level ``NAME = Enum.MEMBER`` of a ``src`` enum, and
+    each enum's module."""
+    homes = {cls.name: fname for fname, tree in trees.items()
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             and any(getattr(b, "id", None) in ("Enum", "IntEnum")
+                     for b in cls.bases)}
+    aliases = {}
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Attribute)
+                    and getattr(node.value.value, "id", None) in homes):
+                continue
+            key = (node.value.value.id, node.value.attr)
+            for target in node.targets:
+                aliases.setdefault(key, []).append("%s:%d %s" % (
+                    fname, node.lineno, getattr(target, "id", "?")))
+    return aliases, homes
+
+
+def test_each_enum_alias_has_one_home():
+    aliases, homes = _enum_aliases(_trees())
+    assert {"StopKind", "VehicleStatus", "FleetClass"} <= set(homes)
+    misplaced = {"%s.%s" % key: where for key, where in aliases.items()
+                 if len(where) > 1
+                 or not where[0].startswith(homes[key[0]] + ":")}
+    assert not misplaced, (
+        "alias each enum member once, in its enum's module, and import the "
+        "alias from there: %s" % misplaced)
 
 
 def _mutable_dataclass(cls):

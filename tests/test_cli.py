@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from sodfeeder import env, experiments
@@ -165,6 +166,24 @@ def test_bad_run_size_fails_before_any_episode(args, field, tmp_path,
     assert rc == 1
     assert field in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--policy", "rl_zonal"],
+    ["compare", "--policies", "sod,rl_zonal", "--n-seeds", "1"],
+])
+def test_an_npz_that_is_not_a_checkpoint_is_one_error(command, tmp_path,
+                                                      fast_config, caplog):
+    bad = tmp_path / "x.npz"
+    np.savez(bad, weights=np.zeros(3))
+    with caplog.at_level(logging.ERROR, logger="sodfeeder"):
+        rc = main(command + ["--checkpoint", str(bad), "--config",
+                             fast_config, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].getMessage() == "checkpoint %s has no meta entry" % bad
+    assert "Traceback" not in caplog.text
 
 
 def test_compare_rl_requires_checkpoint(tmp_path, fast_config):

@@ -120,9 +120,10 @@ def test_an_episode_leaves_the_memoized_instance_untouched():
     assert len(again) == len(first.requests) > 0
     assert not {id(r) for r in again} & {id(r) for r in first.requests}
     # a new request equals one built from the drawn trip alone: PENDING,
-    # with no vehicle, times or service plan
-    assert again == [Request(r.id, r.t_r, r.origin, r.destination)
-                     for r in again]
+    # with no vehicle, times or service plan, and the category the world
+    # wrote
+    assert again == [Request(r.id, r.t_r, r.origin, r.destination,
+                             category=r.category) for r in again]
 
 
 def test_endpoint_weights_decay_with_walk_time(net):

@@ -12,7 +12,7 @@ from sodfeeder.env import (N_ACTIONS, STATE_DIM, STATE_LAYOUT_VERSION,
 from sodfeeder.fleet import FleetClass, VehicleStatus
 from sodfeeder.scenario import NormalizationRanges, Scenario
 
-from oracles import oracle_observe
+from oracles import oracle_category, oracle_observe
 from worldgen import (available_vehicles, denormalize, normalize, restore,
                       scenarios, snapshot)
 
@@ -246,9 +246,9 @@ def _scanned_processes(world):
     counts = [0, 0, 0]
     for r in world.requests:
         if r.state is RequestState.ASSIGNED:
-            counts[world.category_of(r)] += 2
+            counts[oracle_category(world, r)] += 2
         elif r.state is RequestState.RIDING:
-            counts[world.category_of(r)] += 1
+            counts[oracle_category(world, r)] += 1
     return counts
 
 

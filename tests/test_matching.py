@@ -414,10 +414,11 @@ def test_window_slack_of_one_dwell_still_accepts_the_insertion(ulps_under):
 
 
 def _count_window_looks(monkeypatch, counts):
-    # the window screen in _ranked_placements asks for free_insert_min once
-    # per window it looks into position by position, and nothing else in
-    # enumerate_candidates asks for it
-    _count_calls(monkeypatch, fleet.Vehicle, "free_insert_min", counts,
+    # the window screen in _ranked_placements asks for free_stop_min once per
+    # window it looks into position by position; a rider at a fixed stop
+    # (none here) asks too, and nothing else in enumerate_candidates does
+    # before a candidate is built
+    _count_calls(monkeypatch, fleet.Vehicle, "free_stop_min", counts,
                  "looks")
 
 

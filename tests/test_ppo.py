@@ -1,8 +1,10 @@
 import contextlib
 import copy
 import hashlib
+import json
 import os
 import pickle
+import re
 import signal
 import threading
 from dataclasses import replace
@@ -318,8 +320,8 @@ def test_rollout_shapes_and_reward_bookkeeping():
                              [0, 1, 2, 3], tr.action_rngs, tr.config)
     assert batch.states.shape == (16, 4, 2)
     assert batch.actions.shape == (16, 4)
-    assert np.all(batch.dones[-1] == 1.0)
-    assert np.all(batch.dones[:-1] == 0.0)
+    # each episode ends at the rollout's last step, not before
+    assert all(env.t == env.episode_len == 16 for env in tr.envs)
     assert batch.advantages.shape == (16, 4)
 
 
@@ -429,7 +431,7 @@ def _batch(actor, seed, T=16, N=8):
     log_probs = logp_all[np.arange(T * N), actions] + rng.normal(
         scale=0.1, size=T * N)
     batch = ppo.RolloutBatch(states, actions.reshape(T, N), rng.random((T, N)),
-                             np.zeros((T, N)), log_probs.reshape(T, N))
+                             log_probs.reshape(T, N))
     batch.advantages = rng.normal(size=(T, N))
     batch.returns = rng.normal(size=(T, N))
     return batch
@@ -610,6 +612,35 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, monkeypatch):
     np.savez(bare, meta='{"layout_version": "%s"}' % CHECKPOINT_VERSION)
     with pytest.raises(ValueError, match="state_layout, corridor"):
         load_checkpoint(bare, sc)
+
+
+def test_a_file_that_is_not_a_whole_checkpoint_is_refused(tmp_path):
+    # a missing entry, a meta that is not an object, or a layer whose shape
+    # the sizes in meta contradict is a ValueError that names the file and
+    # the entry
+    tr = make_trainer()
+    sc = Scenario()
+    path = tmp_path / "policy.npz"
+    save_checkpoint(path, tr.actor, tr.critic, tr.config, sc)
+    with np.load(path) as data:
+        good = dict(data)
+    shape = good["actor_2"].shape
+    broken = {
+        "no_meta": ({k: v for k, v in good.items() if k != "meta"},
+                    " has no meta entry"),
+        "list_meta": ({**good, "meta": "[1, 2]"},
+                      ": meta is not a JSON object"),
+        "no_layer": ({k: v for k, v in good.items() if k != "critic_5"},
+                     " has no critic_5 entry of shape (1,)"),
+        "short_layer": ({**good, "actor_2": good["actor_2"][:-1]},
+                        " has no actor_2 entry of shape %s" % (shape,)),
+    }
+    for name, (arrays, match) in broken.items():
+        bad = tmp_path / (name + ".npz")
+        np.savez(bad, **arrays)
+        with pytest.raises(ValueError, match=re.escape(str(bad) + match)):
+            load_checkpoint(bad, sc)
+    assert load_checkpoint(path, sc)[2] == json.loads(str(good["meta"]))
 
 
 def test_lr_annealing_schedule():

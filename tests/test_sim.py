@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sodfeeder
-from sodfeeder.corridor import Segment
 from sodfeeder.demand import Request, RequestState, generate_instance
 from sodfeeder.dispatch import DispatchController, PolicyKind
 from sodfeeder.env import N_ACTIONS, ZonalDispatchEnv
@@ -17,7 +16,7 @@ from sodfeeder.matching import match_step, schedule_cost_terms
 from sodfeeder.scenario import Scenario, build_world
 from sodfeeder.sim import World
 
-from oracles import oracle_window, rescan_advance_step
+from oracles import oracle_category, oracle_window, rescan_advance_step
 from worldgen import restore, scenarios, snapshot, walk_of
 
 
@@ -360,15 +359,20 @@ def test_world_rejects_a_terminus_to_terminus_request():
     assert w.requests == []
 
 
-def test_category_of():
-    w, _ = make_world(requests=[])
-    fixed_node = w.fixed_stop_nodes[0]
-    z1 = w.net.nearest_mainline_node(2000)
-    z2 = w.net.nearest_mainline_node(4000)
-    for i, node, cat in ((0, fixed_node, Segment.FIXED), (1, z1, Segment.ZONE1),
-                         (2, z2, Segment.ZONE2)):
-        assert w.category_of(Request(i, 0.0, 0, node)) == cat
-        assert w.category_of(Request(i, 0.0, node, 0)) == cat
+@given(sc=scenarios(), kind=st.sampled_from(list(PolicyKind)),
+       seed=st.integers(0, 10**4))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_every_request_carries_its_category(sc, kind, seed):
+    # a built world's requests, and the same trips reversed and set through
+    # the requests setter, each carry the label of their non-terminus end
+    world = build_world(sc, kind, seed)
+    assert all(r.category == oracle_category(world, r)
+               for r in world.requests)
+    reversed_trips = [Request(r.id, r.t_r, r.destination, r.origin)
+                      for r in world.requests]
+    world.requests = reversed_trips
+    assert all(r.category == oracle_category(world, r)
+               for r in reversed_trips)
 
 
 def test_advance_past_horizon_raises():

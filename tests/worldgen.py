@@ -12,7 +12,6 @@ from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.demand import Request
 from sodfeeder.dispatch import DispatchConfig, PolicyKind
-from sodfeeder.env import bounds
 from sodfeeder.fleet import VehicleStatus
 from sodfeeder.matching import match_step
 from sodfeeder.scenario import Scenario
@@ -115,6 +114,15 @@ def available_vehicles(world, fleet_class=None):
     if fleet_class is not None:
         out = [v for v in out if v.fleet_class == fleet_class]
     return out
+
+
+def bounds(ranges):
+    """Arrays ``lo`` and ``hi - lo`` of a list of (min, max) ranges."""
+    lo = np.array([r[0] for r in ranges], dtype=float)
+    hi = np.array([r[1] for r in ranges], dtype=float)
+    if np.any(hi <= lo):
+        raise ValueError("every range needs min < max")
+    return lo, hi - lo
 
 
 def normalize(raw, ranges):
