@@ -15,7 +15,7 @@ from sodfeeder.experiments import paired_bootstrap_ge_zero
 
 sc = Scenario()
 checkpoint = sys.argv[1] if len(sys.argv) > 1 else "demo_policy.npz"
-actor = load_checkpoint(checkpoint, sc)[0]
+actor = load_checkpoint(checkpoint, sc)
 seeds = replace(sc.seeds, eval_count=20).eval_seeds()
 policies = [PolicyKind.FIXED_ROUTE, PolicyKind.SOD,
             PolicyKind.NOMINAL_ZONAL, PolicyKind.RL_ZONAL]

@@ -42,9 +42,10 @@ def cmd_simulate(args):
         if not args.checkpoint:
             LOG.error("policy rl_zonal requires --checkpoint")
             return 2
-        actor = load_checkpoint(args.checkpoint, sc)[0]
+        actor = load_checkpoint(args.checkpoint, sc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    sc.to_yaml(out / "scenario.yaml")
     metrics, world = run_simulation(sc, kind, args.seed, actor=actor)
     write_metrics_csv([({"policy": kind.value, "seed": args.seed}, metrics)],
                       out / "metrics.csv")
@@ -66,6 +67,7 @@ def cmd_train(args):
         sc = replace(sc, ppo=replace(sc.ppo, n_envs=args.envs))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    sc.to_yaml(out / "scenario.yaml")
     ckpt = args.checkpoint or str(out / "policy.npz")
     train_rl(sc, out_checkpoint=ckpt,
              stats_path=str(out / "training_stats.csv"), seed=args.seed)
@@ -88,12 +90,13 @@ def cmd_compare(args):
         if not args.checkpoint:
             LOG.error("comparing rl_zonal requires --checkpoint")
             return 2
-        actor = load_checkpoint(args.checkpoint, sc)[0]
+        actor = load_checkpoint(args.checkpoint, sc)
     if args.seeds:
         seeds = [int(s) for s in Path(args.seeds).read_text().split()]
     else:
         seeds = sc.seeds.eval_seeds()
     compare(sc, policies, seeds, actor=actor, out_dir=args.out)
+    sc.to_yaml(Path(args.out) / "scenario.yaml")
     LOG.info("comparison written to %s", args.out)
     return 0
 
@@ -173,7 +176,7 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         LOG.error("%s", exc)
         return 1
 

@@ -130,13 +130,13 @@ class ZonalDispatchEnv:
         running = available = 0
         commit = [0.0, 0.0, 0.0]
         # a flexible cycle's window runs from stop k to stop len - 1 - k
-        k = None if w.fixed_only else len(w.fixed_stop_nodes)
+        k = len(w.fixed_stop_nodes)
         for v in w.vehicles:
             if v.status is not _AT_TERMINUS:
                 running += 1
             elif v.fleet_class is _CONTROLLABLE:
                 available += 1
-            if k is None or not v.schedule:
+            if not v.schedule:
                 continue
             open_dep = v.schedule[k].departure
             close_arr = v.schedule[-1 - k].arrival

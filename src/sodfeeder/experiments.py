@@ -47,8 +47,7 @@ def train_rl(scenario, out_checkpoint=None, stats_path=None, seed=0):
     seeds = scenario.seeds.train_seeds()
     trainer.train(seeds, max(1, len(seeds) // scenario.ppo.n_envs))
     if out_checkpoint:
-        save_checkpoint(out_checkpoint, trainer.actor, trainer.critic,
-                        scenario.ppo, scenario)
+        save_checkpoint(out_checkpoint, trainer.actor, scenario)
     if stats_path:
         trainer.stats.to_csv(stats_path)
     return trainer, trainer.stats

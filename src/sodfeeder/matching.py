@@ -258,8 +258,6 @@ def _ranked_placements(world, request, since=-1):
                       if sched[i].node == node and sched[i].kind is _FIXED]
         else:
             # the window screen (module docstring)
-            if world.fixed_only:
-                continue
             close = len(sched) - 1 - k
             span0 = sched[close].arrival - sched[k].departure
             if span0 + dwell > span_limit:

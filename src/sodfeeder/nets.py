@@ -56,13 +56,8 @@ class MLP:
         return [p for wb in zip(self.W, self.b) for p in wb]
 
     def forward(self, x):
-        """Returns (output, cache).  ``x`` is a batch of shape (batch, n_in)
-        or one input of shape (n_in,), which becomes a batch of one; lists
-        and integer arrays are converted to float.  The output has shape
-        (batch, n_out)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim < 2:
-            x = x.reshape(1, -1)
+        """Returns (output, cache) for ``x``, a float array of shape
+        (batch, n_in); the output has shape (batch, n_out)."""
         acts = [x]
         h = x
         for i in range(len(self.W) - 1):

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .econ import write_table
+from .env import N_ACTIONS, STATE_DIM, scenario_fingerprint
 from .env import STATE_LAYOUT_VERSION as CHECKPOINT_VERSION
-from .env import scenario_fingerprint
 from .nets import MLP, Adam, softmax_and_log
 
 
@@ -50,16 +50,14 @@ def gae_from_deltas(deltas, discount, lam, dones):
     return adv
 
 
-def compute_gae(rewards, values, dones, last_values, discount, lam):
-    """Advantages and value targets for a (T, N) rollout."""
-    rewards = np.asarray(rewards, dtype=float)
-    values = np.asarray(values, dtype=float)
-    dones = np.asarray(dones, dtype=float)
-    next_values = np.vstack([values[1:], np.atleast_2d(last_values)])
-    deltas = td_error(rewards, values, next_values, discount, dones)
-    adv = gae_from_deltas(deltas, discount, lam, dones)
-    returns = adv + values
-    return adv, returns
+def compute_gae(rewards, values, discount, lam):
+    """Advantages and value targets for (T, N) float arrays of a rollout
+    whose last step ends every episode, and no earlier step any: nothing is
+    bootstrapped past it, and the recursion starts from zero there."""
+    next_values = np.concatenate([values[1:], np.zeros_like(values[:1])])
+    deltas = td_error(rewards, values, next_values, discount, 0.0)
+    adv = gae_from_deltas(deltas, discount, lam, np.zeros(len(deltas)))
+    return adv, adv + values
 
 
 def clip_g(eps, adv):
@@ -164,8 +162,10 @@ def sample_action(probs, rngs):
 def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
                      action_rngs, config):
     """Run each environment ``n_steps`` from a fresh episode, sampling from
-    the current policy.  Environments are independent; results concatenate
-    deterministically by environment index."""
+    the current policy.  ``n_steps`` is the episode length, so every episode
+    ends at the last step and at no other, as ``compute_gae`` assumes.
+    Environments are independent; results concatenate deterministically by
+    environment index."""
     n_envs = len(envs)
     obs = np.array([env.reset(instance_seeds[i])
                     for i, env in enumerate(envs)])
@@ -173,7 +173,6 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
     states = np.zeros((n_steps, n_envs, obs_dim))
     actions = np.zeros((n_steps, n_envs), dtype=int)
     rewards = np.zeros((n_steps, n_envs))
-    dones = np.zeros((n_steps, n_envs))
     log_probs = np.zeros((n_steps, n_envs))
     values = np.zeros((n_steps, n_envs))
 
@@ -188,15 +187,12 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
         steps = [env.step(a) for env, a in zip(envs, acts)]
         actions[t] = acts
         rewards[t] = [s[1] for s in steps]
-        dones[t] = [s[2] for s in steps]
         log_probs[t] = logp_all[rows, acts]
         obs = np.array([s[0] for s in steps])
 
-    last_vals, _ = critic.forward(obs)
     batch = RolloutBatch(states, actions, rewards, log_probs)
     batch.advantages, batch.returns = compute_gae(
-        rewards, values, dones, last_vals[:, 0], config.discount,
-        config.gae_lambda)
+        rewards, values, config.discount, config.gae_lambda)
     return batch
 
 
@@ -335,57 +331,58 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
 
 # ---- checkpoints -----------------------------------------------------------
 
-def save_checkpoint(path, actor, critic, config, scenario):
-    """Write the nets, the state layout version and the fingerprint of the
-    ``scenario`` they were trained for, which ``load_checkpoint`` checks."""
-    meta = {
-        "layout_version": CHECKPOINT_VERSION,
-        "actor_sizes": actor.sizes,
-        "critic_sizes": critic.sizes,
-        "config": {k: v for k, v in vars(config).items()},
-        "scenario": scenario_fingerprint(scenario),
-    }
-    arrays = {"%s_%d" % (name, i): p
-              for name, net in (("actor", actor), ("critic", critic))
-              for i, p in enumerate(net.params)}
-    np.savez(path, meta=json.dumps(meta), **arrays)
+def save_checkpoint(path, actor, scenario):
+    """Write the actor: its parameters and, in ``meta``, its layer sizes,
+    the state layout version and the fingerprint of the ``scenario`` it was
+    trained for, which ``load_checkpoint`` checks."""
+    meta = {"layout_version": CHECKPOINT_VERSION, "sizes": actor.sizes,
+            "scenario": scenario_fingerprint(scenario)}
+    np.savez(path, meta=json.dumps(meta), actor=actor.flat)
 
 
 def load_checkpoint(path, scenario):
-    """Read the nets back for ``scenario``.  A checkpoint written for another
-    state layout is refused, and so is one whose embedded fingerprint differs
-    from the scenario's (or that has none), one without a ``meta`` entry or
-    whose ``meta`` is not a JSON object, and one without a layer of the
-    shape that the sizes in its ``meta`` give."""
+    """The actor saved at ``path``, for ``scenario``.  Every check below
+    runs before a net is built, and each refusal is a ``ValueError`` that
+    names the file."""
+    def refused(why):
+        return ValueError("checkpoint %s %s" % (path, why))
     with np.load(path, allow_pickle=False) as data:
         if "meta" not in data:
-            raise ValueError("checkpoint %s has no meta entry" % path)
-        meta = json.loads(str(data["meta"]))
+            raise refused("has no meta entry")
+        try:
+            meta = json.loads(str(data["meta"]))
+        except ValueError:
+            meta = None
         if not isinstance(meta, dict):
-            raise ValueError("checkpoint %s: meta is not a JSON object" % path)
+            raise refused("has a meta entry that is not a JSON object")
         if meta.get("layout_version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                "checkpoint layout %r does not match expected %r"
-                % (meta.get("layout_version"), CHECKPOINT_VERSION))
+            raise refused("has layout %r, not %r" % (
+                meta.get("layout_version"), CHECKPOINT_VERSION))
         want = json.loads(json.dumps(scenario_fingerprint(scenario)))
-        got = meta.get("scenario") or {}
-        differ = [k for k in want if got.get(k) != want[k]]
+        got = meta.get("scenario")
+        differ = [k for k in want
+                  if not isinstance(got, dict) or got.get(k) != want[k]]
         if differ:
-            raise ValueError("checkpoint %s does not match the scenario's %s"
-                             % (path, ", ".join(differ)))
-        rng = np.random.default_rng(0)
-        actor = MLP(meta["actor_sizes"], rng)
-        critic = MLP(meta["critic_sizes"], rng)
-        for name, net in (("actor", actor), ("critic", critic)):
-            for i, p in enumerate(net.params):
-                key = "%s_%d" % (name, i)
-                value = data.get(key)
-                if value is None or value.shape != p.shape:
-                    raise ValueError(
-                        "checkpoint %s has no %s entry of shape %s, which "
-                        "the sizes in its meta give" % (path, key, p.shape))
-                p[...] = value
-    return actor, critic, meta
+            raise refused("does not match the scenario's " + ", ".join(differ))
+        sizes = meta.get("sizes")
+        if not (isinstance(sizes, list) and len(sizes) >= 2
+                and all(type(n) is int and n > 0 for n in sizes)
+                and sizes[0] == STATE_DIM and sizes[-1] == N_ACTIONS):
+            raise refused("has meta sizes %r, not positive ints from %d "
+                          "inputs to %d actions"
+                          % (sizes, STATE_DIM, N_ACTIONS))
+        if "actor" not in data:
+            raise refused("has no actor entry")
+        flat = data["actor"]
+    count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    # the dtype first: isfinite refuses a text array
+    if (flat.shape != (count,) or flat.dtype != float
+            or not np.isfinite(flat).all()):
+        raise refused("has an actor entry that is not the %d finite floats "
+                      "that the sizes %s give" % (count, sizes))
+    actor = MLP(sizes, np.random.default_rng(0))
+    actor.flat[...] = flat
+    return actor
 
 
 def greedy_logits(actor, obs):

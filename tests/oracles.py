@@ -14,7 +14,8 @@ from sodfeeder.demand import (Request, RequestState, endpoint_weights,
                               forecast_demand, segment_shares)
 from sodfeeder.dispatch import DispatchController
 from sodfeeder.fleet import FleetClass, Stop, StopKind, VehicleStatus
-from sodfeeder.ppo import actor_loss_and_grad, clip_g, critic_loss_and_grad
+from sodfeeder.ppo import (actor_loss_and_grad, clip_g, critic_loss_and_grad,
+                           gae_from_deltas, td_error)
 from sodfeeder.sim import StepReport
 
 from worldgen import available_vehicles
@@ -78,6 +79,19 @@ def gae_direct(deltas, discount, lam, dones):
             w *= discount * lam
         out[t] = acc
     return out
+
+
+def oracle_compute_gae(rewards, values, dones, last_values, discount, lam):
+    """``compute_gae`` as it was with done flags and a bootstrap from
+    ``last_values`` past the last step: advantages and value targets for a
+    (T, N) rollout."""
+    rewards = np.asarray(rewards, dtype=float)
+    values = np.asarray(values, dtype=float)
+    dones = np.asarray(dones, dtype=float)
+    next_values = np.vstack([values[1:], np.atleast_2d(last_values)])
+    deltas = td_error(rewards, values, next_values, discount, dones)
+    adv = gae_from_deltas(deltas, discount, lam, dones)
+    return adv, adv + values
 
 
 # ---- demand oracle -----------------------------------------------------------

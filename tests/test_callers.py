@@ -29,7 +29,6 @@ ALLOWED = {
                        "with travel_time",
     "flat_params": "MLP.flat_params: bench/harness.py sums the trained "
                    "parameters with it",
-    "to_yaml": "Scenario.to_yaml: the README's way to write a config file",
     "paired_bootstrap_ge_zero": "acceptance criteria 8-10 and demo 04 test "
                                 "paired differences with it",
 }

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from sodfeeder import env, experiments
 from sodfeeder.cli import build_parser, main
 from sodfeeder.demand import generate_instance
 from sodfeeder.scenario import Scenario, SeedConfig
+
+from checkpoints import NOT_A_CHECKPOINT
 
 
 @pytest.fixture()
@@ -184,6 +187,93 @@ def test_an_npz_that_is_not_a_checkpoint_is_one_error(command, tmp_path,
     assert len(errors) == 1 and errors[0].exc_info is None
     assert errors[0].getMessage() == "checkpoint %s has no meta entry" % bad
     assert "Traceback" not in caplog.text
+
+
+def _one_error(caplog):
+    """The run logged exactly one error, without a traceback."""
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "Traceback" not in caplog.text
+
+
+CHECKPOINT_COMMANDS = [
+    ["simulate", "--policy", "rl_zonal"],
+    ["compare", "--policies", "sod,rl_zonal", "--n-seeds", "1"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_CHECKPOINT))
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=lambda c: c[0])
+def test_a_malformed_checkpoint_is_one_error(command, name, tmp_path,
+                                             fast_config, caplog):
+    entries, match = NOT_A_CHECKPOINT[name]
+    bad = tmp_path / (name + ".npz")
+    np.savez(bad, **entries)
+    with caplog.at_level(logging.ERROR, logger="sodfeeder"):
+        rc = main(command + ["--checkpoint", str(bad), "--config",
+                             fast_config, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    _one_error(caplog)
+    assert str(bad) + match in caplog.text
+
+
+# every command, with run sizes that keep it short
+COMMANDS = [
+    ["simulate", "--policy", "sod"],
+    ["train", "--instances", "2", "--envs", "2"],
+    ["compare", "--policies", "sod", "--n-seeds", "1"],
+    ["dump-network"],
+    ["dump-demand"],
+]
+
+
+# (command, flag, what stands at the path): a directory where a file is
+# read, a file where the output directory goes; train's --checkpoint is an
+# output path, and only compare reads --seeds
+UNOPENABLE = ([(c, "--config", "dir") for c in COMMANDS]
+              + [(c, "--out", "file") for c in COMMANDS]
+              + [(c, "--checkpoint", "dir") for c in CHECKPOINT_COMMANDS]
+              + [(COMMANDS[2], "--seeds", "dir")])
+
+
+@pytest.mark.parametrize("command,flag,kind", UNOPENABLE,
+                         ids=["%s %s %s" % (c[0], f, k)
+                              for c, f, k in UNOPENABLE])
+def test_a_path_that_cannot_be_opened_is_one_error(command, flag, kind,
+                                                   tmp_path, fast_config,
+                                                   caplog):
+    path = tmp_path / "given"
+    if kind == "dir":
+        path.mkdir()
+    else:
+        path.write_text("")
+    args = {"--config": fast_config, "--out": str(tmp_path / "out"),
+            flag: str(path)}
+    with caplog.at_level(logging.ERROR, logger="sodfeeder"):
+        rc = main(command + [a for kv in args.items() for a in kv])
+    assert rc == 1
+    _one_error(caplog)
+    assert str(path) in caplog.text
+
+
+# each command, and the scenario it runs: fast_config's with its flags set
+@pytest.mark.parametrize("command,ran", [
+    pytest.param(["simulate", "--policy", "sod"], lambda sc: sc,
+                 id="simulate"),
+    pytest.param(["train", "--instances", "4", "--envs", "2"],
+                 lambda sc: replace(sc, seeds=replace(sc.seeds, train_count=4),
+                                    ppo=replace(sc.ppo, n_envs=2)),
+                 id="train"),
+    pytest.param(["compare", "--policies", "sod", "--n-seeds", "2"],
+                 lambda sc: replace(sc, seeds=replace(sc.seeds, eval_count=2)),
+                 id="compare"),
+])
+def test_a_run_records_the_scenario_it_ran(command, ran, tmp_path,
+                                           fast_config):
+    out = tmp_path / "out"
+    assert main(command + ["--config", fast_config, "--out", str(out)]) == 0
+    assert Scenario.from_yaml(out / "scenario.yaml") == \
+        ran(Scenario.from_yaml(fast_config))
 
 
 def test_compare_rl_requires_checkpoint(tmp_path, fast_config):

@@ -22,7 +22,7 @@ from sodfeeder.sim import World
 
 from oracles import oracle_match, rho, vehicle_rho, zone_compatible
 from worldgen import (random_mini_world, restore, run_production_match,
-                      snapshot, walk_of)
+                      scenarios, snapshot, walk_of)
 
 
 def make_world(policy=PolicyKind.SOD, requests=None, n_vehicles=2):
@@ -630,6 +630,18 @@ def test_an_insertion_never_makes_a_refused_placement_fit(net, seed,
             world.set_schedule(v, cand.schedule)
             for q in refused:
                 assert not enumerate_candidates(solo, q), (v.id, r.id, q.id)
+
+
+@given(sc=scenarios(), seed=st.integers(0, 10**4))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_fixed_route_plan_serves_at_stops_only(sc, seed):
+    # so no fixed-route rider reaches the door-to-door placements
+    world = build_world(sc, PolicyKind.FIXED_ROUTE, seed)
+    term = world.net.terminus
+    for r in world.requests:
+        if resolve_service_plan(world, r, **walk_of(sc)):
+            node = r.dropoff_node if r.pickup_node == term else r.pickup_node
+            assert node == term or node in world.fixed_stop_set, r.id
 
 
 def test_a_feasible_cheapest_placement_is_the_only_one_built(monkeypatch):

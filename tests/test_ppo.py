@@ -11,6 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sodfeeder import ppo
 from sodfeeder.nets import MLP, Adam, orthogonal, softmax_and_log
@@ -24,7 +27,9 @@ from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
 from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
 
-from oracles import PerArrayAdam, gae_direct, serial_update
+from checkpoints import NOT_A_CHECKPOINT, checkpoint_entries, state_actor
+from oracles import (PerArrayAdam, gae_direct, oracle_compute_gae,
+                     serial_update)
 from toyenvs import BanditEnv
 
 
@@ -194,17 +199,36 @@ def test_compute_gae_returns_equal_adv_plus_values():
     T, N = 6, 3
     rewards = rng.standard_normal((T, N))
     values = rng.standard_normal((T, N))
+    adv, ret = compute_gae(rewards, values, 0.99, 0.95)
+    assert np.allclose(ret, adv + values)
+    # with lam=1 and discount=1 the advantage telescopes to sum(rewards) -
+    # values[0]: the last step ends the episode, so nothing is bootstrapped
+    adv2, _ = compute_gae(rewards, values, 1.0, 1.0)
+    assert np.allclose(adv2[0], rewards.sum(axis=0) - values[0])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(data=st.data(), T=st.integers(1, 8), N=st.integers(1, 4),
+       discount=st.floats(0.0, 1.0), lam=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_compute_gae_is_the_bootstrapped_one_cut_at_the_last_step(
+        data, T, N, discount, lam):
+    # a rollout of whole episodes ends every episode at its last step, and
+    # there the old done flags and last values changed nothing: the cut
+    # bootstrap, discount * last * 0, is a zero whose sign the recursion's
+    # "+ 0.0" at the last step drops
+    rewards, values, last = (data.draw(arrays(float, shape, elements=_finite))
+                             for shape in ((T, N), (T, N), N))
     dones = np.zeros((T, N))
     dones[-1] = 1.0
-    last = rng.standard_normal(N)
-    adv, ret = compute_gae(rewards, values, dones, last, 0.99, 0.95)
-    assert np.allclose(ret, adv + values)
-    # with lam=1, discount=1 and no termination the advantage telescopes to
-    # sum(rewards) + last_value - values[0]
-    dones0 = np.zeros((T, N))
-    adv2, _ = compute_gae(rewards, values, dones0, last, 1.0, 1.0)
-    want = rewards.sum(axis=0) + last - values[0]
-    assert np.allclose(adv2[0], want)
+    # near the float limits both overflow, alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = compute_gae(rewards, values, discount, lam)
+        want = oracle_compute_gae(rewards, values, dones, last, discount, lam)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_clip_g_hand_computed():
@@ -354,7 +378,7 @@ def test_greedy_path_equals_the_batch_forward():
     obs = np.vstack([obs, np.zeros(STATE_DIM), np.ones(STATE_DIM)])
     for actor in _greedy_actors():
         for x in obs:
-            want = actor.forward(x)[0][0]
+            want = actor.forward(x[None])[0][0]
             assert np.array(greedy_logits(actor, x)).tobytes() == \
                 want.tobytes()
             assert greedy_action(actor, x) == int(want.argmax())
@@ -567,35 +591,40 @@ def test_trainer_state_after_three_updates_is_pinned():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    tr = make_trainer()
-    tr.run_update([0, 1, 2, 3])
+    saved = state_actor()
     path = tmp_path / "policy.npz"
-    save_checkpoint(path, tr.actor, tr.critic, tr.config, Scenario())
-    actor, critic, meta = load_checkpoint(path, Scenario())
+    save_checkpoint(path, saved, Scenario())
+    with np.load(path) as data:
+        assert sorted(data) == ["actor", "meta"]
+        meta = json.loads(str(data["meta"]))
+    assert sorted(meta) == ["layout_version", "scenario", "sizes"]
     assert meta["layout_version"] == CHECKPOINT_VERSION
-    for a, b in zip(actor.params, tr.actor.params):
-        assert np.array_equal(a, b)
-    x = np.array([[1.0, 0.0]])
-    assert np.allclose(actor.forward(x)[0], tr.actor.forward(x)[0])
-    assert np.allclose(critic.forward(x)[0], tr.critic.forward(x)[0])
+    actor = load_checkpoint(path, Scenario())
+    assert isinstance(actor, MLP) and actor.sizes == saved.sizes
+    assert actor.flat.tobytes() == saved.flat.tobytes()
+    x = np.random.default_rng(1).random((5, STATE_DIM))
+    assert actor.forward(x)[0].tobytes() == saved.forward(x)[0].tobytes()
+    # the bandit trainer's actor takes 2 inputs, not the state's 18
+    tr = make_trainer()
+    save_checkpoint(path, tr.actor, Scenario())
+    with pytest.raises(ValueError, match="meta sizes \\[2, 64, 64, 4\\], not"):
+        load_checkpoint(path, Scenario())
 
 
 def test_checkpoint_version_mismatch_rejected(tmp_path, monkeypatch):
-    tr = make_trainer()
+    saved = state_actor()
     path = tmp_path / "policy.npz"
     sc = Scenario()
     with monkeypatch.context() as m:
         m.setattr(ppo, "CHECKPOINT_VERSION", "sod-state-v0")
-        save_checkpoint(path, tr.actor, tr.critic, tr.config, sc)
+        save_checkpoint(path, saved, sc)
     with pytest.raises(ValueError, match="sod-state-v0"):
         load_checkpoint(path, sc)
 
     # scenario fingerprint: only the scenario it was trained for loads it
     path = tmp_path / "fingerprinted.npz"
-    save_checkpoint(path, tr.actor, tr.critic, tr.config, sc)
-    actor, _, meta = load_checkpoint(path, Scenario())
-    assert meta["scenario"]["n_vehicles"] == sc.n_vehicles
-    assert actor.sizes == tr.actor.sizes
+    save_checkpoint(path, saved, sc)
+    assert load_checkpoint(path, Scenario()).sizes == saved.sizes
     mismatched = [
         Scenario(n_vehicles=10, n_reserved=5),
         Scenario(n_reserved=2),
@@ -615,32 +644,75 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, monkeypatch):
 
 
 def test_a_file_that_is_not_a_whole_checkpoint_is_refused(tmp_path):
-    # a missing entry, a meta that is not an object, or a layer whose shape
-    # the sizes in meta contradict is a ValueError that names the file and
-    # the entry
-    tr = make_trainer()
+    # each malformed file is a ValueError that names the file and what is
+    # wrong, raised before any net is built
     sc = Scenario()
-    path = tmp_path / "policy.npz"
-    save_checkpoint(path, tr.actor, tr.critic, tr.config, sc)
-    with np.load(path) as data:
-        good = dict(data)
-    shape = good["actor_2"].shape
-    broken = {
-        "no_meta": ({k: v for k, v in good.items() if k != "meta"},
-                    " has no meta entry"),
-        "list_meta": ({**good, "meta": "[1, 2]"},
-                      ": meta is not a JSON object"),
-        "no_layer": ({k: v for k, v in good.items() if k != "critic_5"},
-                     " has no critic_5 entry of shape (1,)"),
-        "short_layer": ({**good, "actor_2": good["actor_2"][:-1]},
-                        " has no actor_2 entry of shape %s" % (shape,)),
-    }
-    for name, (arrays, match) in broken.items():
+    for name, (entries, match) in NOT_A_CHECKPOINT.items():
         bad = tmp_path / (name + ".npz")
-        np.savez(bad, **arrays)
+        np.savez(bad, **entries)
         with pytest.raises(ValueError, match=re.escape(str(bad) + match)):
             load_checkpoint(bad, sc)
-    assert load_checkpoint(path, sc)[2] == json.loads(str(good["meta"]))
+    good = tmp_path / "good.npz"
+    np.savez(good, **checkpoint_entries())
+    assert load_checkpoint(good, sc).flat.tobytes() == \
+        state_actor().flat.tobytes()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints") / "drawn.npz"
+
+
+def _usually(data, good, other):
+    """``good`` nine draws in ten, else a draw of ``other``."""
+    return good if data.draw(st.integers(0, 9)) < 9 else data.draw(other)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_checkpoint_loads_or_is_refused_and_never_crashes(checkpoint_path,
+                                                            data):
+    # the right layout and fingerprint, actor-shaped sizes and the count
+    # they give are drawn most of the time, so that every check is reached
+    sc = Scenario()
+    hidden = data.draw(st.lists(st.integers(-2, 12), max_size=3))
+    meta = {
+        "layout_version": _usually(data, CHECKPOINT_VERSION, _json_values),
+        "sizes": _usually(data, [STATE_DIM, *hidden, N_ACTIONS],
+                          _json_values),
+        "scenario": _usually(data, ppo.scenario_fingerprint(sc),
+                             _json_values),
+    }
+    meta = {k: v for k, v in meta.items() if data.draw(st.integers(0, 19))}
+    entries = {"meta": json.dumps(meta)}
+    sizes = meta.get("sizes")
+    try:
+        count = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    except TypeError:
+        count = 0
+    if data.draw(st.integers(0, 9)):
+        length = max(0, min(10**4, _usually(data, count,
+                                            st.integers(0, 300))))
+        actor = np.random.default_rng(length).standard_normal(length)
+        if actor.size and not data.draw(st.integers(0, 4)):
+            actor[data.draw(st.integers(0, actor.size - 1))] = \
+                data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        entries["actor"] = actor
+    np.savez(checkpoint_path, **entries)
+    try:
+        actor = load_checkpoint(checkpoint_path, sc)
+    except ValueError as exc:
+        assert str(checkpoint_path) in str(exc)
+        return
+    assert actor.sizes == sizes and actor.flat.tobytes() == \
+        entries["actor"].tobytes()
 
 
 def test_lr_annealing_schedule():

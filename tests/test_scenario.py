@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -319,6 +320,24 @@ def test_each_cap_admits_its_count_and_refuses_more(at_cap, past_cap, name):
     Scenario.from_dict(at_cap)
     with pytest.raises(ValueError, match=re.escape(name)):
         Scenario.from_dict(past_cap)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_names_every_cap():
+    # each module-level cap, as "`module.NAME` = value" in a cap table
+    text = README.read_text()
+    missing = []
+    for module in (scenario_module, corridor):
+        short = module.__name__.rsplit(".", 1)[1]
+        for name, value in vars(module).items():
+            if not name.startswith("MAX_"):
+                continue
+            row = "`%s.%s` = %s" % (short, name, format(value, ","))
+            if row not in text:
+                missing.append(row)
+    assert not missing, "README.md has no cap row %s" % missing
 
 
 def _fields(data, prefix=""):
