@@ -50,11 +50,6 @@ class MLP:
         self.__dict__.update(state)
         self.W, self.b = _views(self.flat, self.sizes)
 
-    @property
-    def params(self):
-        """The views W[0], b[0], W[1], b[1], ... in ``flat`` order."""
-        return [p for wb in zip(self.W, self.b) for p in wb]
-
     def forward(self, x):
         """Returns (output, cache) for ``x``, a float array of shape
         (batch, n_in); the output has shape (batch, n_out)."""

@@ -5,13 +5,16 @@ estimates state values.  Rollouts are collected from independent environment
 instances, advantages come from the backward GAE recursion, and updates run
 shuffled minibatch epochs with Adam.
 
-Rollouts run in this process.  An update runs the actor's and the critic's
-minibatch steps in two processes at once: ``update`` forks one child for
-the critic and reaps it before it returns (see ``update``).
+An update runs in two processes (see ``PPOTrainer.run_update``): one forked
+partner steps the second half of the environments while this process steps
+the first, then takes the critic's minibatch steps while this process takes
+the actor's, and sends back what it changed.  It is reaped before the update
+returns.  With one CPU, or while another thread runs, everything runs here.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -19,15 +22,20 @@ import pickle
 import signal
 import threading
 import time
+import zipfile
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
+from .corridor import Network
 from .econ import write_table
 from .env import N_ACTIONS, STATE_DIM, scenario_fingerprint
 from .env import STATE_LAYOUT_VERSION as CHECKPOINT_VERSION
 from .nets import MLP, Adam, softmax_and_log
+from .scenario import Scenario
 
 
 # ---- advantage estimation --------------------------------------------------
@@ -159,13 +167,12 @@ def sample_action(probs, rngs):
             for row, rng in zip(cdf.tolist(), rngs)]
 
 
-def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
-                     action_rngs, config):
+def collect_rollouts(envs, actor, n_steps, instance_seeds, action_rngs):
     """Run each environment ``n_steps`` from a fresh episode, sampling from
     the current policy.  ``n_steps`` is the episode length, so every episode
     ends at the last step and at no other, as ``compute_gae`` assumes.
     Environments are independent; results concatenate deterministically by
-    environment index."""
+    environment index.  ``add_advantages`` fills in the rest."""
     n_envs = len(envs)
     obs = np.array([env.reset(instance_seeds[i])
                     for i, env in enumerate(envs)])
@@ -174,26 +181,32 @@ def collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
     actions = np.zeros((n_steps, n_envs), dtype=int)
     rewards = np.zeros((n_steps, n_envs))
     log_probs = np.zeros((n_steps, n_envs))
-    values = np.zeros((n_steps, n_envs))
 
     rows = np.arange(n_envs)
     for t in range(n_steps):
         logits, _ = actor.forward(obs)
         probs, logp_all = softmax_and_log(logits)
-        vals, _ = critic.forward(obs)
         states[t] = obs
-        values[t] = vals[:, 0]
         acts = sample_action(probs, action_rngs)
         steps = [env.step(a) for env, a in zip(envs, acts)]
         actions[t] = acts
         rewards[t] = [s[1] for s in steps]
         log_probs[t] = logp_all[rows, acts]
         obs = np.array([s[0] for s in steps])
+    return RolloutBatch(states, actions, rewards, log_probs)
 
-    batch = RolloutBatch(states, actions, rewards, log_probs)
+
+def add_advantages(batch, critic, config):
+    """Set the batch's advantages and returns from the critic's values.
+
+    The values come from one forward pass per step over every environment's
+    state: the critic's 1-column output layer is a matrix-vector product
+    that BLAS rounds by a row's place in its blocks of rows, so a pass over
+    part of the environments need not equal those rows of the whole.
+    """
+    values = np.array([critic.forward(obs)[0][:, 0] for obs in batch.states])
     batch.advantages, batch.returns = compute_gae(
-        rewards, values, config.discount, config.gae_lambda)
-    return batch
+        batch.rewards, values, config.discount, config.gae_lambda)
 
 
 # ---- updates ---------------------------------------------------------------
@@ -210,80 +223,133 @@ def critic_steps(critic, critic_opt, states, returns, minibatches):
     return losses
 
 
-def _fork(fn):
-    """Fork a process that runs ``fn`` and writes to a pipe, pickled, (None,
-    its result) or (the exception it raised, None); returns (pid, read end).
-    The child never returns: it exits with status 0 once it has written,
-    with 1 if it could not."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, r
-    code = 1
-    try:
-        os.close(r)
-        try:
-            payload = pickle.dumps((None, fn()))
-        except BaseException as exc:
-            payload = pickle.dumps((exc, None))
-        with os.fdopen(w, "wb") as f:
-            f.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
+def _write(fd, obj):
+    """Send ``obj`` down the pipe ``fd``: its pickle, after the pickle's
+    length as 8 bytes."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _reap(pid, r, kill):
-    """Close the pipe and wait for the child, killing it first if ``kill``;
-    returns its wait status."""
-    if kill:
-        os.kill(pid, signal.SIGKILL)
-    os.close(r)
-    return os.waitpid(pid, 0)[1]
-
-
-def _join(pid, r):
-    """Read what the forked process sent, reap it and return its result;
-    raises its exception, or ``RuntimeError`` if it died without sending
-    one."""
+def _read_exactly(fd, n):
     chunks = []
-    try:
-        while chunk := os.read(r, 1 << 16):
-            chunks.append(chunk)
-    except BaseException:
-        _reap(pid, r, kill=True)
-        raise
-    code = os.waitstatus_to_exitcode(_reap(pid, r, kill=False))
-    if code < 0:
-        raise RuntimeError("the forked process was killed by signal %d"
-                           % -code)
-    if code:
-        raise RuntimeError("the forked process exited with status %d" % code)
-    exc, result = pickle.loads(b"".join(chunks))
-    if exc is not None:
-        raise exc
-    return result
+    while n:
+        chunk = os.read(fd, min(n, 1 << 20))
+        if not chunk:
+            raise EOFError("the pipe closed before a whole message came")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
 
 
-def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
+def _read(fd):
+    """The next object that ``_write`` sent down the pipe ``fd``; raises
+    ``EOFError`` if the writer closed it first."""
+    return pickle.loads(_read_exactly(
+        fd, int.from_bytes(_read_exactly(fd, 8), "little")))
+
+
+class _Partner:
+    """A forked process that runs ``work(send, receive)``, with one pipe
+    each way between it and this process.
+
+    The partner's messages arrive here from ``receive`` as the objects that
+    it passed to ``send``.  If ``work`` raises, the exception is sent
+    instead, and ``receive`` raises it here.  The partner never returns: it
+    exits with status 0 once ``work`` has returned or its exception is sent,
+    and with 1 if that could not be sent.  ``close`` or ``join`` reaps it.
+    """
+
+    def __init__(self, work):
+        fds = []
+        try:
+            fds += os.pipe()   # to the partner
+            fds += os.pipe()   # from the partner
+            self.pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        if self.pid:
+            os.close(fds[0])
+            os.close(fds[3])
+            self.w, self.r = fds[1], fds[2]
+            return
+        code = 1
+        try:
+            os.close(fds[1])
+            os.close(fds[2])
+            try:
+                work(lambda obj: _write(fds[3], (None, obj)),
+                     lambda: _read(fds[0]))
+            except BaseException as exc:
+                _write(fds[3], (exc, None))
+            code = 0
+        finally:
+            os._exit(code)
+
+    def send(self, obj):
+        """Send ``obj`` to the partner.  If it has gone, raise what it left:
+        its exception, or ``RuntimeError``."""
+        try:
+            _write(self.w, obj)
+        except BrokenPipeError:
+            self.receive()
+            raise
+
+    def receive(self):
+        """The partner's next message.  Raises its exception, or
+        ``RuntimeError`` if it died without sending one, after reaping
+        it."""
+        try:
+            exc, obj = _read(self.r)
+        except EOFError:
+            self.join()
+            raise RuntimeError("the partner process exited without sending "
+                               "its results") from None
+        if exc is not None:
+            self.close()
+            raise exc
+        return obj
+
+    def close(self, kill=False):
+        """Reap the partner, killing it first if ``kill``, and close the
+        pipes; returns its exit code, or None if it was reaped before."""
+        if self.pid is None:
+            return None
+        pid, self.pid = self.pid, None
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        os.close(self.r)
+        os.close(self.w)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+    def join(self):
+        """Reap the partner; raises ``RuntimeError`` unless it exited with
+        status 0."""
+        code = self.close()
+        if code < 0:
+            raise RuntimeError("the partner process was killed by signal %d"
+                               % -code)
+        if code:
+            raise RuntimeError("the partner process exited with status %d"
+                               % code)
+
+
+def update(actor, critic, actor_opt, critic_opt, batch, config, rng,
+           partner=None):
     """Shuffled minibatch epochs over one rollout batch.
 
     Every epoch's permutation is drawn up front, so ``rng`` is consumed as
     when the epochs ran one after the other.  The actor and the critic share
-    no parameter, so their steps run at the same time: a forked child runs
-    the critic's over the same minibatches while this process runs the
-    actor's, then sends back the critic's parameters, Adam moments and value
-    losses, and exits before ``update`` returns.  With a single CPU, or
-    while other threads run, the critic's steps run here after the actor's.
-    The results equal the interleaved serial loop's bit for bit.  An
-    exception in the child is raised here; if the actor's steps raise, the
-    child is killed and reaped first.
+    no parameter, so their steps may run at the same time: with
+    ``partner``, a ``_Partner`` whose process holds the same critic and
+    ``critic_opt``, it is sent the samples and the minibatches, takes the
+    critic's steps while this process takes the actor's, and sends back the
+    critic's parameters, Adam moments and value losses.  Without one, the
+    critic's steps run here after the actor's.  Either way the results
+    equal the interleaved serial loop's bit for bit.
     """
     states, actions, old_logp, adv, returns = batch.flatten()
     if config.normalize_advantages:
@@ -294,32 +360,22 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
     orders = [rng.permutation(n) for _ in range(config.epochs)]
     minibatches = [order[start:start + size]
                    for order in orders for start in range(0, n, size)]
-    # the child has only the forking thread, so a lock that another thread
-    # held at the fork would stay held in it: fork only without other threads
-    child = None
-    if len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1:
-        child = _fork(lambda: (
-            critic_steps(critic, critic_opt, states, returns, minibatches),
-            critic.flat, critic_opt.m, critic_opt.v))
-    try:
-        actor_stats = []
-        for idx in minibatches:
-            ploss, pgrads, pstats = actor_loss_and_grad(
-                actor, states[idx], actions[idx], old_logp[idx], adv[idx],
-                config.clip_eps, config.entropy_coef, surr_clipped[idx])
-            actor_opt.step(pgrads)
-            actor_stats.append((ploss, pstats))
-    except BaseException:
-        if child is not None:
-            _reap(*child, kill=True)
-        raise
-    if child is None:
+    if partner is not None:
+        partner.send((states, returns, minibatches))
+    actor_stats = []
+    for idx in minibatches:
+        ploss, pgrads, pstats = actor_loss_and_grad(
+            actor, states[idx], actions[idx], old_logp[idx], adv[idx],
+            config.clip_eps, config.entropy_coef, surr_clipped[idx])
+        actor_opt.step(pgrads)
+        actor_stats.append((ploss, pstats))
+    if partner is None:
         value_losses = critic_steps(critic, critic_opt, states, returns,
                                     minibatches)
     else:
         # in place: critic_opt.params and the W and b views share critic.flat
         (value_losses, critic.flat[...], critic_opt.m[...],
-         critic_opt.v[...]) = _join(*child)
+         critic_opt.v[...]) = partner.receive()
         critic_opt.t += len(minibatches)
     return {
         "value_loss": float(np.mean(value_losses)),
@@ -327,6 +383,52 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng):
         **{k: float(np.mean([s[k] for _, s in actor_stats]))
            for k in ("entropy", "approx_kl", "clip_frac")},
     }
+
+
+def update_path(n_envs):
+    """How ``PPOTrainer.run_update`` runs for ``n_envs`` environments:
+    ``one_cpu`` or ``other_thread`` when everything runs in this process,
+    ``critic_only`` when a forked partner takes only the critic's steps,
+    and ``forked`` when it also steps the second half of the environments.
+
+    A lock that another thread held at the fork would stay held in the
+    child, which has only the forking thread, so nothing is forked while
+    another thread runs.  A 1-row ``MLP.forward`` takes another BLAS path
+    than a row of a wider batch, so the environments split only when each
+    half has 2 or more.
+    """
+    if len(os.sched_getaffinity(0)) < 2:
+        return "one_cpu"
+    if threading.active_count() > 1:
+        return "other_thread"
+    return "forked" if n_envs >= 4 else "critic_only"
+
+
+def _shared(envs):
+    """The ``Network`` and ``Scenario`` objects that ``envs`` hold, which
+    stepping never replaces: their states refer to these by position."""
+    return [v for env in envs for v in vars(env).values()
+            if isinstance(v, (Network, Scenario))]
+
+
+def _dump_envs(envs):
+    """The states of ``envs`` as one pickle, with each object of
+    ``_shared(envs)`` stored as its position."""
+    ids = {id(v): k for k, v in enumerate(_shared(envs))}
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda obj: ids.get(id(obj))
+    pickler.dump([vars(env) for env in envs])
+    return out.getvalue()
+
+
+def _load_envs(envs, data):
+    """Set the states of ``envs`` in place from ``_dump_envs`` of their
+    counterparts in another process."""
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.persistent_load = _shared(envs).__getitem__
+    for env, state in zip(envs, unpickler.load()):
+        env.__dict__.update(state)
 
 
 # ---- checkpoints -----------------------------------------------------------
@@ -346,34 +448,48 @@ def load_checkpoint(path, scenario):
     names the file."""
     def refused(why):
         return ValueError("checkpoint %s %s" % (path, why))
-    with np.load(path, allow_pickle=False) as data:
-        if "meta" not in data:
-            raise refused("has no meta entry")
+    # an empty file, broken zip bytes, a text file (which np.load takes for
+    # a pickle) and a .npy file are none of them an archive
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, NpzFile):
+        raise refused("is not an .npz archive")
+    # a damaged entry fails its CRC or zlib check, and one of objects is
+    # refused without allow_pickle, when it is read
+    with data:
         try:
-            meta = json.loads(str(data["meta"]))
-        except ValueError:
-            meta = None
-        if not isinstance(meta, dict):
-            raise refused("has a meta entry that is not a JSON object")
-        if meta.get("layout_version") != CHECKPOINT_VERSION:
-            raise refused("has layout %r, not %r" % (
-                meta.get("layout_version"), CHECKPOINT_VERSION))
-        want = json.loads(json.dumps(scenario_fingerprint(scenario)))
-        got = meta.get("scenario")
-        differ = [k for k in want
-                  if not isinstance(got, dict) or got.get(k) != want[k]]
-        if differ:
-            raise refused("does not match the scenario's " + ", ".join(differ))
-        sizes = meta.get("sizes")
-        if not (isinstance(sizes, list) and len(sizes) >= 2
-                and all(type(n) is int and n > 0 for n in sizes)
-                and sizes[0] == STATE_DIM and sizes[-1] == N_ACTIONS):
-            raise refused("has meta sizes %r, not positive ints from %d "
-                          "inputs to %d actions"
-                          % (sizes, STATE_DIM, N_ACTIONS))
-        if "actor" not in data:
-            raise refused("has no actor entry")
-        flat = data["actor"]
+            entries = {k: data[k] for k in ("meta", "actor") if k in data}
+        except (ValueError, zipfile.BadZipFile, zlib.error):
+            raise refused("has an entry that is not a readable array") \
+                from None
+    if "meta" not in entries:
+        raise refused("has no meta entry")
+    try:
+        meta = json.loads(str(entries["meta"]))
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise refused("has a meta entry that is not a JSON object")
+    if meta.get("layout_version") != CHECKPOINT_VERSION:
+        raise refused("has layout %r, not %r" % (
+            meta.get("layout_version"), CHECKPOINT_VERSION))
+    want = json.loads(json.dumps(scenario_fingerprint(scenario)))
+    got = meta.get("scenario")
+    differ = [k for k in want
+              if not isinstance(got, dict) or got.get(k) != want[k]]
+    if differ:
+        raise refused("does not match the scenario's " + ", ".join(differ))
+    sizes = meta.get("sizes")
+    if not (isinstance(sizes, list) and len(sizes) >= 2
+            and all(type(n) is int and n > 0 for n in sizes)
+            and sizes[0] == STATE_DIM and sizes[-1] == N_ACTIONS):
+        raise refused("has meta sizes %r, not positive ints from %d "
+                      "inputs to %d actions" % (sizes, STATE_DIM, N_ACTIONS))
+    if "actor" not in entries:
+        raise refused("has no actor entry")
+    flat = entries["actor"]
     count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
     # the dtype first: isfinite refuses a text array
     if (flat.shape != (count,) or flat.dtype != float
@@ -462,20 +578,80 @@ class PPOTrainer:
         self.total_steps = 0
 
     def run_update(self, instance_seeds):
-        """One rollout and update; the stats carry their wall times
-        ``rollout_s`` and ``update_s``."""
+        """One rollout and update.  The stats carry their wall times
+        ``rollout_s`` and ``update_s``, and the ``update_path`` taken.
+
+        On the ``forked`` and ``critic_only`` paths, one forked partner
+        process runs beside this one.  The environments are independent, so
+        the partner steps ``envs[h:]`` for the whole episode on its own
+        copies of the nets and action streams while this process steps
+        ``envs[:h]``; it sends back its batch and stream states, and the two
+        batches join by environment index.  Then the partner takes the
+        critic's minibatch steps while this process takes the actor's (see
+        ``update``), and last it sends back its environments' states, which
+        are set into the same environment objects here.  On the
+        ``critic_only`` path ``h`` is every environment.  The partner is
+        reaped before this returns; an exception in it is raised here, and
+        if this process raises, the partner is killed and reaped first.
+        """
         t0 = time.perf_counter()
-        batch = collect_rollouts(self.envs, self.actor, self.critic,
-                                 self.envs[0].episode_len,
-                                 instance_seeds, self.action_rngs, self.config)
-        t1 = time.perf_counter()
-        stats = update(self.actor, self.critic, self.actor_opt,
-                       self.critic_opt, batch, self.config, self.update_rng)
+        n = self.n_envs
+        path = update_path(n)
+        h = n // 2 if path == "forked" else n
+        partner = None
+        if path in ("forked", "critic_only"):
+            partner = _Partner(lambda send, receive: self._partner(
+                send, receive, h, instance_seeds))
+        try:
+            batch = self._collect(slice(0, h), instance_seeds)
+            if h < n:
+                half, rng_states = partner.receive()
+                for rng, state in zip(self.action_rngs[h:], rng_states):
+                    rng.bit_generator.state = state
+                batch = RolloutBatch(*(
+                    np.concatenate([getattr(batch, k), getattr(half, k)],
+                                   axis=1)
+                    for k in ("states", "actions", "rewards", "log_probs")))
+            add_advantages(batch, self.critic, self.config)
+            t1 = time.perf_counter()
+            stats = update(self.actor, self.critic, self.actor_opt,
+                           self.critic_opt, batch, self.config,
+                           self.update_rng, partner)
+            if partner is not None:
+                _load_envs(self.envs[h:], partner.receive())
+                partner.join()
+        except BaseException:
+            if partner is not None:
+                partner.close(kill=True)
+            raise
         stats["rollout_s"] = t1 - t0
         stats["update_s"] = time.perf_counter() - t1
+        stats["update_path"] = path
         self.total_steps += batch.actions.size
         mean_ep_reward = float(batch.rewards.sum() / self.n_envs)
         return mean_ep_reward, stats
+
+    def _collect(self, envs, instance_seeds):
+        """``collect_rollouts`` over the slice ``envs`` of the environments,
+        their instance seeds and their action streams."""
+        return collect_rollouts(self.envs[envs], self.actor,
+                                self.envs[0].episode_len,
+                                instance_seeds[envs], self.action_rngs[envs])
+
+    def _partner(self, send, receive, h, instance_seeds):
+        """The partner's side of ``run_update``, in the forked process."""
+        envs = slice(h, None)
+        if h < self.n_envs:
+            send((self._collect(envs, instance_seeds),
+                  [rng.bit_generator.state for rng in self.action_rngs[envs]]))
+        states, returns, minibatches = receive()
+        losses = critic_steps(self.critic, self.critic_opt, states, returns,
+                              minibatches)
+        # pickled before the first send that can block, while this process
+        # still takes the actor's steps
+        worlds = _dump_envs(self.envs[envs])
+        send((losses, self.critic.flat, self.critic_opt.m, self.critic_opt.v))
+        send(worlds)
 
     def train(self, instance_seed_stream, n_updates):
         """Run updates, consuming n_envs instance seeds per update."""

@@ -1,7 +1,9 @@
 """Checkpoint files for the loader and CLI tests: a small actor for the
 state, the entries of its checkpoint with any of them edited, and one
-malformed file for each refusal of ``load_checkpoint``."""
+malformed file for each refusal of ``load_checkpoint``: an archive of
+entries, or raw bytes that make no archive or a damaged one."""
 
+import io
 import json
 
 import numpy as np
@@ -16,6 +18,12 @@ def state_actor(seed=0):
     """An actor from the state's inputs to the actions, 8 units wide."""
     return MLP([STATE_DIM, 8, 8, N_ACTIONS], np.random.default_rng(seed),
                out_gain=0.01)
+
+
+def layer_params(net):
+    """The views W[0], b[0], W[1], b[1], ... of ``net``, in ``flat``
+    order."""
+    return [p for wb in zip(net.W, net.b) for p in wb]
 
 
 def checkpoint_entries(meta_edits=(), **arrays):
@@ -48,7 +56,7 @@ def _old_format():
     critic = MLP([STATE_DIM, 8, 8, 1], np.random.default_rng(1))
     layers = {"%s_%d" % (name, i): p
               for name, net in (("actor", actor), ("critic", critic))
-              for i, p in enumerate(net.params)}
+              for i, p in enumerate(layer_params(net))}
     return checkpoint_entries(
         [("sizes", ...), ("actor_sizes", actor.sizes),
          ("critic_sizes", critic.sizes), ("config", vars(PPOConfig()))],
@@ -89,6 +97,8 @@ NOT_A_CHECKPOINT = {
                      " has meta sizes [2, 8, 8, 4], not positive ints"),
     "wrong_outputs": (checkpoint_entries([("sizes", [STATE_DIM, 8, 8, 1])]),
                       " has meta sizes [18, 8, 8, 1], not positive ints"),
+    "object_meta": (checkpoint_entries(meta=np.array([{}], dtype=object)),
+                    " has an entry that is not a readable array"),
     "no_actor": (checkpoint_entries(actor=None), " has no actor entry"),
     "short_actor": (checkpoint_entries(actor=state_actor().flat[:-1]),
                     " has an actor entry that is not the 260 finite "
@@ -102,3 +112,46 @@ NOT_A_CHECKPOINT = {
     "inf_actor": (checkpoint_entries(actor=_nonfinite_at(-1, -np.inf)),
                   " has an actor entry that is not the 260 finite"),
 }
+
+
+def _npy_bytes():
+    """A .npy file of ``state_actor()``'s parameters: an array, not an
+    archive."""
+    out = io.BytesIO()
+    np.save(out, state_actor().flat)
+    return out.getvalue()
+
+
+def _damaged_bytes():
+    """A good checkpoint with one bit of its actor entry flipped, which
+    fails the entry's CRC."""
+    out = io.BytesIO()
+    np.savez(out, **checkpoint_entries())
+    data = bytearray(out.getvalue())
+    data[data.index(b"actor.npy") + 400] ^= 1
+    return bytes(data)
+
+
+NOT_AN_ARCHIVE = " is not an .npz archive"
+UNREADABLE = " has an entry that is not a readable array"
+
+# file -> (its bytes, the refusal after the file's name)
+RAW_FILES = {
+    "empty": (b"", NOT_AN_ARCHIVE),
+    "broken_zip": (b"PK\x03\x04" + bytes(range(60)), NOT_AN_ARCHIVE),
+    "text": (b"the trained policy is in another file\n", NOT_AN_ARCHIVE),
+    "npy": (_npy_bytes(), NOT_AN_ARCHIVE),
+    "damaged": (_damaged_bytes(), UNREADABLE),
+}
+
+
+def write_malformed(path, name):
+    """Write the file ``name`` of ``NOT_A_CHECKPOINT`` or ``RAW_FILES`` at
+    ``path``; returns its refusal, after the file's name."""
+    if name in RAW_FILES:
+        raw, match = RAW_FILES[name]
+        path.write_bytes(raw)
+        return match
+    entries, match = NOT_A_CHECKPOINT[name]
+    np.savez(path, **entries)
+    return match

@@ -14,8 +14,10 @@ from sodfeeder.demand import (Request, RequestState, endpoint_weights,
                               forecast_demand, segment_shares)
 from sodfeeder.dispatch import DispatchController
 from sodfeeder.fleet import FleetClass, Stop, StopKind, VehicleStatus
-from sodfeeder.ppo import (actor_loss_and_grad, clip_g, critic_loss_and_grad,
-                           gae_from_deltas, td_error)
+from sodfeeder.nets import softmax_and_log
+from sodfeeder.ppo import (RolloutBatch, actor_loss_and_grad, clip_g,
+                           compute_gae, critic_loss_and_grad, gae_from_deltas,
+                           sample_action, td_error)
 from sodfeeder.sim import StepReport
 
 from worldgen import available_vehicles
@@ -591,7 +593,54 @@ class RescanDispatchController(DispatchController):
         return bool(avail)
 
 
-# ---- serial PPO update ---------------------------------------------------------
+# ---- serial PPO rollout and update -------------------------------------------
+
+def serial_collect_rollouts(envs, actor, critic, n_steps, instance_seeds,
+                            action_rngs, config):
+    """``ppo.collect_rollouts`` and ``ppo.add_advantages`` as one process
+    runs them over every environment: each step takes the critic's values
+    beside the actor's logits."""
+    n_envs = len(envs)
+    obs = np.array([env.reset(instance_seeds[i])
+                    for i, env in enumerate(envs)])
+    states = np.zeros((n_steps, n_envs, obs.shape[1]))
+    actions = np.zeros((n_steps, n_envs), dtype=int)
+    rewards = np.zeros((n_steps, n_envs))
+    log_probs = np.zeros((n_steps, n_envs))
+    values = np.zeros((n_steps, n_envs))
+    rows = np.arange(n_envs)
+    for t in range(n_steps):
+        logits, _ = actor.forward(obs)
+        probs, logp_all = softmax_and_log(logits)
+        vals, _ = critic.forward(obs)
+        states[t] = obs
+        values[t] = vals[:, 0]
+        acts = sample_action(probs, action_rngs)
+        steps = [env.step(a) for env, a in zip(envs, acts)]
+        actions[t] = acts
+        rewards[t] = [s[1] for s in steps]
+        log_probs[t] = logp_all[rows, acts]
+        obs = np.array([s[0] for s in steps])
+    batch = RolloutBatch(states, actions, rewards, log_probs)
+    batch.advantages, batch.returns = compute_gae(
+        rewards, values, config.discount, config.gae_lambda)
+    return batch
+
+
+def serial_run_update(trainer, instance_seeds):
+    """``PPOTrainer.run_update`` as one process runs it: the serial rollout
+    over every environment, then ``serial_update``.  Returns the batch, the
+    mean episode reward and the stats without their wall times and path."""
+    batch = serial_collect_rollouts(
+        trainer.envs, trainer.actor, trainer.critic,
+        trainer.envs[0].episode_len, instance_seeds, trainer.action_rngs,
+        trainer.config)
+    stats = serial_update(trainer.actor, trainer.critic, trainer.actor_opt,
+                          trainer.critic_opt, batch, trainer.config,
+                          trainer.update_rng)
+    trainer.total_steps += batch.actions.size
+    return batch, float(batch.rewards.sum() / trainer.n_envs), stats
+
 
 def serial_update(actor, critic, actor_opt, critic_opt, batch, config, rng):
     """``ppo.update`` as one process runs it: each epoch draws its

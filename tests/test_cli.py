@@ -11,7 +11,7 @@ from sodfeeder.cli import build_parser, main
 from sodfeeder.demand import generate_instance
 from sodfeeder.scenario import Scenario, SeedConfig
 
-from checkpoints import NOT_A_CHECKPOINT
+from checkpoints import NOT_A_CHECKPOINT, RAW_FILES, write_malformed
 
 
 @pytest.fixture()
@@ -202,13 +202,13 @@ CHECKPOINT_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("name", sorted(NOT_A_CHECKPOINT))
+@pytest.mark.parametrize("name",
+                         sorted(NOT_A_CHECKPOINT) + sorted(RAW_FILES))
 @pytest.mark.parametrize("command", CHECKPOINT_COMMANDS, ids=lambda c: c[0])
 def test_a_malformed_checkpoint_is_one_error(command, name, tmp_path,
                                              fast_config, caplog):
-    entries, match = NOT_A_CHECKPOINT[name]
     bad = tmp_path / (name + ".npz")
-    np.savez(bad, **entries)
+    match = write_malformed(bad, name)
     with caplog.at_level(logging.ERROR, logger="sodfeeder"):
         rc = main(command + ["--checkpoint", str(bad), "--config",
                              fast_config, "--out", str(tmp_path / "out")])

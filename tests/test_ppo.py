@@ -18,19 +18,20 @@ from hypothesis.extra.numpy import arrays
 from sodfeeder import ppo
 from sodfeeder.nets import MLP, Adam, orthogonal, softmax_and_log
 from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
-                           clip_g, collect_rollouts, compute_gae,
-                           critic_loss_and_grad, gae_from_deltas, greedy_action,
-                           greedy_logits, load_checkpoint, sample_action, save_checkpoint,
-                           td_error)
+                           add_advantages, clip_g, collect_rollouts,
+                           compute_gae, critic_loss_and_grad, gae_from_deltas,
+                           greedy_action, greedy_logits, load_checkpoint,
+                           sample_action, save_checkpoint, td_error)
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
 from sodfeeder.env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
 from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
 
-from checkpoints import NOT_A_CHECKPOINT, checkpoint_entries, state_actor
+from checkpoints import (NOT_A_CHECKPOINT, RAW_FILES, checkpoint_entries,
+                         layer_params, state_actor, write_malformed)
 from oracles import (PerArrayAdam, gae_direct, oracle_compute_gae,
-                     serial_update)
-from toyenvs import BanditEnv
+                     serial_run_update)
+from toyenvs import BanditEnv, NoisyBanditEnv
 
 
 # ---- nets -------------------------------------------------------------------
@@ -110,7 +111,7 @@ def test_adam_moves_towards_minimum():
 def test_flat_adam_equals_the_per_array_oracle():
     rng = np.random.default_rng(21)
     net = MLP([5, 7, 7, 3], rng)
-    arrays = [p.copy() for p in net.params]
+    arrays = [p.copy() for p in layer_params(net)]
     opt = Adam(net.flat, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
     oracle = PerArrayAdam(arrays, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
     for k in range(60):
@@ -122,14 +123,14 @@ def test_flat_adam_equals_the_per_array_oracle():
         arrays = oracle.step(arrays, grad_views)
         assert np.array_equal(net.flat,
                               np.concatenate([a.ravel() for a in arrays]))
-    for p, a in zip(net.params, arrays):
+    for p, a in zip(layer_params(net), arrays):
         assert np.array_equal(p, a)
 
 
 def _per_layer(net, flat):
-    """``flat`` cut into arrays shaped like ``net.params``."""
+    """``flat`` cut into arrays shaped like ``layer_params(net)``."""
     out, k = [], 0
-    for p in net.params:
+    for p in layer_params(net):
         out.append(flat[k:k + p.size].reshape(p.shape))
         k += p.size
     return out
@@ -149,7 +150,7 @@ def test_mlp_views_cannot_be_rebound():
         net.W[0] = np.zeros((3, 4))
     with pytest.raises(TypeError):
         net.b[1] = np.zeros(2)
-    for p, part in zip(net.params, _per_layer(net, net.flat)):
+    for p, part in zip(layer_params(net), _per_layer(net, net.flat)):
         assert np.shares_memory(p, net.flat)
         assert np.array_equal(p, part)
 
@@ -163,7 +164,7 @@ def test_mlp_copy_rebuilds_its_views(clone):
     assert not np.shares_memory(c.flat, net.flat)
     assert np.array_equal(c.flat, net.flat)
     assert isinstance(c.W, tuple) and isinstance(c.b, tuple)
-    for p in c.params:
+    for p in layer_params(c):
         assert np.shares_memory(p, c.flat)
     c.flat *= 2.0
     assert np.array_equal(c.W[0], 2.0 * net.W[0])
@@ -340,13 +341,14 @@ def make_trainer(n_envs=4, seed=0, lr=0.02):
 
 def test_rollout_shapes_and_reward_bookkeeping():
     tr = make_trainer()
-    batch = collect_rollouts(tr.envs, tr.actor, tr.critic, 16,
-                             [0, 1, 2, 3], tr.action_rngs, tr.config)
+    batch = collect_rollouts(tr.envs, tr.actor, 16, [0, 1, 2, 3],
+                             tr.action_rngs)
     assert batch.states.shape == (16, 4, 2)
     assert batch.actions.shape == (16, 4)
     # each episode ends at the rollout's last step, not before
     assert all(env.t == env.episode_len == 16 for env in tr.envs)
-    assert batch.advantages.shape == (16, 4)
+    add_advantages(batch, tr.critic, tr.config)
+    assert batch.advantages.shape == batch.returns.shape == (16, 4)
 
 
 def test_bandit_learning_quickly():
@@ -395,13 +397,12 @@ def test_single_env_replays_env_zero():
     tr8 = make_trainer(n_envs=8, seed=5)
     tr1 = make_trainer(n_envs=1, seed=5)
     # identical nets: parameter draws depend only on the seed
-    for a, b in zip(tr8.actor.params, tr1.actor.params):
+    for a, b in zip(layer_params(tr8.actor), layer_params(tr1.actor)):
         assert np.allclose(a, b)
     seeds = list(range(100, 108))
-    b8 = collect_rollouts(tr8.envs, tr8.actor, tr8.critic, 16, seeds,
-                          tr8.action_rngs, tr8.config)
-    b1 = collect_rollouts(tr1.envs, tr1.actor, tr1.critic, 16, seeds[:1],
-                          tr1.action_rngs, tr1.config)
+    b8 = collect_rollouts(tr8.envs, tr8.actor, 16, seeds, tr8.action_rngs)
+    b1 = collect_rollouts(tr1.envs, tr1.actor, 16, seeds[:1],
+                          tr1.action_rngs)
     assert np.array_equal(b8.actions[:, 0], b1.actions[:, 0])
     assert np.allclose(b8.rewards[:, 0], b1.rewards[:, 0])
     assert np.allclose(b8.log_probs[:, 0], b1.log_probs[:, 0])
@@ -427,7 +428,7 @@ def test_training_stats_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("update,env_steps,mean_episode_reward,value_loss,"
                         "policy_loss,entropy,approx_kl,clip_frac,"
-                        "rollout_s,update_s")
+                        "rollout_s,update_s,update_path")
     assert len(lines) == 4
     for row in tr.stats.rows:
         assert row["rollout_s"] > 0.0 and row["update_s"] > 0.0
@@ -435,34 +436,9 @@ def test_training_stats_csv(tmp_path):
 
 # ---- the update's two processes ----------------------------------------------
 
-def _update_state(seed=0):
-    """Small nets, their optimizers and an update stream."""
-    rng = np.random.default_rng(seed)
-    actor = MLP([STATE_DIM, 16, 16, N_ACTIONS], rng, out_gain=0.01)
-    critic = MLP([STATE_DIM, 16, 16, 1], rng)
-    return (actor, critic, Adam(actor.flat, 0.01), Adam(critic.flat, 0.01),
-            np.random.default_rng([seed, 1]))
-
-
-def _batch(actor, seed, T=16, N=8):
-    """A rollout batch of random states and returns, with actions and
-    log-probabilities drawn from ``actor``."""
-    rng = np.random.default_rng(seed)
-    states = rng.random((T, N, STATE_DIM))
-    logits, _ = actor.forward(states.reshape(T * N, -1))
-    probs, logp_all = softmax_and_log(logits)
-    actions = np.array([rng.choice(N_ACTIONS, p=p) for p in probs])
-    log_probs = logp_all[np.arange(T * N), actions] + rng.normal(
-        scale=0.1, size=T * N)
-    batch = ppo.RolloutBatch(states, actions.reshape(T, N), rng.random((T, N)),
-                             log_probs.reshape(T, N))
-    batch.advantages = rng.normal(size=(T, N))
-    batch.returns = rng.normal(size=(T, N))
-    return batch
-
-
 def _machine(monkeypatch, cpus, threads=1):
-    """Make ``update`` see ``cpus`` CPUs and ``threads`` Python threads."""
+    """Make ``run_update`` see ``cpus`` CPUs and ``threads`` Python
+    threads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(threading, "active_count", lambda: threads)
 
@@ -486,8 +462,67 @@ def _no_child_or_fd_left(seconds=60):
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
-@pytest.mark.parametrize("cpus,thread", [(2, False), (1, False), (2, True)],
-                         ids=["forked", "one-cpu", "other-thread"])
+MACHINES = pytest.mark.parametrize(
+    "cpus,thread", [(2, False), (1, False), (2, True)],
+    ids=["forked", "one-cpu", "other-thread"])
+
+
+def _env_states(trainer):
+    """Each environment's step count and done flag, and its world's
+    request and vehicle records."""
+    return [(env.t, vars(env).get("done"),
+             repr(env.world.requests) if hasattr(env, "world") else None,
+             repr(env.world.vehicles) if hasattr(env, "world") else None)
+            for env in trainer.envs]
+
+
+def _check_against_the_serial_loop(monkeypatch, make, cpus, thread,
+                                   updates=2):
+    """Run ``updates`` calls of ``run_update`` on the trainer ``make()``
+    under the machine (``cpus``, ``thread``), each beside
+    ``oracles.serial_run_update`` on another ``make()``, and check that they
+    agree bit for bit: the batch, the reward and stats, the nets, the Adam
+    moments and step counts, the action and update streams and the
+    environments' states."""
+    ours, want = make(), make()
+    n = ours.n_envs
+    path = ("one_cpu" if cpus == 1 else "other_thread" if thread
+            else "forked" if n >= 4 else "critic_only")
+    forks, batches = [], []
+    fork, update = os.fork, ppo.update
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(ppo, "update",
+                        lambda *args: batches.append(args[4]) or update(*args))
+    _machine(monkeypatch, cpus, 1 + thread)
+    with _no_child_or_fd_left():
+        for u in range(updates):
+            seeds = [u * n + i for i in range(n)]
+            reward, stats = ours.run_update(seeds)
+            batch, want_reward, want_stats = serial_run_update(want, seeds)
+            for k in ("states", "actions", "rewards", "log_probs",
+                      "advantages", "returns"):
+                assert getattr(batches[-1], k).tobytes() == \
+                    getattr(batch, k).tobytes(), k
+            assert reward == want_reward
+            assert list(stats.items())[:len(want_stats)] == \
+                list(want_stats.items())
+            assert stats["update_path"] == path
+    assert len(forks) == (updates if path in ("forked", "critic_only")
+                          else 0)
+    assert ours.total_steps == want.total_steps
+    for a, b in ((ours.actor, want.actor), (ours.critic, want.critic)):
+        assert a.flat.tobytes() == b.flat.tobytes()
+    for a, b in ((ours.actor_opt, want.actor_opt),
+                 (ours.critic_opt, want.critic_opt)):
+        assert (a.m.tobytes(), a.v.tobytes(), a.t) == \
+            (b.m.tobytes(), b.v.tobytes(), b.t)
+    for a, b in zip(ours.action_rngs + [ours.update_rng],
+                    want.action_rngs + [want.update_rng]):
+        assert a.bit_generator.state == b.bit_generator.state
+    assert _env_states(ours) == _env_states(want)
+
+
+@MACHINES
 @pytest.mark.parametrize("epochs", [1, 3])
 @pytest.mark.parametrize("minibatch_size", [64, 7, 200])
 @pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
@@ -495,39 +530,60 @@ def _no_child_or_fd_left(seconds=60):
 def test_update_equals_the_serial_loop(monkeypatch, cpus, thread, epochs,
                                        minibatch_size, entropy_coef,
                                        normalize):
-    # the batch holds 128 samples: 64 divides it, 7 does not, 200 exceeds it
+    # 8 environments of 16 steps give 128 samples: 64 divides it, 7 does
+    # not, 200 exceeds it
     cfg = PPOConfig(epochs=epochs, minibatch_size=minibatch_size,
-                    entropy_coef=entropy_coef, normalize_advantages=normalize)
-    ours = _update_state()
-    want = copy.deepcopy(ours)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    _machine(monkeypatch, cpus, 1 + thread)
-    with _no_child_or_fd_left():
-        for k in range(2):
-            batch = _batch(want[0], seed=k)
-            expected = serial_update(*want[:4], batch, cfg, want[4])
-            got = ppo.update(*ours[:4], batch, cfg, ours[4])
-            assert list(got.items()) == list(expected.items())
-    assert len(forks) == (0 if cpus == 1 or thread else 2)
-    for a, b in zip(ours[:2], want[:2]):
-        assert a.flat.tobytes() == b.flat.tobytes()
-    for a, b in zip(ours[2:4], want[2:4]):
-        assert (a.m.tobytes(), a.v.tobytes(), a.t) == \
-            (b.m.tobytes(), b.v.tobytes(), b.t)
-    assert ours[4].bit_generator.state == want[4].bit_generator.state
+                    entropy_coef=entropy_coef, normalize_advantages=normalize,
+                    hidden_units=16, learning_rate=0.01)
+    _check_against_the_serial_loop(
+        monkeypatch, lambda: PPOTrainer(
+            env_factory=lambda i: NoisyBanditEnv(obs_dim=STATE_DIM),
+            obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=cfg, seed=3),
+        cpus, thread)
+
+
+def _short_scenario(n_envs):
+    """A half-hour horizon at a tenth of the default demand."""
+    sc = Scenario(horizon=1800.0, warmup=600.0,
+                  ppo=PPOConfig(n_envs=n_envs, epochs=2, hidden_units=16))
+    d = sc.demand
+    return replace(sc, demand=replace(d, base_rate=d.base_rate * 0.1,
+                                      end_rate=d.end_rate * 0.1))
+
+
+@MACHINES
+@pytest.mark.parametrize("n_envs", range(1, 10))
+@pytest.mark.parametrize("kind", ["zonal", "bandit"])
+def test_every_env_count_equals_the_serial_loop(monkeypatch, kind, n_envs,
+                                                cpus, thread):
+    # odd counts split unevenly, and below 4 the partner takes only the
+    # critic's steps
+    if kind == "zonal":
+        sc = _short_scenario(n_envs)
+        net = sc.network()
+        make = lambda: PPOTrainer(  # noqa: E731
+            env_factory=lambda i: ZonalDispatchEnv(sc, net=net),
+            obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=sc.ppo, seed=2)
+    else:
+        make = lambda: make_trainer(n_envs=n_envs, seed=2)  # noqa: E731
+    _check_against_the_serial_loop(monkeypatch, make, cpus, thread)
 
 
 def test_a_critic_error_in_the_child_is_raised_with_its_type(monkeypatch):
-    actor, critic, actor_opt, critic_opt, rng = _update_state()
-    batch = _batch(actor, seed=0)
-    critic.W[0][0, 0] = np.nan
+    parent = os.getpid()
+    step = ppo.critic_loss_and_grad
+
+    def nan_in_the_child(critic, *args):
+        if os.getpid() != parent:
+            critic.W[0][0, 0] = np.nan
+        return step(critic, *args)
+
+    monkeypatch.setattr(ppo, "critic_loss_and_grad", nan_in_the_child)
     _machine(monkeypatch, 2)
+    tr = make_trainer(n_envs=4)
     with _no_child_or_fd_left():
         with pytest.raises(FloatingPointError, match="non-finite"):
-            ppo.update(actor, critic, actor_opt, critic_opt, batch,
-                       PPOConfig(), rng)
+            tr.run_update([0, 1, 2, 3])
 
 
 def test_a_killed_child_raises_instead_of_hanging(monkeypatch):
@@ -541,11 +597,10 @@ def test_a_killed_child_raises_instead_of_hanging(monkeypatch):
 
     monkeypatch.setattr(ppo, "critic_loss_and_grad", die_in_the_child)
     _machine(monkeypatch, 2)
-    actor, critic, actor_opt, critic_opt, rng = _update_state()
+    tr = make_trainer(n_envs=2)
     with _no_child_or_fd_left():
         with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
-            ppo.update(actor, critic, actor_opt, critic_opt,
-                       _batch(actor, seed=0), PPOConfig(), rng)
+            tr.run_update([0, 1])
 
 
 def test_an_actor_error_reaps_the_child(monkeypatch):
@@ -560,11 +615,61 @@ def test_an_actor_error_reaps_the_child(monkeypatch):
 
     monkeypatch.setattr(ppo, "actor_loss_and_grad", fail_second)
     _machine(monkeypatch, 2)
-    actor, critic, actor_opt, critic_opt, rng = _update_state()
+    tr = make_trainer(n_envs=4)
     with _no_child_or_fd_left():
         with pytest.raises(ValueError, match="actor step failed"):
-            ppo.update(actor, critic, actor_opt, critic_opt,
-                       _batch(actor, seed=0), PPOConfig(), rng)
+            tr.run_update([0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("env,fault,error", [
+    (3, "raise", LookupError), (3, "kill", RuntimeError),
+    (0, "raise", LookupError)],
+    ids=["partner-raises", "partner-killed", "this-process-raises"])
+def test_an_env_step_error_in_either_half(monkeypatch, env, fault, error):
+    # envs 2 and 3 step in the partner, 0 and 1 here; a fault at the fifth
+    # step stops the episode midway
+    parent = os.getpid()
+    tr = make_trainer(n_envs=4)
+    step = tr.envs[env].step
+
+    def faulty(action):
+        if tr.envs[env].t == 4:
+            assert (os.getpid() == parent) == (env < 2)
+            if fault == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise LookupError("no step %d" % tr.envs[env].t)
+        return step(action)
+
+    tr.envs[env].step = faulty
+    _machine(monkeypatch, 2)
+    with _no_child_or_fd_left():
+        with pytest.raises(error, match="no step 4" if error is LookupError
+                           else "signal %d" % signal.SIGKILL):
+            tr.run_update([0, 1, 2, 3])
+
+
+def test_a_partner_killed_before_it_is_sent_the_samples_raises(monkeypatch):
+    # with 2 environments the partner steps none and waits for the samples;
+    # once it is gone, sending them meets a pipe with no reader, which is
+    # a BrokenPipeError unless the send reports the partner's end instead
+    pids = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    tr = make_trainer(n_envs=2)
+    step = tr.envs[0].step
+
+    def kill_the_partner(action):
+        if tr.envs[0].t == 4:
+            os.kill(pids[-1], signal.SIGKILL)
+            # wait until it has exited, without reaping it
+            os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)
+        return step(action)
+
+    tr.envs[0].step = kill_the_partner
+    _machine(monkeypatch, 2)
+    with _no_child_or_fd_left():
+        with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
+            tr.run_update([0, 1])
 
 
 # sha256 of the flat parameters and the stats rows after 3 updates, recorded
@@ -575,19 +680,36 @@ PINNED_TRAINER_SHA256 = \
     "6ec2542b220394e60044422c6fb595691974fe4002a3205c5cd29c8708409393"
 
 
-def test_trainer_state_after_three_updates_is_pinned():
+# the same with 4 environments, which the forked path splits 2 and 2;
+# recorded on the one-process rollout loop
+PINNED_SPLIT_TRAINER_SHA256 = \
+    "08fbf09590ea33a94712f7ab91f8b63d347a24a14dd3227ed1424b2bd7aabf51"
+
+
+def _trainer_sha(n_envs):
+    """sha256 of the trainer's flat parameters and stats rows after 3
+    updates on the default scenario with ``n_envs`` environments."""
     sc = Scenario()
     net = sc.network()
     tr = PPOTrainer(env_factory=lambda i: ZonalDispatchEnv(sc, net=net),
                     obs_dim=STATE_DIM, n_actions=N_ACTIONS,
-                    config=replace(sc.ppo, n_envs=2), seed=0)
-    tr.train(replace(sc.seeds, train_count=6).train_seeds(), 3)
+                    config=replace(sc.ppo, n_envs=n_envs), seed=0)
+    tr.train(replace(sc.seeds, train_count=3 * n_envs).train_seeds(), 3)
     keys = ("update", "env_steps", "mean_episode_reward", "value_loss",
             "policy_loss", "entropy", "approx_kl", "clip_frac")
     h = hashlib.sha256(np.concatenate([tr.actor.flat_params(),
                                        tr.critic.flat_params()]).tobytes())
     h.update(repr([[row[k] for k in keys] for row in tr.stats.rows]).encode())
-    assert h.hexdigest() == PINNED_TRAINER_SHA256
+    return h.hexdigest()
+
+
+def test_trainer_state_after_three_updates_is_pinned():
+    assert _trainer_sha(2) == PINNED_TRAINER_SHA256
+
+
+def test_split_trainer_state_after_three_updates_is_pinned(monkeypatch):
+    _machine(monkeypatch, 2)
+    assert _trainer_sha(4) == PINNED_SPLIT_TRAINER_SHA256
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -647,9 +769,9 @@ def test_a_file_that_is_not_a_whole_checkpoint_is_refused(tmp_path):
     # each malformed file is a ValueError that names the file and what is
     # wrong, raised before any net is built
     sc = Scenario()
-    for name, (entries, match) in NOT_A_CHECKPOINT.items():
+    for name in [*NOT_A_CHECKPOINT, *RAW_FILES]:
         bad = tmp_path / (name + ".npz")
-        np.savez(bad, **entries)
+        match = write_malformed(bad, name)
         with pytest.raises(ValueError, match=re.escape(str(bad) + match)):
             load_checkpoint(bad, sc)
     good = tmp_path / "good.npz"

@@ -25,3 +25,25 @@ class BanditEnv:
         reward = 1.0 if action == self.best else 1.0 - self.margin
         done = self.t >= self.episode_len
         return self._obs(), reward, done, {}
+
+
+class NoisyBanditEnv(BanditEnv):
+    """``BanditEnv`` with ``obs_dim`` random observations and noise on each
+    reward, drawn from a stream that ``reset`` seeds: a rollout of varied
+    states and returns."""
+
+    def __init__(self, obs_dim, **kwargs):
+        super().__init__(**kwargs)
+        self.obs_dim = obs_dim
+        self.rng = np.random.default_rng(0)
+
+    def reset(self, seed=None):
+        self.rng = np.random.default_rng(seed)
+        return super().reset(seed)
+
+    def _obs(self):
+        return self.rng.random(self.obs_dim)
+
+    def step(self, action):
+        obs, reward, done, info = super().step(action)
+        return obs, reward + self.rng.normal(), done, info
