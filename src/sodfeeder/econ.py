@@ -136,6 +136,13 @@ def write_table(path, header, rows):
         w.writerows(rows)
 
 
+def append_rows(path, rows):
+    """Append ``rows`` to the table that ``write_table`` started at
+    ``path``, in its format; they are on disk when this returns."""
+    with open(path, "a", newline="") as f:
+        csv.writer(f).writerows(rows)
+
+
 def write_metrics_csv(rows, path):
     """rows: list of (label dict, RunMetrics)."""
     if not rows:

@@ -38,18 +38,18 @@ def run_simulation(scenario, policy_kind, seed, actor=None, net=None):
 
 def train_rl(scenario, out_checkpoint=None, stats_path=None, seed=0):
     """Desk-scale training run on ``scenario.seeds.train_seeds()`` with
-    ``scenario.ppo.n_envs`` environments; returns (trainer, stats)."""
+    ``scenario.ppo.n_envs`` environments; returns (trainer, stats).  Each
+    stats row goes to ``stats_path``, if given, as its update ends."""
     net = scenario.network()
     trainer = PPOTrainer(
         env_factory=lambda i: ZonalDispatchEnv(scenario, net=net),
         obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=scenario.ppo,
         seed=seed)
+    trainer.stats.path = stats_path
     seeds = scenario.seeds.train_seeds()
     trainer.train(seeds, max(1, len(seeds) // scenario.ppo.n_envs))
     if out_checkpoint:
         save_checkpoint(out_checkpoint, trainer.actor, scenario)
-    if stats_path:
-        trainer.stats.to_csv(stats_path)
     return trainer, trainer.stats
 
 

@@ -68,7 +68,8 @@ class MLP:
 
     def backward(self, acts, dout):
         """Gradient of a scalar loss given d(loss)/d(output), as one vector
-        laid out like ``flat``."""
+        laid out like ``flat``; each hidden activation ``a`` in ``acts``
+        becomes ``1 - a**2`` in place."""
         grad = np.empty_like(self.flat)
         grad_W, grad_b = _views(grad, self.sizes)
         dh = dout
@@ -76,7 +77,9 @@ class MLP:
             np.matmul(acts[i].T, dh, out=grad_W[i])
             dh.sum(axis=0, out=grad_b[i])
             if i > 0:
-                dh = (dh @ self.W[i].T) * (1.0 - acts[i] ** 2)
+                dh = dh @ self.W[i].T
+                dh *= np.subtract(1.0, np.square(acts[i], out=acts[i]),
+                                  out=acts[i])
         return grad
 
     def flat_params(self):
@@ -84,9 +87,9 @@ class MLP:
 
 
 class Adam:
-    """Adam over one parameter vector, updated in place by ``step``.  Each
-    elementwise operation keeps the operand order of per-array Adam, so the
-    results are equal bit for bit."""
+    """Adam over one parameter vector, updated in place by ``step``, whose
+    intermediates go to two scratch vectors.  Each elementwise operation
+    keeps the operand order of per-array Adam: equal results bit for bit."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -97,16 +100,21 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self.scratch = np.empty((2, *params.shape))
 
     def step(self, grad):
         self.t += 1
+        a, b = self.scratch
         self.m *= self.beta1
-        self.m += (1 - self.beta1) * grad
+        self.m += np.multiply(1 - self.beta1, grad, out=a)
         self.v *= self.beta2
-        self.v += (1 - self.beta2) * grad * grad
-        mhat = self.m / (1 - self.beta1 ** self.t)
-        vhat = self.v / (1 - self.beta2 ** self.t)
-        self.params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.v += np.multiply(np.multiply(1 - self.beta2, grad, out=a), grad,
+                              out=a)
+        mhat = np.divide(self.m, 1 - self.beta1 ** self.t, out=a)
+        vhat = np.divide(self.v, 1 - self.beta2 ** self.t, out=b)
+        self.params -= np.divide(np.multiply(self.lr, mhat, out=a),
+                                 np.add(np.sqrt(vhat, out=b), self.eps, out=b),
+                                 out=a)
 
 
 def softmax_and_log(logits):

@@ -7,18 +7,22 @@ shuffled minibatch epochs with Adam.
 
 An update runs in two processes (see ``PPOTrainer.run_update``): one forked
 partner steps the second half of the environments while this process steps
-the first, then takes the critic's minibatch steps while this process takes
-the actor's, and sends back what it changed.  It is reaped before the update
-returns.  With one CPU, or while another thread runs, everything runs here.
+the first; each joins both halves and runs the critic's value passes for
+half of the steps.  Then the partner takes the critic's minibatch steps while
+this process takes the actor's, and sends back what it changed.  It is reaped
+before the update returns.  With one CPU, or while another thread runs,
+everything runs here.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import logging
 import math
 import os
 import pickle
+import resource
 import signal
 import threading
 import time
@@ -31,11 +35,13 @@ import numpy as np
 from numpy.lib.npyio import NpzFile
 
 from .corridor import Network
-from .econ import write_table
+from .econ import append_rows, write_table
 from .env import N_ACTIONS, STATE_DIM, scenario_fingerprint
 from .env import STATE_LAYOUT_VERSION as CHECKPOINT_VERSION
 from .nets import MLP, Adam, softmax_and_log
 from .scenario import Scenario
+
+LOG = logging.getLogger(__name__)
 
 
 # ---- advantage estimation --------------------------------------------------
@@ -196,15 +202,21 @@ def collect_rollouts(envs, actor, n_steps, instance_seeds, action_rngs):
     return RolloutBatch(states, actions, rewards, log_probs)
 
 
-def add_advantages(batch, critic, config):
+def add_advantages(batch, critic, config, steps=slice(None), swap=None):
     """Set the batch's advantages and returns from the critic's values.
 
     The values come from one forward pass per step over every environment's
     state: the critic's 1-column output layer is a matrix-vector product
     that BLAS rounds by a row's place in its blocks of rows, so a pass over
-    part of the environments need not equal those rows of the whole.
+    part of the environments need not equal those rows of the whole.  With
+    ``swap``, only the passes of the slice ``steps`` run here, and
+    ``swap(rows)`` trades their values for the other steps' from elsewhere.
     """
-    values = np.array([critic.forward(obs)[0][:, 0] for obs in batch.states])
+    values = np.empty(batch.rewards.shape)
+    for t in range(len(values))[steps]:
+        values[t] = critic.forward(batch.states[t])[0][:, 0]
+    if swap is not None:
+        values[np.delete(np.arange(len(values)), steps)] = swap(values[steps])
     batch.advantages, batch.returns = compute_gae(
         batch.rewards, values, config.discount, config.gae_lambda)
 
@@ -313,6 +325,14 @@ class _Partner:
             raise exc
         return obj
 
+    def swap(self, obj):
+        """The partner's next message, then ``obj`` sent to it.  The partner
+        writes first: two writers would block each other once a message
+        overfills a pipe, as half the value rows do past about 91 envs."""
+        theirs = self.receive()
+        self.send(obj)
+        return theirs
+
     def close(self, kill=False):
         """Reap the partner, killing it first if ``kill``, and close the
         pipes; returns its exit code, or None if it was reaped before."""
@@ -337,31 +357,33 @@ class _Partner:
                                % code)
 
 
+def draw_minibatches(n, config, rng):
+    """Every epoch's minibatches of ``n`` sample indices, in order; ``rng``
+    is consumed as when the epochs ran one after the other."""
+    size = config.minibatch_size
+    return [order[start:start + size]
+            for order in [rng.permutation(n) for _ in range(config.epochs)]
+            for start in range(0, n, size)]
+
+
 def update(actor, critic, actor_opt, critic_opt, batch, config, rng,
            partner=None):
     """Shuffled minibatch epochs over one rollout batch.
 
-    Every epoch's permutation is drawn up front, so ``rng`` is consumed as
-    when the epochs ran one after the other.  The actor and the critic share
-    no parameter, so their steps may run at the same time: with
-    ``partner``, a ``_Partner`` whose process holds the same critic and
-    ``critic_opt``, it is sent the samples and the minibatches, takes the
-    critic's steps while this process takes the actor's, and sends back the
-    critic's parameters, Adam moments and value losses.  Without one, the
-    critic's steps run here after the actor's.  Either way the results
-    equal the interleaved serial loop's bit for bit.
+    The actor and the critic share no parameter, so their steps may run at
+    the same time: ``partner``, if given, is a ``_Partner`` whose process
+    holds the same critic, ``critic_opt``, states, returns and ``rng``
+    state; it draws the same minibatches, takes the critic's steps while
+    this process takes the actor's, and sends back the critic's parameters,
+    Adam moments and value losses.  Without one, the critic's steps run here
+    after the actor's.  Either way the results equal the interleaved serial
+    loop's bit for bit.
     """
     states, actions, old_logp, adv, returns = batch.flatten()
     if config.normalize_advantages:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     surr_clipped = clip_g(config.clip_eps, adv)
-    n = len(actions)
-    size = config.minibatch_size
-    orders = [rng.permutation(n) for _ in range(config.epochs)]
-    minibatches = [order[start:start + size]
-                   for order in orders for start in range(0, n, size)]
-    if partner is not None:
-        partner.send((states, returns, minibatches))
+    minibatches = draw_minibatches(len(actions), config, rng)
     actor_stats = []
     for idx in minibatches:
         ploss, pgrads, pstats = actor_loss_and_grad(
@@ -383,6 +405,15 @@ def update(actor, critic, actor_opt, critic_opt, batch, config, rng,
         **{k: float(np.mean([s[k] for _, s in actor_stats]))
            for k in ("entropy", "approx_kl", "clip_frac")},
     }
+
+
+def _join(batch, half):
+    """``batch`` with ``half``'s environments after its own, in each field
+    that ``batch`` holds."""
+    return RolloutBatch(*(
+        None if a is None else np.concatenate([a, getattr(half, k)], axis=1)
+        for k in ("states", "actions", "rewards", "log_probs")
+        for a in [getattr(batch, k)]))
 
 
 def update_path(n_envs):
@@ -527,20 +558,25 @@ def greedy_action(actor, obs):
 
 @dataclass
 class TrainStats:
+    """A training run's stats rows.  With ``path``, that CSV table is
+    started afresh and each row is appended to it as it is added."""
     rows: list = field(default_factory=list)
+    path: str = None
 
     def add(self, update_idx, steps, mean_episode_reward, stats):
-        """One row: the update's counters, then ``stats`` in its own order."""
-        self.rows.append({"update": update_idx, "env_steps": steps,
-                          "mean_episode_reward": mean_episode_reward,
-                          **stats})
-
-    def to_csv(self, path):
-        if not self.rows:
-            return
-        header = list(self.rows[0])
-        write_table(path, header, ([row[k] for k in header]
-                                   for row in self.rows))
+        """One row, logged: the update's counters, then ``stats`` in its own
+        order."""
+        row = {"update": update_idx, "env_steps": steps,
+               "mean_episode_reward": mean_episode_reward, **stats}
+        self.rows.append(row)
+        LOG.info("update %d: %d env steps, mean episode reward %.4f, policy "
+                 "loss %.4g, value loss %.4g, rollout %.3f s, update %.3f s",
+                 update_idx, steps, mean_episode_reward, row["policy_loss"],
+                 row["value_loss"], row["rollout_s"], row["update_s"])
+        if self.path is not None:
+            if len(self.rows) == 1:
+                write_table(self.path, list(row), [])
+            append_rows(self.path, [list(row.values())])
 
 
 class PPOTrainer:
@@ -579,15 +615,18 @@ class PPOTrainer:
 
     def run_update(self, instance_seeds):
         """One rollout and update.  The stats carry their wall times
-        ``rollout_s`` and ``update_s``, and the ``update_path`` taken.
+        ``rollout_s`` and ``update_s``, the ``update_path`` taken and the
+        partner's CPU time ``partner_cpu_s`` (0.0 when none forked).
 
         On the ``forked`` and ``critic_only`` paths, one forked partner
         process runs beside this one.  The environments are independent, so
         the partner steps ``envs[h:]`` for the whole episode on its own
         copies of the nets and action streams while this process steps
-        ``envs[:h]``; it sends back its batch and stream states, and the two
-        batches join by environment index.  Then the partner takes the
-        critic's minibatch steps while this process takes the actor's (see
+        ``envs[:h]``; it sends back its batch and stream states, is sent the
+        states and rewards of ``envs[:h]``, and each side joins the halves
+        by environment index and runs the value passes of half of the steps
+        (see ``add_advantages``).  Then the partner takes the critic's
+        minibatch steps while this process takes the actor's (see
         ``update``), and last it sends back its environments' states, which
         are set into the same environment objects here.  On the
         ``critic_only`` path ``h`` is every environment.  The partner is
@@ -595,6 +634,7 @@ class PPOTrainer:
         if this process raises, the partner is killed and reaped first.
         """
         t0 = time.perf_counter()
+        cpu0 = resource.getrusage(resource.RUSAGE_CHILDREN)
         n = self.n_envs
         path = update_path(n)
         h = n // 2 if path == "forked" else n
@@ -604,15 +644,18 @@ class PPOTrainer:
                 send, receive, h, instance_seeds))
         try:
             batch = self._collect(slice(0, h), instance_seeds)
-            if h < n:
-                half, rng_states = partner.receive()
-                for rng, state in zip(self.action_rngs[h:], rng_states):
-                    rng.bit_generator.state = state
-                batch = RolloutBatch(*(
-                    np.concatenate([getattr(batch, k), getattr(half, k)],
-                                   axis=1)
-                    for k in ("states", "actions", "rewards", "log_probs")))
-            add_advantages(batch, self.critic, self.config)
+            steps, swap = slice(None), None
+            if partner is not None:
+                if h < n:
+                    half, rng_states = partner.receive()
+                    for rng, state in zip(self.action_rngs[h:], rng_states):
+                        rng.bit_generator.state = state
+                partner.send(RolloutBatch(batch.states, None, batch.rewards,
+                                          None))
+                if h < n:
+                    batch = _join(batch, half)
+                steps, swap = slice(0, len(batch.states) // 2), partner.swap
+            add_advantages(batch, self.critic, self.config, steps, swap)
             t1 = time.perf_counter()
             stats = update(self.actor, self.critic, self.actor_opt,
                            self.critic_opt, batch, self.config,
@@ -627,6 +670,9 @@ class PPOTrainer:
         stats["rollout_s"] = t1 - t0
         stats["update_s"] = time.perf_counter() - t1
         stats["update_path"] = path
+        cpu1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+        stats["partner_cpu_s"] = (cpu1.ru_utime - cpu0.ru_utime
+                                  + cpu1.ru_stime - cpu0.ru_stime)
         self.total_steps += batch.actions.size
         mean_ep_reward = float(batch.rewards.sum() / self.n_envs)
         return mean_ep_reward, stats
@@ -642,11 +688,19 @@ class PPOTrainer:
         """The partner's side of ``run_update``, in the forked process."""
         envs = slice(h, None)
         if h < self.n_envs:
-            send((self._collect(envs, instance_seeds),
-                  [rng.bit_generator.state for rng in self.action_rngs[envs]]))
-        states, returns, minibatches = receive()
-        losses = critic_steps(self.critic, self.critic_opt, states, returns,
-                              minibatches)
+            half = self._collect(envs, instance_seeds)
+            send((half, [rng.bit_generator.state
+                         for rng in self.action_rngs[envs]]))
+            batch = _join(receive(), half)
+        else:
+            batch = receive()
+        add_advantages(batch, self.critic, self.config,
+                       slice(len(batch.states) // 2, None),
+                       lambda rows: send(rows) or receive())
+        states = batch.states.reshape(batch.returns.size, -1)
+        losses = critic_steps(
+            self.critic, self.critic_opt, states, batch.returns.ravel(),
+            draw_minibatches(len(states), self.config, self.update_rng))
         # pickled before the first send that can block, while this process
         # still takes the actor's steps
         worlds = _dump_envs(self.envs[envs])

@@ -17,15 +17,19 @@ from hypothesis.extra.numpy import arrays
 
 from sodfeeder import ppo
 from sodfeeder.nets import MLP, Adam, orthogonal, softmax_and_log
-from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, actor_loss_and_grad,
-                           add_advantages, clip_g, collect_rollouts,
-                           compute_gae, critic_loss_and_grad, gae_from_deltas,
-                           greedy_action, greedy_logits, load_checkpoint,
-                           sample_action, save_checkpoint, td_error)
+from sodfeeder.ppo import (CHECKPOINT_VERSION, PPOTrainer, RolloutBatch,
+                           actor_loss_and_grad, add_advantages, clip_g,
+                           collect_rollouts, compute_gae, critic_loss_and_grad,
+                           gae_from_deltas, greedy_action, greedy_logits,
+                           load_checkpoint, sample_action, save_checkpoint,
+                           td_error)
 from sodfeeder.corridor import CorridorSpec
 from sodfeeder.costs import FeasibilityLimits
+from sodfeeder.econ import write_table
 from sodfeeder.env import N_ACTIONS, STATE_DIM, ZonalDispatchEnv
-from sodfeeder.scenario import NormalizationRanges, PPOConfig, Scenario
+from sodfeeder.experiments import train_rl
+from sodfeeder.scenario import (NormalizationRanges, PPOConfig, Scenario,
+                                SeedConfig)
 
 from checkpoints import (NOT_A_CHECKPOINT, RAW_FILES, checkpoint_entries,
                          layer_params, state_actor, write_malformed)
@@ -420,18 +424,61 @@ def test_trainer_takes_its_env_count_from_the_config():
                        n_actions=4, config=cfg, n_envs=n_envs)
 
 
-def test_training_stats_csv(tmp_path):
+STATS_HEADER = ("update,env_steps,mean_episode_reward,value_loss,policy_loss,"
+                "entropy,approx_kl,clip_frac,rollout_s,update_s,update_path,"
+                "partner_cpu_s")
+
+
+def test_training_stats_csv(tmp_path, caplog):
     tr = make_trainer()
-    tr.train(list(range(8)), 3)
     path = tmp_path / "stats.csv"
-    tr.stats.to_csv(path)
+    path.write_text("an older run's table\n")
+    tr.stats.path = path
+    with caplog.at_level("INFO", logger="sodfeeder"):
+        tr.train(list(range(8)), 3)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == ("update,env_steps,mean_episode_reward,value_loss,"
-                        "policy_loss,entropy,approx_kl,clip_frac,"
-                        "rollout_s,update_s,update_path")
+    assert lines[0] == STATS_HEADER
     assert len(lines) == 4
     for row in tr.stats.rows:
         assert row["rollout_s"] > 0.0 and row["update_s"] > 0.0
+    # the rows written one by one are the table that one write of them all
+    # gives
+    whole = tmp_path / "whole.csv"
+    header = STATS_HEADER.split(",")
+    write_table(whole, header, ([row[k] for k in header]
+                                for row in tr.stats.rows))
+    assert path.read_bytes() == whole.read_bytes()
+    logged = [r.getMessage() for r in caplog.records]
+    assert len(logged) == 3
+    for row, line in zip(tr.stats.rows, logged):
+        assert line.startswith("update %d: %d env steps, mean episode reward"
+                               % (row["update"], row["env_steps"]))
+        assert "rollout %.3f s, update %.3f s" % (
+            row["rollout_s"], row["update_s"]) in line
+
+
+def test_a_stopped_training_run_keeps_its_finished_rows(tmp_path,
+                                                        monkeypatch):
+    # 8 instances on 2 environments make 4 updates; environment 0, which
+    # this process steps on every path, fails to reset in the third
+    sc = replace(_short_scenario(2), seeds=SeedConfig(train_count=8))
+    fail = sc.seeds.train_seeds()[4]
+    reset = ZonalDispatchEnv.reset
+
+    def failing(env, seed):
+        if seed == fail:
+            raise LookupError("no instance %d" % seed)
+        return reset(env, seed)
+
+    monkeypatch.setattr(ZonalDispatchEnv, "reset", failing)
+    path = tmp_path / "stats.csv"
+    with _no_child_or_fd_left():
+        with pytest.raises(LookupError, match="no instance %d" % fail):
+            train_rl(sc, stats_path=str(path))
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == STATS_HEADER
+    assert [line.split(",")[:2] for line in lines[1:]] == \
+        [["0", "60"], ["1", "120"]]
 
 
 # ---- the update's two processes ----------------------------------------------
@@ -507,6 +554,10 @@ def _check_against_the_serial_loop(monkeypatch, make, cpus, thread,
             assert list(stats.items())[:len(want_stats)] == \
                 list(want_stats.items())
             assert stats["update_path"] == path
+            if path in ("forked", "critic_only"):
+                assert stats["partner_cpu_s"] > 0.0
+            else:
+                assert stats["partner_cpu_s"] == 0.0
     assert len(forks) == (updates if path in ("forked", "critic_only")
                           else 0)
     assert ours.total_steps == want.total_steps
@@ -553,20 +604,73 @@ def _short_scenario(n_envs):
 
 @MACHINES
 @pytest.mark.parametrize("n_envs", range(1, 10))
-@pytest.mark.parametrize("kind", ["zonal", "bandit"])
+@pytest.mark.parametrize("kind", ["zonal", "bandit", "odd-length"])
 def test_every_env_count_equals_the_serial_loop(monkeypatch, kind, n_envs,
                                                 cpus, thread):
     # odd counts split unevenly, and below 4 the partner takes only the
-    # critic's steps
+    # critic's steps; episodes of 15 steps split the value passes 7 and 8
     if kind == "zonal":
         sc = _short_scenario(n_envs)
         net = sc.network()
         make = lambda: PPOTrainer(  # noqa: E731
             env_factory=lambda i: ZonalDispatchEnv(sc, net=net),
             obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=sc.ppo, seed=2)
-    else:
+    elif kind == "bandit":
         make = lambda: make_trainer(n_envs=n_envs, seed=2)  # noqa: E731
+    else:
+        cfg = PPOConfig(n_envs=n_envs, epochs=2, hidden_units=16)
+        make = lambda: PPOTrainer(  # noqa: E731
+            env_factory=lambda i: NoisyBanditEnv(obs_dim=STATE_DIM,
+                                                 episode_len=15),
+            obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=cfg, seed=2)
     _check_against_the_serial_loop(monkeypatch, make, cpus, thread)
+
+
+def test_value_rows_past_a_pipe_buffer_equal_the_serial_loop(monkeypatch):
+    # 100 environments of 200 steps: each half of the value rows is 100 x
+    # 100 floats, more than a 64 KB pipe holds, so the swap finishes only if
+    # one side reads before it writes
+    cfg = PPOConfig(n_envs=100, epochs=1, minibatch_size=4000,
+                    hidden_units=16)
+    _check_against_the_serial_loop(
+        monkeypatch, lambda: PPOTrainer(
+            env_factory=lambda i: NoisyBanditEnv(obs_dim=2, episode_len=200),
+            obs_dim=2, n_actions=N_ACTIONS, config=cfg, seed=2),
+        2, False, updates=1)
+
+
+def test_the_parent_sends_its_half_rollout_and_its_value_rows(monkeypatch):
+    # per update the partner is sent the states and rewards of this
+    # process's half and the values of the first half of the steps, and
+    # nothing that grows with the epochs: it draws the minibatches itself
+    _machine(monkeypatch, 2)
+    write, update = ppo._write, ppo.update
+    sent = {}
+    for epochs in (1, 6):
+        log, batches = sent.setdefault(epochs, []), []
+        monkeypatch.setattr(ppo, "_write", lambda fd, obj, log=log:
+                            log.append(obj) or write(fd, obj))
+        monkeypatch.setattr(ppo, "update", lambda *args, batches=batches:
+                            batches.append(args[4]) or update(*args))
+        cfg = PPOConfig(epochs=epochs, hidden_units=16)
+        tr = PPOTrainer(
+            env_factory=lambda i: NoisyBanditEnv(obs_dim=STATE_DIM),
+            obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=cfg, seed=3)
+        for u in range(2):
+            critic = copy.deepcopy(tr.critic)
+            with _no_child_or_fd_left():
+                tr.run_update([8 * u + i for i in range(8)])
+            half, rows = log[2 * u:]
+            batch = batches[-1]
+            assert isinstance(half, RolloutBatch)
+            assert half.actions is half.log_probs is half.returns is None
+            assert half.states.tobytes() == batch.states[:, :4].tobytes()
+            assert half.rewards.tobytes() == batch.rewards[:, :4].tobytes()
+            assert rows.tobytes() == np.array(
+                [critic.forward(s)[0][:, 0] for s in batch.states[:8]]
+            ).tobytes()
+    assert [len(pickle.dumps(m)) for m in sent[1]] == \
+        [len(pickle.dumps(m)) for m in sent[6]]
 
 
 def test_a_critic_error_in_the_child_is_raised_with_its_type(monkeypatch):
@@ -648,10 +752,12 @@ def test_an_env_step_error_in_either_half(monkeypatch, env, fault, error):
             tr.run_update([0, 1, 2, 3])
 
 
-def test_a_partner_killed_before_it_is_sent_the_samples_raises(monkeypatch):
-    # with 2 environments the partner steps none and waits for the samples;
-    # once it is gone, sending them meets a pipe with no reader, which is
-    # a BrokenPipeError unless the send reports the partner's end instead
+def test_a_partner_killed_before_it_is_sent_the_parents_half_raises(
+        monkeypatch):
+    # with 2 environments the partner steps none and waits for this
+    # process's half-rollout; once it is gone, sending that meets a pipe
+    # with no reader, which is a BrokenPipeError unless the send reports the
+    # partner's end instead
     pids = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
