@@ -38,8 +38,16 @@ ride, no wider window span and no higher load.  Float round-off
 a ride or span, a difference of two times) can only undo a miss by a hair: a
 try that built a placement missing its time bounds by less than
 ``SCREEN_MARGIN`` (the screens drop only wider misses) sets the memo to 0,
-to retry every vehicle.  A memo entry also marks the request's plan as
-resolved; it is dropped when the request is assigned or rejected.
+to retry every vehicle.  The memo ``math.inf`` stops all retries of a
+request that no vehicle can reach in time: each vehicle a retry examines was
+dispatched at or after T (the first dispatch after the memo, or the clock at
+a failed try, which never goes back; vehicles dispatched earlier only lose
+placements), so it picks up no sooner than T + ``boarding_duration`` plus the
+shortest time from the terminus (triangle inequality, to 1.1e-13 s).  Past
+the wait bound by over twice ``SCREEN_MARGIN``, no placement passes the rider
+screen or is a near miss.  The lateness check still rejects the request at
+the same step.  A memo entry also marks the request's plan as resolved; it
+is dropped when the request is assigned or rejected.
 
 The rank shortcut (``_ranked_placements``) orders the placements that pass
 both screens by an estimate of their rank, the candidate's ``delta_rho +
@@ -374,6 +382,15 @@ def enumerate_candidates(world, request, since=-1, near=None):
     return out
 
 
+def _out_of_reach(world, request, t):
+    """Whether every vehicle dispatched at ``t`` or later misses the
+    request's wait bound beyond any near miss (module docstring)."""
+    p, net = world.params, world.net
+    return (t + p.boarding_duration + net.times[net.terminus][
+        request.pickup_node] - request.t_r
+        > p.limits.max_wait + EPS + 2 * SCREEN_MARGIN)
+
+
 def match_step(world, *, walk_speed, walk_cap):
     """One matching round: expire overdue requests, then greedily insert the
     rest in request-time order.  A request left without a candidate keeps a
@@ -393,14 +410,19 @@ def match_step(world, *, walk_speed, walk_cap):
             rep.rejected.append(req.id)
             memo.pop(req.id, None)
             continue
-        if since == world.dispatches:
-            # no vehicle was dispatched since its last try (module docstring)
+        if 0 <= since < world.dispatches and _out_of_reach(
+                world, req, world.dispatch_times[since]):
+            memo[req.id] = since = math.inf
+        if since >= world.dispatches:
+            # no vehicle was dispatched since its last try, or none can reach
+            # it in time (module docstring)
             rep.pending.append(req.id)
             continue
         near = set()
         cands = enumerate_candidates(world, req, since, near)
         if not cands:
-            memo[req.id] = 0 if near else world.dispatches
+            memo[req.id] = 0 if near else math.inf if _out_of_reach(
+                world, req, world.now) else world.dispatches
             rep.pending.append(req.id)
             continue
         memo.pop(req.id, None)

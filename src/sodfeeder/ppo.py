@@ -5,12 +5,13 @@ estimates state values.  Rollouts are collected from independent environment
 instances, advantages come from the backward GAE recursion, and updates run
 shuffled minibatch epochs with Adam.
 
-An update runs in two processes (see ``PPOTrainer.run_update``): one forked
+An update runs in two processes (see ``PPOTrainer.run_update``): a forked
 partner steps the second half of the environments while this process steps
 the first; each joins both halves and runs the critic's value passes for
 half of the steps.  Then the partner takes the critic's minibatch steps while
-this process takes the actor's, and sends back what it changed.  It is reaped
-before the update returns.  With one CPU, or while another thread runs,
+this process takes the actor's, and sends back what it changed.  One partner
+serves every update of a trainer until ``PPOTrainer.close``; it keeps no
+learned state between updates.  With one CPU, or while another thread runs,
 everything runs here.
 """
 
@@ -22,10 +23,10 @@ import logging
 import math
 import os
 import pickle
-import resource
 import signal
 import threading
 import time
+import weakref
 import zipfile
 import zlib
 from bisect import bisect_right
@@ -270,10 +271,12 @@ class _Partner:
     it passed to ``send``.  If ``work`` raises, the exception is sent
     instead, and ``receive`` raises it here.  The partner never returns: it
     exits with status 0 once ``work`` has returned or its exception is sent,
-    and with 1 if that could not be sent.  ``close`` or ``join`` reaps it.
+    and with 1 if that could not be sent.  ``close`` or ``join`` reaps it,
+    in the process that forked it only.
     """
 
     def __init__(self, work):
+        self.parent = os.getpid()
         fds = []
         try:
             fds += os.pipe()   # to the partner
@@ -333,10 +336,12 @@ class _Partner:
         self.send(obj)
         return theirs
 
-    def close(self, kill=False):
+    def close(self, kill=True):
         """Reap the partner, killing it first if ``kill``, and close the
-        pipes; returns its exit code, or None if it was reaped before."""
-        if self.pid is None:
+        pipes; returns its exit code, or None if it was reaped before or
+        not forked here.  Later partners hold copies of the pipe ends here,
+        so only a kill ends a waiting one."""
+        if self.pid is None or os.getpid() != self.parent:
             return None
         pid, self.pid = self.pid, None
         if kill:
@@ -346,9 +351,9 @@ class _Partner:
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
     def join(self):
-        """Reap the partner; raises ``RuntimeError`` unless it exited with
-        status 0."""
-        code = self.close()
+        """Reap the partner, which has exited; raises ``RuntimeError`` unless
+        it exited with status 0."""
+        code = self.close(kill=False)
         if code < 0:
             raise RuntimeError("the partner process was killed by signal %d"
                                % -code)
@@ -612,37 +617,48 @@ class PPOTrainer:
         self.update_rng = np.random.default_rng([seed, 104729])
         self.stats = TrainStats()
         self.total_steps = 0
+        # the update partner (see run_update) and the finalizer that reaps it
+        self._partner = self._reap = None
 
     def run_update(self, instance_seeds):
         """One rollout and update.  The stats carry their wall times
         ``rollout_s`` and ``update_s``, the ``update_path`` taken and the
-        partner's CPU time ``partner_cpu_s`` (0.0 when none forked).
+        partner's CPU time in the update ``partner_cpu_s`` (0.0 if none).
 
-        On the ``forked`` and ``critic_only`` paths, one forked partner
-        process runs beside this one.  The environments are independent, so
-        the partner steps ``envs[h:]`` for the whole episode on its own
-        copies of the nets and action streams while this process steps
-        ``envs[:h]``; it sends back its batch and stream states, is sent the
-        states and rewards of ``envs[:h]``, and each side joins the halves
-        by environment index and runs the value passes of half of the steps
-        (see ``add_advantages``).  Then the partner takes the critic's
-        minibatch steps while this process takes the actor's (see
-        ``update``), and last it sends back its environments' states, which
-        are set into the same environment objects here.  On the
-        ``critic_only`` path ``h`` is every environment.  The partner is
-        reaped before this returns; an exception in it is raised here, and
+        On the ``forked`` and ``critic_only`` paths a partner process, forked
+        at the first such update and kept until ``close``, an in-process
+        update or a failure on either side, is first sent all the state it
+        reads here.  The environments are independent, so it steps
+        ``envs[h:]`` for the whole episode on its own copies of the nets and
+        action streams while this process steps ``envs[:h]``; it sends back
+        its batch and stream states, is sent the states and rewards of
+        ``envs[:h]``, and each side joins the halves by environment index
+        and runs the value passes of half of the steps (see
+        ``add_advantages``).  Then the partner takes the critic's minibatch
+        steps while this process takes the actor's (see ``update``), and
+        last it sends back its environments' states, which are set into the
+        same environment objects here.  On the ``critic_only`` path ``h`` is
+        every environment.  An exception in the partner is raised here, and
         if this process raises, the partner is killed and reaped first.
         """
         t0 = time.perf_counter()
-        cpu0 = resource.getrusage(resource.RUSAGE_CHILDREN)
         n = self.n_envs
         path = update_path(n)
         h = n // 2 if path == "forked" else n
-        partner = None
-        if path in ("forked", "critic_only"):
-            partner = _Partner(lambda send, receive: self._partner(
-                send, receive, h, instance_seeds))
+        if path not in ("forked", "critic_only"):
+            self.close()
+        elif self._partner is None:
+            self._partner = _Partner(self._serve)
+            # reaps it when the trainer is collected, or at exit
+            self._reap = weakref.finalize(self, self._partner.close)
+        partner, partner_cpu_s, opt = self._partner, 0.0, self.critic_opt
         try:
+            if partner is not None:
+                partner.send((h, instance_seeds, self.actor.flat,
+                              self.critic.flat, opt.m, opt.v, opt.t, opt.lr,
+                              self.update_rng.bit_generator.state,
+                              [g.bit_generator.state
+                               for g in self.action_rngs[h:]]))
             batch = self._collect(slice(0, h), instance_seeds)
             steps, swap = slice(None), None
             if partner is not None:
@@ -661,21 +677,25 @@ class PPOTrainer:
                            self.critic_opt, batch, self.config,
                            self.update_rng, partner)
             if partner is not None:
-                _load_envs(self.envs[h:], partner.receive())
-                partner.join()
+                worlds, partner_cpu_s = partner.receive()
+                _load_envs(self.envs[h:], worlds)
         except BaseException:
-            if partner is not None:
-                partner.close(kill=True)
+            self.close()
             raise
         stats["rollout_s"] = t1 - t0
         stats["update_s"] = time.perf_counter() - t1
         stats["update_path"] = path
-        cpu1 = resource.getrusage(resource.RUSAGE_CHILDREN)
-        stats["partner_cpu_s"] = (cpu1.ru_utime - cpu0.ru_utime
-                                  + cpu1.ru_stime - cpu0.ru_stime)
+        stats["partner_cpu_s"] = partner_cpu_s
         self.total_steps += batch.actions.size
         mean_ep_reward = float(batch.rewards.sum() / self.n_envs)
         return mean_ep_reward, stats
+
+    def close(self):
+        """Kill and reap the update partner, if one runs; the next update
+        that needs one forks another."""
+        if self._partner is not None:
+            self._partner = None
+            self._reap()
 
     def _collect(self, envs, instance_seeds):
         """``collect_rollouts`` over the slice ``envs`` of the environments,
@@ -684,40 +704,53 @@ class PPOTrainer:
                                 self.envs[0].episode_len,
                                 instance_seeds[envs], self.action_rngs[envs])
 
-    def _partner(self, send, receive, h, instance_seeds):
-        """The partner's side of ``run_update``, in the forked process."""
-        envs = slice(h, None)
-        if h < self.n_envs:
-            half = self._collect(envs, instance_seeds)
-            send((half, [rng.bit_generator.state
-                         for rng in self.action_rngs[envs]]))
-            batch = _join(receive(), half)
-        else:
-            batch = receive()
-        add_advantages(batch, self.critic, self.config,
-                       slice(len(batch.states) // 2, None),
-                       lambda rows: send(rows) or receive())
-        states = batch.states.reshape(batch.returns.size, -1)
-        losses = critic_steps(
-            self.critic, self.critic_opt, states, batch.returns.ravel(),
-            draw_minibatches(len(states), self.config, self.update_rng))
-        # pickled before the first send that can block, while this process
-        # still takes the actor's steps
-        worlds = _dump_envs(self.envs[envs])
-        send((losses, self.critic.flat, self.critic_opt.m, self.critic_opt.v))
-        send(worlds)
+    def _serve(self, send, receive):
+        """The partner's side of ``run_update``, in the forked process: one
+        update per request, which holds all it reads of that process's state,
+        until reading the next raises ``EOFError``."""
+        opt = self.critic_opt
+        while True:
+            (h, instance_seeds, self.actor.flat[...], self.critic.flat[...],
+             opt.m[...], opt.v[...], opt.t, opt.lr,
+             self.update_rng.bit_generator.state, streams) = receive()
+            cpu0 = time.process_time()
+            envs = slice(h, None)
+            for rng, state in zip(self.action_rngs[envs], streams):
+                rng.bit_generator.state = state
+            if h < self.n_envs:
+                half = self._collect(envs, instance_seeds)
+                send((half, [rng.bit_generator.state
+                             for rng in self.action_rngs[envs]]))
+                batch = _join(receive(), half)
+            else:
+                batch = receive()
+            add_advantages(batch, self.critic, self.config,
+                           slice(len(batch.states) // 2, None),
+                           lambda rows: send(rows) or receive())
+            states = batch.states.reshape(batch.returns.size, -1)
+            losses = critic_steps(
+                self.critic, opt, states, batch.returns.ravel(),
+                draw_minibatches(len(states), self.config, self.update_rng))
+            # pickled before the first send that can block, while this
+            # process still takes the actor's steps
+            worlds = _dump_envs(self.envs[envs])
+            send((losses, self.critic.flat, opt.m, opt.v))
+            send((worlds, time.process_time() - cpu0))
 
     def train(self, instance_seed_stream, n_updates):
-        """Run updates, consuming n_envs instance seeds per update."""
+        """Run updates, n_envs instance seeds each, then ``close``."""
         base_lr = self.config.learning_rate
-        for u in range(n_updates):
-            if self.config.anneal_lr:
-                frac = 1.0 - u / n_updates
-                self.actor_opt.lr = base_lr * frac
-                self.critic_opt.lr = base_lr * frac
-            seeds = [instance_seed_stream[(u * self.n_envs + i)
-                                          % len(instance_seed_stream)]
-                     for i in range(self.n_envs)]
-            mean_ep_reward, stats = self.run_update(seeds)
-            self.stats.add(u, self.total_steps, mean_ep_reward, stats)
+        try:
+            for u in range(n_updates):
+                if self.config.anneal_lr:
+                    frac = 1.0 - u / n_updates
+                    self.actor_opt.lr = base_lr * frac
+                    self.critic_opt.lr = base_lr * frac
+                seeds = [instance_seed_stream[(u * self.n_envs + i)
+                                              % len(instance_seed_stream)]
+                         for i in range(self.n_envs)]
+                mean_ep_reward, stats = self.run_update(seeds)
+                self.stats.add(u, self.total_steps, mean_ep_reward, stats)
+        finally:
+            self.close()
         return self.stats

@@ -33,9 +33,10 @@ class World:
     request's ``category``.  Each vehicle's id is its index in
     ``vehicles``; the clock ``now`` only moves forward.  Every schedule
     change goes through ``set_schedule``.  ``dispatches`` counts the calls
-    of ``dispatch_vehicle``, which stamps the vehicle with the count, and
-    ``no_fit`` is matching's retry memo (request id -> the count at its
-    last attempt without a fit).
+    of ``dispatch_vehicle``, which stamps the vehicle with the count and
+    appends the clock to ``dispatch_times``, and ``no_fit`` is matching's
+    retry memo (request id -> the count at its last attempt without a fit,
+    or ``math.inf`` once no vehicle can reach it in time).
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
     assigned requests in category c (two per ASSIGNED request, one per
     RIDING one); assignment, boarding and alighting keep it current.
@@ -67,6 +68,7 @@ class World:
         }
 
         self.dispatches = 0
+        self.dispatch_times = []
         self.vehicles = []
         for i in range(scenario.n_vehicles):
             reserved = split_fleet and i < scenario.n_reserved
@@ -165,6 +167,7 @@ class World:
                p.dwell_per_pax)
         self.set_schedule(v, stops)
         self.dispatches += 1
+        self.dispatch_times.append(self.now)
         v.dispatched = self.dispatches
         v.status = VehicleStatus.BOARDING
         v.zone = z

@@ -830,6 +830,67 @@ def test_a_near_miss_retries_every_vehicle(miss, memo, monkeypatch):
     assert near == ({0} if memo == 0 else set())
 
 
+@pytest.mark.parametrize("tt,dispatch_at", [(600.0, 120.0), (300.0, 700.0)],
+                         ids=["after-a-failed-try", "before-a-retry"])
+def test_a_request_no_vehicle_can_reach_is_not_retried(tt, dispatch_at,
+                                                       monkeypatch):
+    # an inbound rider more than ``tt`` from the terminus, with no vehicle
+    # under way, finds no fit at once; a vehicle dispatched at
+    # ``dispatch_at`` cannot reach it by its wait bound.  With the memo
+    # ``math.inf`` it is not enumerated again (far riders give up after the
+    # failed try, nearer ones at the retry), and it is rejected at the step
+    # where a twin that retries it is
+    sc = Scenario(n_vehicles=1, n_reserved=0)
+    net = sc.network()
+    term = net.terminus
+    node = min((net.times[term][n], n) for n in range(net.n_nodes)
+               if net.times[term][n] > tt)[1]
+    tries = []
+    enumerate_all = matching.enumerate_candidates
+    monkeypatch.setattr(matching, "enumerate_candidates", lambda w, *args:
+                        tries.append((w, w.now)) or enumerate_all(w, *args))
+    ends = {}
+    for give_up in (True, False):
+        if not give_up:
+            monkeypatch.setattr(matching, "_out_of_reach", lambda *a: False)
+        w = World(net, sc, [feeder_request(net, 0, 0.0, node, False)])
+        while not match_step(w, **walk_of(sc)).rejected:
+            memo = w.no_fit[0]
+            w.advance_step()
+            if w.now >= dispatch_at and not w.dispatches:
+                w.dispatch_vehicle(0, 0)
+        ends[give_up] = (w.now, memo,
+                         [now for world, now in tries if world is w])
+    assert ends[True][0] == ends[False][0] > sc.limits.max_wait
+    assert ends[True][1:] == (math.inf, [0.0])
+    assert ends[False][1:] == (1, [0.0, w.dispatch_times[0]])
+
+
+@given(sc=scenarios(), seed=st.integers(0, 10**4),
+       kind=st.sampled_from([PolicyKind.SOD, PolicyKind.NOMINAL_ZONAL,
+                             PolicyKind.FIXED_ROUTE]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_giving_up_on_unreachable_requests_changes_no_round(sc, seed, kind):
+    # every round of a whole episode, its report, every request's state and
+    # every schedule, equals that of a twin that never gives up on a request
+    worlds = [build_world(sc, kind, seed) for _ in range(2)]
+    ctrls = [DispatchController(w, kind, sc.dispatch) for w in worlds]
+    walk = walk_of(sc)
+    for step in range(sc.n_steps):
+        reports = []
+        for world, ctrl, never in zip(worlds, ctrls, (False, True)):
+            with pytest.MonkeyPatch.context() as mp:
+                if never:
+                    mp.setattr(matching, "_out_of_reach", lambda *a: False)
+                ctrl.baseline_dispatch()
+                reports.append(match_step(world, **walk))
+                world.advance_step()
+        assert reports[0] == reports[1], step
+        assert _schedules(worlds[0]) == _schedules(worlds[1]), step
+        assert [(r.state, r.vehicle) for r in worlds[0].requests] == \
+            [(r.state, r.vehicle) for r in worlds[1].requests], step
+
+
 def _run_episode(sc, kind, seed=0):
     """One whole episode of ``kind`` under ``sc``; the RL policy takes a
     fixed cycle of actions.  Returns the world."""

@@ -6,6 +6,8 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -490,6 +492,13 @@ def _machine(monkeypatch, cpus, threads=1):
     monkeypatch.setattr(threading, "active_count", lambda: threads)
 
 
+def _forks(monkeypatch):
+    """The pids that ``os.fork`` returns here from now on."""
+    pids, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    return pids
+
+
 @contextlib.contextmanager
 def _no_child_or_fd_left(seconds=60):
     """Fails, rather than hangs, if the block takes over ``seconds``; after
@@ -512,6 +521,7 @@ def _no_child_or_fd_left(seconds=60):
 MACHINES = pytest.mark.parametrize(
     "cpus,thread", [(2, False), (1, False), (2, True)],
     ids=["forked", "one-cpu", "other-thread"])
+SPLIT = ("forked", "critic_only")
 
 
 def _env_states(trainer):
@@ -523,26 +533,31 @@ def _env_states(trainer):
             for env in trainer.envs]
 
 
-def _check_against_the_serial_loop(monkeypatch, make, cpus, thread,
-                                   updates=2):
-    """Run ``updates`` calls of ``run_update`` on the trainer ``make()``
-    under the machine (``cpus``, ``thread``), each beside
+def _check_against_the_serial_loop(monkeypatch, make, machines,
+                                   between=None):
+    """Run one ``run_update`` per (cpus, thread) of ``machines`` on the
+    trainer ``make()``, each under that machine and beside
     ``oracles.serial_run_update`` on another ``make()``, and check that they
     agree bit for bit: the batch, the reward and stats, the nets, the Adam
     moments and step counts, the action and update streams and the
-    environments' states."""
+    environments' states.  ``between``, if given, makes the same change to
+    both trainers before each update after the first.  A partner is forked
+    at each update that splits after one that did not, and after ``close``
+    no child or descriptor is left."""
     ours, want = make(), make()
     n = ours.n_envs
-    path = ("one_cpu" if cpus == 1 else "other_thread" if thread
-            else "forked" if n >= 4 else "critic_only")
-    forks, batches = [], []
-    fork, update = os.fork, ppo.update
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    paths = ["one_cpu" if cpus == 1 else "other_thread" if thread
+             else "forked" if n >= 4 else "critic_only"
+             for cpus, thread in machines]
+    forks, batches, update = _forks(monkeypatch), [], ppo.update
     monkeypatch.setattr(ppo, "update",
                         lambda *args: batches.append(args[4]) or update(*args))
-    _machine(monkeypatch, cpus, 1 + thread)
     with _no_child_or_fd_left():
-        for u in range(updates):
+        for u, ((cpus, thread), path) in enumerate(zip(machines, paths)):
+            _machine(monkeypatch, cpus, 1 + thread)
+            if u and between is not None:
+                between(ours)
+                between(want)
             seeds = [u * n + i for i in range(n)]
             reward, stats = ours.run_update(seeds)
             batch, want_reward, want_stats = serial_run_update(want, seeds)
@@ -554,19 +569,20 @@ def _check_against_the_serial_loop(monkeypatch, make, cpus, thread,
             assert list(stats.items())[:len(want_stats)] == \
                 list(want_stats.items())
             assert stats["update_path"] == path
-            if path in ("forked", "critic_only"):
+            if path in SPLIT:
                 assert stats["partner_cpu_s"] > 0.0
             else:
                 assert stats["partner_cpu_s"] == 0.0
-    assert len(forks) == (updates if path in ("forked", "critic_only")
-                          else 0)
+        ours.close()
+    assert len(forks) == sum(b in SPLIT and a not in SPLIT
+                             for a, b in zip([None] + paths, paths))
     assert ours.total_steps == want.total_steps
     for a, b in ((ours.actor, want.actor), (ours.critic, want.critic)):
         assert a.flat.tobytes() == b.flat.tobytes()
     for a, b in ((ours.actor_opt, want.actor_opt),
                  (ours.critic_opt, want.critic_opt)):
-        assert (a.m.tobytes(), a.v.tobytes(), a.t) == \
-            (b.m.tobytes(), b.v.tobytes(), b.t)
+        assert (a.m.tobytes(), a.v.tobytes(), a.t, a.lr) == \
+            (b.m.tobytes(), b.v.tobytes(), b.t, b.lr)
     for a, b in zip(ours.action_rngs + [ours.update_rng],
                     want.action_rngs + [want.update_rng]):
         assert a.bit_generator.state == b.bit_generator.state
@@ -590,7 +606,7 @@ def test_update_equals_the_serial_loop(monkeypatch, cpus, thread, epochs,
         monkeypatch, lambda: PPOTrainer(
             env_factory=lambda i: NoisyBanditEnv(obs_dim=STATE_DIM),
             obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=cfg, seed=3),
-        cpus, thread)
+        [(cpus, thread)] * 2)
 
 
 def _short_scenario(n_envs):
@@ -623,7 +639,7 @@ def test_every_env_count_equals_the_serial_loop(monkeypatch, kind, n_envs,
             env_factory=lambda i: NoisyBanditEnv(obs_dim=STATE_DIM,
                                                  episode_len=15),
             obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=cfg, seed=2)
-    _check_against_the_serial_loop(monkeypatch, make, cpus, thread)
+    _check_against_the_serial_loop(monkeypatch, make, [(cpus, thread)] * 2)
 
 
 def test_value_rows_past_a_pipe_buffer_equal_the_serial_loop(monkeypatch):
@@ -636,41 +652,84 @@ def test_value_rows_past_a_pipe_buffer_equal_the_serial_loop(monkeypatch):
         monkeypatch, lambda: PPOTrainer(
             env_factory=lambda i: NoisyBanditEnv(obs_dim=2, episode_len=200),
             obs_dim=2, n_actions=N_ACTIONS, config=cfg, seed=2),
-        2, False, updates=1)
+        [(2, False)])
+
+
+@pytest.mark.parametrize("n_envs", [2, 4])
+@pytest.mark.parametrize("alone", [(1, False), (2, True)],
+                         ids=["one-cpu", "other-thread"])
+def test_an_update_in_one_process_reaps_the_partner(monkeypatch, n_envs,
+                                                    alone):
+    # the partner is reaped at the update that runs here alone, and the
+    # next split update forks another
+    _check_against_the_serial_loop(
+        monkeypatch, lambda: make_trainer(n_envs=n_envs, seed=6),
+        [(2, False), alone, (2, False)])
+
+
+@pytest.mark.parametrize("n_envs", [2, 4])
+def test_changes_between_updates_reach_the_partner(monkeypatch, n_envs):
+    # the partner keeps no learned state: each update's request carries the
+    # critic, its Adam state and step size, the update stream and the
+    # partner's action streams as this process holds them
+    def change(tr):
+        tr.critic.flat[::5] += 0.25
+        tr.critic_opt.lr *= 0.5
+        tr.update_rng.random()
+        tr.action_rngs[-1].random()
+
+    _check_against_the_serial_loop(
+        monkeypatch, lambda: make_trainer(n_envs=n_envs, seed=8),
+        [(2, False)] * 3, change)
 
 
 def test_the_parent_sends_its_half_rollout_and_its_value_rows(monkeypatch):
-    # per update the partner is sent the states and rewards of this
-    # process's half and the values of the first half of the steps, and
-    # nothing that grows with the epochs: it draws the minibatches itself
+    # per update the partner is sent a request with the state it reads, the
+    # states and rewards of this process's half and the values of the first
+    # half of the steps, and nothing that grows with the epochs or the
+    # updates: it draws the minibatches itself
     _machine(monkeypatch, 2)
     write, update = ppo._write, ppo.update
     sent = {}
     for epochs in (1, 6):
         log, batches = sent.setdefault(epochs, []), []
-        monkeypatch.setattr(ppo, "_write", lambda fd, obj, log=log:
-                            log.append(obj) or write(fd, obj))
+        # a copy as sent: the arrays of a request change in later updates
+        monkeypatch.setattr(ppo, "_write", lambda fd, obj, log=log: log.append(
+            pickle.loads(pickle.dumps(obj))) or write(fd, obj))
         monkeypatch.setattr(ppo, "update", lambda *args, batches=batches:
                             batches.append(args[4]) or update(*args))
         cfg = PPOConfig(epochs=epochs, hidden_units=16)
         tr = PPOTrainer(
             env_factory=lambda i: NoisyBanditEnv(obs_dim=STATE_DIM),
             obs_dim=STATE_DIM, n_actions=N_ACTIONS, config=cfg, seed=3)
-        for u in range(2):
-            critic = copy.deepcopy(tr.critic)
-            with _no_child_or_fd_left():
-                tr.run_update([8 * u + i for i in range(8)])
-            half, rows = log[2 * u:]
-            batch = batches[-1]
-            assert isinstance(half, RolloutBatch)
-            assert half.actions is half.log_probs is half.returns is None
-            assert half.states.tobytes() == batch.states[:, :4].tobytes()
-            assert half.rewards.tobytes() == batch.rewards[:, :4].tobytes()
-            assert rows.tobytes() == np.array(
-                [critic.forward(s)[0][:, 0] for s in batch.states[:8]]
-            ).tobytes()
-    assert [len(pickle.dumps(m)) for m in sent[1]] == \
-        [len(pickle.dumps(m)) for m in sent[6]]
+        with _no_child_or_fd_left():
+            for u in range(3):
+                seeds = [8 * u + i for i in range(8)]
+                critic, opt = copy.deepcopy(tr.critic), tr.critic_opt
+                want = (4, seeds, tr.actor.flat, critic.flat, opt.m, opt.v,
+                        opt.t, opt.lr, tr.update_rng.bit_generator.state,
+                        [g.bit_generator.state for g in tr.action_rngs[4:]])
+                want = pickle.loads(pickle.dumps(want))
+                tr.run_update(seeds)
+                request, half, rows = log[3 * u:]
+                assert pickle.dumps(request) == pickle.dumps(want)
+                batch = batches[-1]
+                assert isinstance(half, RolloutBatch)
+                assert half.actions is half.log_probs is half.returns is None
+                assert half.states.tobytes() == batch.states[:, :4].tobytes()
+                assert half.rewards.tobytes() == \
+                    batch.rewards[:, :4].tobytes()
+                assert rows.tobytes() == np.array(
+                    [critic.forward(s)[0][:, 0] for s in batch.states[:8]]
+                ).tobytes()
+            tr.close()
+    # a pickled int takes as many bytes as its value needs, so the sizes of
+    # the requests leave out their last two fields: the 128-bit ints of a
+    # fixed number of stream states
+    assert len({len(pickle.dumps(m[:8])) for e in (1, 6)
+                for m in sent[e][::3]}) == 1
+    assert [len(pickle.dumps(m)) for k, m in enumerate(sent[1]) if k % 3] == \
+        [len(pickle.dumps(m)) for k, m in enumerate(sent[6]) if k % 3]
 
 
 def test_a_critic_error_in_the_child_is_raised_with_its_type(monkeypatch):
@@ -758,9 +817,7 @@ def test_a_partner_killed_before_it_is_sent_the_parents_half_raises(
     # process's half-rollout; once it is gone, sending that meets a pipe
     # with no reader, which is a BrokenPipeError unless the send reports the
     # partner's end instead
-    pids = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+    pids = _forks(monkeypatch)
     tr = make_trainer(n_envs=2)
     step = tr.envs[0].step
 
@@ -776,6 +833,107 @@ def test_a_partner_killed_before_it_is_sent_the_parents_half_raises(
     with _no_child_or_fd_left():
         with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
             tr.run_update([0, 1])
+
+
+def test_one_partner_serves_every_update_until_close(monkeypatch):
+    _machine(monkeypatch, 2)
+    pids = _forks(monkeypatch)
+    tr = make_trainer(n_envs=4)
+    with _no_child_or_fd_left():
+        for u in range(3):
+            tr.run_update([4 * u + i for i in range(4)])
+            assert pids == [tr._partner.pid]
+        partner = tr._partner
+        tr.close()
+        assert tr._partner is None and partner.pid is None
+        for fd in (partner.r, partner.w):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        tr.close()
+
+
+def test_train_and_a_dropped_trainer_leave_no_partner(monkeypatch):
+    _machine(monkeypatch, 2)
+    pids = _forks(monkeypatch)
+    with _no_child_or_fd_left():
+        tr = make_trainer(n_envs=4)
+        tr.train(list(range(8)), 3)
+        assert len(pids) == 1 and tr._partner is None
+        tr.run_update([0, 1, 2, 3])
+        del tr
+    assert len(pids) == 2
+
+
+def test_a_partner_killed_between_updates_fails_the_next_only(monkeypatch):
+    _machine(monkeypatch, 2)
+    pids = _forks(monkeypatch)
+    tr, want = make_trainer(n_envs=4), make_trainer(n_envs=4)
+    with _no_child_or_fd_left():
+        tr.run_update([0, 1, 2, 3])
+        os.kill(pids[0], signal.SIGKILL)
+        # wait until it has exited, without reaping it
+        os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
+            tr.run_update([4, 5, 6, 7])
+        assert tr._partner is None
+        # the failed update changed nothing here: the next forks anew and
+        # takes its place
+        tr.run_update([4, 5, 6, 7])
+        assert len(pids) == 2
+        tr.close()
+    for seeds in ([0, 1, 2, 3], [4, 5, 6, 7]):
+        serial_run_update(want, seeds)
+    for a, b in ((tr.actor, want.actor), (tr.critic, want.critic)):
+        assert a.flat.tobytes() == b.flat.tobytes()
+
+
+def test_two_trainers_close_their_partners_independently(monkeypatch):
+    # the partner forked second holds copies of this process's ends of the
+    # first one's pipes
+    _machine(monkeypatch, 2)
+    pids = _forks(monkeypatch)
+    a, b = make_trainer(n_envs=4), make_trainer(n_envs=2, seed=1)
+    with _no_child_or_fd_left():
+        a.run_update([0, 1, 2, 3])
+        b.run_update([0, 1])
+        a.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+        assert os.waitpid(pids[1], os.WNOHANG) == (0, 0)
+        b.run_update([2, 3])
+        a.run_update([4, 5, 6, 7])
+        b.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[1], os.WNOHANG)
+        assert os.waitpid(pids[2], os.WNOHANG) == (0, 0)
+        a.close()
+    assert len(pids) == 3
+
+
+EXIT_WITHOUT_CLOSE = """
+import os, sys
+sys.path[:0] = sys.argv[1:]
+os.sched_getaffinity = lambda pid: {0, 1}
+from sodfeeder.ppo import PPOTrainer
+from sodfeeder.scenario import PPOConfig
+from toyenvs import BanditEnv
+tr = PPOTrainer(env_factory=lambda i: BanditEnv(), obs_dim=2, n_actions=4,
+                config=PPOConfig(n_envs=4, minibatch_size=32, epochs=1))
+tr.run_update([0, 1, 2, 3])
+print(tr._partner.pid)
+"""
+
+
+def test_a_process_that_exits_without_close_leaves_no_partner():
+    # the partner inherits the standard output that ``subprocess.run``
+    # reads to its end, so a partner left alive would hang the run
+    here = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_WITHOUT_CLOSE,
+         os.path.join(os.path.dirname(here), "src"), here],
+        capture_output=True, text=True, timeout=60, check=True)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(proc.stdout), 0)
 
 
 # sha256 of the flat parameters and the stats rows after 3 updates, recorded
