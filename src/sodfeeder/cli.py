@@ -145,7 +145,8 @@ def build_parser():
                    help="number of training instances (seeds.train_count)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--envs", type=int, default=None,
-                   help="parallel environments (ppo.n_envs)")
+                   help="parallel environments (ppo.n_envs); fewer than 4 "
+                   "train in one process")
     p.add_argument("--checkpoint", help="output checkpoint path")
     p.set_defaults(func=cmd_train)
 

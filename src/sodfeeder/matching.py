@@ -23,8 +23,8 @@ off the unmodified schedule: stops before the rider's stop keep their times,
 so its arrival and the terminus departure are exactly what ``retime`` gives,
 and since no stop after boarding idles, the terminus arrival is the old one
 plus the placement's delay, up to float round-off (``SCREEN_MARGIN``).  The
-retry memo (``world.no_fit``, request id -> ``World.dispatches``) keeps the
-count of dispatches at which a pending request last found no candidate.  If
+retry memo (``world.no_fit``, request id -> ``len(World.dispatch_times)``)
+is the dispatch count when a pending request last found no candidate.  If
 it has not moved, the request stays pending unexamined; if it has, only
 vehicles dispatched after the memo are examined.  Sound because between
 dispatches a vehicle (so its zone) only loses placements.  Advancing it
@@ -337,8 +337,8 @@ def enumerate_candidates(world, request, since=-1, near=None):
     window and rider screens are built and checked exactly in the order of
     their rank estimates, until the next estimate exceeds the best feasible
     built rank by ``RANK_MARGIN`` (module docstring).  ``since``, the
-    request's retry memo (the ``World.dispatches`` of its last attempt
-    without a fit), skips every vehicle not dispatched after that attempt.
+    request's retry memo (the dispatch count at its last attempt without a
+    fit), skips every vehicle not dispatched after that attempt.
     Each built placement that breaks a time bound by less than
     ``SCREEN_MARGIN``, and no other check, adds its vehicle id to the set
     ``near``, if one is given.
@@ -397,6 +397,8 @@ def match_step(world, *, walk_speed, walk_cap):
     retry memo in ``world.no_fit`` until it is assigned or rejected."""
     rep = MatchReport()
     memo = world.no_fit
+    # matching never dispatches, so the count holds for the whole round
+    dispatches = len(world.dispatch_times)
     late = world.params.limits.max_wait + EPS
     for req in world.pending_requests():
         since = memo.get(req.id, -1)
@@ -410,10 +412,10 @@ def match_step(world, *, walk_speed, walk_cap):
             rep.rejected.append(req.id)
             memo.pop(req.id, None)
             continue
-        if 0 <= since < world.dispatches and _out_of_reach(
+        if 0 <= since < dispatches and _out_of_reach(
                 world, req, world.dispatch_times[since]):
             memo[req.id] = since = math.inf
-        if since >= world.dispatches:
+        if since >= dispatches:
             # no vehicle was dispatched since its last try, or none can reach
             # it in time (module docstring)
             rep.pending.append(req.id)
@@ -422,7 +424,7 @@ def match_step(world, *, walk_speed, walk_cap):
         cands = enumerate_candidates(world, req, since, near)
         if not cands:
             memo[req.id] = 0 if near else math.inf if _out_of_reach(
-                world, req, world.now) else world.dispatches
+                world, req, world.now) else dispatches
             rep.pending.append(req.id)
             continue
         memo.pop(req.id, None)

@@ -11,8 +11,8 @@ the first; each joins both halves and runs the critic's value passes for
 half of the steps.  Then the partner takes the critic's minibatch steps while
 this process takes the actor's, and sends back what it changed.  One partner
 serves every update of a trainer until ``PPOTrainer.close``; it keeps no
-learned state between updates.  With one CPU, or while another thread runs,
-everything runs here.
+learned state between updates.  With fewer than 4 environments, with one
+CPU, or while another thread runs, everything runs here.
 """
 
 from __future__ import annotations
@@ -423,21 +423,21 @@ def _join(batch, half):
 
 def update_path(n_envs):
     """How ``PPOTrainer.run_update`` runs for ``n_envs`` environments:
-    ``one_cpu`` or ``other_thread`` when everything runs in this process,
-    ``critic_only`` when a forked partner takes only the critic's steps,
-    and ``forked`` when it also steps the second half of the environments.
+    ``forked`` when a forked partner steps the second half of them;
+    otherwise in this process, and the value names why: ``few_envs``,
+    ``one_cpu`` or ``other_thread``.
 
-    A lock that another thread held at the fork would stay held in the
-    child, which has only the forking thread, so nothing is forked while
-    another thread runs.  A 1-row ``MLP.forward`` takes another BLAS path
-    than a row of a wider batch, so the environments split only when each
-    half has 2 or more.
+    A 1-row ``MLP.forward`` takes another BLAS path than a row of a wider
+    batch, so the environments split only when each half has 2 or more.  A
+    lock that another thread held at the fork would stay held in the child,
+    which has only the forking thread, so nothing is forked while another
+    thread runs.
     """
+    if n_envs < 4:
+        return "few_envs"
     if len(os.sched_getaffinity(0)) < 2:
         return "one_cpu"
-    if threading.active_count() > 1:
-        return "other_thread"
-    return "forked" if n_envs >= 4 else "critic_only"
+    return "other_thread" if threading.active_count() > 1 else "forked"
 
 
 def _shared(envs):
@@ -625,27 +625,26 @@ class PPOTrainer:
         ``rollout_s`` and ``update_s``, the ``update_path`` taken and the
         partner's CPU time in the update ``partner_cpu_s`` (0.0 if none).
 
-        On the ``forked`` and ``critic_only`` paths a partner process, forked
-        at the first such update and kept until ``close``, an in-process
-        update or a failure on either side, is first sent all the state it
-        reads here.  The environments are independent, so it steps
-        ``envs[h:]`` for the whole episode on its own copies of the nets and
-        action streams while this process steps ``envs[:h]``; it sends back
-        its batch and stream states, is sent the states and rewards of
+        On the ``forked`` path a partner process, forked at the first such
+        update and kept until ``close``, an in-process update or a failure
+        on either side, is first sent all the state it reads here.  The
+        environments are independent, so it steps ``envs[h:]``, with ``h``
+        ``n_envs // 2``, for the whole episode on its own copies of the nets
+        and action streams while this process steps ``envs[:h]``; it sends
+        back its batch and stream states, is sent the states and rewards of
         ``envs[:h]``, and each side joins the halves by environment index
         and runs the value passes of half of the steps (see
         ``add_advantages``).  Then the partner takes the critic's minibatch
         steps while this process takes the actor's (see ``update``), and
         last it sends back its environments' states, which are set into the
-        same environment objects here.  On the ``critic_only`` path ``h`` is
-        every environment.  An exception in the partner is raised here, and
-        if this process raises, the partner is killed and reaped first.
+        same environment objects here.  An exception in the partner is
+        raised here, and if this process raises, the partner is killed and
+        reaped first.
         """
         t0 = time.perf_counter()
-        n = self.n_envs
-        path = update_path(n)
-        h = n // 2 if path == "forked" else n
-        if path not in ("forked", "critic_only"):
+        path = update_path(self.n_envs)
+        h = self.n_envs // 2 if path == "forked" else self.n_envs
+        if path != "forked":
             self.close()
         elif self._partner is None:
             self._partner = _Partner(self._serve)
@@ -654,7 +653,7 @@ class PPOTrainer:
         partner, partner_cpu_s, opt = self._partner, 0.0, self.critic_opt
         try:
             if partner is not None:
-                partner.send((h, instance_seeds, self.actor.flat,
+                partner.send((instance_seeds, self.actor.flat,
                               self.critic.flat, opt.m, opt.v, opt.t, opt.lr,
                               self.update_rng.bit_generator.state,
                               [g.bit_generator.state
@@ -662,14 +661,12 @@ class PPOTrainer:
             batch = self._collect(slice(0, h), instance_seeds)
             steps, swap = slice(None), None
             if partner is not None:
-                if h < n:
-                    half, rng_states = partner.receive()
-                    for rng, state in zip(self.action_rngs[h:], rng_states):
-                        rng.bit_generator.state = state
+                half, rng_states = partner.receive()
+                for rng, state in zip(self.action_rngs[h:], rng_states):
+                    rng.bit_generator.state = state
                 partner.send(RolloutBatch(batch.states, None, batch.rewards,
                                           None))
-                if h < n:
-                    batch = _join(batch, half)
+                batch = _join(batch, half)
                 steps, swap = slice(0, len(batch.states) // 2), partner.swap
             add_advantages(batch, self.critic, self.config, steps, swap)
             t1 = time.perf_counter()
@@ -708,22 +705,18 @@ class PPOTrainer:
         """The partner's side of ``run_update``, in the forked process: one
         update per request, which holds all it reads of that process's state,
         until reading the next raises ``EOFError``."""
-        opt = self.critic_opt
+        opt, envs = self.critic_opt, slice(self.n_envs // 2, None)
         while True:
-            (h, instance_seeds, self.actor.flat[...], self.critic.flat[...],
+            (instance_seeds, self.actor.flat[...], self.critic.flat[...],
              opt.m[...], opt.v[...], opt.t, opt.lr,
              self.update_rng.bit_generator.state, streams) = receive()
             cpu0 = time.process_time()
-            envs = slice(h, None)
             for rng, state in zip(self.action_rngs[envs], streams):
                 rng.bit_generator.state = state
-            if h < self.n_envs:
-                half = self._collect(envs, instance_seeds)
-                send((half, [rng.bit_generator.state
-                             for rng in self.action_rngs[envs]]))
-                batch = _join(receive(), half)
-            else:
-                batch = receive()
+            half = self._collect(envs, instance_seeds)
+            send((half, [rng.bit_generator.state
+                         for rng in self.action_rngs[envs]]))
+            batch = _join(receive(), half)
             add_advantages(batch, self.critic, self.config,
                            slice(len(batch.states) // 2, None),
                            lambda rows: send(rows) or receive())

@@ -32,10 +32,10 @@ class World:
     with ids 0..n-1 in list order; setting them is the one writer of each
     request's ``category``.  Each vehicle's id is its index in
     ``vehicles``; the clock ``now`` only moves forward.  Every schedule
-    change goes through ``set_schedule``.  ``dispatches`` counts the calls
-    of ``dispatch_vehicle``, which stamps the vehicle with the count and
-    appends the clock to ``dispatch_times``, and ``no_fit`` is matching's
-    retry memo (request id -> the count at its last attempt without a fit,
+    change goes through ``set_schedule``.  ``dispatch_vehicle`` appends the
+    clock to ``dispatch_times``, whose length counts the dispatches, and
+    stamps the vehicle with that count; ``no_fit`` is matching's retry
+    memo (request id -> the count at its last attempt without a fit,
     or ``math.inf`` once no vehicle can reach it in time).
     ``open_processes[c]`` counts the unexecuted boardings and alightings of
     assigned requests in category c (two per ASSIGNED request, one per
@@ -67,7 +67,6 @@ class World:
             2: net.nearest_mainline_node(net.spec.mainline_length),
         }
 
-        self.dispatches = 0
         self.dispatch_times = []
         self.vehicles = []
         for i in range(scenario.n_vehicles):
@@ -166,9 +165,8 @@ class World:
         retime(stops, VehicleStatus.BOARDING, 0, net, p.dwell_base,
                p.dwell_per_pax)
         self.set_schedule(v, stops)
-        self.dispatches += 1
         self.dispatch_times.append(self.now)
-        v.dispatched = self.dispatches
+        v.dispatched = len(self.dispatch_times)
         v.status = VehicleStatus.BOARDING
         v.zone = z
         v.next_idx = 0

@@ -792,7 +792,7 @@ def test_retry_memo_never_changes_a_round(case, kind, monkeypatch):
         ctrl.baseline_dispatch()
         twin = copy.deepcopy(world, {id(net): net})
         twin.no_fit = {}
-        memo, dispatches = dict(world.no_fit), world.dispatches
+        memo, dispatches = dict(world.no_fit), len(world.dispatch_times)
         assert match_step(world, **walk) == match_step(twin, **walk), step
         assert _schedules(world) == _schedules(twin), step
         assert set(world.no_fit) == {r.id for r in world.pending_requests()}
@@ -857,7 +857,7 @@ def test_a_request_no_vehicle_can_reach_is_not_retried(tt, dispatch_at,
         while not match_step(w, **walk_of(sc)).rejected:
             memo = w.no_fit[0]
             w.advance_step()
-            if w.now >= dispatch_at and not w.dispatches:
+            if w.now >= dispatch_at and not w.dispatch_times:
                 w.dispatch_vehicle(0, 0)
         ends[give_up] = (w.now, memo,
                          [now for world, now in tries if world is w])

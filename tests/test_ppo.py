@@ -521,7 +521,6 @@ def _no_child_or_fd_left(seconds=60):
 MACHINES = pytest.mark.parametrize(
     "cpus,thread", [(2, False), (1, False), (2, True)],
     ids=["forked", "one-cpu", "other-thread"])
-SPLIT = ("forked", "critic_only")
 
 
 def _env_states(trainer):
@@ -546,8 +545,8 @@ def _check_against_the_serial_loop(monkeypatch, make, machines,
     no child or descriptor is left."""
     ours, want = make(), make()
     n = ours.n_envs
-    paths = ["one_cpu" if cpus == 1 else "other_thread" if thread
-             else "forked" if n >= 4 else "critic_only"
+    paths = ["few_envs" if n < 4 else "one_cpu" if cpus == 1
+             else "other_thread" if thread else "forked"
              for cpus, thread in machines]
     forks, batches, update = _forks(monkeypatch), [], ppo.update
     monkeypatch.setattr(ppo, "update",
@@ -569,12 +568,12 @@ def _check_against_the_serial_loop(monkeypatch, make, machines,
             assert list(stats.items())[:len(want_stats)] == \
                 list(want_stats.items())
             assert stats["update_path"] == path
-            if path in SPLIT:
+            if path == "forked":
                 assert stats["partner_cpu_s"] > 0.0
             else:
                 assert stats["partner_cpu_s"] == 0.0
         ours.close()
-    assert len(forks) == sum(b in SPLIT and a not in SPLIT
+    assert len(forks) == sum(b == "forked" and a != "forked"
                              for a, b in zip([None] + paths, paths))
     assert ours.total_steps == want.total_steps
     for a, b in ((ours.actor, want.actor), (ours.critic, want.critic)):
@@ -623,8 +622,8 @@ def _short_scenario(n_envs):
 @pytest.mark.parametrize("kind", ["zonal", "bandit", "odd-length"])
 def test_every_env_count_equals_the_serial_loop(monkeypatch, kind, n_envs,
                                                 cpus, thread):
-    # odd counts split unevenly, and below 4 the partner takes only the
-    # critic's steps; episodes of 15 steps split the value passes 7 and 8
+    # odd counts split unevenly, and below 4 everything runs in this
+    # process; episodes of 15 steps split the value passes 7 and 8
     if kind == "zonal":
         sc = _short_scenario(n_envs)
         net = sc.network()
@@ -655,7 +654,9 @@ def test_value_rows_past_a_pipe_buffer_equal_the_serial_loop(monkeypatch):
         [(2, False)])
 
 
-@pytest.mark.parametrize("n_envs", [2, 4])
+# 4 is the fewest environments that fork; fewer run in this process on
+# every machine (test_every_env_count_equals_the_serial_loop)
+@pytest.mark.parametrize("n_envs", [4])
 @pytest.mark.parametrize("alone", [(1, False), (2, True)],
                          ids=["one-cpu", "other-thread"])
 def test_an_update_in_one_process_reaps_the_partner(monkeypatch, n_envs,
@@ -667,7 +668,7 @@ def test_an_update_in_one_process_reaps_the_partner(monkeypatch, n_envs,
         [(2, False), alone, (2, False)])
 
 
-@pytest.mark.parametrize("n_envs", [2, 4])
+@pytest.mark.parametrize("n_envs", [4])
 def test_changes_between_updates_reach_the_partner(monkeypatch, n_envs):
     # the partner keeps no learned state: each update's request carries the
     # critic, its Adam state and step size, the update stream and the
@@ -706,7 +707,7 @@ def test_the_parent_sends_its_half_rollout_and_its_value_rows(monkeypatch):
             for u in range(3):
                 seeds = [8 * u + i for i in range(8)]
                 critic, opt = copy.deepcopy(tr.critic), tr.critic_opt
-                want = (4, seeds, tr.actor.flat, critic.flat, opt.m, opt.v,
+                want = (seeds, tr.actor.flat, critic.flat, opt.m, opt.v,
                         opt.t, opt.lr, tr.update_rng.bit_generator.state,
                         [g.bit_generator.state for g in tr.action_rngs[4:]])
                 want = pickle.loads(pickle.dumps(want))
@@ -726,7 +727,7 @@ def test_the_parent_sends_its_half_rollout_and_its_value_rows(monkeypatch):
     # a pickled int takes as many bytes as its value needs, so the sizes of
     # the requests leave out their last two fields: the 128-bit ints of a
     # fixed number of stream states
-    assert len({len(pickle.dumps(m[:8])) for e in (1, 6)
+    assert len({len(pickle.dumps(m[:7])) for e in (1, 6)
                 for m in sent[e][::3]}) == 1
     assert [len(pickle.dumps(m)) for k, m in enumerate(sent[1]) if k % 3] == \
         [len(pickle.dumps(m)) for k, m in enumerate(sent[6]) if k % 3]
@@ -760,10 +761,10 @@ def test_a_killed_child_raises_instead_of_hanging(monkeypatch):
 
     monkeypatch.setattr(ppo, "critic_loss_and_grad", die_in_the_child)
     _machine(monkeypatch, 2)
-    tr = make_trainer(n_envs=2)
+    tr = make_trainer(n_envs=4)
     with _no_child_or_fd_left():
         with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
-            tr.run_update([0, 1])
+            tr.run_update([0, 1, 2, 3])
 
 
 def test_an_actor_error_reaps_the_child(monkeypatch):
@@ -809,30 +810,6 @@ def test_an_env_step_error_in_either_half(monkeypatch, env, fault, error):
         with pytest.raises(error, match="no step 4" if error is LookupError
                            else "signal %d" % signal.SIGKILL):
             tr.run_update([0, 1, 2, 3])
-
-
-def test_a_partner_killed_before_it_is_sent_the_parents_half_raises(
-        monkeypatch):
-    # with 2 environments the partner steps none and waits for this
-    # process's half-rollout; once it is gone, sending that meets a pipe
-    # with no reader, which is a BrokenPipeError unless the send reports the
-    # partner's end instead
-    pids = _forks(monkeypatch)
-    tr = make_trainer(n_envs=2)
-    step = tr.envs[0].step
-
-    def kill_the_partner(action):
-        if tr.envs[0].t == 4:
-            os.kill(pids[-1], signal.SIGKILL)
-            # wait until it has exited, without reaping it
-            os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)
-        return step(action)
-
-    tr.envs[0].step = kill_the_partner
-    _machine(monkeypatch, 2)
-    with _no_child_or_fd_left():
-        with pytest.raises(RuntimeError, match="signal %d" % signal.SIGKILL):
-            tr.run_update([0, 1])
 
 
 def test_one_partner_serves_every_update_until_close(monkeypatch):
@@ -892,15 +869,15 @@ def test_two_trainers_close_their_partners_independently(monkeypatch):
     # first one's pipes
     _machine(monkeypatch, 2)
     pids = _forks(monkeypatch)
-    a, b = make_trainer(n_envs=4), make_trainer(n_envs=2, seed=1)
+    a, b = make_trainer(n_envs=4), make_trainer(n_envs=4, seed=1)
     with _no_child_or_fd_left():
         a.run_update([0, 1, 2, 3])
-        b.run_update([0, 1])
+        b.run_update([0, 1, 2, 3])
         a.close()
         with pytest.raises(ChildProcessError):
             os.waitpid(pids[0], os.WNOHANG)
         assert os.waitpid(pids[1], os.WNOHANG) == (0, 0)
-        b.run_update([2, 3])
+        b.run_update([4, 5, 6, 7])
         a.run_update([4, 5, 6, 7])
         b.close()
         with pytest.raises(ChildProcessError):
@@ -939,7 +916,7 @@ def test_a_process_that_exits_without_close_leaves_no_partner():
 # sha256 of the flat parameters and the stats rows after 3 updates, recorded
 # with per-array Adam, two softmax passes and the rescanning step loop, under
 # numpy 2.4.6 with scipy-openblas; another BLAS build may round the matmuls
-# differently
+# differently.  Its 2 environments take the in-process path on every machine
 PINNED_TRAINER_SHA256 = \
     "6ec2542b220394e60044422c6fb595691974fe4002a3205c5cd29c8708409393"
 

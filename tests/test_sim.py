@@ -174,7 +174,7 @@ def test_empty_cycle_completes_and_accrues_distance():
 
 
 def _stamps(w):
-    return w.dispatches, [v.dispatched for v in w.vehicles]
+    return len(w.dispatch_times), [v.dispatched for v in w.vehicles]
 
 
 def test_each_dispatch_bumps_the_count_and_stamps_its_vehicle():

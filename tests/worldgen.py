@@ -69,9 +69,10 @@ def scenarios(draw, min_demand=0.1):
     streets, fixed stops 200-1200 m apart, the default demand scaled by
     ``min_demand``, 0.5, 1, 2 or 5 (ramped or falling to 0, all one way or
     split), the wait, detour and window limits, the headway, two
-    normalization caps, and a 1 or 2 h horizon with no warm-up.  Each field
-    takes one of a few values, so that draws share their networks and
-    stay cheap."""
+    normalization caps, a 1 or 2 h horizon with no warm-up, and a decision
+    period of 1, 2 or 3 steps, each of which divides both horizons' 60 and
+    120 steps.  Each field takes one of a few values, so that draws share
+    their networks and stay cheap."""
     sc = Scenario()
     fleet = draw(st.integers(1, 12))
     factor = draw(st.sampled_from([min_demand, 0.5, 1.0, 2.0, 5.0]))
@@ -97,7 +98,8 @@ def scenarios(draw, min_demand=0.1):
         n_vehicles=fleet, n_reserved=draw(st.integers(0, fleet)),
         capacity=draw(st.integers(1, 20)),
         fixed_stop_spacing=draw(st.sampled_from([200.0, 400.0, 600.0,
-                                                 1200.0])))
+                                                 1200.0])),
+        rl_period=draw(st.sampled_from([1, 2, 3])))
 
 
 def run_production_match(world):
